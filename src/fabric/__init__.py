@@ -1,8 +1,8 @@
 """fabric: a standoff-annotation corpus engine.
 
 Annotation graphs over an immutable primary text compile into a binary
-image that memory-maps into columnar arrays; a topographic query language
-searches it; saved queries persist as passage-anchored annotations.
+image that loads into memory as columnar numpy views; a topographic query
+language searches it; saved queries persist as passage-anchored annotations.
 """
 
 from .annotations import (

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .compiler import _write_atomic
 from .corpus import Corpus
 from .errors import StoreError
-from .model import MonadSet
 from .query.evaluator import ResultSet, evaluate
 
 FORMAT_VERSION = 1
@@ -71,27 +71,8 @@ def _now_utc() -> str:
 
 def build_snapshot(corpus: Corpus, result: ResultSet) -> Snapshot:
     """Denormalize a result into (verse, outermost matched nodes) pairs."""
-    outer_seen: set[int] = set()
-    for match in result.matches:
-        for tree in match:
-            outer_seen.add(tree.node)
-    monads: dict[int, MonadSet] = {}
-
-    def monads_of(node: int) -> MonadSet:
-        ms = monads.get(node)
-        if ms is None:
-            ms = corpus.monads(node)
-            monads[node] = ms
-        return ms
-
-    canon = {node: i for i, node in enumerate(corpus.nodes())}
-    outer = sorted(outer_seen, key=canon.__getitem__)
-    snapshot = []
-    for verse in result.verses:
-        vset = monads_of(verse)
-        inside = tuple(n for n in outer if monads_of(n).intersects(vset))
-        snapshot.append((verse, inside))
-    return tuple(snapshot)
+    hits = corpus._passages_meeting(tree.node for match in result.matches for tree in match)
+    return tuple((verse, tuple(hits.get(verse, ()))) for verse in result.verses)
 
 
 class AnnotationStore:
@@ -273,7 +254,8 @@ def export_bytes(store: AnnotationStore) -> bytes:
 
 
 def export_store(store: AnnotationStore, path: str | Path) -> None:
-    Path(path).write_bytes(export_bytes(store))
+    """Write the store file atomically: old content or new, never torn."""
+    _write_atomic(path, export_bytes(store))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -361,14 +343,17 @@ def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
             votype == corpus.metadata.passage_otype,
             f"saved query {saved.id}: node {verse} is not a {corpus.metadata.passage_otype}",
         )
-        vset = corpus.monads(verse)
         for node in nodes:
             try:
-                nset = corpus.monads(node)
+                corpus._row(node)
             except KeyError:
                 raise StoreError(f"saved query {saved.id}: unknown matched node {node}") from None
+    hits = corpus._passages_meeting(node for _, nodes in saved.snapshot for node in nodes)
+    for verse, nodes in saved.snapshot:
+        met = set(hits.get(verse, ()))
+        for node in nodes:
             _require(
-                nset.intersects(vset),
+                node in met,
                 f"saved query {saved.id}: node {node} does not intersect verse {verse}",
             )
 

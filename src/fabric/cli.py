@@ -4,9 +4,6 @@ Exit codes: 0 success, 1 user error (bad paths, bad queries, validation
 failures), 2 data corruption (unreadable or checksum-failing image).
 Structured output honors ``--format`` (text, json, tsv); query results
 stream as they are produced instead of buffering the whole result set.
-
-The environment variable FABRIC_CACHE_DIR is reserved for derived-data
-caching in a later version; it is read by nothing in this one.
 """
 
 from __future__ import annotations

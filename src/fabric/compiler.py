@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -207,30 +207,33 @@ def compile_to_bytes(corpus: LogicalCorpus) -> tuple[bytes, CompileSummary]:
     return data, summary
 
 
-def compile_corpus(corpus: LogicalCorpus, out_path: str | Path) -> CompileSummary:
-    """Compile to a file.  The write is atomic: the target either keeps its
-    old content or holds the complete new image, never a torn one."""
+def _write_atomic(out_path: str | Path, data: bytes) -> None:
+    """Write a file atomically: the target either keeps its old content or
+    holds the complete new bytes, never a torn write."""
     path = Path(out_path)
-    data, summary = compile_to_bytes(corpus)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    # os.open rather than mkstemp (always 0600), so that the file mode
+    # follows the umask as with a plain write.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def compile_corpus(corpus: LogicalCorpus, out_path: str | Path) -> CompileSummary:
+    """Compile to a file, written atomically."""
+    data, summary = compile_to_bytes(corpus)
+    _write_atomic(out_path, data)
     return summary
-
-
-def verify_bytes(data: bytes | memoryview) -> image.ImageCheck:
-    """Integrity scan of image bytes; reports problems instead of raising."""
-    return image.check_image(data)
 
 
 def verify_image(path: str | Path) -> image.ImageCheck:

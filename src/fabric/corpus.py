@@ -1,8 +1,9 @@
 """Read-only corpus API over a compiled image.
 
-``Corpus.from_file`` maps the image sections onto numpy views without
-copying the node tables; opening a corpus costs integrity checks plus one
-sort, not a parse.  All arrays are read-only views of the image bytes.
+``Corpus.from_file`` reads the image into memory and maps its sections
+onto numpy views without copying the node tables; opening a corpus costs
+integrity checks plus one sort, not a parse.  All arrays are read-only
+views of the image bytes.
 
 Node identity in this API is the integer node id.  Canonical order is
 (first monad asc, last monad desc, otype rank asc, id asc).
@@ -14,7 +15,7 @@ import json
 import warnings
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -172,7 +173,7 @@ class Corpus:
             self._feature_sections[(_KINDS[int(fkinds[i])], key)] = int(fids[i])
         self._payloads = payloads
         self._stores: dict[tuple[str, str], FeatureStore] = {}
-        self._otype_rows: dict[int, np.ndarray] = {}
+        self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -225,26 +226,40 @@ class Corpus:
             raise KeyError(f"no node with id {node}")
         return i
 
-    def _runs_of_set(self, set_idx: int) -> tuple[tuple[int, int], ...]:
-        lo, hi = int(self._set_offsets[set_idx]), int(self._set_offsets[set_idx + 1])
-        return tuple(
-            (int(self._run_first[i]), int(self._run_last[i])) for i in range(lo, hi)
-        )
+    def _runs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """First and last monads of the row's runs."""
+        s = self._monad_idx[row]
+        lo, hi = self._set_offsets[s], self._set_offsets[s + 1]
+        return self._run_first[lo:hi], self._run_last[lo:hi]
+
+    def _monad_set(self, row: int) -> MonadSet:
+        firsts, lasts = self._runs(row)
+        return MonadSet(tuple(zip(firsts.tolist(), lasts.tolist())))
 
     def monads(self, node: int) -> MonadSet:
-        return MonadSet(self._runs_of_set(int(self._monad_idx[self._row(node)])))
+        return self._monad_set(self._row(node))
 
     def otype(self, node: int) -> str:
         return self._otypes[int(self._otype_code[self._row(node)])]
 
     # -- traversal ----------------------------------------------------------
 
-    def _rows_for_otype(self, code: int) -> np.ndarray:
-        rows = self._otype_rows.get(code)
-        if rows is None:
-            rows = self._canon[self._otype_code[self._canon] == code]
-            self._otype_rows[code] = rows
-        return rows
+    def _rows_for_otype(self, otype: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of one otype (all rows for None, none for an otype the corpus
+        lacks) in canonical order, with their first monads; cached."""
+        cached = self._otype_rows.get(otype)
+        if cached is None:
+            rows = self._canon
+            if otype is not None:
+                rows = rows[self._otype_code[rows] == self._otype_rank.get(otype, -1)]
+            cached = self._otype_rows[otype] = (rows, self._first[rows])
+        return cached
+
+    def _typed_rows(self, otype: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """``_rows_for_otype``, warning about an otype the corpus lacks."""
+        if otype is not None and otype not in self._otype_rank:
+            warnings.warn(f"unknown otype {otype!r}", UnknownOtypeWarning, stacklevel=3)
+        return self._rows_for_otype(otype)
 
     def nodes(self, otype: str | None = None) -> Iterator[int]:
         """All nodes in canonical order, optionally restricted to one otype.
@@ -252,101 +267,96 @@ class Corpus:
         An unknown otype yields nothing but warns immediately, since it is
         more often a typo than an intentionally empty selection.
         """
-        if otype is None:
-            rows = self._canon
-        else:
-            code = self._otype_rank.get(otype)
-            if code is None:
-                warnings.warn(f"unknown otype {otype!r}", UnknownOtypeWarning, stacklevel=2)
-                rows = self._canon[:0]
-            else:
-                rows = self._rows_for_otype(code)
-        return (int(self._ids[row]) for row in rows)
+        return (int(self._ids[row]) for row in self._typed_rows(otype)[0])
 
     def feature(self, target: int, key: str, kind: str = NODE_KIND) -> str | None:
         """Value of a feature, or None when the target has no value for it."""
         store = self.store(key, kind)
         return None if store is None else store.get(target)
 
-    def _subset_rows(self, rows: np.ndarray, outer_runs: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """Filter candidate rows to those whose monads are a subset of
-        outer_runs.  Candidates must already satisfy the envelope test."""
-        if len(outer_runs) == 1:
-            return rows
-        keep = []
-        run_starts = np.asarray([r[0] for r in outer_runs], dtype=np.int64)
-        run_ends = np.asarray([r[1] for r in outer_runs], dtype=np.int64)
-        for row in rows:
-            set_idx = int(self._monad_idx[row])
-            lo, hi = int(self._set_offsets[set_idx]), int(self._set_offsets[set_idx + 1])
-            ok = True
-            for i in range(lo, hi):
-                a, b = int(self._run_first[i]), int(self._run_last[i])
-                j = int(np.searchsorted(run_starts, a, side="right")) - 1
-                if j < 0 or b > int(run_ends[j]):
-                    ok = False
-                    break
-            if ok:
-                keep.append(row)
-        return np.asarray(keep, dtype=np.int64)
+    @staticmethod
+    def _window(firsts: np.ndarray, lo: int | np.ndarray, hi: int | np.ndarray) -> tuple:
+        """The interval primitive.  Canonical order is first-monad-major, so
+        the rows of a canonical-order array whose first monad lies in lo..hi
+        form one slice, ``start:stop``, found in ``firsts`` (those rows'
+        first monads).  Given arrays of bounds, it finds one slice each."""
+        return firsts.searchsorted(lo), firsts.searchsorted(hi + 1)
 
-    def _superset_rows(self, rows: np.ndarray, inner_runs: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """Filter candidate rows to those whose monads are a superset of
-        inner_runs."""
-        keep = []
-        for row in rows:
-            if int(self._nruns[row]) == 1:
-                keep.append(row)  # envelope test already proved coverage
-                continue
-            set_idx = int(self._monad_idx[row])
-            lo, hi = int(self._set_offsets[set_idx]), int(self._set_offsets[set_idx + 1])
-            starts = self._run_first[lo:hi].astype(np.int64)
-            ends = self._run_last[lo:hi]
-            ok = True
-            for a, b in inner_runs:
-                j = int(np.searchsorted(starts, a, side="right")) - 1
-                if j < 0 or b > int(ends[j]):
-                    ok = False
-                    break
-            if ok:
-                keep.append(row)
-        return np.asarray(keep, dtype=np.int64)
+    @cached_property
+    def _single_runs(self) -> bool:
+        """Whether every node's monads form one run (computed on first use)."""
+        return bool(np.all(self._set_nruns == 1))
+
+    def _exact(self, a, b, test: Callable[[int, int], bool]) -> np.ndarray | slice:
+        """Index of the pairs of rows ``a`` and ``b`` (either may be one row)
+        that passed an envelope test and where ``test(a, b)`` holds.  The
+        run-level test runs only where either row has more than one run,
+        since envelopes are exact for single runs."""
+        if self._single_runs:
+            return slice(None)
+        multi = (self._nruns[a] > 1) | (self._nruns[b] > 1)
+        a, b = np.broadcast_to(a, multi.shape), np.broadcast_to(b, multi.shape)
+        keep = ~multi
+        keep[multi] = [test(x, y) for x, y in zip(a[multi].tolist(), b[multi].tolist())]
+        return keep
+
+    def _covers(self, outer: int, inner: int) -> bool:
+        """Whether row ``outer``'s monads include all of row ``inner``'s."""
+        ofirst, olast = self._runs(outer)
+        ifirst, ilast = self._runs(inner)
+        j = np.searchsorted(ofirst, ifirst, side="right") - 1
+        return bool(np.all((j >= 0) & (ilast <= olast[j])))
+
+    def _meets(self, a: int, b: int) -> bool:
+        """Whether rows ``a`` and ``b`` share a monad."""
+        afirst, alast = self._runs(a)
+        bfirst, blast = self._runs(b)
+        j = np.searchsorted(afirst, blast, side="right") - 1
+        return bool(np.any((j >= 0) & (alast[j] >= bfirst)))
+
+    def _inside(self, rows: np.ndarray, firsts: np.ndarray, row: int) -> np.ndarray:
+        """Those of the canonical-order ``rows`` (first monads ``firsts``)
+        embedded in ``row``: monad subset, ``row`` itself excluded."""
+        start, stop = self._window(firsts, self._first[row], self._last[row])
+        cand = rows[start:stop]
+        cand = cand[(self._last[cand] <= self._last[row]) & (cand != row)]
+        return cand[self._exact(row, cand, self._covers)]
+
+    def _passages_meeting(self, nodes: Iterable[int]) -> dict[int, list[int]]:
+        """Passage node -> those of the given (existing) nodes whose monads
+        meet it.  Keys and each list follow canonical order."""
+        prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
+        rows = np.searchsorted(self._ids, np.unique(np.fromiter(nodes, dtype=np.int64)))
+        rows = rows[np.argsort(self._canon_pos[rows])]
+        # A passage meeting a row starts in first-span+1..last of the row,
+        # where span is the widest passage envelope: one window per row.
+        span = int((self._last[prows] - pfirsts).max(initial=0)) + 1
+        start, stop = self._window(pfirsts, self._first[rows] - span + 1, self._last[rows])
+        counts = stop - start
+        pair_rows = np.repeat(rows, counts)
+        pair_ps = prows[np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+        meet = self._last[pair_ps] >= self._first[pair_rows]
+        pair_ps, pair_rows = pair_ps[meet], pair_rows[meet]
+        meet = self._exact(pair_ps, pair_rows, self._meets)
+        hits: dict[int, list[int]] = {}
+        for p, row in zip(pair_ps[meet].tolist(), self._ids[pair_rows[meet]].tolist()):
+            hits.setdefault(p, []).append(row)
+        return {int(self._ids[p]): hits[p] for p in sorted(hits, key=self._canon_pos.__getitem__)}
 
     def up(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedding this one (monad superset, self excluded), in
         canonical order; optionally one otype only."""
         row = self._row(node)
-        first, last = int(self._first[row]), int(self._last[row])
-        mask = (self._first <= first) & (self._last >= last)
-        if otype is not None:
-            code = self._otype_rank.get(otype)
-            if code is None:
-                warnings.warn(f"unknown otype {otype!r}", UnknownOtypeWarning, stacklevel=2)
-                return []
-            mask &= self._otype_code == code
-        cand = np.nonzero(mask)[0]
-        cand = cand[cand != row]
-        cand = self._superset_rows(cand, self._runs_of_set(int(self._monad_idx[row])))
-        ordered = cand[np.argsort(self._canon_pos[cand])]
-        return [int(self._ids[r]) for r in ordered]
+        rows, firsts = self._typed_rows(otype)
+        cand = rows[: self._window(firsts, 1, self._first[row])[1]]
+        cand = cand[(self._last[cand] >= self._last[row]) & (cand != row)]
+        return self._ids[cand[self._exact(cand, row, self._covers)]].tolist()
 
     def down(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedded in this one (monad subset, self excluded), in
         canonical order; optionally one otype only."""
         row = self._row(node)
-        first, last = int(self._first[row]), int(self._last[row])
-        mask = (self._first >= first) & (self._last <= last)
-        if otype is not None:
-            code = self._otype_rank.get(otype)
-            if code is None:
-                warnings.warn(f"unknown otype {otype!r}", UnknownOtypeWarning, stacklevel=2)
-                return []
-            mask &= self._otype_code == code
-        cand = np.nonzero(mask)[0]
-        cand = cand[cand != row]
-        cand = self._subset_rows(cand, self._runs_of_set(int(self._monad_idx[row])))
-        ordered = cand[np.argsort(self._canon_pos[cand])]
-        return [int(self._ids[r]) for r in ordered]
+        return self._ids[self._inside(*self._typed_rows(otype), row)].tolist()
 
     def text_of(self, node: int) -> str:
         """Primary text covered by the node's monads, in ascending monad
@@ -355,7 +365,7 @@ class Corpus:
         row = self._row(node)
         pieces: list[str] = []
         prev_end = -1
-        for a, b in self._runs_of_set(int(self._monad_idx[row])):
+        for a, b in self._monad_set(row).runs:
             for m in range(a, b + 1):
                 start, end = int(self._slot_starts[m - 1]), int(self._slot_ends[m - 1])
                 if prev_end >= 0 and start != prev_end:
@@ -367,21 +377,13 @@ class Corpus:
     def passage_of(self, node: int) -> int | None:
         """First passage-otype node (canonical order) whose monads intersect
         this node's, or None when no passage touches it."""
-        code = self._otype_rank.get(self.metadata.passage_otype)
-        if code is None:
-            return None
-        rows = self._rows_for_otype(code)
-        if not len(rows):
-            return None
+        # One window scan; the batched _passages_meeting costs more per node.
         row = self._row(node)
-        first, last = int(self._first[row]), int(self._last[row])
-        cand = rows[(self._first[rows] <= last) & (self._last[rows] >= first)]
-        target = MonadSet(self._runs_of_set(int(self._monad_idx[row])))
-        for r in cand:
-            inner = MonadSet(self._runs_of_set(int(self._monad_idx[int(r)])))
-            if inner.intersects(target):
-                return int(self._ids[int(r)])
-        return None
+        prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
+        cand = prows[: self._window(pfirsts, 1, self._last[row])[1]]
+        cand = cand[self._last[cand] >= self._first[row]]
+        cand = cand[self._exact(cand, row, self._meets)]
+        return int(self._ids[cand[0]]) if len(cand) else None
 
     def slot_region(self, monad: int) -> Region:
         if not 1 <= monad <= self.width:
@@ -411,7 +413,7 @@ class Corpus:
             Node(
                 id=int(self._ids[i]),
                 otype=self._otypes[int(self._otype_code[i])],
-                monads=MonadSet(self._runs_of_set(int(self._monad_idx[i]))),
+                monads=self._monad_set(i),
             )
             for i in range(len(self._ids))
         ]

@@ -33,8 +33,7 @@ import numpy as np
 
 from ..corpus import Corpus, FeatureStore
 from ..errors import QueryError
-from ..model import MonadSet
-from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Gap, Not, Query, parse
+from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Query, parse
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +89,14 @@ def _conjunctive_spine(expr: Expr | None) -> list[Atom]:
 
 
 class _Eval:
-    def __init__(self, corpus: Corpus, query: Query):
+    def __init__(self, corpus: Corpus, query: Query, deadline: float | None = None):
         self.c = corpus
         self.q = query
+        self.deadline = deadline
         self._counts: dict[str, np.ndarray] = {}
         self._int_dicts: dict[str, np.ndarray] = {}
         self._regex_masks: dict[tuple[str, str], np.ndarray] = {}
-        self._cands: dict[int, np.ndarray] = {}
+        self._cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[int, Source] = {}
         for block in query.blocks_preorder():
             self._resolve_block(block)
@@ -256,7 +256,7 @@ class _Eval:
         cached = self._sources.get(id(block))
         if cached is not None:
             return cached
-        otype_count = len(self.c._rows_for_otype(self.c._otype_rank[block.otype]))
+        otype_count = len(self.c._rows_for_otype(block.otype)[0])
         best = Source(kind="otype", otype=block.otype, estimate=otype_count)
         for atom in _conjunctive_spine(block.constraint):
             if atom.op not in ("=", "IN") or atom.key in self.c.metadata.int_features:
@@ -293,60 +293,52 @@ class _Eval:
         # searchsorted positions are exact rows.
         return np.searchsorted(self.c._ids, targets).astype(np.int64)
 
-    def candidates(self, block: Block) -> np.ndarray:
-        """Rows matching this block alone, in canonical order."""
-        rows = self._cands.get(id(block))
-        if rows is not None:
-            return rows
+    def candidates(self, block: Block) -> tuple[np.ndarray, np.ndarray]:
+        """Rows matching this block alone, in canonical order, with their
+        first monads."""
+        cached = self._cands.get(id(block))
+        if cached is not None:
+            return cached
         source = self.source_for(block)
-        code = self.c._otype_rank[block.otype]
         if source.kind == "posting":
             rows = self._posting_rows(source)
-            rows = rows[self.c._otype_code[rows] == code]
+            rows = rows[self.c._otype_code[rows] == self.c._otype_rank[block.otype]]
+            rows = rows[np.argsort(self.c._canon_pos[rows], kind="stable")]
         else:
-            rows = self.c._rows_for_otype(code)
+            rows = self.c._rows_for_otype(block.otype)[0]
         if block.constraint is not None and len(rows):
             rows = rows[self._expr_mask(block.constraint, self.c._ids[rows])]
-        rows = rows[np.argsort(self.c._canon_pos[rows], kind="stable")]
-        self._cands[id(block)] = rows
-        return rows
-
-    def candidates_in(self, block: Block, parent_row: int) -> np.ndarray:
-        """Block candidates embedded in the parent row, canonical order."""
-        rows = self.candidates(block)
-        f, l = int(self.c._first[parent_row]), int(self.c._last[parent_row])
-        rows = rows[(self.c._first[rows] >= f) & (self.c._last[rows] <= l)]
-        rows = rows[rows != parent_row]
-        outer_runs = self.c._runs_of_set(int(self.c._monad_idx[parent_row]))
-        return self.c._subset_rows(rows, outer_runs)
+        cached = self._cands[id(block)] = (rows, self.c._first[rows])
+        return cached
 
     # -- enumeration -----------------------------------------------------------
 
-    def gap_ok(self, gap: Gap, prev_row: int, row: int) -> bool:
-        prev_last = int(self.c._last[prev_row])
-        first = int(self.c._first[row])
-        if gap.kind == ADJACENT:
-            return first == prev_last + 1
-        if first <= prev_last:
-            return False
-        return gap.limit is None or first - prev_last - 1 <= gap.limit
-
     def iter_blockstring(self, bs: BlockString, parent_row: int | None) -> Iterator[Match]:
         blocks = bs.blocks
-        cands = [
-            self.candidates(b) if parent_row is None else self.candidates_in(b, parent_row)
-            for b in blocks
-        ]
+        cands = []
+        for b in blocks:
+            rows, firsts = self.candidates(b)
+            if parent_row is not None:
+                rows = self.c._inside(rows, firsts, parent_row)
+                firsts = self.c._first[rows]
+            cands.append((rows, firsts))
 
         def rec(i: int, prev_row: int, acc: list[MatchTree]) -> Iterator[Match]:
             if i == len(blocks):
                 yield tuple(acc)
                 return
             block = blocks[i]
-            for np_row in cands[i]:
-                row = int(np_row)
-                if i and not self.gap_ok(bs.gaps[i - 1], prev_row, row):
-                    continue
+            rows, firsts = cands[i]
+            if i:
+                # The block starts in after..after+limit, up to the last monad
+                # when unbounded; adjacency is limit 0.
+                gap, after = bs.gaps[i - 1], int(self.c._last[prev_row]) + 1
+                limit = 0 if gap.kind == ADJACENT else gap.limit
+                start, stop = self.c._window(firsts, after, self.c.width if limit is None else after + limit)
+                rows = rows[start:stop]
+            for row in rows.tolist():
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    raise TimeoutError
                 node = int(self.c._ids[row])
                 if block.children is None:
                     acc.append(MatchTree(node=node))
@@ -371,35 +363,6 @@ def iter_matches(corpus: Corpus, query: Query | str) -> Iterator[Match]:
     return _Eval(corpus, q).iter_blockstring(q.root, None)
 
 
-def _verses_for(corpus: Corpus, matches: list[Match]) -> tuple[int, ...]:
-    passage_code = corpus._otype_rank.get(corpus.metadata.passage_otype)
-    if passage_code is None:
-        return ()
-    prows = corpus._rows_for_otype(passage_code)
-    if not len(prows):
-        return ()
-    seen: set[int] = set()
-    monad_cache: dict[int, MonadSet] = {}
-    for match in matches:
-        for tree in match:
-            row = int(np.searchsorted(corpus._ids, tree.node))
-            node_set = monad_cache.get(row)
-            if node_set is None:
-                node_set = MonadSet(corpus._runs_of_set(int(corpus._monad_idx[row])))
-                monad_cache[row] = node_set
-            f, l = int(corpus._first[row]), int(corpus._last[row])
-            env = prows[(corpus._first[prows] <= l) & (corpus._last[prows] >= f)]
-            for vrow in env:
-                vrow = int(vrow)
-                if vrow in seen:
-                    continue
-                verse_set = MonadSet(corpus._runs_of_set(int(corpus._monad_idx[vrow])))
-                if node_set.intersects(verse_set):
-                    seen.add(vrow)
-    ordered = sorted(seen, key=lambda r: int(corpus._canon_pos[r]))
-    return tuple(int(corpus._ids[r]) for r in ordered)
-
-
 def evaluate(
     corpus: Corpus,
     query: Query | str,
@@ -410,24 +373,24 @@ def evaluate(
     """Evaluate a query, returning every match unless limits cut off.
 
     ``max_matches`` bounds the number of matches kept; ``timeout`` (seconds)
-    bounds wall time, checked between matches.  Either cutoff sets
-    ``truncated``.
+    bounds wall time, checked at every candidate the join visits, so it
+    holds even when nothing matches.  Either cutoff sets ``truncated``.
     """
     q = _as_query(query)
     deadline = None if timeout is None else time.monotonic() + timeout
     matches: list[Match] = []
     truncated = False
-    for match in iter_matches(corpus, q):
-        if deadline is not None and time.monotonic() >= deadline:
-            truncated = True
-            break
-        if max_matches is not None and len(matches) >= max_matches:
-            truncated = True
-            break
-        matches.append(match)
+    try:
+        for match in _Eval(corpus, q, deadline).iter_blockstring(q.root, None):
+            if max_matches is not None and len(matches) >= max_matches:
+                truncated = True
+                break
+            matches.append(match)
+    except TimeoutError:
+        truncated = True
     return ResultSet(
         matches=tuple(matches),
         total=len(matches),
-        verses=_verses_for(corpus, matches),
+        verses=tuple(corpus._passages_meeting(tree.node for match in matches for tree in match)),
         truncated=truncated,
     )

@@ -49,6 +49,58 @@ def adjacent(a_monads: frozenset[int], b_monads: frozenset[int]) -> bool:
     return max(a_monads) + 1 == min(b_monads)
 
 
+def gap_holds(gap, prev: frozenset[int], nxt: frozenset[int]) -> bool:
+    """Gap between consecutive blocks: adjacency, or strictly before with
+    at most ``gap.limit`` monads skipped when a limit is given."""
+    if gap.kind == "adjacent":
+        return adjacent(prev, nxt)
+    return sequence_before(prev, nxt) and (gap.limit is None or min(nxt) - max(prev) - 1 <= gap.limit)
+
+
+def scan_matches(root, candidates, monads: dict[int, frozenset[int]]) -> list[tuple[int, ...]]:
+    """Matches of a parsed query as pre-order node tuples, by nested scans:
+    every candidate of a block is tested against its parent (containment)
+    and its predecessor (gap).  ``candidates(block)`` lists the nodes that
+    match the block alone, in canonical order."""
+
+    def walk(bs, parent):
+        def rec(i, prev):
+            if i == len(bs.blocks):
+                yield ()
+                return
+            block = bs.blocks[i]
+            for node in candidates(block):
+                if parent is not None and not embeds(monads[parent], monads[node], node == parent):
+                    continue
+                if i and not gap_holds(bs.gaps[i - 1], monads[prev], monads[node]):
+                    continue
+                inner = walk(block.children, node) if block.children is not None else [()]
+                for kids in inner:
+                    for rest in rec(i + 1, node):
+                        yield (node,) + kids + rest
+
+        return list(rec(0, None))
+
+    return walk(root, None)
+
+
+def down(node: int, order: list[int], monads: dict[int, frozenset[int]]) -> list[int]:
+    """Nodes embedded in ``node``, in the given (canonical) order."""
+    return [n for n in order if embeds(monads[node], monads[n], n == node)]
+
+
+def up(node: int, order: list[int], monads: dict[int, frozenset[int]]) -> list[int]:
+    """Nodes embedding ``node``, in the given (canonical) order."""
+    return [n for n in order if embeds(monads[n], monads[node], n == node)]
+
+
+def passages_meeting(
+    passages: list[int], nodes: list[int], monads: dict[int, frozenset[int]]
+) -> list[int]:
+    """Those passages, in the given order, sharing a monad with any node."""
+    return [p for p in passages if any(monads[p] & monads[n] for n in nodes)]
+
+
 def text_of(text: str, slots, monads: frozenset[int]) -> str:
     pieces = []
     prev_end = None

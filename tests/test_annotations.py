@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -238,6 +239,26 @@ class TestPersistence:
         path = tmp_path / "store.json"
         export_store(store, path)
         assert import_store(path, toy4_corpus) == store
+
+    def test_failed_export_keeps_the_old_store(self, tmp_path, toy4_corpus, monkeypatch):
+        store, _ = fox_store(toy4_corpus)
+        path = tmp_path / "store.json"
+        path.write_bytes(b"old store")
+        plain_mode = path.stat().st_mode
+        path.unlink()
+        export_store(store, path)
+        assert path.stat().st_mode == plain_mode
+        before = path.read_bytes()
+        save_query(store, toy4_corpus, "[word]", name="words", author="ada", now=STAMP)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            export_store(store, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
     def test_document_shape(self, toy4_corpus):
         store, saved = fox_store(toy4_corpus)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fabric import image
-from fabric.compiler import compile_corpus, compile_to_bytes, verify_bytes, verify_image
+from fabric.compiler import compile_corpus, compile_to_bytes, verify_image
 from fabric.errors import ImageError, ValidationFailure
 from fabric.corpus import Corpus
 from fabric.model import MonadSet, Node, Region
@@ -126,14 +126,14 @@ class TestCorruption:
     def test_verify_reports_instead_of_raising(self, toy4_bytes):
         entries = image.read_directory(toy4_bytes)
         text = next(e for e in entries if e.name == "text")
-        check = verify_bytes(corrupt(toy4_bytes, text.offset))
+        check = image.check_image(corrupt(toy4_bytes, text.offset))
         assert not check.ok
         assert any("SECTION_CRC" in p for p in check.problems)
         bad = {name for name, _, good in check.sections if not good}
         assert bad == {"text"}
 
     def test_verify_ok_on_good_image(self, toy4_bytes):
-        check = verify_bytes(toy4_bytes)
+        check = image.check_image(toy4_bytes)
         assert check.ok and not check.problems
 
 

@@ -1,3 +1,4 @@
+import time
 from itertools import islice
 
 import pytest
@@ -196,6 +197,16 @@ class TestLimits:
     def test_zero_timeout_truncates(self, toy4_corpus):
         result = evaluate(toy4_corpus, "[word]", timeout=0)
         assert result.truncated
+
+    def test_timeout_holds_when_nothing_matches(self):
+        # Word 1 never follows three other words, so the join visits every
+        # ordered triple of words, which takes seconds, and yields nothing.
+        corpus = words_corpus(120)
+        started = time.monotonic()
+        result = evaluate(corpus, '[word] .. [word] .. [word] .. [word text="w1"]', timeout=0.1)
+        assert time.monotonic() - started < 1.0
+        assert result.truncated
+        assert result.matches == ()
 
     def test_iter_matches_streams(self, toy4_corpus):
         first_two = list(islice(iter_matches(toy4_corpus, "[word]"), 2))
