@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -211,10 +211,7 @@ def _write_atomic(out_path: str | Path, data: bytes) -> None:
     """Write a file atomically: the target either keeps its old content or
     holds the complete new bytes, never a torn write."""
     path = Path(out_path)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
-    # os.open rather than mkstemp (always 0600), so that the file mode
-    # follows the umask as with a plain write.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -95,7 +95,6 @@ class Corpus:
         image.verify_sections(data, entries)
         view = memoryview(data)
         payloads = {e.id: view[e.offset : e.offset + e.length] for e in entries}
-        self._entries = entries
 
         def need(sid: int) -> memoryview:
             if sid not in payloads:
@@ -120,7 +119,6 @@ class Corpus:
         base = 8 + 4 * (pool_count + 1)
         self._run_first = _u32view(pool, base, run_count)
         self._run_last = _u32view(pool, base + 4 * run_count, run_count)
-        self._set_nruns = np.diff(self._set_offsets.astype(np.int64))
 
         nodes = need(image.NODES)
         n = int(_u32view(nodes, 0, 1)[0])
@@ -132,7 +130,7 @@ class Corpus:
         sets = self._monad_idx.astype(np.int64)
         self._first = self._run_first[self._set_offsets[sets]].astype(np.int64)
         self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
-        self._nruns = self._set_nruns[sets]
+        self._nruns = np.diff(self._set_offsets.astype(np.int64))[sets]
 
         # Canonical permutation; lexsort treats its last key as primary.
         self._canon = np.lexsort((self._ids, self._otype_code, -self._last, self._first))
@@ -282,22 +280,16 @@ class Corpus:
         first monads).  Given arrays of bounds, it finds one slice each."""
         return firsts.searchsorted(lo), firsts.searchsorted(hi + 1)
 
-    @cached_property
-    def _single_runs(self) -> bool:
-        """Whether every node's monads form one run (computed on first use)."""
-        return bool(np.all(self._set_nruns == 1))
-
-    def _exact(self, a, b, test: Callable[[int, int], bool]) -> np.ndarray | slice:
-        """Index of the pairs of rows ``a`` and ``b`` (either may be one row)
-        that passed an envelope test and where ``test(a, b)`` holds.  The
-        run-level test runs only where either row has more than one run,
-        since envelopes are exact for single runs."""
-        if self._single_runs:
-            return slice(None)
-        multi = (self._nruns[a] > 1) | (self._nruns[b] > 1)
-        a, b = np.broadcast_to(a, multi.shape), np.broadcast_to(b, multi.shape)
-        keep = ~multi
-        keep[multi] = [test(x, y) for x, y in zip(a[multi].tolist(), b[multi].tolist())]
+    @staticmethod
+    def _exact(a, b, need: np.ndarray, test: Callable[[int, int], bool]) -> np.ndarray:
+        """Mask over pairs of rows ``a`` and ``b`` (either may be one row)
+        that passed an envelope test: ``test(a, b)`` where ``need`` is set,
+        True elsewhere, where the envelope test is already exact."""
+        keep = ~need
+        idx = np.flatnonzero(need)
+        if len(idx):
+            a, b = np.broadcast_to(a, need.shape)[idx], np.broadcast_to(b, need.shape)[idx]
+            keep[idx] = [test(x, y) for x, y in zip(a.tolist(), b.tolist())]
         return keep
 
     def _covers(self, outer: int, inner: int) -> bool:
@@ -320,27 +312,36 @@ class Corpus:
         start, stop = self._window(firsts, self._first[row], self._last[row])
         cand = rows[start:stop]
         cand = cand[(self._last[cand] <= self._last[row]) & (cand != row)]
-        return cand[self._exact(row, cand, self._covers)]
+        if self._nruns[row] > 1:  # else the envelope test is exact
+            cand = cand[self._exact(row, cand, np.ones_like(cand, dtype=bool), self._covers)]
+        return cand
+
+    @cached_property
+    def _passages(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Passage rows in canonical order, their first monads, and the
+        widest passage envelope (computed on first use)."""
+        prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
+        return prows, pfirsts, int((self._last[prows] - pfirsts).max(initial=0)) + 1
 
     def _passages_meeting(self, nodes: Iterable[int]) -> dict[int, list[int]]:
         """Passage node -> those of the given (existing) nodes whose monads
         meet it.  Keys and each list follow canonical order."""
-        prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
+        prows, pfirsts, span = self._passages
         rows = np.searchsorted(self._ids, np.unique(np.fromiter(nodes, dtype=np.int64)))
         rows = rows[np.argsort(self._canon_pos[rows])]
-        # A passage meeting a row starts in first-span+1..last of the row,
-        # where span is the widest passage envelope: one window per row.
-        span = int((self._last[prows] - pfirsts).max(initial=0)) + 1
+        # A passage meeting a row starts in first-span+1..last of the row:
+        # one window per row, as in passage_of.
         start, stop = self._window(pfirsts, self._first[rows] - span + 1, self._last[rows])
         counts = stop - start
         pair_rows = np.repeat(rows, counts)
         pair_ps = prows[np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
         meet = self._last[pair_ps] >= self._first[pair_rows]
         pair_ps, pair_rows = pair_ps[meet], pair_rows[meet]
-        meet = self._exact(pair_ps, pair_rows, self._meets)
+        multi = (self._nruns[pair_ps] > 1) | (self._nruns[pair_rows] > 1)
+        meet = self._exact(pair_ps, pair_rows, multi, self._meets)
         hits: dict[int, list[int]] = {}
-        for p, row in zip(pair_ps[meet].tolist(), self._ids[pair_rows[meet]].tolist()):
-            hits.setdefault(p, []).append(row)
+        for p, node in zip(pair_ps[meet].tolist(), self._ids[pair_rows[meet]].tolist()):
+            hits.setdefault(p, []).append(node)
         return {int(self._ids[p]): hits[p] for p in sorted(hits, key=self._canon_pos.__getitem__)}
 
     def up(self, node: int, otype: str | None = None) -> list[int]:
@@ -350,7 +351,7 @@ class Corpus:
         rows, firsts = self._typed_rows(otype)
         cand = rows[: self._window(firsts, 1, self._first[row])[1]]
         cand = cand[(self._last[cand] >= self._last[row]) & (cand != row)]
-        return self._ids[cand[self._exact(cand, row, self._covers)]].tolist()
+        return self._ids[cand[self._exact(cand, row, self._nruns[cand] > 1, self._covers)]].tolist()
 
     def down(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedded in this one (monad subset, self excluded), in
@@ -377,12 +378,16 @@ class Corpus:
     def passage_of(self, node: int) -> int | None:
         """First passage-otype node (canonical order) whose monads intersect
         this node's, or None when no passage touches it."""
-        # One window scan; the batched _passages_meeting costs more per node.
+        prows, pfirsts, span = self._passages
+        if not len(prows):
+            return None
+        # The window and tests of _passages_meeting for one row; its batched
+        # form costs over twice as much per call.
         row = self._row(node)
-        prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
-        cand = prows[: self._window(pfirsts, 1, self._last[row])[1]]
-        cand = cand[self._last[cand] >= self._first[row]]
-        cand = cand[self._exact(cand, row, self._meets)]
+        first, last = self._first[row], self._last[row]
+        cand = prows[slice(*self._window(pfirsts, first - span + 1, last))]
+        cand = cand[self._last[cand] >= first]
+        cand = cand[self._exact(cand, row, (self._nruns[cand] > 1) | (self._nruns[row] > 1), self._meets)]
         return int(self._ids[cand[0]]) if len(cand) else None
 
     def slot_region(self, monad: int) -> Region:
