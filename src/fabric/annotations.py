@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .compiler import _write_atomic
 from .corpus import Corpus
 from .errors import StoreError
@@ -334,20 +336,24 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
 
 
 def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
+    # Every id in snapshot order, each verse before its nodes, looked up at
+    # once; the first bad one is reported.
+    ids: list[int] = []
+    is_verse: list[bool] = []
     for verse, nodes in saved.snapshot:
-        try:
-            votype = corpus.otype(verse)
-        except KeyError:
-            raise StoreError(f"saved query {saved.id}: unknown verse node {verse}") from None
-        _require(
-            votype == corpus.metadata.passage_otype,
-            f"saved query {saved.id}: node {verse} is not a {corpus.metadata.passage_otype}",
-        )
-        for node in nodes:
-            try:
-                corpus._row(node)
-            except KeyError:
-                raise StoreError(f"saved query {saved.id}: unknown matched node {node}") from None
+        ids += (verse, *nodes)
+        is_verse += [True] + [False] * len(nodes)
+    rows = corpus._rows(ids)
+    passage = corpus._otype_rank.get(corpus.metadata.passage_otype, -1)
+    not_passage = np.array(is_verse, dtype=bool) & (corpus._otype_code[rows] != passage)
+    bad = np.flatnonzero((rows < 0) | not_passage)
+    if len(bad):
+        i = bad[0]
+        if not is_verse[i]:
+            raise StoreError(f"saved query {saved.id}: unknown matched node {ids[i]}")
+        if rows[i] < 0:
+            raise StoreError(f"saved query {saved.id}: unknown verse node {ids[i]}")
+        raise StoreError(f"saved query {saved.id}: node {ids[i]} is not a {corpus.metadata.passage_otype}")
     hits = corpus._passages_meeting(node for _, nodes in saved.snapshot for node in nodes)
     for verse, nodes in saved.snapshot:
         met = set(hits.get(verse, ()))

@@ -46,9 +46,8 @@ EXIT_CORRUPT = 2
 
 @dataclass
 class CliConfig:
-    """Resolved command-line invocation: one subcommand plus its options."""
+    """Resolved command-line options shared by every subcommand."""
 
-    subcommand: str
     format: str = "text"
     limit: int | None = None
 
@@ -288,7 +287,7 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
                 continue
             print(f"unknown command {cmd}", file=sys.stderr)
             continue
-        sub = CliConfig(subcommand="query", format=cfg.format, limit=limit)
+        sub = CliConfig(format=cfg.format, limit=limit)
         try:
             _stream_matches(corpus, line, sub)
         except (QuerySyntaxError, QueryError) as exc:
@@ -536,7 +535,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for corrupt images
         return EXIT_OK if exc.code == 0 else EXIT_USER
     cfg = CliConfig(
-        subcommand=args.subcommand,
         format=getattr(args, "format", "text"),
         limit=getattr(args, "limit", None),
     )

@@ -1,4 +1,9 @@
-"""Compiling a validated LogicalCorpus into image bytes.
+"""Compiling a LogicalCorpus into image bytes.
+
+``compile_to_bytes`` is the one gate in front of every image: it runs the
+structural validator (``ingest.validate``) and refuses an invalid corpus
+before any byte is built, whether the corpus came from a front end, was
+built by hand or was read back from an image.
 
 Compilation is deterministic: the same corpus always produces the same
 bytes.  Everything variable is given a fixed order: nodes by id, edges by
@@ -20,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import image
-from .errors import ValidationFailure
-from .ingest import validate
+from .ingest import _check, validate
 from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, rank_otypes
 
 _U32_MAX = 2**32 - 1
@@ -187,11 +191,11 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
 
 
 def compile_to_bytes(corpus: LogicalCorpus) -> tuple[bytes, CompileSummary]:
-    """Validate and compile; returns the image bytes and a summary."""
+    """Validate and compile; returns the image bytes and a summary.  Raises
+    ValidationFailure on a structural error and warns (IngestWarning) on
+    the validator's warnings."""
     started = time.perf_counter()
-    report = validate(corpus)
-    if not report.ok:
-        raise ValidationFailure(report)
+    _check(validate(corpus))
     sections, dict_sizes = build_sections(corpus)
     data = image.build_image(sections)
     names = dict(image.SECTION_NAMES)

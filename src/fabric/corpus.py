@@ -41,6 +41,15 @@ class UnknownOtypeWarning(UserWarning):
     """Asked for nodes of an otype the corpus does not contain."""
 
 
+# What decoding a malformed section raises: counts past the payload's end,
+# codes past a table, bad UTF-8 or JSON, metadata of the wrong shape.
+_DECODE_ERRORS = (ValueError, IndexError, KeyError, TypeError)
+
+
+def _bad_section(name: str, exc: Exception) -> ImageError:
+    return ImageError("BAD_SECTION", f"section {name} cannot be decoded: {exc}", section=name)
+
+
 def _u32view(buf: memoryview, offset: int, count: int) -> np.ndarray:
     arr = np.frombuffer(buf, dtype="<u4", count=count, offset=offset)
     return arr
@@ -96,79 +105,87 @@ class Corpus:
         view = memoryview(data)
         payloads = {e.id: view[e.offset : e.offset + e.length] for e in entries}
 
+        section = ""  # the section being decoded, for the error
+
         def need(sid: int) -> memoryview:
+            nonlocal section
+            section = image.section_name(sid)
             if sid not in payloads:
-                name = image.SECTION_NAMES.get(sid, str(sid))
-                raise ImageError("BAD_DIRECTORY", f"image is missing section {name}", section=name)
+                raise ImageError("BAD_DIRECTORY", f"image is missing section {section}", section=section)
             return payloads[sid]
 
-        self.text: str = bytes(need(image.TEXT)).decode("utf-8")
+        # A section whose CRC holds can still be malformed (a count past its
+        # end, bad JSON): decoding errors become ImageError, not tracebacks.
+        try:
+            self.text: str = bytes(need(image.TEXT)).decode("utf-8")
 
-        slots = need(image.SLOTS)
-        width = int(_u32view(slots, 0, 1)[0])
-        self._slot_starts = _u32view(slots, 8, width)
-        self._slot_ends = _u32view(slots, 8 + 4 * width, width)
+            slots = need(image.SLOTS)
+            width = int(_u32view(slots, 0, 1)[0])
+            self._slot_starts = _u32view(slots, 8, width)
+            self._slot_ends = _u32view(slots, 8 + 4 * width, width)
 
-        self._otypes = _unpack_strtable(need(image.OTYPES))
-        self._otype_rank = {name: i for i, name in enumerate(self._otypes)}
+            self._otypes = _unpack_strtable(need(image.OTYPES))
+            self._otype_rank = {name: i for i, name in enumerate(self._otypes)}
 
-        pool = need(image.MONADPOOL)
-        pool_count = int(_u32view(pool, 0, 1)[0])
-        run_count = int(_u32view(pool, 4, 1)[0])
-        self._set_offsets = _u32view(pool, 8, pool_count + 1)
-        base = 8 + 4 * (pool_count + 1)
-        self._run_first = _u32view(pool, base, run_count)
-        self._run_last = _u32view(pool, base + 4 * run_count, run_count)
+            pool = need(image.MONADPOOL)
+            pool_count = int(_u32view(pool, 0, 1)[0])
+            run_count = int(_u32view(pool, 4, 1)[0])
+            self._set_offsets = _u32view(pool, 8, pool_count + 1)
+            base = 8 + 4 * (pool_count + 1)
+            self._run_first = _u32view(pool, base, run_count)
+            self._run_last = _u32view(pool, base + 4 * run_count, run_count)
 
-        nodes = need(image.NODES)
-        n = int(_u32view(nodes, 0, 1)[0])
-        self._ids = _u32view(nodes, 8, n)
-        self._otype_code = _u32view(nodes, 8 + 4 * n, n)
-        self._monad_idx = _u32view(nodes, 8 + 8 * n, n)
+            nodes = need(image.NODES)
+            n = int(_u32view(nodes, 0, 1)[0])
+            self._ids = _u32view(nodes, 8, n)
+            self._otype_code = _u32view(nodes, 8 + 4 * n, n)
+            self._monad_idx = _u32view(nodes, 8 + 8 * n, n)
 
-        # Per-node monad envelope, derived from the pool in one gather.
-        sets = self._monad_idx.astype(np.int64)
-        self._first = self._run_first[self._set_offsets[sets]].astype(np.int64)
-        self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
-        self._nruns = np.diff(self._set_offsets.astype(np.int64))[sets]
+            # Per-node monad envelope, derived from the pool in one gather.
+            sets = self._monad_idx.astype(np.int64)
+            self._first = self._run_first[self._set_offsets[sets]].astype(np.int64)
+            self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
+            self._nruns = np.diff(self._set_offsets.astype(np.int64))[sets]
 
-        # Canonical permutation; lexsort treats its last key as primary.
-        self._canon = np.lexsort((self._ids, self._otype_code, -self._last, self._first))
-        self._canon_pos = np.empty(n, dtype=np.int64)
-        self._canon_pos[self._canon] = np.arange(n)
+            # Canonical permutation; lexsort treats its last key as primary.
+            self._canon = np.lexsort((self._ids, self._otype_code, -self._last, self._first))
+            self._canon_pos = np.empty(n, dtype=np.int64)
+            self._canon_pos[self._canon] = np.arange(n)
 
-        self._edge_labels = _unpack_strtable(need(image.EDGELABELS))
-        edges = need(image.EDGES)
-        e = int(_u32view(edges, 0, 1)[0])
-        self._edge_ids = _u32view(edges, 8, e)
-        self._edge_src = _u32view(edges, 8 + 4 * e, e)
-        self._edge_dst = _u32view(edges, 8 + 8 * e, e)
-        self._edge_label_code = _u32view(edges, 8 + 12 * e, e)
+            self._edge_labels = _unpack_strtable(need(image.EDGELABELS))
+            edges = need(image.EDGES)
+            e = int(_u32view(edges, 0, 1)[0])
+            self._edge_ids = _u32view(edges, 8, e)
+            self._edge_src = _u32view(edges, 8 + 4 * e, e)
+            self._edge_dst = _u32view(edges, 8 + 8 * e, e)
+            self._edge_label_code = _u32view(edges, 8 + 12 * e, e)
 
-        meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
-        self.metadata = CorpusMetadata(
-            otypes=tuple(meta["otypes"]),
-            slot_otype=meta["slot_otype"],
-            int_features=frozenset(meta["int_features"]),
-            passage_otype=meta["passage_otype"],
-            provenance=tuple(meta["provenance"]),
-        )
+            meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
+            self.metadata = CorpusMetadata(
+                otypes=tuple(meta["otypes"]),
+                slot_otype=meta["slot_otype"],
+                int_features=frozenset(meta["int_features"]),
+                passage_otype=meta["passage_otype"],
+                provenance=tuple(meta["provenance"]),
+            )
 
-        stats = np.frombuffer(need(image.STATS), dtype="<u8", count=4)
-        self._stats = CorpusStats(
-            words=int(stats[0]), nodes=int(stats[1]), features=int(stats[2]), edges=int(stats[3])
-        )
+            stats = np.frombuffer(need(image.STATS), dtype="<u8", count=4)
+            self._stats = CorpusStats(
+                words=int(stats[0]), nodes=int(stats[1]), features=int(stats[2]), edges=int(stats[3])
+            )
 
-        findex = need(image.FEATINDEX)
-        fcount = int(_u32view(findex, 0, 1)[0])
-        fids = _u32view(findex, 8, fcount)
-        fkinds = _u32view(findex, 8 + 4 * fcount, fcount)
-        foffsets = _u32view(findex, 8 + 8 * fcount, fcount + 1)
-        fblob = bytes(findex[8 + 8 * fcount + 4 * (fcount + 1) :])
-        self._feature_sections: dict[tuple[str, str], int] = {}
-        for i in range(fcount):
-            key = fblob[foffsets[i] : foffsets[i + 1]].decode("utf-8")
-            self._feature_sections[(_KINDS[int(fkinds[i])], key)] = int(fids[i])
+            findex = need(image.FEATINDEX)
+            fcount = int(_u32view(findex, 0, 1)[0])
+            fids = _u32view(findex, 8, fcount)
+            fkinds = _u32view(findex, 8 + 4 * fcount, fcount)
+            foffsets = _u32view(findex, 8 + 8 * fcount, fcount + 1)
+            fblob = bytes(findex[8 + 8 * fcount + 4 * (fcount + 1) :])
+            self._feature_sections: dict[tuple[str, str], int] = {}
+            for i in range(fcount):
+                key = fblob[foffsets[i] : foffsets[i + 1]].decode("utf-8")
+                self._feature_sections[(_KINDS[int(fkinds[i])], key)] = int(fids[i])
+        except _DECODE_ERRORS as exc:
+            raise _bad_section(section, exc) from None
         self._payloads = payloads
         self._stores: dict[tuple[str, str], FeatureStore] = {}
         self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
@@ -214,7 +231,10 @@ class Corpus:
             return None
         cached = self._stores.get((kind, key))
         if cached is None:
-            cached = FeatureStore(self._payloads[sid])
+            try:
+                cached = FeatureStore(self._payloads[sid])
+            except _DECODE_ERRORS as exc:
+                raise _bad_section(image.section_name(sid), exc) from None
             self._stores[(kind, key)] = cached
         return cached
 
@@ -223,6 +243,13 @@ class Corpus:
         if i >= len(self._ids) or int(self._ids[i]) != node:
             raise KeyError(f"no node with id {node}")
         return i
+
+    def _rows(self, nodes: list[int]) -> np.ndarray:
+        """Rows of the given node ids, -1 for an id the corpus lacks; ids
+        of any size are accepted."""
+        ids = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
+        rows = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        return np.where(self._ids[rows] == ids, rows, -1)
 
     def _runs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """First and last monads of the row's runs."""

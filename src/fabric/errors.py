@@ -38,8 +38,9 @@ class ImageError(FabricError):
     """An image file is corrupt, truncated, or not an image at all.
 
     ``code`` is one of NOT_A_FABRIC_IMAGE, UNSUPPORTED_VERSION, TRUNCATED,
-    BAD_DIRECTORY, SECTION_CRC; ``section`` names the first bad section when
-    that is known.
+    BAD_DIRECTORY, SECTION_CRC, BAD_SECTION (a section passes its CRC but
+    cannot be decoded); ``section`` names the first bad section when that
+    is known.
     """
 
     def __init__(self, code: str, message: str, *, section: str | None = None):

@@ -55,6 +55,10 @@ SECTION_NAMES = {
 }
 
 
+def section_name(sid: int) -> str:
+    return SECTION_NAMES.get(sid, f"feature[{sid - FEATURE_BASE}]")
+
+
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
@@ -96,7 +100,7 @@ class SectionEntry:
 
     @property
     def name(self) -> str:
-        return SECTION_NAMES.get(self.id, f"feature[{self.id - FEATURE_BASE}]")
+        return section_name(self.id)
 
 
 def read_directory(data: bytes | memoryview) -> tuple[SectionEntry, ...]:
@@ -123,7 +127,7 @@ def read_directory(data: bytes | memoryview) -> tuple[SectionEntry, ...]:
         if sid <= prev_id:
             raise ImageError("BAD_DIRECTORY", "section ids must be unique and ascending")
         prev_id = sid
-        name = SECTION_NAMES.get(sid, f"feature[{sid - FEATURE_BASE}]")
+        name = section_name(sid)
         if offset < dir_end or offset % 8:
             raise ImageError("BAD_DIRECTORY", f"section {name} has a bad offset", section=name)
         if offset + length > len(view):

@@ -1,4 +1,4 @@
-"""Parsing external corpus representations into a validated LogicalCorpus.
+"""Parsing external corpus representations into a LogicalCorpus.
 
 Two interchangeable front ends are supported:
 
@@ -7,8 +7,11 @@ Two interchangeable front ends are supported:
 * a tabular directory (``parse_tabular``): ``text.txt`` plus TSV tables, a
   convenient format for authoring test corpora by hand.
 
-Both are strict: any structural error aborts with the full validation
-report; warnings (unused regions, undeclared otypes) do not.
+Both report problems only a source file shows (bad headers, rows, ids,
+links or monad sets) with file, line and xml:id, and abort with the full
+report; an unused region is only a warning.  Structural invariants of the
+corpus itself are checked once, by ``validate`` at compile time
+(``compiler.compile_to_bytes``).
 """
 
 from __future__ import annotations
@@ -166,13 +169,12 @@ def validate(corpus: LogicalCorpus) -> ValidationReport:
     return _report(errors, warns)
 
 
-def _check(corpus: LogicalCorpus) -> LogicalCorpus:
-    report = validate(corpus)
+def _check(report: ValidationReport) -> None:
+    """Raise on any error in the report, else warn about each warning."""
     if not report.ok:
         raise ValidationFailure(report)
     for w in report.warnings:
         warnings.warn(f"{w.code}: {w.message}", IngestWarning, stacklevel=3)
-    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +402,7 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             data_err("BAD_ANCHORS", f"region {region_ref!r}: {exc}", fname, where=xid)
             continue
         slot_index += 1
-        nodes.append(Node(id=nid, otype=metadata.slot_otype, monads=MonadSet.from_monads([slot_index])))
+        nodes.append(Node(id=nid, otype=metadata.slot_otype, monads=MonadSet(((slot_index, slot_index),))))
         xid_kind[xid] = (NODE_KIND, nid)
 
     for xid in sorted(set(regions) - used_regions):
@@ -446,15 +448,10 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             continue
         features.append(FeatureAssignment(kind=target[0], target=target[1], key=key, value=value))
 
-    if issues:
-        raise ValidationFailure(_report(issues, soft))
-    for w in _sorted_issues(soft):
-        warnings.warn(f"{w.code}: {w.message}", IngestWarning, stacklevel=2)
-
-    corpus = LogicalCorpus.assemble(
+    _check(_report(issues, soft))
+    return LogicalCorpus.assemble(
         text=text, slots=slots, nodes=nodes, edges=edges, features=features, metadata=metadata
     )
-    return _check(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +616,7 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
                 continue
             edges.append(Edge(id=eid, src=src, dst=dst, label=cells[3]))
 
-    if issues:
-        raise ValidationFailure(_report(issues, []))
-
-    corpus = LogicalCorpus.assemble(
+    _check(_report(issues, []))
+    return LogicalCorpus.assemble(
         text=text, slots=slots, nodes=nodes, edges=edges, features=features, metadata=metadata
     )
-    return _check(corpus)

@@ -66,13 +66,18 @@ class MonadSet:
 
     @classmethod
     def from_monads(cls, monads: Iterable[int]) -> "MonadSet":
-        ordered = sorted(set(monads))
+        return cls._merged((m, m) for m in monads)
+
+    @classmethod
+    def _merged(cls, ranges: Iterable[tuple[int, int]]) -> "MonadSet":
+        """The set of inclusive (first, last) ranges given in any order:
+        sorted, then merged into maximal runs where they overlap or touch."""
         runs: list[tuple[int, int]] = []
-        for m in ordered:
-            if runs and m == runs[-1][1] + 1:
-                runs[-1] = (runs[-1][0], m)
+        for first, last in sorted(ranges):
+            if runs and first <= runs[-1][1] + 1:
+                runs[-1] = (runs[-1][0], max(runs[-1][1], last))
             else:
-                runs.append((m, m))
+                runs.append((first, last))
         return cls(tuple(runs))
 
     @classmethod
@@ -81,7 +86,7 @@ class MonadSet:
         text = text.strip()
         if not text:
             return cls(())
-        monads: set[int] = set()
+        ranges: list[tuple[int, int]] = []
         for part in text.split(","):
             part = part.strip()
             m = _RANGE_RE.fullmatch(part)
@@ -91,8 +96,8 @@ class MonadSet:
             last = int(m.group(2)) if m.group(2) else first
             if first < 1 or last < first:
                 raise ValueError(f"malformed monad range {part!r}")
-            monads.update(range(first, last + 1))
-        return cls.from_monads(monads)
+            ranges.append((first, last))
+        return cls._merged(ranges)
 
     def __str__(self) -> str:
         return ",".join(f"{a}-{b}" if a != b else f"{a}" for a, b in self.runs)

@@ -289,7 +289,7 @@ class _Eval:
                 return np.empty(0, dtype=np.int64)
             sel = store.codes == code
         targets = store.targets[sel]
-        # Every feature target is a node id (validated at ingest), so the
+        # Every feature target is a node id (validated at compile time), so the
         # searchsorted positions are exact rows.
         return np.searchsorted(self.c._ids, targets).astype(np.int64)
 

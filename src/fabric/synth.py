@@ -144,7 +144,7 @@ def random_corpus(
         }
         if rng.random() < 0.7:
             feats["freq"] = str(rng.randint(-5, 400))
-        records.append(("word", MonadSet.from_monads([m]), feats))
+        records.append(("word", MonadSet(((m, m),)), feats))
 
     verses = _partition(rng, width, 2, 6)
     for i, (a, b) in enumerate(verses, start=1):

@@ -321,11 +321,19 @@ class TestImportValidation:
         with pytest.raises(StoreError, match="not a verse"):
             import_bytes(self.dump(doc), toy4_corpus)
 
-    def test_verifies_nodes_exist(self, toy4_corpus):
+    @pytest.mark.parametrize("node", [999, 2**70, -1], ids=["absent", "beyond_64_bits", "negative"])
+    def test_verifies_nodes_exist(self, toy4_corpus, node):
         doc = self.doc(toy4_corpus)
-        doc["queries"][0]["snapshot"] = [[301, [999]]]
+        doc["queries"][0]["snapshot"] = [[301, [node]]]
         doc["queries"][0]["verse_count"] = 1
         with pytest.raises(StoreError, match="unknown matched node"):
+            import_bytes(self.dump(doc), toy4_corpus)
+
+    def test_reports_the_first_bad_id_in_snapshot_order(self, toy4_corpus):
+        doc = self.doc(toy4_corpus)
+        doc["queries"][0]["snapshot"] = [[301, [999]], [3, [3]]]
+        doc["queries"][0]["verse_count"] = 2
+        with pytest.raises(StoreError, match="unknown matched node 999"):
             import_bytes(self.dump(doc), toy4_corpus)
 
     def test_verifies_intersection(self):

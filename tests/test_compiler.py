@@ -1,11 +1,13 @@
 import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fabric import image
+from fabric.cli import main
 from fabric.compiler import compile_corpus, compile_to_bytes, verify_image
 from fabric.errors import ImageError, ValidationFailure
 from fabric.corpus import Corpus
@@ -19,6 +21,28 @@ def corrupt(data: bytes, offset: int) -> bytes:
     out = bytearray(data)
     out[offset] ^= 0xFF
     return bytes(out)
+
+
+def rewrite_section(data: bytes, name: str, at: int, new: bytes) -> bytes:
+    """Overwrite payload bytes of one section and recompute its CRC, so the
+    image passes every checksum but holds a malformed section."""
+    out = bytearray(data)
+    entries = image.read_directory(data)
+    i, e = next((i, e) for i, e in enumerate(entries) if e.name == name)
+    out[e.offset + at : e.offset + at + len(new)] = new
+    crc_at = HEADER.size + 32 * i + 24  # the CRC field of directory entry i
+    struct.pack_into("<I", out, crc_at, zlib.crc32(out[e.offset : e.offset + e.length]))
+    return bytes(out)
+
+
+# (section, payload offset, new bytes): counts past the payload's end, and
+# METADATA that is not JSON.
+MALFORMED = [
+    ("nodes", 0, struct.pack("<I", 10**6)),
+    ("slots", 0, struct.pack("<I", 10**6)),
+    ("otypes", 0, struct.pack("<I", 10**6)),
+    ("metadata", 0, b"["),
+]
 
 
 class TestDeterminism:
@@ -122,6 +146,26 @@ class TestCorruption:
             with pytest.raises(ImageError) as exc:
                 Corpus.from_bytes(corrupt(toy4_bytes, entry.offset))
             assert exc.value.code == "SECTION_CRC"
+
+    @pytest.mark.parametrize("name,at,new", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_malformed_section_is_an_image_error(self, toy4_bytes, name, at, new):
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_bytes(rewrite_section(toy4_bytes, name, at, new))
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+
+    def test_malformed_feature_store_is_an_image_error(self, toy4_bytes):
+        store = next(e.name for e in image.read_directory(toy4_bytes) if e.id >= image.FEATURE_BASE)
+        corpus = Corpus.from_bytes(rewrite_section(toy4_bytes, store, 0, struct.pack("<I", 10**6)))
+        with pytest.raises(ImageError) as exc:
+            for key in corpus.feature_keys():  # stores are decoded on first use
+                corpus.store(key)
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", store)
+
+    def test_malformed_section_exits_two(self, toy4_bytes, tmp_path, capsys):
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(rewrite_section(toy4_bytes, "nodes", 0, struct.pack("<I", 10**6)))
+        assert main(["info", str(bad)]) == 2
+        assert "section nodes" in capsys.readouterr().err
 
     def test_verify_reports_instead_of_raising(self, toy4_bytes):
         entries = image.read_directory(toy4_bytes)

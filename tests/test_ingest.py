@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fabric.compiler import compile_to_bytes
+from fabric.compiler import compile_corpus, compile_to_bytes
 from fabric.errors import IngestError, ValidationFailure
 from fabric.ingest import (
     IngestWarning,
@@ -150,6 +150,8 @@ class TestValidate:
         report = validate(corpus)
         assert report.ok
         assert {w.code for w in report.warnings} == {"UNDECLARED_OTYPE"}
+        with pytest.warns(IngestWarning, match="UNDECLARED_OTYPE"):
+            compile_to_bytes(corpus)
 
     def test_duplicate_edge_id(self):
         bad = tiny(edges=(Edge(1, 1, 2, "dep"), Edge(1, 2, 1, "dep")))
@@ -289,6 +291,22 @@ class TestTabularParsing:
         with pytest.raises(ValidationFailure) as exc:
             parse_tabular(base)
         assert "BAD_ESCAPE" in codes(exc)
+
+    # Slot 2 has no word node: every row is well formed, the corpus is not.
+    ONE_WORD = {"nodes.tsv": "node_id\totype\tmonadset\nn1\tword\t1\n"}
+
+    def test_structural_defect_is_left_to_the_compiler(self, tmp_path):
+        corpus = parse_tabular(self.write(tmp_path, **self.ONE_WORD))
+        assert [n.id for n in corpus.nodes] == [1]
+
+    def test_compiler_rejects_structural_defect(self, tmp_path):
+        corpus = parse_tabular(self.write(tmp_path, **self.ONE_WORD))
+        target = tmp_path / "out.fab"
+        target.write_bytes(b"previous image")
+        with pytest.raises(ValidationFailure) as exc:
+            compile_corpus(corpus, target)
+        assert codes(exc) == {"MISSING_SLOT_NODE"}
+        assert target.read_bytes() == b"previous image"
 
     def test_comments_and_blank_lines_are_skipped(self, tmp_path):
         base = self.write(

@@ -55,6 +55,11 @@ class TestMonadSet:
         assert MonadSet.parse(" 2 , 4-6 ").runs == ((2, 2), (4, 6))
         assert MonadSet.parse("1,2,3").runs == ((1, 3),)
         assert MonadSet.parse("").runs == ()
+        # unordered and overlapping ranges merge into sorted maximal runs
+        assert MonadSet.parse("5,1-3").runs == ((1, 3), (5, 5))
+        assert MonadSet.parse("1-4,3-6,8").runs == ((1, 6), (8, 8))
+        assert MonadSet.parse("2-3,1").runs == ((1, 3),)
+        assert MonadSet.parse("1-10,2-3").runs == ((1, 10),)
 
     @pytest.mark.parametrize("text", ["5-3", "a", "0", "1,2-", "-2", "1--3"])
     def test_parse_rejects_malformed_input(self, text):
