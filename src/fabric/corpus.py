@@ -55,6 +55,17 @@ def _u32view(buf: memoryview, offset: int, count: int) -> np.ndarray:
     return arr
 
 
+def _find(arr: np.ndarray, value: int) -> int:
+    """Position of ``value`` in the sorted u32 array ``arr``, or -1.  The
+    search key is a u32 scalar, so numpy does not copy ``arr`` to a wider
+    type on every call."""
+    if 0 <= value < 2**32:
+        i = int(arr.searchsorted(np.uint32(value)))
+        if i < len(arr) and int(arr[i]) == value:
+            return i
+    return -1
+
+
 def _unpack_strtable(buf: memoryview) -> tuple[str, ...]:
     count = int(_u32view(buf, 0, 1)[0])
     offsets = _u32view(buf, 8, count + 1)
@@ -77,10 +88,8 @@ class FeatureStore:
         return len(self.targets)
 
     def code_of(self, target: int) -> int | None:
-        i = int(np.searchsorted(self.targets, target))
-        if i < len(self.targets) and int(self.targets[i]) == target:
-            return int(self.codes[i])
-        return None
+        i = _find(self.targets, target)
+        return None if i < 0 else int(self.codes[i])
 
     def get(self, target: int) -> str | None:
         code = self.code_of(target)
@@ -140,6 +149,8 @@ class Corpus:
             self._ids = _u32view(nodes, 8, n)
             self._otype_code = _u32view(nodes, 8 + 4 * n, n)
             self._monad_idx = _u32view(nodes, 8 + 8 * n, n)
+            if n and int(self._otype_code.max()) >= len(self._otypes):
+                raise ValueError(f"otype code past the {len(self._otypes)}-entry otype table")
 
             # Per-node monad envelope, derived from the pool in one gather.
             sets = self._monad_idx.astype(np.int64)
@@ -184,11 +195,14 @@ class Corpus:
             for i in range(fcount):
                 key = fblob[foffsets[i] : foffsets[i + 1]].decode("utf-8")
                 self._feature_sections[(_KINDS[int(fkinds[i])], key)] = int(fids[i])
+            for sid in self._feature_sections.values():
+                need(sid)  # stores decode lazily, but must exist now
         except _DECODE_ERRORS as exc:
             raise _bad_section(section, exc) from None
         self._payloads = payloads
         self._stores: dict[tuple[str, str], FeatureStore] = {}
         self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
+        self._runmax: dict[str | None, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -239,8 +253,8 @@ class Corpus:
         return cached
 
     def _row(self, node: int) -> int:
-        i = int(np.searchsorted(self._ids, node))
-        if i >= len(self._ids) or int(self._ids[i]) != node:
+        i = _find(self._ids, node)
+        if i < 0:
             raise KeyError(f"no node with id {node}")
         return i
 
@@ -278,6 +292,15 @@ class Corpus:
             if otype is not None:
                 rows = rows[self._otype_code[rows] == self._otype_rank.get(otype, -1)]
             cached = self._otype_rows[otype] = (rows, self._first[rows])
+        return cached
+
+    def _last_runmax(self, otype: str | None) -> np.ndarray:
+        """Running maximum of the last monads of ``_rows_for_otype(otype)``'s
+        rows; cached."""
+        cached = self._runmax.get(otype)
+        if cached is None:
+            rows = self._rows_for_otype(otype)[0]
+            cached = self._runmax[otype] = np.maximum.accumulate(self._last[rows])
         return cached
 
     def _typed_rows(self, otype: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -333,6 +356,14 @@ class Corpus:
         j = np.searchsorted(afirst, blast, side="right") - 1
         return bool(np.any((j >= 0) & (alast[j] >= bfirst)))
 
+    @staticmethod
+    def _pairs(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Expand one slice ``start[i]:stop[i]`` per row i into pairs (i,
+        position), grouped by i and ascending within each group."""
+        counts = stop - start
+        owner = np.repeat(np.arange(len(counts)), counts)
+        return owner, np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
     def _inside(self, rows: np.ndarray, firsts: np.ndarray, row: int) -> np.ndarray:
         """Those of the canonical-order ``rows`` (first monads ``firsts``)
         embedded in ``row``: monad subset, ``row`` itself excluded."""
@@ -342,6 +373,18 @@ class Corpus:
         if self._nruns[row] > 1:  # else the envelope test is exact
             cand = cand[self._exact(row, cand, np.ones_like(cand, dtype=bool), self._covers)]
         return cand
+
+    def _inside_many(
+        self, rows: np.ndarray, firsts: np.ndarray, parents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``_inside`` for every row of ``parents`` at once: the pairs (i, j)
+        with ``rows[j]`` embedded in ``parents[i]``, ordered by i, then j."""
+        i, j = self._pairs(*self._window(firsts, self._first[parents], self._last[parents]))
+        outer, inner = parents[i], rows[j]
+        keep = (self._last[inner] <= self._last[outer]) & (inner != outer)
+        i, j, outer, inner = i[keep], j[keep], outer[keep], inner[keep]
+        keep = self._exact(outer, inner, self._nruns[outer] > 1, self._covers)
+        return i[keep], j[keep]
 
     @cached_property
     def _passages(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -358,10 +401,8 @@ class Corpus:
         rows = rows[np.argsort(self._canon_pos[rows])]
         # A passage meeting a row starts in first-span+1..last of the row:
         # one window per row, as in passage_of.
-        start, stop = self._window(pfirsts, self._first[rows] - span + 1, self._last[rows])
-        counts = stop - start
-        pair_rows = np.repeat(rows, counts)
-        pair_ps = prows[np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+        owner, pos = self._pairs(*self._window(pfirsts, self._first[rows] - span + 1, self._last[rows]))
+        pair_rows, pair_ps = rows[owner], prows[pos]
         meet = self._last[pair_ps] >= self._first[pair_rows]
         pair_ps, pair_rows = pair_ps[meet], pair_rows[meet]
         multi = (self._nruns[pair_ps] > 1) | (self._nruns[pair_rows] > 1)
@@ -376,7 +417,11 @@ class Corpus:
         canonical order; optionally one otype only."""
         row = self._row(node)
         rows, firsts = self._typed_rows(otype)
-        cand = rows[: self._window(firsts, 1, self._first[row])[1]]
+        # Ancestors start at or before the row, in a prefix of canonical
+        # order, and end at or after it, which the running maximum of last
+        # monads bounds from below.
+        lo = self._last_runmax(otype).searchsorted(self._last[row])
+        cand = rows[lo : self._window(firsts, 1, self._first[row])[1]]
         cand = cand[(self._last[cand] >= self._last[row]) & (cand != row)]
         return self._ids[cand[self._exact(cand, row, self._nruns[cand] > 1, self._covers)]].tolist()
 

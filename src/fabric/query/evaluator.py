@@ -21,6 +21,13 @@ Candidate generation follows rarest-posting-first: a block whose constraint
 conjunctively requires ``key = value`` (or IN) can start from that value's
 posting list instead of the full otype list; the chosen source is what
 ``explain`` reports.
+
+Nested blocks are joined before enumeration, in one batched containment
+semi-join per block with children: the block's candidates keep only the
+nodes that embed a candidate of every child block, child blocks first, and
+each child block records which of its candidates each kept node embeds.
+Enumeration then walks those lists and filters consecutive blocks by their
+gaps, one canonical-order window per previous node.
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ class _Eval:
         self._int_dicts: dict[str, np.ndarray] = {}
         self._regex_masks: dict[tuple[str, str], np.ndarray] = {}
         self._cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[int, Source] = {}
         for block in query.blocks_preorder():
             self._resolve_block(block)
@@ -294,8 +302,11 @@ class _Eval:
         return np.searchsorted(self.c._ids, targets).astype(np.int64)
 
     def candidates(self, block: Block) -> tuple[np.ndarray, np.ndarray]:
-        """Rows matching this block alone, in canonical order, with their
-        first monads."""
+        """Rows matching this block, in canonical order, with their first
+        monads.  A block with children keeps only the rows that embed a
+        candidate of every child block (a semi-join, run bottom-up), and
+        records for each child block which of its candidates every kept row
+        embeds."""
         cached = self._cands.get(id(block))
         if cached is not None:
             return cached
@@ -308,35 +319,57 @@ class _Eval:
             rows = self.c._rows_for_otype(block.otype)[0]
         if block.constraint is not None and len(rows):
             rows = rows[self._expr_mask(block.constraint, self.c._ids[rows])]
+        if block.children is not None:
+            rows = self._semi_join(rows, block.children.blocks)
         cached = self._cands[id(block)] = (rows, self.c._first[rows])
         return cached
 
+    def _semi_join(self, rows: np.ndarray, children: tuple[Block, ...]) -> np.ndarray:
+        """The parent ``rows`` that embed a candidate of every child block.
+        Caches, per child block, a CSR over the kept rows: row k embeds the
+        child candidates ``kids[offsets[k]:offsets[k + 1]]``, ascending."""
+        pairs = [self.c._inside_many(*self.candidates(child), rows) for child in children]
+        keep = np.ones(len(rows), dtype=bool)
+        for parent, _ in pairs:
+            keep &= np.bincount(parent, minlength=len(rows)) > 0
+        renumber = np.cumsum(keep) - 1
+        for child, (parent, kids) in zip(children, pairs):
+            sel = keep[parent]
+            counts = np.bincount(renumber[parent[sel]], minlength=int(keep.sum()))
+            self._csr[id(child)] = (np.concatenate(([0], np.cumsum(counts))), kids[sel])
+        return rows[keep]
+
     # -- enumeration -----------------------------------------------------------
 
-    def iter_blockstring(self, bs: BlockString, parent_row: int | None) -> Iterator[Match]:
+    def iter_blockstring(self, bs: BlockString, parent: int | None) -> Iterator[Match]:
+        """Matches of a block string: at the top level when ``parent`` is
+        None, else inside candidate number ``parent`` of the parent block,
+        whose embedded children the semi-join's CSRs list."""
         blocks = bs.blocks
         cands = []
         for b in blocks:
             rows, firsts = self.candidates(b)
-            if parent_row is not None:
-                rows = self.c._inside(rows, firsts, parent_row)
-                firsts = self.c._first[rows]
-            cands.append((rows, firsts))
+            if parent is None:
+                cands.append((np.arange(len(rows)), rows, firsts))
+            else:
+                offsets, kids = self._csr[id(b)]
+                idx = kids[offsets[parent] : offsets[parent + 1]]
+                cands.append((idx, rows[idx], firsts[idx]))
 
         def rec(i: int, prev_row: int, acc: list[MatchTree]) -> Iterator[Match]:
             if i == len(blocks):
                 yield tuple(acc)
                 return
             block = blocks[i]
-            rows, firsts = cands[i]
+            idx, rows, firsts = cands[i]
             if i:
                 # The block starts in after..after+limit, up to the last monad
                 # when unbounded; adjacency is limit 0.
                 gap, after = bs.gaps[i - 1], int(self.c._last[prev_row]) + 1
                 limit = 0 if gap.kind == ADJACENT else gap.limit
                 start, stop = self.c._window(firsts, after, self.c.width if limit is None else after + limit)
-                rows = rows[start:stop]
-            for row in rows.tolist():
+                idx, rows = idx[start:stop], rows[start:stop]
+            for k, row in zip(idx.tolist(), rows.tolist()):
                 if self.deadline is not None and time.monotonic() >= self.deadline:
                     raise TimeoutError
                 node = int(self.c._ids[row])
@@ -345,7 +378,7 @@ class _Eval:
                     yield from rec(i + 1, row, acc)
                     acc.pop()
                 else:
-                    for kids in self.iter_blockstring(block.children, row):
+                    for kids in self.iter_blockstring(block.children, k):
                         acc.append(MatchTree(node=node, children=kids))
                         yield from rec(i + 1, row, acc)
                         acc.pop()

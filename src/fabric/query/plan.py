@@ -3,7 +3,8 @@
 The plan reports, per block, the candidate source the evaluator actually
 chooses (full otype scan, or a dictionary posting list when an equality
 atom offers a rarer start) with estimated candidate counts, and the join
-strategy (parent-first containment, then gap filtering).
+strategy (a batched containment semi-join for nested blocks, then gap
+filtering).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class QueryPlan:
             noun = "candidate" if step.estimate == 1 else "candidates"
             lines.append(f"{indent}[{step.otype}] {step.description}, {step.estimate} {noun}")
         lines.append(
-            "join: parent-first containment, then gap filtering"
+            "join: batched containment semi-join, then gap filtering"
             if self.nested
             else "join: gap filtering over the block chain"
         )

@@ -171,6 +171,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_load_speed_ratio(tmp_path_factory, capsys):
     gate = _Gate(capsys, 3)
     work = tmp_path_factory.mktemp("big")

@@ -35,6 +35,13 @@ def rewrite_section(data: bytes, name: str, at: int, new: bytes) -> bytes:
     return bytes(out)
 
 
+def bad_otype_code(data: bytes) -> bytes:
+    """The image with node row 0's otype code set to the first code past
+    the otype table."""
+    corpus = Corpus.from_bytes(data)
+    return rewrite_section(data, "nodes", 8 + 4 * len(corpus), struct.pack("<I", len(corpus.otypes())))
+
+
 # (section, payload offset, new bytes): counts past the payload's end, and
 # METADATA that is not JSON.
 MALFORMED = [
@@ -166,6 +173,23 @@ class TestCorruption:
         bad.write_bytes(rewrite_section(toy4_bytes, "nodes", 0, struct.pack("<I", 10**6)))
         assert main(["info", str(bad)]) == 2
         assert "section nodes" in capsys.readouterr().err
+
+    def test_otype_code_past_the_table_is_an_image_error(self, toy4_bytes):
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_bytes(bad_otype_code(toy4_bytes))
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "nodes")
+
+    @pytest.mark.parametrize("args", [["info"], ["query", "-q", "[word]"]], ids=["info", "query"])
+    def test_otype_code_past_the_table_exits_two(self, toy4_bytes, tmp_path, capsys, args):
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(bad_otype_code(toy4_bytes))
+        assert main([args[0], str(bad), *args[1:]]) == 2
+        assert "section nodes" in capsys.readouterr().err
+
+    def test_feature_index_naming_a_missing_section(self, toy4_bytes):
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_bytes(rewrite_section(toy4_bytes, "featindex", 8, struct.pack("<I", 9999)))
+        assert (exc.value.code, exc.value.section) == ("BAD_DIRECTORY", "feature[9743]")
 
     def test_verify_reports_instead_of_raising(self, toy4_bytes):
         entries = image.read_directory(toy4_bytes)

@@ -100,6 +100,12 @@ class TestLookups:
         with pytest.raises(KeyError):
             toy4_corpus.monads(999)
 
+    @pytest.mark.parametrize("node", [0, -1, 2**32, 2**70])
+    def test_absent_and_out_of_range_ids_are_unknown(self, toy4_corpus, node):
+        with pytest.raises(KeyError):
+            toy4_corpus.monads(node)
+        assert toy4_corpus.feature(node, "lex") is None
+
     def test_unknown_feature_key_is_none(self, toy4_corpus):
         assert toy4_corpus.feature(3, "nope") is None
 

@@ -6,7 +6,8 @@ against the plain nested scans in ``reference``.  The corpora are a
 3k-word ``write_big_graf`` corpus, whose nodes are all contiguous, and
 ``random_corpus`` corpora, whose discontiguous phrases take the run-level
 path.  Those are also checked with phrases as the passage otype, so that a
-passage's envelope can overlap a node it does not meet.
+passage's envelope can overlap a node it does not meet.  The nested
+shapes check the batched containment semi-join of nested blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fabric.annotations import build_snapshot
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.ingest import parse_graf
-from fabric.query.evaluator import evaluate
+from fabric.query.evaluator import _Eval, evaluate, iter_matches
 from fabric.query.oracle import _expr_true
 from fabric.query.syntax import parse
 from fabric.synth import quote_string, random_corpus, write_big_graf
@@ -36,6 +37,20 @@ SHAPES = (
     "[clause [phrase typ={t}] .. <= 1 [phrase typ={u}]]",
     "[sentence [word lex ~ {head} AND NOT text = {a}]]",
     "[verse [clause [word lex IN ({a}, {b})]]]",
+)
+
+# Nested shapes for the containment semi-join: same-otype nesting (with
+# discontiguous parents in random_corpus), two child blocks (a parent is
+# pruned when either is empty), three levels with a gap inside, nested
+# blocks under an outer gap, a posting-sourced parent, and a child
+# constraint that matches nothing.
+NESTED_SHAPES = (
+    "[phrase [phrase]]",
+    "[clause [phrase typ={t}] [phrase typ={u}]]",
+    "[sentence [clause [phrase typ={t}] .. [word lex={a}]]]",
+    "[clause [word lex={a}]] .. <= 2 [clause [word lex={b}]]",
+    "[phrase typ={t} [word lex={a}]]",
+    '[clause [word lex="no such lemma"]]',
 )
 
 
@@ -60,11 +75,20 @@ class Scan:
             self.cands[id(block)] = nodes
         return self.cands[id(block)]
 
-    def queries(self, rng: random.Random) -> list[str]:
+    def joined(self, block) -> list[int]:
+        """The block's candidates that embed a joined candidate of every
+        child block: the evaluator's semi-join, by nested scans."""
+        nodes, m = self.candidates(block), self.monads
+        for child in block.children.blocks if block.children is not None else ():
+            kids = self.joined(child)
+            nodes = [n for n in nodes if any(reference.embeds(m[n], m[k], k == n) for k in kids)]
+        return nodes
+
+    def queries(self, rng: random.Random, shapes: tuple[str, ...] = SHAPES) -> list[str]:
         lexes = sorted({f.value for f in self.logical.features if f.key == "lex"})
         types = sorted({f.value for f in self.logical.features if f.key == "typ"})
         texts = []
-        for shape in SHAPES:
+        for shape in shapes:
             a, b = rng.choice(lexes), rng.choice(lexes)
             t, u = rng.choice(types), rng.choice(types)
             texts.append(
@@ -84,7 +108,11 @@ class Scan:
         self.cands.clear()
         if any(block.otype not in self.by_otype for block in query.blocks_preorder()):
             return
+        ev = _Eval(self.corpus, query)
+        for block in query.blocks_preorder():
+            assert self.corpus._ids[ev.candidates(block)[0]].tolist() == self.joined(block), text
         result = evaluate(self.corpus, query)
+        assert list(iter_matches(self.corpus, query)) == list(result.matches), text
         assert reference.result_rows(result) == reference.scan_matches(
             query.root, self.candidates, self.monads
         ), text
@@ -121,6 +149,18 @@ def test_big_corpus_joins_match_scans(big_scan):
             big_scan.check_query(text)
 
 
+def test_big_corpus_nested_joins_match_scans(big_scan):
+    rng = random.Random(7)
+    for text in big_scan.queries(rng, NESTED_SHAPES):
+        big_scan.check_query(text)
+
+
+def test_nested_query_honours_zero_timeout(big_scan):
+    result = evaluate(big_scan.corpus, "[clause [phrase] [phrase]]", timeout=0)
+    assert result.truncated and not result.matches
+    assert evaluate(big_scan.corpus, "[clause [phrase] [phrase]]").matches
+
+
 def test_big_corpus_traversal_matches_scans(big_scan):
     rng = random.Random(6)
     big_scan.check_nodes(rng.sample(big_scan.order, 60), rng)
@@ -135,3 +175,5 @@ def test_random_corpus_joins_match_scans(seed, passage_otype):
     for text in scan.queries(rng):
         scan.check_query(text)
     scan.check_nodes(scan.order, rng)
+    for text in scan.queries(rng, NESTED_SHAPES):
+        scan.check_query(text)
