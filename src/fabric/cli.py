@@ -72,17 +72,14 @@ def _ingest(src: str) -> LogicalCorpus:
     return parse_graf(p)
 
 
-def _passage_label(corpus: Corpus, node: int) -> str:
-    verse = corpus.passage_of(node)
-    if verse is None:
-        return "-"
-    ref = corpus.feature(verse, "ref")
-    return ref if ref is not None else f"n{verse}"
-
-
 def _verse_label(corpus: Corpus, verse: int) -> str:
     ref = corpus.feature(verse, "ref")
     return ref if ref is not None else f"n{verse}"
+
+
+def _passage_label(corpus: Corpus, node: int) -> str:
+    verse = corpus.passage_of(node)
+    return "-" if verse is None else _verse_label(corpus, verse)
 
 
 def _block_paths(query) -> dict[int, str]:

@@ -66,6 +66,18 @@ def _find(arr: np.ndarray, value: int) -> int:
     return -1
 
 
+def _find_all(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Positions of ``values`` in the sorted u32 array ``arr``, -1 for each
+    value it lacks (every value outside 0..2**32-1 included).  The search
+    keys are u32, as in ``_find``."""
+    inside = (values >= 0) & (values < 2**32)
+    keys = values.astype(np.uint32)
+    pos = arr.searchsorted(keys)
+    hit = inside & (pos < len(arr))
+    hit[hit] = arr[pos[hit]] == keys[hit]
+    return np.where(hit, pos, -1)
+
+
 def _unpack_strtable(buf: memoryview) -> tuple[str, ...]:
     count = int(_u32view(buf, 0, 1)[0])
     offsets = _u32view(buf, 8, count + 1)
@@ -262,8 +274,7 @@ class Corpus:
         """Rows of the given node ids, -1 for an id the corpus lacks; ids
         of any size are accepted."""
         ids = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
-        rows = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
-        return np.where(self._ids[rows] == ids, rows, -1)
+        return _find_all(self._ids, ids)
 
     def _runs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """First and last monads of the row's runs."""
@@ -397,7 +408,7 @@ class Corpus:
         """Passage node -> those of the given (existing) nodes whose monads
         meet it.  Keys and each list follow canonical order."""
         prows, pfirsts, span = self._passages
-        rows = np.searchsorted(self._ids, np.unique(np.fromiter(nodes, dtype=np.int64)))
+        rows = _find_all(self._ids, np.unique(np.fromiter(nodes, dtype=np.int64)))
         rows = rows[np.argsort(self._canon_pos[rows])]
         # A passage meeting a row starts in first-span+1..last of the row:
         # one window per row, as in passage_of.

@@ -17,10 +17,16 @@ independently):
 * matches are emitted in lexicographic order of the canonical positions of
   matched nodes in query pre-order.
 
+Each atom is decided once, as a boolean mask over its key's value
+dictionary (one entry per dictionary code): a node satisfies the atom iff
+it carries the key and the mask holds at its value's code.  That mask gives
+the atom on any set of nodes, its posting list (the feature entries whose
+code it holds) and that list's exact length.
+
 Candidate generation follows rarest-posting-first: a block whose constraint
-conjunctively requires ``key = value`` (or IN) can start from that value's
-posting list instead of the full otype list; the chosen source is what
-``explain`` reports.
+conjunctively requires an ``=`` or ``IN`` atom can start from that atom's
+posting list instead of the full otype list when the list is shorter; the
+chosen source is what ``explain`` reports.
 
 Nested blocks are joined before enumeration, in one batched containment
 semi-join per block with children: the block's candidates keep only the
@@ -33,12 +39,13 @@ gaps, one canonical-order window per previous node.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ..corpus import Corpus, FeatureStore
+from ..corpus import Corpus, _find_all
 from ..errors import QueryError
 from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Query, parse
 
@@ -72,27 +79,45 @@ class ResultSet:
 
 @dataclass(frozen=True, slots=True)
 class Source:
-    """Candidate source chosen for a block (also surfaced by explain)."""
+    """Candidate source chosen for a block (also surfaced by explain): the
+    otype's rows, or the posting list of the nodes whose ``atom`` holds."""
 
     kind: str  # "otype" or "posting"
     otype: str
-    key: str | None = None
-    operand: str | tuple[str, ...] | None = None
     estimate: int = 0
+    atom: Atom | None = None
+
+
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def _atoms(expr: Expr | None) -> Iterator[Atom]:
+    """Every atom of the constraint, left to right."""
+    if isinstance(expr, Atom):
+        yield expr
+    elif isinstance(expr, Not):
+        yield expr.inner
+    elif expr is not None:
+        for part in expr.parts:
+            yield from _atoms(part)
 
 
 def _conjunctive_spine(expr: Expr | None) -> list[Atom]:
     """Atoms that every match of the constraint must satisfy."""
-    if expr is None:
-        return []
     if isinstance(expr, Atom):
         return [expr]
     if isinstance(expr, And):
-        out: list[Atom] = []
-        for part in expr.parts:
-            out.extend(_conjunctive_spine(part))
-        return out
+        return [atom for part in expr.parts for atom in _conjunctive_spine(part)]
     return []  # Or / Not never guarantee an atom
+
+
+def _as_int(key: str, operand: str | int) -> int:
+    try:
+        return int(operand)
+    except (TypeError, ValueError):
+        raise QueryError(
+            f"feature {key!r} is integer-typed but operand {operand!r} is not an integer"
+        ) from None
 
 
 class _Eval:
@@ -100,148 +125,64 @@ class _Eval:
         self.c = corpus
         self.q = query
         self.deadline = deadline
-        self._counts: dict[str, np.ndarray] = {}
-        self._int_dicts: dict[str, np.ndarray] = {}
-        self._regex_masks: dict[tuple[str, str], np.ndarray] = {}
+        self._masks: dict[Atom, np.ndarray] = {}
         self._cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[int, Source] = {}
+        # Resolve in the oracle's order, so errors come before any matching
+        # work and the first one reported is the oracle's.
         for block in query.blocks_preorder():
-            self._resolve_block(block)
+            if block.otype not in corpus._otype_rank:
+                raise QueryError(f"unknown otype {block.otype!r}")
+            for atom in _atoms(block.constraint):
+                self._value_mask(atom)
 
-    # -- resolution (errors before any matching work) ------------------------
+    # -- atoms ------------------------------------------------------------------
 
-    def _resolve_block(self, block: Block) -> None:
-        if block.otype not in self.c._otype_rank:
-            raise QueryError(f"unknown otype {block.otype!r}")
-        if block.constraint is not None:
-            self._resolve_expr(block.constraint)
-
-    def _resolve_expr(self, expr: Expr) -> None:
-        if isinstance(expr, Atom):
-            self._resolve_atom(expr)
-        elif isinstance(expr, Not):
-            self._resolve_atom(expr.inner)
-        else:
-            for part in expr.parts:
-                self._resolve_expr(part)
-
-    def _resolve_atom(self, atom: Atom) -> None:
+    def _value_mask(self, atom: Atom) -> np.ndarray:
+        """Which values of ``atom.key``'s dictionary satisfy the atom, by
+        dictionary code; the atom is validated on first use."""
+        mask = self._masks.get(atom)
+        if mask is not None:
+            return mask
         store = self.c.store(atom.key)
         if store is None:
             raise QueryError(f"unknown feature key {atom.key!r}")
+        values, op = store.values, atom.op
         int_typed = atom.key in self.c.metadata.int_features
-        if atom.op in ("<", "<=", ">", ">="):
+        if op in _COMPARE:
             if not int_typed:
                 raise QueryError(
-                    f"feature {atom.key!r} is not integer-typed; {atom.op} needs an integer-typed key"
+                    f"feature {atom.key!r} is not integer-typed; {op} needs an integer-typed key"
                 )
             if not isinstance(atom.operand, int):
-                raise QueryError(f"{atom.op} on {atom.key!r} needs an integer operand")
-        elif int_typed and atom.op in ("=", "<>"):
-            self._int_operand(atom)
-        elif int_typed and atom.op == "IN":
-            for member in atom.operand:  # type: ignore[union-attr]
-                self._int_member(atom.key, member)
-
-    def _int_operand(self, atom: Atom) -> int:
-        if isinstance(atom.operand, int):
-            return atom.operand
-        try:
-            return int(atom.operand)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise QueryError(
-                f"feature {atom.key!r} is integer-typed but operand {atom.operand!r} is not an integer"
-            ) from None
-
-    def _int_member(self, key: str, member: str) -> int:
-        try:
-            return int(member)
-        except ValueError:
-            raise QueryError(
-                f"feature {key!r} is integer-typed but IN member {member!r} is not an integer"
-            ) from None
-
-    # -- vectorized atom evaluation ------------------------------------------
-
-    def _store_counts(self, key: str, store: FeatureStore) -> np.ndarray:
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = store.value_counts()
-            self._counts[key] = counts
-        return counts
-
-    def _int_dict(self, key: str, store: FeatureStore) -> np.ndarray:
-        ivals = self._int_dicts.get(key)
-        if ivals is None:
-            ivals = np.fromiter((int(v) for v in store.values), dtype=np.int64, count=len(store.values))
-            self._int_dicts[key] = ivals
-        return ivals
-
-    def _presence_codes(self, store: FeatureStore, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(store.targets) == 0:
-            zeros = np.zeros(len(ids), dtype=np.int64)
-            return np.zeros(len(ids), dtype=bool), zeros
-        idx = np.searchsorted(store.targets, ids)
-        idx = np.minimum(idx, len(store.targets) - 1)
-        present = store.targets[idx] == ids
-        codes = store.codes[idx].astype(np.int64)
-        return present, codes
-
-    def _code_of(self, store: FeatureStore, value: str) -> int | None:
-        try:
-            return store.values.index(value)
-        except ValueError:
-            return None
+                raise QueryError(f"{op} on {atom.key!r} needs an integer operand")
+        members = atom.operand if op == "IN" else (atom.operand,)
+        if op == "~":
+            assert atom.pattern is not None
+            mask = np.fromiter(
+                (atom.pattern.search(v) is not None for v in values), dtype=bool, count=len(values)
+            )
+        elif int_typed:
+            ints = np.fromiter(map(int, values), dtype=np.int64, count=len(values))
+            mask = np.zeros(len(values), dtype=bool)
+            for m in members:  # type: ignore[union-attr]
+                mask |= _COMPARE.get(op, np.equal)(ints, _as_int(atom.key, m))
+        else:
+            mask = np.zeros(len(values), dtype=bool)
+            for m in members:  # type: ignore[union-attr]
+                with suppress(ValueError):  # a value no node carries
+                    mask[values.index(str(m))] = True
+        mask = self._masks[atom] = ~mask if op == "<>" else mask
+        return mask
 
     def _atom_mask(self, atom: Atom, ids: np.ndarray) -> np.ndarray:
         store = self.c.store(atom.key)
         assert store is not None
-        present, codes = self._presence_codes(store, ids)
-        int_typed = atom.key in self.c.metadata.int_features
-        op = atom.op
-        if op in ("<", "<=", ">", ">="):
-            vals = self._int_dict(atom.key, store)[codes]
-            k = atom.operand
-            if op == "<":
-                return present & (vals < k)
-            if op == "<=":
-                return present & (vals <= k)
-            if op == ">":
-                return present & (vals > k)
-            return present & (vals >= k)
-        if op in ("=", "<>"):
-            if int_typed:
-                vals = self._int_dict(atom.key, store)[codes]
-                hit = vals == self._int_operand(atom)
-            else:
-                code = self._code_of(store, str(atom.operand))
-                hit = codes == code if code is not None else np.zeros(len(ids), dtype=bool)
-            return present & (hit if op == "=" else ~hit)
-        if op == "IN":
-            members = atom.operand  # tuple[str, ...]
-            if int_typed:
-                vals = self._int_dict(atom.key, store)[codes]
-                wanted = np.asarray([self._int_member(atom.key, m) for m in members], dtype=np.int64)
-                return present & np.isin(vals, wanted)
-            member_codes = [c for c in (self._code_of(store, m) for m in members) if c is not None]
-            if not member_codes:
-                return np.zeros(len(ids), dtype=bool)
-            return present & np.isin(codes, np.asarray(member_codes, dtype=np.int64))
-        # op == "~"
-        mask_key = (atom.key, atom.operand)  # pattern source string
-        value_mask = self._regex_masks.get(mask_key)
-        if value_mask is None:
-            assert atom.pattern is not None
-            value_mask = np.fromiter(
-                (atom.pattern.search(v) is not None for v in store.values),
-                dtype=bool,
-                count=len(store.values),
-            )
-            self._regex_masks[mask_key] = value_mask
-        if len(value_mask) == 0:
-            return np.zeros(len(ids), dtype=bool)
-        return present & value_mask[codes]
+        pos = _find_all(store.targets, ids)
+        hit = pos >= 0
+        hit[hit] = self._value_mask(atom)[store.codes[pos[hit]]]
+        return hit
 
     def _expr_mask(self, expr: Expr, ids: np.ndarray) -> np.ndarray:
         if isinstance(expr, Atom):
@@ -262,41 +203,23 @@ class _Eval:
 
     def source_for(self, block: Block) -> Source:
         cached = self._sources.get(id(block))
-        if cached is not None:
-            return cached
-        otype_count = len(self.c._rows_for_otype(block.otype)[0])
-        best = Source(kind="otype", otype=block.otype, estimate=otype_count)
-        for atom in _conjunctive_spine(block.constraint):
-            if atom.op not in ("=", "IN") or atom.key in self.c.metadata.int_features:
-                continue
-            store = self.c.store(atom.key)
-            counts = self._store_counts(atom.key, store)
-            if atom.op == "=":
-                code = self._code_of(store, str(atom.operand))
-                estimate = int(counts[code]) if code is not None else 0
-                operand: str | tuple[str, ...] = str(atom.operand)
-            else:
-                codes = [self._code_of(store, m) for m in atom.operand]
-                estimate = sum(int(counts[c]) for c in codes if c is not None)
-                operand = atom.operand
-            if estimate < best.estimate:
-                best = Source(
-                    kind="posting", otype=block.otype, key=atom.key, operand=operand, estimate=estimate
-                )
-        self._sources[id(block)] = best
-        return best
+        if cached is None:
+            otype_count = len(self.c._rows_for_otype(block.otype)[0])
+            cached = Source(kind="otype", otype=block.otype, estimate=otype_count)
+            for atom in _conjunctive_spine(block.constraint):
+                if atom.op in ("=", "IN"):
+                    counts = self.c.store(atom.key).value_counts()  # type: ignore[union-attr]
+                    estimate = int(counts[self._value_mask(atom)].sum())
+                    if estimate < cached.estimate:
+                        cached = Source(kind="posting", otype=block.otype, estimate=estimate, atom=atom)
+            self._sources[id(block)] = cached
+        return cached
 
     def _posting_rows(self, source: Source) -> np.ndarray:
-        store = self.c.store(source.key)
-        if isinstance(source.operand, tuple):
-            wanted = [self._code_of(store, m) for m in source.operand]
-            sel = np.isin(store.codes, np.asarray([c for c in wanted if c is not None], dtype=np.int64))
-        else:
-            code = self._code_of(store, source.operand)
-            if code is None:
-                return np.empty(0, dtype=np.int64)
-            sel = store.codes == code
-        targets = store.targets[sel]
+        assert source.atom is not None
+        store = self.c.store(source.atom.key)
+        assert store is not None
+        targets = store.targets[self._value_mask(source.atom)[store.codes]]
         # Every feature target is a node id (validated at compile time), so the
         # searchsorted positions are exact rows.
         return np.searchsorted(self.c._ids, targets).astype(np.int64)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .evaluator import _Eval
-from .syntax import BlockString, Query, parse
+from .evaluator import _as_query, _Eval
+from .syntax import BlockString, Query
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +45,7 @@ class QueryPlan:
 
 def explain(corpus: Corpus, query: Query | str) -> QueryPlan:
     """Describe the evaluation plan for a query on this corpus."""
-    q = parse(query) if isinstance(query, str) else query
+    q = _as_query(query)
     ev = _Eval(corpus, q)
     steps: list[PlanStep] = []
     nested = False
@@ -60,7 +60,7 @@ def explain(corpus: Corpus, query: Query | str) -> QueryPlan:
         for block in bs.blocks:
             source = ev.source_for(block)
             if source.kind == "posting":
-                description = f"dictionary lookup {source.key}→{fmt_value(source.operand)}"
+                description = f"dictionary lookup {source.atom.key}→{fmt_value(source.atom.operand)}"
             else:
                 description = "otype scan"
             steps.append(

@@ -111,6 +111,12 @@ class Scan:
         ev = _Eval(self.corpus, query)
         for block in query.blocks_preorder():
             assert self.corpus._ids[ev.candidates(block)[0]].tolist() == self.joined(block), text
+            # A source's estimate is exact: the posting list's length, or the otype's node count.
+            source = ev.source_for(block)
+            if source.kind == "posting":
+                assert source.estimate == len(ev._posting_rows(source)), text
+            else:
+                assert source.estimate == len(self.by_otype[block.otype]), text
         result = evaluate(self.corpus, query)
         assert list(iter_matches(self.corpus, query)) == list(result.matches), text
         assert reference.result_rows(result) == reference.scan_matches(

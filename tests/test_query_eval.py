@@ -26,6 +26,12 @@ def rows(result):
     return [list(r) for r in reference.result_rows(result)]
 
 
+def error_text(run, corpus, q):
+    with pytest.raises(QueryError) as exc:
+        run(corpus, q)
+    return str(exc.value)
+
+
 def words_corpus(count, freqs=None, metadata=None):
     """count words "w1 w2 ...", one verse over everything."""
     text = " ".join(f"w{i}" for i in range(1, count + 1))
@@ -76,6 +82,19 @@ class TestGoldenQueries:
         want = golden("toy4_queries.json")
         assert explain(toy4_corpus, '[word lex="fox"]').render().splitlines() == want["plan_fox"]
         assert explain(toy4_corpus, "[word]").render().splitlines() == want["plan_word_scan"]
+
+
+class TestPlans:
+    def test_repeated_in_member_counts_once(self, toy4_corpus):
+        plan = explain(toy4_corpus, '[word lex IN ("fox", "fox", "fox", "fox", "fox")]')
+        assert plan.render().splitlines()[0] == (
+            '[word] dictionary lookup lex→("fox", "fox", "fox", "fox", "fox"), 1 candidate'
+        )
+
+    def test_integer_equality_uses_posting_list(self, freq_corpus):
+        plan = explain(freq_corpus, '[word freq="02"]')
+        assert plan.render().splitlines()[0] == '[word] dictionary lookup freq→"02", 1 candidate'
+        assert rows(evaluate(freq_corpus, '[word freq="02"]')) == [[2]]
 
 
 class TestResultOrder:
@@ -154,14 +173,13 @@ class TestErrors:
         '[word nope="1"]',
         '[word NOT nope="1"]',
         "[word text<5]",
+        '[word text<5 OR nope="1"]',
+        '[word nope="1"] [para]',
     ]
 
     @pytest.mark.parametrize("q", CASES)
     def test_evaluator_and_oracle_raise_alike(self, toy4_corpus, q):
-        with pytest.raises(QueryError):
-            evaluate(toy4_corpus, q)
-        with pytest.raises(QueryError):
-            brute_force_evaluate(toy4_corpus, q)
+        assert error_text(evaluate, toy4_corpus, q) == error_text(brute_force_evaluate, toy4_corpus, q)
 
     INT_CASES = [
         '[word freq<"3"]',
@@ -172,10 +190,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("q", INT_CASES[:3])
     def test_integer_operand_errors(self, freq_corpus, q):
-        with pytest.raises(QueryError):
-            evaluate(freq_corpus, q)
-        with pytest.raises(QueryError):
-            brute_force_evaluate(freq_corpus, q)
+        assert error_text(evaluate, freq_corpus, q) == error_text(brute_force_evaluate, freq_corpus, q)
 
     def test_regex_on_int_key_matches_stored_text(self, freq_corpus):
         # ~ stays a string operator even on integer-typed keys
