@@ -73,7 +73,9 @@ def _now_utc() -> str:
 
 def build_snapshot(corpus: Corpus, result: ResultSet) -> Snapshot:
     """Denormalize a result into (verse, outermost matched nodes) pairs."""
-    hits = corpus._passages_meeting(tree.node for match in result.matches for tree in match)
+    hits = corpus._passages_meeting(
+        np.fromiter((tree.node for match in result.matches for tree in match), dtype=np.int64)
+    )
     return tuple((verse, tuple(hits.get(verse, ()))) for verse in result.verses)
 
 
@@ -354,7 +356,7 @@ def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
         if rows[i] < 0:
             raise StoreError(f"saved query {saved.id}: unknown verse node {ids[i]}")
         raise StoreError(f"saved query {saved.id}: node {ids[i]} is not a {corpus.metadata.passage_otype}")
-    hits = corpus._passages_meeting(node for _, nodes in saved.snapshot for node in nodes)
+    hits = corpus._passages_meeting(np.array([node for _, nodes in saved.snapshot for node in nodes], dtype=np.int64))
     for verse, nodes in saved.snapshot:
         met = set(hits.get(verse, ()))
         for node in nodes:

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .annotations import (
     AnnotationStore,
     export_store,
@@ -24,7 +26,7 @@ from .annotations import (
     save_query,
 )
 from .compiler import compile_corpus
-from .corpus import Corpus
+from .corpus import Corpus, _find_all
 from .errors import (
     FabricError,
     ImageError,
@@ -37,7 +39,8 @@ from .errors import (
 from .featuredoc import render_docs
 from .ingest import parse_graf, parse_tabular
 from .model import LogicalCorpus
-from .query import explain, iter_matches, parse
+from .query import explain, parse
+from .query.evaluator import _Eval
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -50,6 +53,7 @@ class CliConfig:
 
     format: str = "text"
     limit: int | None = None
+    timeout: float | None = None
 
     def fail(self, message: str, code: int = EXIT_USER) -> int:
         if self.format == "json":
@@ -72,42 +76,38 @@ def _ingest(src: str) -> LogicalCorpus:
     return parse_graf(p)
 
 
-def _verse_label(corpus: Corpus, verse: int) -> str:
-    ref = corpus.feature(verse, "ref")
-    return ref if ref is not None else f"n{verse}"
+def _verse_labels(corpus: Corpus, verses: np.ndarray) -> list[str]:
+    """Label of each passage node id: its ``ref`` feature, else ``n<id>``;
+    ``-`` for -1 (no passage)."""
+    store = corpus.store("ref")
+    codes = np.full(len(verses), -1, dtype=np.int64)
+    if store is not None:
+        pos = _find_all(store.targets, verses)
+        codes[pos >= 0] = store.codes[pos[pos >= 0]]
+    return [
+        "-" if verse < 0 else f"n{verse}" if code < 0 else store.values[code]  # type: ignore[union-attr]
+        for verse, code in zip(verses.tolist(), codes.tolist())
+    ]
 
 
-def _passage_label(corpus: Corpus, node: int) -> str:
-    verse = corpus.passage_of(node)
-    return "-" if verse is None else _verse_label(corpus, verse)
+def _passage_labels(corpus: Corpus, rows: np.ndarray) -> list[str]:
+    """The label of the first passage meeting each row (``passage_of``)."""
+    first = corpus._first_passages(rows)
+    return _verse_labels(corpus, np.where(first < 0, -1, corpus._ids[first].astype(np.int64)))
 
 
-def _block_paths(query) -> dict[int, str]:
-    """Pre-order path label for each block: "1", "1.1", "2", ..."""
-    paths: dict[int, str] = {}
+def _block_paths(query) -> list[str]:
+    """Pre-order path label of each block: "1", "1.1", "2", ..."""
+    paths: list[str] = []
 
     def walk(blockstring, prefix: str) -> None:
         for i, block in enumerate(blockstring.blocks, start=1):
-            path = f"{prefix}{i}"
-            paths[id(block)] = path
+            paths.append(f"{prefix}{i}")
             if block.children is not None:
-                walk(block.children, path + ".")
+                walk(block.children, f"{prefix}{i}.")
 
     walk(query.root, "")
     return paths
-
-
-def _flatten(match, blocks):
-    """(block, node) pairs in query pre-order for one match."""
-    out = []
-
-    def walk(trees):
-        for tree in trees:
-            out.append(tree.node)
-            walk(tree.children)
-
-    walk(match)
-    return list(zip(blocks, out))
 
 
 # ---------------------------------------------------------------------------
@@ -179,52 +179,47 @@ def cmd_info(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
+    """Print the matches one chunk of the match table at a time, with the
+    otype and passage columns of each chunk gathered in one batch."""
     query = parse(query_text)
-    blocks = query.blocks_preorder()
-    paths = _block_paths(query)
-    shown = 0
+    ev = _Eval(corpus, query, None if cfg.timeout is None else time.monotonic() + cfg.timeout)
+    paths, slot = _block_paths(query), corpus.metadata.slot_otype
+    shown, status = 0, ""
     try:
-        for i, match in enumerate(iter_matches(corpus, query), start=1):
-            if cfg.limit is not None and shown >= cfg.limit:
+        for cols in ev.table():
+            if cfg.limit is not None and shown + len(cols[0]) > cfg.limit:
+                cols, status = [col[: max(cfg.limit - shown, 0)] for col in cols], "limit reached"
+            rows = np.stack(cols, axis=1)  # one match per line, blocks in pre-order
+            nodes = corpus._ids[rows].tolist()
+            names = np.array(corpus._otypes, dtype=object)[corpus._otype_code[rows]].tolist()
+            labels = np.array(_passage_labels(corpus, rows.ravel()), dtype=object).reshape(rows.shape).tolist()
+            lines = []
+            for i, match in enumerate(zip(nodes, names, labels), start=shown + 1):
+                row = list(zip(paths, *match))  # (path, node, otype, passage) per block
+                if cfg.format == "tsv":
+                    lines += (f"{i}\t{p}\tn{n}\t{t}\t{v}" for p, n, t, v in row)
+                elif cfg.format == "json":
+                    entries = [{"path": p, "id": n, "otype": t, "passage": v} for p, n, t, v in row]
+                    lines.append(json.dumps({"match": i, "nodes": entries}))
+                else:
+                    parts = " ".join(
+                        f"[{p}] n{n}={t}" + (f" {corpus.text_of(n)!r}" if t == slot else "") for p, n, t, _ in row
+                    )
+                    lines.append(f"match {i} @ {row[0][3]}: {parts}")
+            shown += len(rows)
+            if lines:
+                print("\n".join(lines))
+            if status:
                 break
-            shown += 1
-            rows = _flatten(match, blocks)
-            if cfg.format == "tsv":
-                for block, node in rows:
-                    print(
-                        f"{i}\t{paths[id(block)]}\tn{node}\t{corpus.otype(node)}\t"
-                        f"{_passage_label(corpus, node)}"
-                    )
-            elif cfg.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "match": i,
-                            "nodes": [
-                                {
-                                    "path": paths[id(block)],
-                                    "id": node,
-                                    "otype": corpus.otype(node),
-                                    "passage": _passage_label(corpus, node),
-                                }
-                                for block, node in rows
-                            ],
-                        }
-                    )
-                )
-            else:
-                parts = " ".join(
-                    f"[{paths[id(block)]}] n{node}={corpus.otype(node)}"
-                    + (f" {corpus.text_of(node)!r}" if corpus.otype(node) == corpus.metadata.slot_otype else "")
-                    for block, node in rows
-                )
-                print(f"match {i} @ {_passage_label(corpus, rows[0][1])}: {parts}")
     except KeyboardInterrupt:
         print("-- interrupted, partial results --", file=sys.stderr)
         return EXIT_USER
+    except TimeoutError:
+        status = "timeout"
+        if cfg.format != "text":
+            cfg.fail(f"timeout after {cfg.timeout}s, {shown} match(es) shown", EXIT_OK)
     if cfg.format == "text":
-        suffix = " (limit reached)" if cfg.limit is not None and shown == cfg.limit else ""
-        print(f"{shown} match(es){suffix}")
+        print(f"{shown} match(es)" + (f" ({status})" if status else ""))
     return EXIT_OK
 
 
@@ -284,7 +279,7 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
                 continue
             print(f"unknown command {cmd}", file=sys.stderr)
             continue
-        sub = CliConfig(format=cfg.format, limit=limit)
+        sub = CliConfig(format=cfg.format, limit=limit, timeout=cfg.timeout)
         try:
             _stream_matches(corpus, line, sub)
         except (QuerySyntaxError, QueryError) as exc:
@@ -428,9 +423,10 @@ def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:
             )
         else:
             print(f"page {page.page}/{page.total_pages}" + (" (clamped)" if page.clamped else ""))
-            for verse, nodes in page.entries:
+            verses = np.array([verse for verse, _ in page.entries], dtype=np.int64)
+            for label, (_, nodes) in zip(_verse_labels(corpus, verses), page.entries):
                 shown = ", ".join(f"n{n}" for n in nodes)
-                print(f"{_verse_label(corpus, verse)}: {shown}")
+                print(f"{label}: {shown}")
         return EXIT_OK
 
     return cfg.fail(f"unknown annotate action {action!r}")
@@ -471,11 +467,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-q", "--query", help="query text")
     g.add_argument("-f", "--query-file", help="file containing the query")
     p.add_argument("--limit", type=int, help="stop after N matches")
+    p.add_argument("--timeout", type=float, metavar="SECONDS", help="stop after SECONDS of wall time")
     add_format(p)
 
     p = sub.add_parser("repl", help="interactive query loop")
     p.add_argument("image")
     p.add_argument("--limit", type=int, help="default match limit")
+    p.add_argument("--timeout", type=float, metavar="SECONDS", help="time limit of each query")
     add_format(p)
 
     p = sub.add_parser("features", help="generate feature frequency documentation")
@@ -534,6 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = CliConfig(
         format=getattr(args, "format", "text"),
         limit=getattr(args, "limit", None),
+        timeout=getattr(args, "timeout", None),
     )
     try:
         return _COMMANDS[args.subcommand](args, cfg)

@@ -15,7 +15,7 @@ import json
 import warnings
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -404,22 +404,38 @@ class Corpus:
         prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
         return prows, pfirsts, int((self._last[prows] - pfirsts).max(initial=0)) + 1
 
-    def _passages_meeting(self, nodes: Iterable[int]) -> dict[int, list[int]]:
-        """Passage node -> those of the given (existing) nodes whose monads
-        meet it.  Keys and each list follow canonical order."""
+    def _meeting(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, passage row) whose monads meet those of ``rows[i]``,
+        ordered by i, then by canonical order of the passages."""
         prows, pfirsts, span = self._passages
-        rows = _find_all(self._ids, np.unique(np.fromiter(nodes, dtype=np.int64)))
-        rows = rows[np.argsort(self._canon_pos[rows])]
         # A passage meeting a row starts in first-span+1..last of the row:
         # one window per row, as in passage_of.
         owner, pos = self._pairs(*self._window(pfirsts, self._first[rows] - span + 1, self._last[rows]))
         pair_rows, pair_ps = rows[owner], prows[pos]
         meet = self._last[pair_ps] >= self._first[pair_rows]
-        pair_ps, pair_rows = pair_ps[meet], pair_rows[meet]
+        owner, pair_rows, pair_ps = owner[meet], pair_rows[meet], pair_ps[meet]
         multi = (self._nruns[pair_ps] > 1) | (self._nruns[pair_rows] > 1)
         meet = self._exact(pair_ps, pair_rows, multi, self._meets)
+        return owner[meet], pair_ps[meet]
+
+    def _first_passages(self, rows: np.ndarray) -> np.ndarray:
+        """``passage_of`` for every row at once: the row of the first passage
+        meeting each row, -1 where none does."""
+        owner, ps = self._meeting(rows)
+        head = np.ones(len(owner), dtype=bool)
+        head[1:] = owner[1:] != owner[:-1]
+        first = np.full(len(rows), -1, dtype=np.int64)
+        first[owner[head]] = ps[head]
+        return first
+
+    def _passages_meeting(self, nodes: np.ndarray) -> dict[int, list[int]]:
+        """Passage node -> those of the given (existing) node ids whose monads
+        meet it.  Keys and each list follow canonical order."""
+        rows = _find_all(self._ids, np.unique(nodes))
+        rows = rows[np.argsort(self._canon_pos[rows])]
+        owner, ps = self._meeting(rows)
         hits: dict[int, list[int]] = {}
-        for p, node in zip(pair_ps[meet].tolist(), self._ids[pair_rows[meet]].tolist()):
+        for p, node in zip(ps.tolist(), self._ids[rows[owner]].tolist()):
             hits.setdefault(p, []).append(node)
         return {int(self._ids[p]): hits[p] for p in sorted(hits, key=self._canon_pos.__getitem__)}
 
@@ -464,8 +480,9 @@ class Corpus:
         prows, pfirsts, span = self._passages
         if not len(prows):
             return None
-        # The window and tests of _passages_meeting for one row; its batched
-        # form costs over twice as much per call.
+        # Serves single-node browsing: the window and tests of _meeting for
+        # one row, since the batched form costs over twice as much per call.
+        # Match tables take their passages from _first_passages instead.
         row = self._row(node)
         first, last = self._first[row], self._last[row]
         cand = prows[slice(*self._window(pfirsts, first - span + 1, last))]

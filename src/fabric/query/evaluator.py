@@ -28,12 +28,15 @@ conjunctively requires an ``=`` or ``IN`` atom can start from that atom's
 posting list instead of the full otype list when the list is shorter; the
 chosen source is what ``explain`` reports.
 
-Nested blocks are joined before enumeration, in one batched containment
-semi-join per block with children: the block's candidates keep only the
-nodes that embed a candidate of every child block, child blocks first, and
-each child block records which of its candidates each kept node embeds.
-Enumeration then walks those lists and filters consecutive blocks by their
-gaps, one canonical-order window per previous node.
+Nested blocks are joined first, in one batched containment semi-join per
+block with children, child blocks first: a block keeps the candidates that
+embed a candidate of every child block, and each child block records, as
+a CSR, which of its candidates each kept node embeds.  The join then emits
+a match table, one column per block in pre-order, grown a block at a time
+(see ``_expand``) in chunks of at most ``_CHUNK`` rows, prefix tables
+included.  It comes out in the oracle's order with no sort; ``iter_matches``
+streams it chunk by chunk, ``max_matches`` cuts after the chunks it needs,
+and the deadline is checked before the first chunk and at every chunk.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ class Source:
     estimate: int = 0
     atom: Atom | None = None
 
+
+# Rows per chunk of the match table, and of every prefix table behind it.
+_CHUNK = 1 << 13
 
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
@@ -262,51 +268,97 @@ class _Eval:
             self._csr[id(child)] = (np.concatenate(([0], np.cumsum(counts))), kids[sel])
         return rows[keep]
 
-    # -- enumeration -----------------------------------------------------------
+    # -- the match table --------------------------------------------------------
 
-    def iter_blockstring(self, bs: BlockString, parent: int | None) -> Iterator[Match]:
-        """Matches of a block string: at the top level when ``parent`` is
-        None, else inside candidate number ``parent`` of the parent block,
-        whose embedded children the semi-join's CSRs list."""
-        blocks = bs.blocks
-        cands = []
-        for b in blocks:
-            rows, firsts = self.candidates(b)
-            if parent is None:
-                cands.append((np.arange(len(rows)), rows, firsts))
+    def table(self) -> Iterator[list[np.ndarray]]:
+        """The match table in chunks of at most ``_CHUNK`` rows, in the
+        oracle's order: one int64 column of corpus rows per block, in query
+        pre-order."""
+        self._check_deadline()
+        blocks: list[Block] = []
+        steps: list[tuple] = []
+        self._steps(self.q.root, 0, blocks, steps)
+        rows = [self.candidates(block)[0] for block in blocks]
+        for cols in self._expand(steps, [np.zeros(1, dtype=np.int64)]):
+            yield [r[col] for r, col in zip(rows, cols[1:])]
+
+    def _steps(self, bs: BlockString, parent: int, blocks: list[Block], steps: list[tuple]) -> None:
+        """Append the blocks of ``bs`` and their descendants in pre-order,
+        each with its expansion step.  Column 0 of the table is a one-row
+        root, one segment holding every top-level candidate; block k is
+        column k + 1.  (A method, not a recursive closure: that would hold
+        the corpus in a reference cycle until the collector runs.)"""
+        prev = None
+        for i, block in enumerate(bs.blocks):
+            firsts = self.candidates(block)[1]
+            n = len(firsts)
+            if parent:
+                offsets, kids = self._csr[id(block)]
+                keys = np.repeat(np.arange(len(offsets) - 1) * n, np.diff(offsets)) + kids
             else:
-                offsets, kids = self._csr[id(b)]
-                idx = kids[offsets[parent] : offsets[parent + 1]]
-                cands.append((idx, rows[idx], firsts[idx]))
-
-        def rec(i: int, prev_row: int, acc: list[MatchTree]) -> Iterator[Match]:
-            if i == len(blocks):
-                yield tuple(acc)
-                return
-            block = blocks[i]
-            idx, rows, firsts = cands[i]
-            if i:
-                # The block starts in after..after+limit, up to the last monad
-                # when unbounded; adjacency is limit 0.
-                gap, after = bs.gaps[i - 1], int(self.c._last[prev_row]) + 1
+                keys = kids = np.arange(n)
+            lo, hi = 0, n  # the whole segment
+            if prev is not None:
+                # After the previous sibling's candidate: the block starts in
+                # after..after+limit, by default up to the last monad;
+                # adjacency is limit 0.
+                gap = bs.gaps[i - 1]
                 limit = 0 if gap.kind == ADJACENT else gap.limit
-                start, stop = self.c._window(firsts, after, self.c.width if limit is None else after + limit)
-                idx, rows = idx[start:stop], rows[start:stop]
-            for k, row in zip(idx.tolist(), rows.tolist()):
-                if self.deadline is not None and time.monotonic() >= self.deadline:
-                    raise TimeoutError
-                node = int(self.c._ids[row])
-                if block.children is None:
-                    acc.append(MatchTree(node=node))
-                    yield from rec(i + 1, row, acc)
-                    acc.pop()
-                else:
-                    for kids in self.iter_blockstring(block.children, k):
-                        acc.append(MatchTree(node=node, children=kids))
-                        yield from rec(i + 1, row, acc)
-                        acc.pop()
+                after = self.c._last[self.candidates(blocks[prev - 1])[0]] + 1
+                lo, hi = self.c._window(firsts, after, after + (self.c.width if limit is None else limit))
+            steps.append((parent, prev, lo, hi, n, keys, kids))
+            blocks.append(block)
+            prev = len(blocks)
+            if block.children is not None:
+                self._steps(block.children, prev, blocks, steps)
 
-        yield from rec(0, -1, [])
+    def _expand(self, steps: list[tuple], cols: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
+        """Extend each row of the prefix table ``cols`` (candidate indices)
+        by the next step's block, at most ``_CHUNK`` rows at a time: by each
+        of the block's candidates in the CSR segment of the row's parent
+        candidate that lies in the gap's window after the row's previous
+        sibling candidate.  Within a segment the window is one search on the
+        key ``segment * n + candidate``.  Rows keep their order and new
+        candidates ascend within a row, so the table stays sorted."""
+        if len(cols) > len(steps):
+            yield cols
+            return
+        parent, prev, lo, hi, n, keys, kids = steps[len(cols) - 1]
+        if prev is not None:
+            lo, hi = lo[cols[prev]], hi[cols[prev]]
+        seg = cols[parent] * n
+        start, stop = keys.searchsorted(seg + lo), keys.searchsorted(seg + hi)
+        counts = stop - start
+        ends = np.cumsum(counts)
+        for first in range(0, int(ends[-1]) if len(ends) else 0, _CHUNK):
+            self._check_deadline()
+            # Rows i..j hold the pairs first..first+_CHUNK: clip their slices.
+            last = first + _CHUNK
+            i, j = ends.searchsorted(first, side="right"), ends.searchsorted(last) + 1
+            skip = np.maximum(first - (ends[i:j] - counts[i:j]), 0)
+            owner, pos = self.c._pairs(start[i:j] + skip, stop[i:j] - np.maximum(ends[i:j] - last, 0))
+            owner += i
+            yield from self._expand(steps, [col[owner] for col in cols] + [kids[pos]])
+
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise TimeoutError
+
+    def matches(self, cols: list[np.ndarray]) -> Iterator[Match]:
+        """The matches of a chunk of the table, built column by column."""
+        return self._trees(self.q.root, iter([self.c._ids[col].tolist() for col in cols]))
+
+    def _trees(self, bs: BlockString, ids: Iterator[list[int]]) -> Iterator[Match]:
+        """One tuple of trees per row for the blocks of ``bs``, taking each
+        block's id column, then its children's, from ``ids``."""
+        return zip(
+            *[
+                map(MatchTree, next(ids))
+                if block.children is None
+                else map(MatchTree, next(ids), self._trees(block.children, ids))
+                for block in bs.blocks
+            ]
+        )
 
 
 def _as_query(query: Query | str) -> Query:
@@ -314,9 +366,10 @@ def _as_query(query: Query | str) -> Query:
 
 
 def iter_matches(corpus: Corpus, query: Query | str) -> Iterator[Match]:
-    """Stream matches in deterministic order without materializing them."""
-    q = _as_query(query)
-    return _Eval(corpus, q).iter_blockstring(q.root, None)
+    """Stream matches in deterministic order, one chunk of the match table
+    at a time."""
+    ev = _Eval(corpus, _as_query(query))
+    return (match for cols in ev.table() for match in ev.matches(cols))
 
 
 def evaluate(
@@ -329,24 +382,30 @@ def evaluate(
     """Evaluate a query, returning every match unless limits cut off.
 
     ``max_matches`` bounds the number of matches kept; ``timeout`` (seconds)
-    bounds wall time, checked at every candidate the join visits, so it
-    holds even when nothing matches.  Either cutoff sets ``truncated``.
+    bounds wall time, checked before the first chunk of the match table and
+    at every chunk the join expands, so it holds even when nothing matches.
+    Either cutoff sets ``truncated``.
     """
     q = _as_query(query)
-    deadline = None if timeout is None else time.monotonic() + timeout
-    matches: list[Match] = []
-    truncated = False
+    ev = _Eval(corpus, q, None if timeout is None else time.monotonic() + timeout)
+    chunks: list[list[np.ndarray]] = []
+    total, truncated = 0, False
     try:
-        for match in _Eval(corpus, q, deadline).iter_blockstring(q.root, None):
-            if max_matches is not None and len(matches) >= max_matches:
-                truncated = True
+        for cols in ev.table():
+            if max_matches is not None and total + len(cols[0]) > max_matches:
+                cols, truncated = [col[: max(max_matches - total, 0)] for col in cols], True
+            chunks.append(cols)
+            total += len(cols[0])
+            if truncated:
                 break
-            matches.append(match)
     except TimeoutError:
         truncated = True
+    matches = tuple(match for cols in chunks for match in ev.matches(cols))
+    top = [i for i, block in enumerate(q.blocks_preorder()) if any(block is b for b in q.root.blocks)]
+    outer = np.concatenate([np.empty(0, dtype=np.int64)] + [cols[i] for cols in chunks for i in top])
     return ResultSet(
-        matches=tuple(matches),
-        total=len(matches),
-        verses=tuple(corpus._passages_meeting(tree.node for match in matches for tree in match)),
+        matches=matches,
+        total=total,
+        verses=tuple(corpus._passages_meeting(corpus._ids[outer])),
         truncated=truncated,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..corpus import Corpus
 from .evaluator import _as_query, _Eval
-from .syntax import BlockString, Query
+from .syntax import BlockString, Query, quote_string
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,8 +52,8 @@ def explain(corpus: Corpus, query: Query | str) -> QueryPlan:
 
     def fmt_value(operand) -> str:
         if isinstance(operand, tuple):
-            return "(" + ", ".join(f'"{m}"' for m in operand) + ")"
-        return f'"{operand}"'
+            return "(" + ", ".join(map(quote_string, operand)) + ")"
+        return quote_string(str(operand))
 
     def walk(bs: BlockString, depth: int) -> None:
         nonlocal nested

@@ -49,6 +49,7 @@ _TOKEN_RE = re.compile(
 )
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_QUOTE_ESCAPES = {value: "\\" + escape for escape, value in _STRING_ESCAPES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +116,11 @@ def _unescape_string(token: Token) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
+
+
+def quote_string(value: str) -> str:
+    """``value`` as a STRING token; ``_unescape_string`` reads it back."""
+    return '"' + "".join(_QUOTE_ESCAPES.get(ch, ch) for ch in value) + '"'
 
 
 # ---------------------------------------------------------------------------

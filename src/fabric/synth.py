@@ -28,6 +28,7 @@ from .model import (
     Node,
     Region,
 )
+from .query.syntax import quote_string
 
 _LEMMAS = [
     "the", "quick", "fox", "jump", "lazy", "dog", "run", "river", "stone",
@@ -312,13 +313,6 @@ def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 # random queries
 # ---------------------------------------------------------------------------
-
-_QUERY_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def quote_string(value: str) -> str:
-    return '"' + "".join(_QUERY_ESCAPES.get(ch, ch) for ch in value) + '"'
-
 
 class _QueryGen:
     """Corpus-aware random query synthesis that stays within the oracle guard."""

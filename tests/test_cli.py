@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fabric.cli import main
+from fabric.query import evaluator
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,37 @@ class TestQuery:
         assert code == 0
         assert stdout.splitlines()[-1] == "2 match(es) (limit reached)"
 
+    def test_limit_equal_to_the_matches_cuts_nothing(self, image, capsys):
+        code, stdout, _ = run(capsys, "query", image, "-q", "[word]", "--limit", "4")
+        assert code == 0
+        assert stdout.splitlines()[-1] == "4 match(es)"
+
+    @pytest.mark.parametrize("limit", ["1", "2", "5", "6"])
+    def test_limit_cuts_alike_at_every_chunk_size(self, image, capsys, monkeypatch, limit):
+        # [word] .. [word] has 6 matches on toy4, so only 6 cuts nothing.
+        argv = ("query", image, "-q", "[word] .. [word]", "--limit", limit)
+        want = run(capsys, *argv)
+        assert want[1].splitlines()[-1] == f"{limit} match(es)" + (" (limit reached)" if limit != "6" else "")
+        for size in (1, 2, 3):
+            monkeypatch.setattr(evaluator, "_CHUNK", size)
+            assert run(capsys, *argv) == want
+
+    @pytest.mark.parametrize("query", ["[verse [clause [phrase]]]", '[word lex="no such lemma"]'])
+    def test_zero_timeout_stops_the_stream(self, image, capsys, query):
+        code, stdout, err = run(capsys, "query", image, "-q", query, "--timeout", "0")
+        assert code == 0
+        assert stdout.splitlines() == ["0 match(es) (timeout)"]
+        code, stdout, err = run(capsys, "query", image, "-q", query, "--timeout", "0", "--format", "tsv")
+        assert code == 0 and stdout == ""
+        assert err.splitlines() == ["fabric: timeout after 0.0s, 0 match(es) shown"]
+        code, stdout, err = run(capsys, "query", image, "-q", query, "--timeout", "0", "--format", "json")
+        assert code == 0 and stdout == ""
+        assert json.loads(err) == {"error": "timeout after 0.0s, 0 match(es) shown", "exit": 0}
+
+    def test_generous_timeout_changes_nothing(self, image, capsys):
+        plain = run(capsys, "query", image, "-q", "[verse [clause [phrase]]]")
+        assert run(capsys, "query", image, "-q", "[verse [clause [phrase]]]", "--timeout", "60") == plain
+
     def test_query_file(self, image, capsys, tmp_path):
         qfile = tmp_path / "q.fql"
         qfile.write_text('[word lex="fox"] // comment\n', encoding="utf-8")
@@ -250,6 +282,12 @@ class TestRepl:
         assert code == 0
         assert "2 match(es) (limit reached)" in stdout
         assert "4 match(es)" in stdout
+
+    def test_timeout_default(self, image, capsys, monkeypatch):
+        self.feed(monkeypatch, ["[word]", ":quit"])
+        code, stdout, _ = run(capsys, "repl", image, "--timeout", "0")
+        assert code == 0
+        assert "0 match(es) (timeout)" in stdout
 
     def test_explain_command(self, image, capsys, monkeypatch):
         self.feed(monkeypatch, [":explain [word]", ":quit"])

@@ -7,11 +7,15 @@ against the plain nested scans in ``reference``.  The corpora are a
 ``random_corpus`` corpora, whose discontiguous phrases take the run-level
 path.  Those are also checked with phrases as the passage otype, so that a
 passage's envelope can overlap a node it does not meet.  The nested
-shapes check the batched containment semi-join of nested blocks.
+shapes check the batched containment semi-join of nested blocks.  Every
+query is evaluated at match-table chunk sizes 1, 2 and the default, and
+``fabric query`` output is checked against a row-at-a-time rendering from
+the scalar ``passage_of``, ``otype`` and ``text_of``.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -19,9 +23,11 @@ import pytest
 
 import reference
 from fabric.annotations import build_snapshot
+from fabric.cli import CliConfig, _stream_matches
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.ingest import parse_graf
+from fabric.query import evaluator
 from fabric.query.evaluator import _Eval, evaluate, iter_matches
 from fabric.query.oracle import _expr_true
 from fabric.query.syntax import parse
@@ -119,6 +125,15 @@ class Scan:
                 assert source.estimate == len(self.by_otype[block.otype]), text
         result = evaluate(self.corpus, query)
         assert list(iter_matches(self.corpus, query)) == list(result.matches), text
+        cap = result.total // 2
+        capped = evaluate(self.corpus, query, max_matches=cap)
+        assert capped.matches == result.matches[:cap], text
+        assert capped.truncated == (result.total > cap), text
+        for size in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluator, "_CHUNK", size)
+                assert evaluate(self.corpus, query) == result, (text, size)
+                assert evaluate(self.corpus, query, max_matches=cap) == capped, (text, size)
         assert reference.result_rows(result) == reference.scan_matches(
             query.root, self.candidates, self.monads
         ), text
@@ -140,6 +155,46 @@ class Scan:
             assert self.corpus.up(node, otype) == reference.up(node, typed, self.monads)
             met = reference.passages_meeting(self.passages, [node], self.monads)
             assert self.corpus.passage_of(node) == (met[0] if met else None)
+
+
+def cli_reference(corpus: Corpus, text: str, fmt: str) -> list[str]:
+    """``fabric query`` output built one node at a time with the scalar
+    ``passage_of``, ``otype`` and ``text_of``."""
+    paths: list[str] = []
+
+    def walk(bs, prefix: str) -> None:
+        for i, block in enumerate(bs.blocks, start=1):
+            paths.append(f"{prefix}{i}")
+            if block.children is not None:
+                walk(block.children, f"{prefix}{i}.")
+
+    walk(parse(text).root, "")
+
+    def label(node: int) -> str:
+        verse = corpus.passage_of(node)
+        if verse is None:
+            return "-"
+        ref = corpus.feature(verse, "ref")
+        return f"n{verse}" if ref is None else ref
+
+    lines = []
+    result = evaluate(corpus, text)
+    for i, match in enumerate(result.matches, start=1):
+        nodes = reference.flatten_match(match)
+        if fmt == "tsv":
+            lines += [f"{i}\t{p}\tn{n}\t{corpus.otype(n)}\t{label(n)}" for p, n in zip(paths, nodes)]
+        elif fmt == "json":
+            entries = [
+                {"path": p, "id": n, "otype": corpus.otype(n), "passage": label(n)} for p, n in zip(paths, nodes)
+            ]
+            lines.append(json.dumps({"match": i, "nodes": entries}))
+        else:
+            parts = []
+            for p, n in zip(paths, nodes):
+                word = corpus.otype(n) == corpus.metadata.slot_otype
+                parts.append(f"[{p}] n{n}={corpus.otype(n)}" + (f" {corpus.text_of(n)!r}" if word else ""))
+            lines.append(f"match {i} @ {label(nodes[0])}: {' '.join(parts)}")
+    return lines + ([f"{result.total} match(es)"] if fmt == "text" else [])
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +222,24 @@ def test_nested_query_honours_zero_timeout(big_scan):
     assert evaluate(big_scan.corpus, "[clause [phrase] [phrase]]").matches
 
 
+def test_capped_quadratic_query_expands_one_chunk(big_scan, monkeypatch):
+    # 3000 words give about 4.5M matches: a capped evaluation must expand
+    # one chunk of rows per block, plus the verse join of the kept matches.
+    expanded = []
+    pairs = Corpus._pairs
+
+    def counted(start, stop):
+        owner, pos = pairs(start, stop)
+        expanded.append(len(owner))
+        return owner, pos
+
+    monkeypatch.setattr(evaluator, "_CHUNK", 64)
+    monkeypatch.setattr(Corpus, "_pairs", staticmethod(counted))
+    result = evaluate(big_scan.corpus, "[word] .. [word]", max_matches=10)
+    assert result.total == 10 and result.truncated
+    assert max(expanded) <= 64 and sum(expanded) <= 3 * 64
+
+
 def test_big_corpus_traversal_matches_scans(big_scan):
     rng = random.Random(6)
     big_scan.check_nodes(rng.sample(big_scan.order, 60), rng)
@@ -183,3 +256,22 @@ def test_random_corpus_joins_match_scans(seed, passage_otype):
     scan.check_nodes(scan.order, rng)
     for text in scan.queries(rng, NESTED_SHAPES):
         scan.check_query(text)
+
+
+@pytest.mark.parametrize("passage_otype", ["verse", "phrase"])
+@pytest.mark.parametrize("seed", range(12))
+def test_random_corpus_cli_rows_match_scalar_reference(seed, passage_otype, capsys, monkeypatch):
+    rng = random.Random(seed)
+    logical = random_corpus(rng, max_words=60, tricky_values=False)
+    scan = Scan(replace(logical, metadata=replace(logical.metadata, passage_otype=passage_otype)))
+    texts = scan.queries(rng) + scan.queries(rng, NESTED_SHAPES)
+    texts = [t for t in texts if all(b.otype in scan.by_otype for b in parse(t).blocks_preorder())]
+    want = {(t, fmt): cli_reference(scan.corpus, t, fmt) for t in texts for fmt in ("tsv", "json", "text")}
+
+    def scalar_call(self, node):
+        raise AssertionError("the query stream called Corpus.passage_of")
+
+    monkeypatch.setattr(Corpus, "passage_of", scalar_call)
+    for (text, fmt), lines in want.items():
+        assert _stream_matches(scan.corpus, text, CliConfig(format=fmt)) == 0
+        assert capsys.readouterr().out.splitlines() == lines, (text, fmt)

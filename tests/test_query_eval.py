@@ -19,6 +19,7 @@ from fabric.model import (
 from fabric.query.evaluator import evaluate, iter_matches
 from fabric.query.oracle import brute_force_evaluate
 from fabric.query.plan import explain
+from fabric.query.syntax import parse, quote_string
 from strategies import corpus_and_query
 
 
@@ -95,6 +96,15 @@ class TestPlans:
         plan = explain(freq_corpus, '[word freq="02"]')
         assert plan.render().splitlines()[0] == '[word] dictionary lookup freq→"02", 1 candidate'
         assert rows(evaluate(freq_corpus, '[word freq="02"]')) == [[2]]
+
+    def test_rendered_operands_parse_back(self, toy4_corpus):
+        members = ("fox", 'a"b', "c\\d", "e\tf")
+        spelled = ", ".join(map(quote_string, members))
+        for op, text in (("IN", f"[word lex IN ({spelled})]"), ("=", f"[word lex = {quote_string(''.join(members))}]")):
+            operand = parse(text).root.blocks[0].constraint.operand
+            line = explain(toy4_corpus, text).render().splitlines()[0]
+            rendered = line.split("lex→", 1)[1].rsplit(", ", 1)[0]
+            assert parse(f"[word lex {op} {rendered}]").root.blocks[0].constraint.operand == operand
 
 
 class TestResultOrder:
@@ -209,16 +219,21 @@ class TestLimits:
         assert result.truncated
         assert rows(result) == [[1], [2]]
 
+    def test_negative_max_matches_keeps_none(self, toy4_corpus):
+        result = evaluate(toy4_corpus, "[word]", max_matches=-1)
+        assert result.total == 0 and result.truncated and result.verses == ()
+
     def test_zero_timeout_truncates(self, toy4_corpus):
         result = evaluate(toy4_corpus, "[word]", timeout=0)
         assert result.truncated
 
     def test_timeout_holds_when_nothing_matches(self):
-        # Word 1 never follows three other words, so the join visits every
-        # ordered triple of words, which takes seconds, and yields nothing.
-        corpus = words_corpus(120)
+        # Word 1 never follows four other words, so the join expands every
+        # ordered 4-tuple of words, C(200, 4) = 64,684,950 prefixes, which
+        # takes seconds even a chunk at a time, and yields nothing.
+        corpus = words_corpus(200)
         started = time.monotonic()
-        result = evaluate(corpus, '[word] .. [word] .. [word] .. [word text="w1"]', timeout=0.1)
+        result = evaluate(corpus, '[word] .. [word] .. [word] .. [word] .. [word text="w1"]', timeout=0.1)
         assert time.monotonic() - started < 1.0
         assert result.truncated
         assert result.matches == ()
