@@ -14,6 +14,7 @@ snapshots stay readable but are no longer claimed to be reproducible.
 
 from __future__ import annotations
 
+import bisect
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -72,11 +73,14 @@ def _now_utc() -> str:
 
 
 def build_snapshot(corpus: Corpus, result: ResultSet) -> Snapshot:
-    """Denormalize a result into (verse, outermost matched nodes) pairs."""
-    hits = corpus._passages_meeting(
-        np.fromiter((tree.node for match in result.matches for tree in match), dtype=np.int64)
-    )
-    return tuple((verse, tuple(hits.get(verse, ()))) for verse in result.verses)
+    """Denormalize a result into (verse, outermost matched nodes) pairs.
+    An ``evaluate`` result keeps them from the passage join it ran for
+    ``verses``; any other result's outermost nodes are joined here."""
+    hits = result._hits
+    if hits is None:
+        outer = np.fromiter((tree.node for match in result.matches for tree in match), dtype=np.int64)
+        hits = corpus._passages_meeting(outer)[1]
+    return tuple(zip(result.verses, hits))
 
 
 class AnnotationStore:
@@ -114,8 +118,7 @@ class AnnotationStore:
 
     def _index_add(self, saved: SavedQuery) -> None:
         for verse, _nodes in saved.snapshot:
-            self._verse_index.setdefault(verse, []).append(saved.id)
-            self._verse_index[verse].sort()
+            bisect.insort(self._verse_index.setdefault(verse, []), saved.id)
 
     def by_author_name(self, author: str, name: str) -> SavedQuery | None:
         for saved in self.queries.values():
@@ -347,8 +350,8 @@ def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
         is_verse += [True] + [False] * len(nodes)
     rows = corpus._rows(ids)
     passage = corpus._otype_rank.get(corpus.metadata.passage_otype, -1)
-    not_passage = np.array(is_verse, dtype=bool) & (corpus._otype_code[rows] != passage)
-    bad = np.flatnonzero((rows < 0) | not_passage)
+    verse = np.array(is_verse, dtype=bool)
+    bad = np.flatnonzero((rows < 0) | (verse & (corpus._otype_code[rows] != passage)))
     if len(bad):
         i = bad[0]
         if not is_verse[i]:
@@ -356,14 +359,17 @@ def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
         if rows[i] < 0:
             raise StoreError(f"saved query {saved.id}: unknown verse node {ids[i]}")
         raise StoreError(f"saved query {saved.id}: node {ids[i]} is not a {corpus.metadata.passage_otype}")
-    hits = corpus._passages_meeting(np.array([node for _, nodes in saved.snapshot for node in nodes], dtype=np.int64))
-    for verse, nodes in saved.snapshot:
-        met = set(hits.get(verse, ()))
-        for node in nodes:
-            _require(
-                node in met,
-                f"saved query {saved.id}: node {node} does not intersect verse {verse}",
-            )
+    # Then every (verse, node) pair at once: their envelopes overlap, and
+    # their runs meet where either has more than one.
+    at = np.flatnonzero(~verse)
+    head = np.maximum.accumulate(np.where(verse, np.arange(len(ids)), 0))[at]
+    v, n = rows[head], rows[at]
+    meet = (corpus._first[v] <= corpus._last[n]) & (corpus._first[n] <= corpus._last[v])
+    meet &= corpus._exact(v, n, meet & ((corpus._nruns[v] > 1) | (corpus._nruns[n] > 1)), corpus._meets)
+    bad = np.flatnonzero(~meet)
+    if len(bad):
+        i = bad[0]
+        raise StoreError(f"saved query {saved.id}: node {ids[at[i]]} does not intersect verse {ids[head[i]]}")
 
 
 def import_store(path: str | Path, corpus: Corpus | None = None) -> AnnotationStore:

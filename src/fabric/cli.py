@@ -9,6 +9,7 @@ stream as they are produced instead of buffering the whole result set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -437,6 +438,7 @@ def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fabric",

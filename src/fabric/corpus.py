@@ -428,16 +428,19 @@ class Corpus:
         first[owner[head]] = ps[head]
         return first
 
-    def _passages_meeting(self, nodes: np.ndarray) -> dict[int, list[int]]:
-        """Passage node -> those of the given (existing) node ids whose monads
-        meet it.  Keys and each list follow canonical order."""
+    def _passages_meeting(self, nodes: np.ndarray) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The passage nodes meeting any of the given (existing) node ids,
+        each with those of the ids whose monads meet it; both canonical."""
         rows = _find_all(self._ids, np.unique(nodes))
         rows = rows[np.argsort(self._canon_pos[rows])]
         owner, ps = self._meeting(rows)
-        hits: dict[int, list[int]] = {}
-        for p, node in zip(ps.tolist(), self._ids[rows[owner]].tolist()):
-            hits.setdefault(p, []).append(node)
-        return {int(self._ids[p]): hits[p] for p in sorted(hits, key=self._canon_pos.__getitem__)}
+        # Group the pairs by passage; a stable sort keeps each group's nodes
+        # in canonical order.
+        order = np.argsort(self._canon_pos[ps], kind="stable")
+        ps, met = ps[order], self._ids[rows[owner[order]]].tolist()
+        heads = np.flatnonzero(np.diff(ps, prepend=-1))
+        bounds = heads.tolist() + [len(met)]
+        return self._ids[ps[heads]].tolist(), [tuple(met[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def up(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedding this one (monad superset, self excluded), in

@@ -37,6 +37,11 @@ a match table, one column per block in pre-order, grown a block at a time
 included.  It comes out in the oracle's order with no sort; ``iter_matches``
 streams it chunk by chunk, ``max_matches`` cuts after the chunks it needs,
 and the deadline is checked before the first chunk and at every chunk.
+
+``evaluate`` keeps the table's node-id columns and builds no ``MatchTree``:
+``matches`` is built from them when first read (``repr`` reads it), and
+``==`` between two such results compares the columns.  Its passage join
+also gives each verse's outermost nodes, for ``build_snapshot``.
 """
 
 from __future__ import annotations
@@ -65,19 +70,59 @@ class MatchTree:
 Match = tuple[MatchTree, ...]
 
 
-@dataclass(frozen=True, slots=True)
+def _shape(bs: BlockString) -> tuple:
+    """The block tree of ``bs``: per block, None for a leaf, else the shape
+    of its children."""
+    return tuple(None if block.children is None else _shape(block.children) for block in bs.blocks)
+
+
+def _trees(shape: tuple, ids: Iterator[list[int]]) -> Iterator[Match]:
+    """One tuple of trees per row for the blocks of ``shape``, taking each
+    block's id column, then its children's, from ``ids``."""
+    return zip(
+        *[map(MatchTree, next(ids)) if kids is None else map(MatchTree, next(ids), _trees(kids, ids)) for kids in shape]
+    )
+
+
 class ResultSet:
     """All matches of a query in deterministic order.
 
     ``verses`` lists the distinct passage-otype nodes whose monads intersect
     any outermost matched node, in canonical order.  ``truncated`` is set
-    when max_matches or timeout cut enumeration short.
+    when max_matches or timeout cut enumeration short.  An ``evaluate``
+    result holds the match table's node-id columns (``_cols``, in query
+    pre-order) instead of ``matches``, and builds it on first read.
     """
 
-    matches: tuple[Match, ...]
-    total: int
-    verses: tuple[int, ...]
-    truncated: bool = False
+    __slots__ = ("_matches", "total", "verses", "truncated", "_shape", "_cols", "_hits")
+
+    def __init__(self, matches: tuple[Match, ...], total: int, verses: tuple[int, ...], truncated: bool = False):
+        self._matches, self.total, self.verses, self.truncated = matches, total, verses, truncated
+        self._shape = self._cols = self._hits = None
+
+    @property
+    def matches(self) -> tuple[Match, ...]:
+        if self._matches is None:
+            self._matches = tuple(_trees(self._shape, iter([col.tolist() for col in self._cols])))
+        return self._matches
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultSet):
+            return NotImplemented
+        if (self.total, self.verses, self.truncated) != (other.total, other.verses, other.truncated):
+            return False
+        if self._cols is None or other._cols is None:
+            return self.matches == other.matches
+        return self._shape == other._shape and all(map(np.array_equal, self._cols, other._cols))
+
+    def __hash__(self) -> int:
+        return hash((self.matches, self.total, self.verses, self.truncated))
+
+    def __repr__(self) -> str:
+        return (
+            f"ResultSet(matches={self.matches!r}, total={self.total!r}, "
+            f"verses={self.verses!r}, truncated={self.truncated!r})"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,22 +389,6 @@ class _Eval:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise TimeoutError
 
-    def matches(self, cols: list[np.ndarray]) -> Iterator[Match]:
-        """The matches of a chunk of the table, built column by column."""
-        return self._trees(self.q.root, iter([self.c._ids[col].tolist() for col in cols]))
-
-    def _trees(self, bs: BlockString, ids: Iterator[list[int]]) -> Iterator[Match]:
-        """One tuple of trees per row for the blocks of ``bs``, taking each
-        block's id column, then its children's, from ``ids``."""
-        return zip(
-            *[
-                map(MatchTree, next(ids))
-                if block.children is None
-                else map(MatchTree, next(ids), self._trees(block.children, ids))
-                for block in bs.blocks
-            ]
-        )
-
 
 def _as_query(query: Query | str) -> Query:
     return parse(query) if isinstance(query, str) else query
@@ -368,8 +397,9 @@ def _as_query(query: Query | str) -> Query:
 def iter_matches(corpus: Corpus, query: Query | str) -> Iterator[Match]:
     """Stream matches in deterministic order, one chunk of the match table
     at a time."""
-    ev = _Eval(corpus, _as_query(query))
-    return (match for cols in ev.table() for match in ev.matches(cols))
+    q = _as_query(query)
+    ev, shape = _Eval(corpus, q), _shape(q.root)
+    return (match for cols in ev.table() for match in _trees(shape, iter([corpus._ids[col].tolist() for col in cols])))
 
 
 def evaluate(
@@ -400,12 +430,11 @@ def evaluate(
                 break
     except TimeoutError:
         truncated = True
-    matches = tuple(match for cols in chunks for match in ev.matches(cols))
-    top = [i for i, block in enumerate(q.blocks_preorder()) if any(block is b for b in q.root.blocks)]
-    outer = np.concatenate([np.empty(0, dtype=np.int64)] + [cols[i] for cols in chunks for i in top])
-    return ResultSet(
-        matches=matches,
-        total=total,
-        verses=tuple(corpus._passages_meeting(corpus._ids[outer])),
-        truncated=truncated,
-    )
+    blocks = q.blocks_preorder()
+    empty = np.empty(0, dtype=np.int64)
+    cols = [corpus._ids[np.concatenate([empty] + [c[k] for c in chunks])] for k in range(len(blocks))]
+    outer = np.concatenate([col for col, block in zip(cols, blocks) if any(block is b for b in q.root.blocks)])
+    verses, hits = corpus._passages_meeting(outer)
+    result = ResultSet(None, total, tuple(verses), truncated)  # type: ignore[arg-type]
+    result._shape, result._cols, result._hits = _shape(q.root), cols, hits
+    return result

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,9 @@ from fabric.annotations import (
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.errors import QueryError, StoreError
+from fabric.query import evaluator
 from fabric.query.evaluator import evaluate
+from fabric.query.oracle import brute_force_evaluate
 from fabric.synth import random_corpus, random_query
 
 STAMP = "2024-01-01T00:00:00Z"
@@ -83,6 +86,39 @@ class TestSnapshots:
     def test_timestamps_respect_now(self, toy4_corpus):
         _, saved = fox_store(toy4_corpus)
         assert saved.created == STAMP and saved.modified == STAMP
+
+
+class TestSaveWithoutTrees:
+    QUERIES = ('[word lex="fox"]', '[phrase typ="NP" [word]]', "[word] [word]", "[verse]")
+
+    def test_save_builds_no_tree_and_joins_passages_once(self, toy4_corpus, monkeypatch):
+        results = [evaluate(toy4_corpus, q) for q in self.QUERIES]
+        want = [build_snapshot(toy4_corpus, result) for result in results]
+        calls = []
+        meeting = Corpus._meeting
+
+        def counted(self, rows):
+            calls.append(len(rows))
+            return meeting(self, rows)
+
+        def no_tree(*args):
+            raise AssertionError("a MatchTree was built")
+
+        monkeypatch.setattr(evaluator, "MatchTree", no_tree)
+        monkeypatch.setattr(Corpus, "_meeting", counted)
+        store = AnnotationStore.for_corpus(toy4_corpus)
+        for i, (query, snapshot, result) in enumerate(zip(self.QUERIES, want, results)):
+            calls.clear()
+            saved = save_query(store, toy4_corpus, query, name=f"q{i}", author="ada", now=STAMP)
+            assert saved.snapshot == snapshot and len(calls) == 1
+            assert evaluate(toy4_corpus, query) == result
+
+    def test_oracle_result_snapshots_like_evaluate(self, toy4_corpus):
+        for query in self.QUERIES:
+            result = evaluate(toy4_corpus, query)
+            assert build_snapshot(toy4_corpus, brute_force_evaluate(toy4_corpus, query)) == build_snapshot(
+                toy4_corpus, result
+            )
 
 
 class TestSaveRules:
@@ -372,6 +408,33 @@ class TestImportValidation:
         with pytest.raises(StoreError, match="does not intersect"):
             import_bytes(self.dump(doc), corpus)
 
+    def test_verifies_intersection_run_by_run(self):
+        # With phrases as passages, a discontiguous phrase's envelope covers
+        # words it does not meet; listing such words under it must fail, and
+        # the first such pair in snapshot order is reported.
+        logical = random_corpus(random.Random(2), max_words=60, tricky_values=False)
+        logical = replace(logical, metadata=replace(logical.metadata, passage_otype="phrase"))
+        monads = {n.id: frozenset(n.monads) for n in logical.nodes}
+        corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
+        store = AnnotationStore.for_corpus(corpus)
+        save_query(store, corpus, "[word]", name="w", author="a", now=STAMP)
+        doc = json.loads(export_bytes(store))
+        assert import_bytes(self.dump(doc), corpus) == store
+        snapshot = doc["queries"][0]["snapshot"]
+        words = list(corpus.nodes("word"))
+        bad = [
+            (entry, w)
+            for entry in snapshot
+            for w in words
+            if min(monads[entry[0]]) <= min(monads[w]) <= max(monads[entry[0]]) and not monads[entry[0]] & monads[w]
+        ]
+        assert len(bad) >= 2
+        for entry, w in bad:
+            entry[1].append(w)
+        (verse, _), node = bad[0]
+        with pytest.raises(StoreError, match=f"node {node} does not intersect verse {verse}$"):
+            import_bytes(self.dump(doc), corpus)
+
     def test_skips_snapshot_checks_without_a_corpus(self, toy4_corpus):
         doc = self.doc(toy4_corpus)
         doc["queries"][0]["snapshot"] = [[3, [999]]]
@@ -420,6 +483,16 @@ class TestVerseIndex:
         store, _ = fox_store(toy4_corpus)
         imported = import_bytes(export_bytes(store), toy4_corpus)
         assert imported.verse_index() == imported.rebuild_verse_index() == {301: [1]}
+
+    def test_index_stays_sorted_after_an_unordered_import(self, toy4_corpus):
+        store, _ = fox_store(toy4_corpus)
+        save_query(store, toy4_corpus, "[word]", name="w", author="ada")
+        save_query(store, toy4_corpus, "[verse]", name="v", author="ada")
+        doc = json.loads(export_bytes(store))
+        doc["queries"] = [doc["queries"][i] for i in (2, 0, 1)]
+        imported = import_bytes(json.dumps(doc).encode("utf-8"), toy4_corpus)
+        assert imported.verse_index() == imported.rebuild_verse_index() == store.verse_index()
+        assert all(qids == sorted(qids) for qids in imported.verse_index().values())
 
     def test_next_id_continues_after_import(self, toy4_corpus):
         store, _ = fox_store(toy4_corpus)

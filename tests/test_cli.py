@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fabric.cli import main
 from fabric.query import evaluator
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +73,26 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_one_process_runs_like_separate_processes(self, image, capsys, tmp_path):
+        # The parser is built once per process; a usage error must leave it
+        # fit for the commands after it.
+        calls = [
+            ["query", image],
+            ["query", image, "-q", "[word] [word]", "--limit", "2"],
+            ["annotate", image, "{store}", "save", "-q", '[word lex="fox"]', "--name", "f", "--author", "ada"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        apart = []
+        for argv in calls:
+            argv = [a.format(store=tmp_path / "apart.json") for a in argv]
+            done = subprocess.run(
+                [sys.executable, "-m", "fabric.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            apart.append((done.returncode, done.stdout, done.stderr))
+        together = [run(capsys, *[a.format(store=tmp_path / "together.json") for a in argv]) for argv in calls]
+        assert together == apart
+        assert [code for code, _, _ in together] == [1, 0, 0]
 
 
 class TestCompile:

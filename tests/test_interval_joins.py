@@ -22,13 +22,13 @@ from dataclasses import replace
 import pytest
 
 import reference
-from fabric.annotations import build_snapshot
+from fabric.annotations import AnnotationStore, build_snapshot, save_query
 from fabric.cli import CliConfig, _stream_matches
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.ingest import parse_graf
 from fabric.query import evaluator
-from fabric.query.evaluator import _Eval, evaluate, iter_matches
+from fabric.query.evaluator import ResultSet, _Eval, evaluate, iter_matches
 from fabric.query.oracle import _expr_true
 from fabric.query.syntax import parse
 from fabric.synth import quote_string, random_corpus, write_big_graf
@@ -123,27 +123,37 @@ class Scan:
                 assert source.estimate == len(ev._posting_rows(source)), text
             else:
                 assert source.estimate == len(self.by_otype[block.otype]), text
-        result = evaluate(self.corpus, query)
-        assert list(iter_matches(self.corpus, query)) == list(result.matches), text
-        cap = result.total // 2
-        capped = evaluate(self.corpus, query, max_matches=cap)
-        assert capped.matches == result.matches[:cap], text
-        assert capped.truncated == (result.total > cap), text
-        for size in (1, 2):
+        streamed = list(iter_matches(self.corpus, query))
+        rows = [reference.flatten_match(match) for match in streamed]
+        assert rows == reference.scan_matches(query.root, self.candidates, self.monads), text
+        # Per cap: an eagerly built result, with the verses of the reference
+        # snapshot, and that snapshot.
+        cap = len(streamed) // 2
+        want = {}
+        for limit in (None, cap):
+            kept = tuple(streamed[:limit])
+            snapshot = self.snapshot(kept)
+            eager = ResultSet(kept, len(kept), tuple(v for v, _ in snapshot), len(kept) < len(streamed))
+            want[limit] = (eager, snapshot)
+        first = {}
+        for size in (1, 2, evaluator._CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evaluator, "_CHUNK", size)
-                assert evaluate(self.corpus, query) == result, (text, size)
-                assert evaluate(self.corpus, query, max_matches=cap) == capped, (text, size)
-        assert reference.result_rows(result) == reference.scan_matches(
-            query.root, self.candidates, self.monads
-        ), text
-        outer = {tree.node for match in result.matches for tree in match}
+                for limit, (eager, snapshot) in want.items():
+                    result = evaluate(self.corpus, query, max_matches=limit)
+                    # Between two evaluate results, == compares id columns.
+                    assert result == first.setdefault(limit, result), (text, size, limit)
+                    assert build_snapshot(self.corpus, result) == snapshot, (text, size, limit)
+                    assert result == eager and eager == result, (text, size, limit)
+                    assert repr(result) == repr(eager), (text, size, limit)
+                assert save_without_trees(self.corpus, text, first[None]) == want[None][1], (text, size)
+
+    def snapshot(self, matches) -> tuple:
+        """The (verse, outermost nodes) pairs of matches, by nested scans."""
+        outer = {tree.node for match in matches for tree in match}
         outer = [n for n in self.order if n in outer]
         verses = reference.passages_meeting(self.passages, outer, self.monads)
-        assert list(result.verses) == verses, text
-        assert build_snapshot(self.corpus, result) == tuple(
-            (v, tuple(n for n in outer if self.monads[v] & self.monads[n])) for v in verses
-        ), text
+        return tuple((v, tuple(n for n in outer if self.monads[v] & self.monads[n])) for v in verses)
 
     def check_nodes(self, nodes: list[int], rng: random.Random) -> None:
         for node in nodes:
@@ -155,6 +165,29 @@ class Scan:
             assert self.corpus.up(node, otype) == reference.up(node, typed, self.monads)
             met = reference.passages_meeting(self.passages, [node], self.monads)
             assert self.corpus.passage_of(node) == (met[0] if met else None)
+
+
+def save_without_trees(corpus: Corpus, text: str, result: ResultSet):
+    """``save_query``'s snapshot, saved with ``MatchTree`` made to raise and
+    ``Corpus._meeting`` counted: a save builds no tree and joins passages
+    once.  Under the same patch, ``text`` evaluates equal to ``result``."""
+    calls = []
+    meeting = Corpus._meeting
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return meeting(self, rows)
+
+    def no_tree(*args):
+        raise AssertionError("a MatchTree was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "MatchTree", no_tree)
+        mp.setattr(Corpus, "_meeting", counted)
+        saved = save_query(AnnotationStore.for_corpus(corpus), corpus, text, name="q", author="a")
+        assert len(calls) == 1
+        assert evaluate(corpus, text) == result
+    return saved.snapshot
 
 
 def cli_reference(corpus: Corpus, text: str, fmt: str) -> list[str]:
