@@ -9,6 +9,7 @@ stream as they are produced instead of buffering the whole result set.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import functools
 import json
 import sys
@@ -185,11 +186,9 @@ def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
     query = parse(query_text)
     ev = _Eval(corpus, query, None if cfg.timeout is None else time.monotonic() + cfg.timeout)
     paths, slot = _block_paths(query), corpus.metadata.slot_otype
-    shown, status = 0, ""
+    shown = 0
     try:
-        for cols in ev.table():
-            if cfg.limit is not None and shown + len(cols[0]) > cfg.limit:
-                cols, status = [col[: max(cfg.limit - shown, 0)] for col in cols], "limit reached"
+        for cols in ev.table(cfg.limit):
             rows = np.stack(cols, axis=1)  # one match per line, blocks in pre-order
             nodes = corpus._ids[rows].tolist()
             names = np.array(corpus._otypes, dtype=object)[corpus._otype_code[rows]].tolist()
@@ -210,17 +209,14 @@ def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
             shown += len(rows)
             if lines:
                 print("\n".join(lines))
-            if status:
-                break
     except KeyboardInterrupt:
         print("-- interrupted, partial results --", file=sys.stderr)
         return EXIT_USER
-    except TimeoutError:
-        status = "timeout"
-        if cfg.format != "text":
-            cfg.fail(f"timeout after {cfg.timeout}s, {shown} match(es) shown", EXIT_OK)
     if cfg.format == "text":
-        print(f"{shown} match(es)" + (f" ({status})" if status else ""))
+        status = {"limit": " (limit reached)", "timeout": " (timeout)"}.get(ev.stopped, "")
+        print(f"{shown} match(es){status}")
+    elif ev.stopped == "timeout":
+        cfg.fail(f"timeout after {cfg.timeout}s, {shown} match(es) shown", EXIT_OK)
     return EXIT_OK
 
 
@@ -317,17 +313,20 @@ def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:
     action = args.action
 
     if action == "save":
-        store = _open_store(store_path, corpus)
-        saved = save_query(
-            store,
-            corpus,
-            args.query,
-            name=args.name,
-            author=args.author,
-            description=args.description or "",
-            is_public=not args.private,
-        )
-        export_store(store, store_path)
+        # Locked from read to replace, so two concurrent saves both land.
+        with open(f"{store_path}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            store = _open_store(store_path, corpus)
+            saved = save_query(
+                store,
+                corpus,
+                args.query,
+                name=args.name,
+                author=args.author,
+                description=args.description or "",
+                is_public=not args.private,
+            )
+            export_store(store, store_path)
         if cfg.format == "json":
             print(
                 json.dumps(

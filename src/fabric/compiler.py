@@ -41,24 +41,10 @@ class CompileSummary:
     dictionaries: tuple[tuple[str, int], ...]  # ("N:lex", distinct values)
 
 
-def _u32(values) -> bytes:
-    arr = np.asarray(values, dtype="<u4")
-    return arr.tobytes()
-
-
 def _check_u32(value: int, what: str) -> int:
     if not 0 <= value <= _U32_MAX:
         raise ValueError(f"{what} {value} exceeds the 32-bit image format limit")
     return value
-
-
-def _pack_strtable(strings: list[str]) -> bytes:
-    blob = bytearray()
-    offsets = [0]
-    for s in strings:
-        blob += s.encode("utf-8")
-        offsets.append(len(blob))
-    return _u32([len(strings), 0]) + _u32(offsets) + bytes(blob)
 
 
 def _value_dictionary(values: Counter[str]) -> dict[str, int]:
@@ -77,11 +63,11 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     _check_u32(len(corpus.text), "text length")
     starts = [r.start for r in corpus.slots]
     ends = [r.end for r in corpus.slots]
-    sections.append((image.SLOTS, _u32([len(corpus.slots), 0]) + _u32(starts) + _u32(ends)))
+    sections.append((image.SLOTS, image.pack(len(corpus.slots), starts, ends)))
 
     ranked = list(rank_otypes(corpus.metadata, {n.otype for n in corpus.nodes}))
     rank = {otype: i for i, otype in enumerate(ranked)}
-    sections.append((image.OTYPES, _pack_strtable(ranked)))
+    sections.append((image.OTYPES, image.pack(len(ranked), strings=ranked)))
 
     # Monad-set pool: distinct run tuples in lexicographic order.
     pool_index: dict[tuple[tuple[int, int], ...], int] = {}
@@ -98,31 +84,28 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
             run_last.append(_check_u32(last, "monad"))
         set_offsets.append(len(run_first))
     sections.append(
-        (
-            image.MONADPOOL,
-            _u32([len(ordered_sets), len(run_first)]) + _u32(set_offsets) + _u32(run_first) + _u32(run_last),
-        )
+        (image.MONADPOOL, image.pack(len(ordered_sets), set_offsets, run_first, run_last, extra=len(run_first)))
     )
 
     node_ids = [_check_u32(n.id, "node id") for n in corpus.nodes]
     otype_codes = [rank[n.otype] for n in corpus.nodes]
     monad_idx = [pool_index[n.monads.runs] for n in corpus.nodes]
-    sections.append(
-        (image.NODES, _u32([len(corpus.nodes), 0]) + _u32(node_ids) + _u32(otype_codes) + _u32(monad_idx))
-    )
+    sections.append((image.NODES, image.pack(len(corpus.nodes), node_ids, otype_codes, monad_idx)))
 
     labels = sorted({e.label for e in corpus.edges})
     label_code = {label: i for i, label in enumerate(labels)}
-    sections.append((image.EDGELABELS, _pack_strtable(labels)))
+    sections.append((image.EDGELABELS, image.pack(len(labels), strings=labels)))
     edges = sorted(corpus.edges, key=lambda e: (label_code[e.label], e.src, e.id))
     sections.append(
         (
             image.EDGES,
-            _u32([len(edges), 0])
-            + _u32([_check_u32(e.id, "edge id") for e in edges])
-            + _u32([e.src for e in edges])
-            + _u32([e.dst for e in edges])
-            + _u32([label_code[e.label] for e in edges]),
+            image.pack(
+                len(edges),
+                [_check_u32(e.id, "edge id") for e in edges],
+                [e.src for e in edges],
+                [e.dst for e in edges],
+                [label_code[e.label] for e in edges],
+            ),
         )
     )
 
@@ -155,37 +138,18 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     for f in corpus.features:
         grouped.setdefault((f.kind, f.key), []).append((f.target, f.value))
     ordered_keys = sorted(grouped, key=lambda kk: (_KIND_CODE[kk[0]], kk[1]))
-    index_ids: list[int] = []
-    index_kinds: list[int] = []
-    key_offsets = [0]
-    key_blob = bytearray()
-    for i, (kind, key) in enumerate(ordered_keys):
+    index_ids = [image.FEATURE_BASE + i for i in range(len(ordered_keys))]
+    for sid, (kind, key) in zip(index_ids, ordered_keys):
         pairs = sorted(grouped[(kind, key)])
         codes_by_value = _value_dictionary(Counter(v for _, v in pairs))
         dict_sizes.append((f"{kind}:{key}", len(codes_by_value)))
         values = sorted(codes_by_value, key=codes_by_value.get)
-        payload = (
-            _u32([len(pairs), len(values)])
-            + _u32([t for t, _ in pairs])
-            + _u32([codes_by_value[v] for _, v in pairs])
-            + _pack_strtable(values)
-        )
-        sid = image.FEATURE_BASE + i
-        sections.append((sid, payload))
-        index_ids.append(sid)
-        index_kinds.append(_KIND_CODE[kind])
-        key_blob += key.encode("utf-8")
-        key_offsets.append(len(key_blob))
-    sections.append(
-        (
-            image.FEATINDEX,
-            _u32([len(ordered_keys), 0])
-            + _u32(index_ids)
-            + _u32(index_kinds)
-            + _u32(key_offsets)
-            + bytes(key_blob),
-        )
-    )
+        targets, codes = [t for t, _ in pairs], [codes_by_value[v] for _, v in pairs]
+        store = image.pack(len(pairs), targets, codes, extra=len(values))
+        sections.append((sid, store + image.pack(len(values), strings=values)))
+    kinds = [_KIND_CODE[kind] for kind, _ in ordered_keys]
+    keys = [key for _, key in ordered_keys]
+    sections.append((image.FEATINDEX, image.pack(len(keys), index_ids, kinds, strings=keys)))
 
     return sections, dict_sizes
 

@@ -50,11 +50,6 @@ def _bad_section(name: str, exc: Exception) -> ImageError:
     return ImageError("BAD_SECTION", f"section {name} cannot be decoded: {exc}", section=name)
 
 
-def _u32view(buf: memoryview, offset: int, count: int) -> np.ndarray:
-    arr = np.frombuffer(buf, dtype="<u4", count=count, offset=offset)
-    return arr
-
-
 def _find(arr: np.ndarray, value: int) -> int:
     """Position of ``value`` in the sorted u32 array ``arr``, or -1.  The
     search key is a u32 scalar, so numpy does not copy ``arr`` to a wider
@@ -78,23 +73,15 @@ def _find_all(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
-def _unpack_strtable(buf: memoryview) -> tuple[str, ...]:
-    count = int(_u32view(buf, 0, 1)[0])
-    offsets = _u32view(buf, 8, count + 1)
-    blob = bytes(buf[8 + 4 * (count + 1) :])
-    return tuple(blob[offsets[i] : offsets[i + 1]].decode("utf-8") for i in range(count))
-
-
 class FeatureStore:
     """One (kind, key) feature table: sorted targets, dictionary codes."""
 
     __slots__ = ("targets", "codes", "values")
 
     def __init__(self, payload: memoryview):
-        count = int(_u32view(payload, 0, 1)[0])
-        self.targets = _u32view(payload, 8, count)
-        self.codes = _u32view(payload, 8 + 4 * count, count)
-        self.values = _unpack_strtable(payload[8 + 8 * count :])
+        count, _ = image.head(payload)
+        self.targets, self.codes, dictionary = image.unpack(payload, count, count)
+        self.values, _ = image.unpack(dictionary, strings=True)
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -141,28 +128,25 @@ class Corpus:
             self.text: str = bytes(need(image.TEXT)).decode("utf-8")
 
             slots = need(image.SLOTS)
-            width = int(_u32view(slots, 0, 1)[0])
-            self._slot_starts = _u32view(slots, 8, width)
-            self._slot_ends = _u32view(slots, 8 + 4 * width, width)
+            width, _ = image.head(slots)
+            self._slot_starts, self._slot_ends, _ = image.unpack(slots, width, width)
 
-            self._otypes = _unpack_strtable(need(image.OTYPES))
+            self._otypes, _ = image.unpack(need(image.OTYPES), strings=True)
             self._otype_rank = {name: i for i, name in enumerate(self._otypes)}
 
             pool = need(image.MONADPOOL)
-            pool_count = int(_u32view(pool, 0, 1)[0])
-            run_count = int(_u32view(pool, 4, 1)[0])
-            self._set_offsets = _u32view(pool, 8, pool_count + 1)
-            base = 8 + 4 * (pool_count + 1)
-            self._run_first = _u32view(pool, base, run_count)
-            self._run_last = _u32view(pool, base + 4 * run_count, run_count)
+            sets, runs = image.head(pool)
+            self._set_offsets, self._run_first, self._run_last, _ = image.unpack(pool, sets + 1, runs, runs)
+            if runs and (int(self._run_first.min()) < 1 or int(self._run_last.max()) > width):
+                raise ValueError(f"a monad run lies outside 1..{width}")
 
             nodes = need(image.NODES)
-            n = int(_u32view(nodes, 0, 1)[0])
-            self._ids = _u32view(nodes, 8, n)
-            self._otype_code = _u32view(nodes, 8 + 4 * n, n)
-            self._monad_idx = _u32view(nodes, 8 + 8 * n, n)
+            n, _ = image.head(nodes)
+            self._ids, self._otype_code, self._monad_idx, _ = image.unpack(nodes, n, n, n)
             if n and int(self._otype_code.max()) >= len(self._otypes):
                 raise ValueError(f"otype code past the {len(self._otypes)}-entry otype table")
+            if np.any(self._ids[1:] <= self._ids[:-1]):
+                raise ValueError("node ids are not strictly ascending")
 
             # Per-node monad envelope, derived from the pool in one gather.
             sets = self._monad_idx.astype(np.int64)
@@ -175,13 +159,12 @@ class Corpus:
             self._canon_pos = np.empty(n, dtype=np.int64)
             self._canon_pos[self._canon] = np.arange(n)
 
-            self._edge_labels = _unpack_strtable(need(image.EDGELABELS))
+            self._edge_labels, _ = image.unpack(need(image.EDGELABELS), strings=True)
             edges = need(image.EDGES)
-            e = int(_u32view(edges, 0, 1)[0])
-            self._edge_ids = _u32view(edges, 8, e)
-            self._edge_src = _u32view(edges, 8 + 4 * e, e)
-            self._edge_dst = _u32view(edges, 8 + 8 * e, e)
-            self._edge_label_code = _u32view(edges, 8 + 12 * e, e)
+            e, _ = image.head(edges)
+            self._edge_ids, self._edge_src, self._edge_dst, self._edge_label_code, _ = image.unpack(
+                edges, e, e, e, e
+            )
 
             meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
             self.metadata = CorpusMetadata(
@@ -198,15 +181,11 @@ class Corpus:
             )
 
             findex = need(image.FEATINDEX)
-            fcount = int(_u32view(findex, 0, 1)[0])
-            fids = _u32view(findex, 8, fcount)
-            fkinds = _u32view(findex, 8 + 4 * fcount, fcount)
-            foffsets = _u32view(findex, 8 + 8 * fcount, fcount + 1)
-            fblob = bytes(findex[8 + 8 * fcount + 4 * (fcount + 1) :])
-            self._feature_sections: dict[tuple[str, str], int] = {}
-            for i in range(fcount):
-                key = fblob[foffsets[i] : foffsets[i + 1]].decode("utf-8")
-                self._feature_sections[(_KINDS[int(fkinds[i])], key)] = int(fids[i])
+            fcount, _ = image.head(findex)
+            fids, fkinds, keys, _ = image.unpack(findex, fcount, fcount, strings=True)
+            self._feature_sections: dict[tuple[str, str], int] = {
+                (_KINDS[kind], key): sid for sid, kind, key in zip(fids.tolist(), fkinds.tolist(), keys)
+            }
             for sid in self._feature_sections.values():
                 need(sid)  # stores decode lazily, but must exist now
         except _DECODE_ERRORS as exc:

@@ -11,6 +11,11 @@ An image file is:
 All integers are little-endian.  The CRC-32 (zlib polynomial) of every
 payload is stored in its directory entry, so corruption is detected per
 section before any payload is interpreted.
+
+Every payload but TEXT, METADATA and STATS is a *table*, written by
+``pack`` and read back by ``head`` and ``unpack``: u32 count, u32 extra,
+u32 columns, then optionally ``count`` strings as u32 offsets[count+1]
+and a UTF-8 blob.  This module is the only one that knows those layouts.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import ImageError
 
@@ -66,6 +74,43 @@ def _align8(n: int) -> int:
 def fingerprint(data: bytes | memoryview) -> str:
     """Content identity of an image: hex SHA-256 over all its bytes."""
     return hashlib.sha256(data).hexdigest()
+
+
+def pack(count: int, *columns, extra: int = 0, strings: list[str] | None = None) -> bytes:
+    """A table section: the head words ``count`` and ``extra``, each column
+    as u32, then, given strings, their offsets and UTF-8 blob."""
+    parts = [np.asarray(c, dtype="<u4").tobytes() for c in ([count, extra], *columns)]
+    if strings is not None:
+        encoded = [s.encode("utf-8") for s in strings]
+        parts += [np.asarray([0, *accumulate(map(len, encoded))], dtype="<u4").tobytes(), *encoded]
+    return b"".join(parts)
+
+
+def head(payload: memoryview) -> tuple[int, int]:
+    """The head words (count, extra) of a table section."""
+    count, extra = np.frombuffer(payload, dtype="<u4", count=2).tolist()
+    return count, extra
+
+
+def unpack(payload: memoryview, *lengths: int, strings: bool = False) -> tuple:
+    """The columns of a table section, as read-only u32 views of the given
+    lengths; then, with ``strings``, its ``count`` strings as a tuple; then
+    the bytes left over.  Raises ValueError when a column runs past the
+    end or a string is not UTF-8."""
+    out: list = []
+    pos = 8
+    for n in lengths:
+        out.append(np.frombuffer(payload, dtype="<u4", count=n, offset=pos))
+        pos += 4 * n
+    if strings:
+        count = head(payload)[0]
+        offsets = np.frombuffer(payload, dtype="<u4", count=count + 1, offset=pos).tolist()
+        pos += 4 * (count + 1)
+        blob = bytes(payload[pos:])
+        out.append(tuple(blob[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])))
+        pos += offsets[-1]
+    out.append(payload[pos:])
+    return tuple(out)
 
 
 def build_image(sections: list[tuple[int, bytes]]) -> bytes:
@@ -136,12 +181,16 @@ def read_directory(data: bytes | memoryview) -> tuple[SectionEntry, ...]:
     return tuple(entries)
 
 
+def _crc_ok(view: memoryview, e: SectionEntry) -> bool:
+    return zlib.crc32(view[e.offset : e.offset + e.length]) == e.crc
+
+
 def verify_sections(data: bytes | memoryview, entries: tuple[SectionEntry, ...]) -> None:
     """CRC-check every payload; raises on the first mismatch in directory
     order."""
     view = memoryview(data)
     for e in entries:
-        if zlib.crc32(view[e.offset : e.offset + e.length]) != e.crc:
+        if not _crc_ok(view, e):
             raise ImageError("SECTION_CRC", f"section {e.name} fails its CRC check", section=e.name)
 
 
@@ -165,7 +214,7 @@ def check_image(data: bytes | memoryview) -> ImageCheck:
     problems: list[str] = []
     rows: list[tuple[str, int, bool]] = []
     for e in entries:
-        good = zlib.crc32(view[e.offset : e.offset + e.length]) == e.crc
+        good = _crc_ok(view, e)
         rows.append((e.name, e.length, good))
         if not good:
             problems.append(f"SECTION_CRC: section {e.name} fails its CRC check")

@@ -203,27 +203,29 @@ def _parse_keyvalue(path: Path) -> dict[str, list[tuple[int, str]]]:
     return entries
 
 
+def _single(entries: dict[str, list[tuple[int, str]]], key: str, path: Path) -> str | None:
+    """The value of a key given at most once, None when it is absent."""
+    values = entries.get(key)
+    if not values:
+        return None
+    if len(values) > 1:
+        raise IngestError(f"key {key!r} given more than once", file=str(path), line=values[1][0])
+    return values[0][1]
+
+
 def _metadata_from_entries(
     entries: dict[str, list[tuple[int, str]]], path: Path
 ) -> CorpusMetadata:
-    def single(key: str, default: str | None = None) -> str | None:
-        values = entries.get(key)
-        if not values:
-            return default
-        if len(values) > 1:
-            raise IngestError(f"key {key!r} given more than once", file=str(path), line=values[1][0])
-        return values[0][1]
-
-    otypes_raw = single("otypes", "")
+    otypes_raw = _single(entries, "otypes", path)
     otypes = tuple(t for t in _LIST_SPLIT_RE.split(otypes_raw or "") if t)
-    intfeat_raw = single("intfeatures", "")
+    intfeat_raw = _single(entries, "intfeatures", path)
     int_features = frozenset(t for t in _LIST_SPLIT_RE.split(intfeat_raw or "") if t)
     provenance = tuple(v for _, v in entries.get("provenance", ()))
     return CorpusMetadata(
         otypes=otypes,
-        slot_otype=single("slot_otype", "word") or "word",
+        slot_otype=_single(entries, "slot_otype", path) or "word",
         int_features=int_features,
-        passage_otype=single("passage_otype", "verse") or "verse",
+        passage_otype=_single(entries, "passage_otype", path) or "verse",
         provenance=provenance,
     )
 
@@ -259,12 +261,10 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
     base = header.parent
 
     def need(key: str) -> str:
-        values = entries.get(key)
-        if not values:
+        value = _single(entries, key, header)
+        if value is None:
             raise IngestError(f"header is missing {key}=", file=str(header))
-        if len(values) > 1:
-            raise IngestError(f"key {key!r} given more than once", file=str(header), line=values[1][0])
-        return values[0][1]
+        return value
 
     metadata = _metadata_from_entries(entries, header)
     text = _read_text_file(base / need("text"))

@@ -176,6 +176,7 @@ class _Eval:
         self.c = corpus
         self.q = query
         self.deadline = deadline
+        self.stopped: str | None = None  # why table() ended early: "limit" or "timeout"
         self._masks: dict[Atom, np.ndarray] = {}
         self._cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -315,17 +316,28 @@ class _Eval:
 
     # -- the match table --------------------------------------------------------
 
-    def table(self) -> Iterator[list[np.ndarray]]:
+    def table(self, limit: int | None = None) -> Iterator[list[np.ndarray]]:
         """The match table in chunks of at most ``_CHUNK`` rows, in the
         oracle's order: one int64 column of corpus rows per block, in query
-        pre-order."""
-        self._check_deadline()
-        blocks: list[Block] = []
-        steps: list[tuple] = []
-        self._steps(self.q.root, 0, blocks, steps)
-        rows = [self.candidates(block)[0] for block in blocks]
-        for cols in self._expand(steps, [np.zeros(1, dtype=np.int64)]):
-            yield [r[col] for r, col in zip(rows, cols[1:])]
+        pre-order.  It ends early, setting ``stopped``, once a further row
+        would pass ``limit`` (the chunk is cut to the limit, none kept for a
+        negative one) or at the deadline."""
+        kept = 0
+        try:
+            self._check_deadline()
+            blocks: list[Block] = []
+            steps: list[tuple] = []
+            self._steps(self.q.root, 0, blocks, steps)
+            rows = [self.candidates(block)[0] for block in blocks]
+            for cols in self._expand(steps, [np.zeros(1, dtype=np.int64)]):
+                if limit is not None and kept + len(cols[0]) > limit:
+                    cols, self.stopped = [col[: max(limit - kept, 0)] for col in cols], "limit"
+                kept += len(cols[0])
+                yield [r[col] for r, col in zip(rows, cols[1:])]
+                if self.stopped:
+                    return
+        except TimeoutError:
+            self.stopped = "timeout"
 
     def _steps(self, bs: BlockString, parent: int, blocks: list[Block], steps: list[tuple]) -> None:
         """Append the blocks of ``bs`` and their descendants in pre-order,
@@ -418,23 +430,13 @@ def evaluate(
     """
     q = _as_query(query)
     ev = _Eval(corpus, q, None if timeout is None else time.monotonic() + timeout)
-    chunks: list[list[np.ndarray]] = []
-    total, truncated = 0, False
-    try:
-        for cols in ev.table():
-            if max_matches is not None and total + len(cols[0]) > max_matches:
-                cols, truncated = [col[: max(max_matches - total, 0)] for col in cols], True
-            chunks.append(cols)
-            total += len(cols[0])
-            if truncated:
-                break
-    except TimeoutError:
-        truncated = True
+    chunks = list(ev.table(max_matches))
+    total = sum(len(cols[0]) for cols in chunks)
     blocks = q.blocks_preorder()
     empty = np.empty(0, dtype=np.int64)
     cols = [corpus._ids[np.concatenate([empty] + [c[k] for c in chunks])] for k in range(len(blocks))]
     outer = np.concatenate([col for col, block in zip(cols, blocks) if any(block is b for b in q.root.blocks)])
     verses, hits = corpus._passages_meeting(outer)
-    result = ResultSet(None, total, tuple(verses), truncated)  # type: ignore[arg-type]
+    result = ResultSet(None, total, tuple(verses), ev.stopped is not None)  # type: ignore[arg-type]
     result._shape, result._cols, result._hits = _shape(q.root), cols, hits
     return result

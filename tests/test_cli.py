@@ -403,6 +403,34 @@ class TestAnnotate:
         assert code == 1
         assert "already has" in err
 
+    def test_concurrent_saves_both_land(self, image, capsys, tmp_path, monkeypatch):
+        import threading
+        import time
+
+        from fabric import cli
+        from fabric.annotations import import_store
+
+        store = str(tmp_path / "store.json")
+        save = ("annotate", image, store, "save", "-q", "[word]", "--author", "ada", "--name")
+        assert run(capsys, *save, "first")[0] == 0
+
+        def slow_import(*args, **kwargs):
+            loaded = import_store(*args, **kwargs)
+            time.sleep(0.3)  # both saves now hold a store read before either writes
+            return loaded
+
+        monkeypatch.setattr(cli, "import_store", slow_import)
+        codes: list[int] = []
+        threads = [threading.Thread(target=lambda n=n: codes.append(main([*save, n]))) for n in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert codes == [0, 0]
+        monkeypatch.undo()
+        assert len(import_store(store).queries) == 3
+
     def test_private_saves_and_filters(self, image, capsys, tmp_path):
         store = str(tmp_path / "store.json")
         run(

@@ -1,9 +1,11 @@
 import random
+import re
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fabric import image
@@ -15,6 +17,7 @@ from fabric.model import MonadSet, Node, Region
 from fabric.synth import random_corpus, toy4
 
 HEADER = struct.Struct("<8sHHI")
+IMAGE_FORMAT_DOC = Path(__file__).parent.parent / "docs" / "image-format.md"
 
 
 def corrupt(data: bytes, offset: int) -> bytes:
@@ -42,6 +45,20 @@ def bad_otype_code(data: bytes) -> bytes:
     return rewrite_section(data, "nodes", 8 + 4 * len(corpus), struct.pack("<I", len(corpus.otypes())))
 
 
+def swapped_node_ids(data: bytes) -> bytes:
+    """The image with the ids of node rows 0 and 1 (1 and 2) swapped."""
+    return rewrite_section(data, "nodes", 8, struct.pack("<II", 2, 1))
+
+
+def run_past_the_text(data: bytes) -> bytes:
+    """The image with the pool's last run ending 5 monads past the text."""
+    corpus = Corpus.from_bytes(data)
+    pool = next(e for e in image.read_directory(data) if e.name == "monadpool")
+    sets, runs = image.head(memoryview(data)[pool.offset : pool.offset + pool.length])
+    last_run_last = 8 + 4 * (sets + 1 + 2 * runs - 1)
+    return rewrite_section(data, "monadpool", last_run_last, struct.pack("<I", corpus.width + 5))
+
+
 # (section, payload offset, new bytes): counts past the payload's end, and
 # METADATA that is not JSON.
 MALFORMED = [
@@ -49,7 +66,14 @@ MALFORMED = [
     ("slots", 0, struct.pack("<I", 10**6)),
     ("otypes", 0, struct.pack("<I", 10**6)),
     ("metadata", 0, b"["),
+    ("monadpool", 0, struct.pack("<I", 10**6)),
+    ("edges", 0, struct.pack("<I", 10**6)),
+    ("edgelabels", 0, struct.pack("<I", 10**6)),
+    ("featindex", 0, struct.pack("<I", 10**6)),
 ]
+
+# (section, rewrite): sections that decode but contradict the image.
+CONTRADICTORY = [("nodes", swapped_node_ids), ("monadpool", run_past_the_text)]
 
 
 class TestDeterminism:
@@ -186,6 +210,20 @@ class TestCorruption:
         assert main([args[0], str(bad), *args[1:]]) == 2
         assert "section nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,rewrite", CONTRADICTORY, ids=[f.__name__ for _, f in CONTRADICTORY])
+    def test_contradictory_section_is_an_image_error(self, toy4_bytes, name, rewrite):
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_bytes(rewrite(toy4_bytes))
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+
+    @pytest.mark.parametrize("args", [["info"], ["query", "-q", "[word]"]], ids=["info", "query"])
+    @pytest.mark.parametrize("name,rewrite", CONTRADICTORY, ids=[f.__name__ for _, f in CONTRADICTORY])
+    def test_contradictory_section_exits_two(self, toy4_bytes, tmp_path, capsys, name, rewrite, args):
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(rewrite(toy4_bytes))
+        assert main([args[0], str(bad), *args[1:]]) == 2
+        assert f"section {name}" in capsys.readouterr().err
+
     def test_feature_index_naming_a_missing_section(self, toy4_bytes):
         with pytest.raises(ImageError) as exc:
             Corpus.from_bytes(rewrite_section(toy4_bytes, "featindex", 8, struct.pack("<I", 9999)))
@@ -258,6 +296,40 @@ class TestRoundTrip:
         data, _ = compile_to_bytes(corpus)
         rebuilt = Corpus.from_bytes(data).as_logical_corpus()
         assert compile_to_bytes(rebuilt)[0] == data
+
+
+u32s = st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=6)
+
+
+class TestTableCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(u32s, max_size=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.one_of(st.none(), st.lists(st.text(max_size=8), max_size=5)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.binary(max_size=9),
+    )
+    @example([[], []], 0, [], 0, b"")
+    @example([[7]], 0, ["", "אֱלֹהִים", "λόγος", "x"], 1, b"")
+    def test_unpack_returns_what_pack_wrote(self, columns, count, strings, extra, tail):
+        if strings is not None:
+            count = len(strings)
+        payload = memoryview(image.pack(count, *columns, extra=extra, strings=strings) + tail)
+        assert image.head(payload) == (count, extra)
+        *got, rest = image.unpack(payload, *map(len, columns), strings=strings is not None)
+        if strings is not None:
+            assert got.pop() == tuple(strings)
+        assert [col.tolist() for col in got] == columns
+        assert not any(col.flags.writeable for col in got)
+        assert bytes(rest) == tail
+
+
+class TestFormatDoc:
+    def test_every_section_id_is_in_the_section_table(self):
+        doc = IMAGE_FORMAT_DOC.read_text(encoding="utf-8")
+        for sid, name in image.SECTION_NAMES.items():
+            assert re.search(rf"^\|\s*{sid}\s*\|\s*{name.upper()}\s*\|", doc, re.M), name
 
 
 class TestBuildImage:
