@@ -570,6 +570,8 @@ def main(argv: list[str] | None = None) -> int:
         return cfg.fail(f"corrupt image: {exc}", EXIT_CORRUPT)
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # a path that cannot be read or written
+        return cfg.fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 if __name__ == "__main__":

@@ -82,6 +82,10 @@ class FeatureStore:
         count, _ = image.head(payload)
         self.targets, self.codes, dictionary = image.unpack(payload, count, count)
         self.values, _ = image.unpack(dictionary, strings=True)
+        if np.any(self.targets[1:] <= self.targets[:-1]):
+            raise ValueError("targets are not strictly ascending")
+        if count and int(self.codes.max()) >= len(self.values):
+            raise ValueError(f"value code past the {len(self.values)}-entry dictionary")
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -165,6 +169,10 @@ class Corpus:
             self._edge_ids, self._edge_src, self._edge_dst, self._edge_label_code, _ = image.unpack(
                 edges, e, e, e, e
             )
+            if e and int(self._edge_label_code.max()) >= len(self._edge_labels):
+                raise ValueError(f"edge label code past the {len(self._edge_labels)}-entry label table")
+            if e and np.any(_find_all(self._ids, np.concatenate((self._edge_src, self._edge_dst))) < 0):
+                raise ValueError("an edge endpoint is not a node id")
 
             meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
             self.metadata = CorpusMetadata(
@@ -242,6 +250,24 @@ class Corpus:
                 raise _bad_section(image.section_name(sid), exc) from None
             self._stores[(kind, key)] = cached
         return cached
+
+    @cached_property
+    def _edges_by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge ids ascending, with the label code of each.  EDGES is ordered
+        by label, not by id, so every lookup of an edge by id goes through
+        this index."""
+        order = np.argsort(self._edge_ids, kind="stable")
+        return self._edge_ids[order], self._edge_label_code[order]
+
+    def _group_codes(self, key: str, kind: str) -> np.ndarray:
+        """The group of each target of the (kind, key) store, in the store's
+        order: a node's otype code, an edge's label code."""
+        ids, codes = (self._ids, self._otype_code) if kind == NODE_KIND else self._edges_by_id
+        rows = _find_all(ids, self.store(key, kind).targets)
+        if np.any(rows < 0):
+            section = image.section_name(self._feature_sections[(kind, key)])
+            raise ImageError("BAD_SECTION", f"section {section} has a target the image lacks", section=section)
+        return codes[rows]
 
     def _row(self, node: int) -> int:
         i = _find(self._ids, node)

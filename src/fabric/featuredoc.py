@@ -1,9 +1,11 @@
 """Feature documentation generated from the corpus itself.
 
-For every (otype, key) pair that actually occurs, a frequency table of the
-values, rendered both machine-readable (JSON) and human-readable (text),
-plus an index tying the set together.  Regenerating over the same image
-produces identical files.
+For every (otype, key) pair of a node feature and every (edge label, key)
+pair of an edge feature that actually occurs, a frequency table of the
+values, rendered both machine-readable and human-readable:
+``<otype>.<key>.{txt,json}`` and ``edge-<label>.<key>.{txt,json}``, plus an
+index (``index.json``, ``index.txt``) tying the set together.  Regenerating
+over the same image produces identical files.
 """
 
 from __future__ import annotations
@@ -20,15 +22,6 @@ from .model import EDGE_KIND, NODE_KIND
 TRUNCATE_AT = 120
 
 
-def _node_rows(corpus: Corpus, targets: np.ndarray) -> np.ndarray:
-    # targets are validated node ids, so searchsorted positions are exact
-    return np.searchsorted(corpus._ids, targets)
-
-
-def _edge_rows(corpus: Corpus, targets: np.ndarray) -> np.ndarray:
-    return np.searchsorted(corpus._edge_ids, targets)
-
-
 @dataclass(frozen=True, slots=True)
 class FrequencyTable:
     """Value frequencies for one feature key on one otype (or edge label)."""
@@ -40,6 +33,31 @@ class FrequencyTable:
     entries: tuple[tuple[str, int], ...]  # count desc, ties by value asc
 
 
+def _group_names(corpus: Corpus, kind: str) -> tuple[str, ...]:
+    return corpus.otypes() if kind == NODE_KIND else corpus.edge_labels()
+
+
+def _tables(corpus: Corpus, key: str, kind: str) -> dict[str, FrequencyTable]:
+    """The table of every group (otype or edge label) that carries a value
+    of (kind, key), by group name.  One count over the store's (group,
+    value code) cells, so it holds only the cells that occur."""
+    store = corpus.store(key, kind)
+    if store is None:
+        raise KeyError(f"no {kind!r} feature named {key!r}")
+    size = len(store.values)
+    cells = corpus._group_codes(key, kind).astype(np.int64) * size + store.codes
+    cells, counts = np.unique(cells, return_counts=True)
+    groups, codes = np.divmod(cells, size)
+    names = _group_names(corpus, kind)
+    tables = {}
+    for group in np.unique(groups).tolist():
+        mine = groups == group
+        values = [store.values[c] for c in codes[mine].tolist()]
+        entries = sorted(zip(values, counts[mine].tolist()), key=lambda p: (-p[1], p[0]))
+        tables[names[group]] = FrequencyTable(names[group], key, kind, int(counts[mine].sum()), tuple(entries))
+    return tables
+
+
 def feature_frequency(
     corpus: Corpus, otype: str, key: str, kind: str = NODE_KIND
 ) -> FrequencyTable:
@@ -47,48 +65,10 @@ def feature_frequency(
 
     For edges, ``otype`` names the edge label.
     """
-    store = corpus.store(key, kind)
-    if store is None:
-        raise KeyError(f"no {kind!r} feature named {key!r}")
-    if kind == NODE_KIND:
-        if otype not in corpus.otypes():
-            raise KeyError(f"unknown otype {otype!r}")
-        rank = corpus._otype_rank[otype]
-        mask = corpus._otype_code[_node_rows(corpus, store.targets)] == rank
-    else:
-        if otype not in corpus.edge_labels():
-            raise KeyError(f"unknown edge label {otype!r}")
-        label_code = corpus.edge_labels().index(otype)
-        mask = corpus._edge_label_code[_edge_rows(corpus, store.targets)] == label_code
-    codes = store.codes[mask]
-    counts = np.bincount(codes, minlength=len(store.values))
-    pairs = [(store.values[i], int(counts[i])) for i in range(len(store.values)) if counts[i]]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    return FrequencyTable(
-        otype=otype, key=key, kind=kind, total=int(counts.sum()), entries=tuple(pairs)
-    )
-
-
-def _node_pairs(corpus: Corpus) -> list[tuple[str, str]]:
-    pairs = []
-    for key in corpus.feature_keys(NODE_KIND):
-        store = corpus.store(key, NODE_KIND)
-        ranks = np.unique(corpus._otype_code[_node_rows(corpus, store.targets)])
-        for rank in ranks.tolist():
-            pairs.append((corpus._otypes[rank], key))
-    pairs.sort()
-    return pairs
-
-
-def _edge_pairs(corpus: Corpus) -> list[tuple[str, str]]:
-    pairs = []
-    labels = corpus.edge_labels()
-    for key in corpus.feature_keys(EDGE_KIND):
-        store = corpus.store(key, EDGE_KIND)
-        for code in np.unique(corpus._edge_label_code[_edge_rows(corpus, store.targets)]).tolist():
-            pairs.append((labels[code], key))
-    pairs.sort()
-    return pairs
+    tables = _tables(corpus, key, kind)
+    if otype not in _group_names(corpus, kind):
+        raise KeyError(f"unknown {'otype' if kind == NODE_KIND else 'edge label'} {otype!r}")
+    return tables.get(otype, FrequencyTable(otype, key, kind, 0, ()))
 
 
 def _truncate(value: str) -> str:
@@ -97,10 +77,13 @@ def _truncate(value: str) -> str:
     return value[: TRUNCATE_AT - 1] + "…"
 
 
+def _title(table: FrequencyTable) -> str:
+    return f"{table.otype}.{table.key}" if table.kind == NODE_KIND else f"edge {table.otype}.{table.key}"
+
+
 def _render_txt(table: FrequencyTable) -> str:
-    head = f"{table.otype}.{table.key}" if table.kind == NODE_KIND else f"edge {table.otype}.{table.key}"
     lines = [
-        head,
+        _title(table),
         f"total assignments: {table.total}",
         f"distinct values: {len(table.entries)}",
         "",
@@ -123,46 +106,40 @@ def _render_json(table: FrequencyTable) -> str:
 
 
 def render_docs(corpus: Corpus, out_dir: str | Path) -> list[str]:
-    """Write the documentation set under ``out_dir``; return the file names."""
+    """Write the documentation set under ``out_dir``; return the file names.
+    Node tables come first, by (otype, key), then edge tables, by (label,
+    key)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stats = corpus.stats()
     written: list[str] = []
     index_rows = []
+    lines = [
+        "feature documentation",
+        f"corpus fingerprint: {corpus.fingerprint}",
+        f"nodes: {stats.nodes}, features: {stats.features}",
+        "",
+    ]
+    for kind in (NODE_KIND, EDGE_KIND):
+        found = [t for key in corpus.feature_keys(kind) for t in _tables(corpus, key, kind).values()]
+        for table in sorted(found, key=lambda t: (t.otype, t.key)):
+            stem = f"{table.otype}.{table.key}" if kind == NODE_KIND else f"edge-{table.otype}.{table.key}"
+            files = [f"{stem}.txt", f"{stem}.json"]
+            (out / files[0]).write_text(_render_txt(table), encoding="utf-8")
+            (out / files[1]).write_text(_render_json(table), encoding="utf-8")
+            written += files
+            index_rows.append(
+                {
+                    "otype": table.otype,
+                    "key": table.key,
+                    "kind": kind,
+                    "total": table.total,
+                    "distinct": len(table.entries),
+                    "files": files,
+                }
+            )
+            lines.append(f"{_title(table)}: {table.total} assignments, {len(table.entries)} distinct values")
 
-    for otype, key in _node_pairs(corpus):
-        table = feature_frequency(corpus, otype, key, NODE_KIND)
-        stem = f"{otype}.{key}"
-        (out / f"{stem}.txt").write_text(_render_txt(table), encoding="utf-8")
-        (out / f"{stem}.json").write_text(_render_json(table), encoding="utf-8")
-        written += [f"{stem}.txt", f"{stem}.json"]
-        index_rows.append(
-            {
-                "otype": otype,
-                "key": key,
-                "kind": NODE_KIND,
-                "total": table.total,
-                "distinct": len(table.entries),
-                "files": [f"{stem}.txt", f"{stem}.json"],
-            }
-        )
-    for label, key in _edge_pairs(corpus):
-        table = feature_frequency(corpus, label, key, EDGE_KIND)
-        stem = f"edge-{label}.{key}"
-        (out / f"{stem}.txt").write_text(_render_txt(table), encoding="utf-8")
-        (out / f"{stem}.json").write_text(_render_json(table), encoding="utf-8")
-        written += [f"{stem}.txt", f"{stem}.json"]
-        index_rows.append(
-            {
-                "otype": label,
-                "key": key,
-                "kind": EDGE_KIND,
-                "total": table.total,
-                "distinct": len(table.entries),
-                "files": [f"{stem}.txt", f"{stem}.json"],
-            }
-        )
-
-    stats = corpus.stats()
     index_doc = {
         "corpus_fingerprint": corpus.fingerprint,
         "stats": {
@@ -177,17 +154,6 @@ def render_docs(corpus: Corpus, out_dir: str | Path) -> list[str]:
         json.dumps(index_doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    lines = [
-        "feature documentation",
-        f"corpus fingerprint: {corpus.fingerprint}",
-        f"nodes: {stats.nodes}, features: {stats.features}",
-        "",
-    ]
-    for row in index_rows:
-        label = row["otype"] if row["kind"] == NODE_KIND else f"edge {row['otype']}"
-        lines.append(
-            f"{label}.{row['key']}: {row['total']} assignments, {row['distinct']} distinct values"
-        )
     (out / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     written += ["index.json", "index.txt"]
     return written

@@ -60,6 +60,33 @@ class TestExitCodes:
         assert code == 1
         assert "not found" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "annotate {tree}/toy4.fab {tmp}/no/s.json save -q [word] --name a --author b",
+            "annotate {tree}/toy4.fab {tmp} list",
+            "compile {tree}/graf/toy4.graf {tmp}/no/out.fab",
+            "features {tree}/toy4.fab {tree}/toy4.fab",
+            "info {tmp}",
+            "query {tmp} -q [word]",
+        ],
+        ids=["save-into-missing-dir", "store-is-a-dir", "compile-into-missing-dir", "docs-into-a-file",
+             "info-of-a-dir", "query-of-a-dir"],
+    )
+    def test_unusable_path_is_a_user_error(self, capsys, tree, tmp_path, argv):
+        code, _, err = run(capsys, *(arg.format(tree=tree, tmp=tmp_path) for arg in argv.split()))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("fabric: ")
+
+    def test_broken_pipe_exits_zero(self, capsys, image, monkeypatch):
+        from fabric import cli
+
+        def closed_reader(*args):
+            raise BrokenPipeError
+
+        monkeypatch.setitem(cli._COMMANDS, "info", closed_reader)
+        assert run(capsys, "info", image) == (0, "", "")
+
     def test_usage_error_is_exit_one(self, capsys, image):
         code = main(["query", image])  # neither -q nor -f
         capsys.readouterr()
@@ -477,3 +504,36 @@ class TestAnnotate:
         doc = json.loads(stdout)
         assert doc["page"] == 1 and doc["total_pages"] == 1
         assert doc["entries"] == [{"verse": 301, "nodes": [3]}]
+
+
+class TestEdgeCorpus:
+    """Every command on an image with edge features; EDGES orders its rows
+    by label, not by id."""
+
+    def test_commands(self, capsys, tmp_path):
+        import random
+
+        from fabric.compiler import compile_to_bytes
+        from fabric.synth import random_corpus, write_graf
+
+        logical = random_corpus(random.Random(4))
+        roles = [f for f in logical.features if f.kind == "E"]
+        source = str(write_graf(logical, tmp_path / "graf", stem="r4"))
+        image, store, docs = str(tmp_path / "r4.fab"), str(tmp_path / "store.json"), tmp_path / "docs"
+
+        assert run(capsys, "compile", source, image)[0] == 0
+        assert Path(image).read_bytes() == compile_to_bytes(logical)[0]
+        code, stdout, _ = run(capsys, "info", image, "--format", "json")
+        info = json.loads(stdout)
+        assert code == 0 and (info["edges"], info["edge_feature_keys"]) == (len(logical.edges), ["role"])
+        code, stdout, _ = run(capsys, "query", image, "-q", "[word]")
+        assert code == 0 and stdout.endswith(f"{len(logical.slots)} match(es)\n")
+        assert run(capsys, "features", image, str(docs))[0] == 0
+        index = json.loads((docs / "index.json").read_text(encoding="utf-8"))
+        edge_tables = [(r["otype"], r["key"], r["total"]) for r in index["tables"] if r["kind"] == "E"]
+        assert edge_tables == [("dep", "role", len(roles))]
+        assert (docs / "edge-dep.role.txt").exists()
+        save = ("annotate", image, store, "save", "-q", "[word]", "--name", "w", "--author", "ada")
+        assert run(capsys, *save)[0] == 0
+        code, stdout, _ = run(capsys, "annotate", image, store, "list")
+        assert code == 0 and stdout.startswith("1\tw\tada\tpublic")

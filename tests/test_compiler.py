@@ -13,6 +13,7 @@ from fabric.cli import main
 from fabric.compiler import compile_corpus, compile_to_bytes, verify_image
 from fabric.errors import ImageError, ValidationFailure
 from fabric.corpus import Corpus
+from fabric.featuredoc import render_docs
 from fabric.model import MonadSet, Node, Region
 from fabric.synth import random_corpus, toy4
 
@@ -57,6 +58,53 @@ def run_past_the_text(data: bytes) -> bytes:
     sets, runs = image.head(memoryview(data)[pool.offset : pool.offset + pool.length])
     last_run_last = 8 + 4 * (sets + 1 + 2 * runs - 1)
     return rewrite_section(data, "monadpool", last_run_last, struct.pack("<I", corpus.width + 5))
+
+
+def lex_store(data: bytes) -> tuple[str, list[int]]:
+    """The section name of the ``lex`` node feature store, and its targets."""
+    corpus = Corpus.from_bytes(data)
+    return image.section_name(corpus._feature_sections[("N", "lex")]), corpus.store("lex").targets.tolist()
+
+
+def lex_code_past_the_dictionary(data: bytes) -> bytes:
+    """The image with the first lex value code set to the first code past
+    the store's dictionary."""
+    name, targets = lex_store(data)
+    size = len(Corpus.from_bytes(data).store("lex").values)
+    return rewrite_section(data, name, 8 + 4 * len(targets), struct.pack("<I", size))
+
+
+def swapped_lex_targets(data: bytes) -> bytes:
+    """The image with the first two lex targets swapped."""
+    name, targets = lex_store(data)
+    return rewrite_section(data, name, 8, struct.pack("<II", targets[1], targets[0]))
+
+
+def repeated_lex_target(data: bytes) -> bytes:
+    """The image with the second lex target set to the first."""
+    name, targets = lex_store(data)
+    return rewrite_section(data, name, 12, struct.pack("<I", targets[0]))
+
+
+def lex_target_not_a_node(data: bytes) -> bytes:
+    """The image with the first lex target set to 0, which is no node's id;
+    the targets still ascend."""
+    name, _ = lex_store(data)
+    return rewrite_section(data, name, 8, struct.pack("<I", 0))
+
+
+def edge_label_past_the_table(data: bytes) -> bytes:
+    """The image with edge row 0's label code set to the first code past
+    the edge label table."""
+    corpus = Corpus.from_bytes(data)
+    first_label = 8 + 12 * len(corpus._edge_ids)
+    return rewrite_section(data, "edges", first_label, struct.pack("<I", len(corpus.edge_labels())))
+
+
+def edge_from_no_node(data: bytes) -> bytes:
+    """The image with edge row 0's source set to 0, which is no node's id."""
+    first_src = 8 + 4 * len(Corpus.from_bytes(data)._edge_ids)
+    return rewrite_section(data, "edges", first_src, struct.pack("<I", 0))
 
 
 # (section, payload offset, new bytes): counts past the payload's end, and
@@ -223,6 +271,38 @@ class TestCorruption:
         bad.write_bytes(rewrite(toy4_bytes))
         assert main([args[0], str(bad), *args[1:]]) == 2
         assert f"section {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rewrite", [lex_code_past_the_dictionary, swapped_lex_targets, repeated_lex_target])
+    def test_contradictory_feature_store(self, toy4_bytes, tmp_path, capsys, rewrite):
+        name, _ = lex_store(toy4_bytes)
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(rewrite(toy4_bytes))
+        corpus = Corpus.from_file(bad)  # stores are decoded on first use
+        with pytest.raises(ImageError) as exc:
+            corpus.store("lex")
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+        assert main(["query", str(bad), "-q", '[word lex="fox"]']) == 2
+        assert f"section {name}" in capsys.readouterr().err
+
+    def test_feature_target_the_image_lacks(self, toy4_bytes, tmp_path, capsys):
+        name, _ = lex_store(toy4_bytes)
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(lex_target_not_a_node(toy4_bytes))
+        with pytest.raises(ImageError) as exc:
+            render_docs(Corpus.from_file(bad), tmp_path / "docs")
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+        assert main(["features", str(bad), str(tmp_path / "docs")]) == 2
+        assert f"section {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rewrite", [edge_label_past_the_table, edge_from_no_node])
+    def test_contradictory_edges(self, tmp_path, capsys, rewrite):
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(rewrite(compile_to_bytes(random_corpus(random.Random(3)))[0]))
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_file(bad)
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "edges")
+        assert main(["info", str(bad)]) == 2
+        assert "section edges" in capsys.readouterr().err
 
     def test_feature_index_naming_a_missing_section(self, toy4_bytes):
         with pytest.raises(ImageError) as exc:

@@ -66,21 +66,32 @@ class TestOrdering:
         ]
         assert all_typ == [(("NP", 1),), (("AA", 1),)]
 
+    def test_index_lists_tables_by_otype_then_key(self, tmp_path, toy4_logical):
+        # typ on verse, clause and phrase, whose otype ranks run against
+        # their names' order
+        extra = (FeatureAssignment("N", 201, "typ", "NP"), FeatureAssignment("N", 301, "typ", "AA"))
+        render_docs(load(replace(toy4_logical, features=toy4_logical.features + extra)), tmp_path)
+        index = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+        rows = [(r["otype"], r["key"]) for r in index["tables"]]
+        assert rows == sorted(rows) and ("verse", "typ") in rows
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_reference_counter(self, seed):
         logical = random_corpus(random.Random(seed))
         corpus = load(logical)
-        by_id = {n.id: n for n in logical.nodes}
-        for key in corpus.feature_keys():
-            values_by_otype: dict[str, list[str]] = {}
-            for f in logical.features:
-                if f.kind == "N" and f.key == key:
-                    values_by_otype.setdefault(by_id[f.target].otype, []).append(f.value)
-            for otype, values in values_by_otype.items():
-                table = feature_frequency(corpus, otype, key)
-                assert list(table.entries) == reference.frequency(values)
-                assert table.total == len(values)
+        group_of = {("N", n.id): n.otype for n in logical.nodes}
+        group_of.update({("E", e.id): e.label for e in logical.edges})
+        for kind in ("N", "E"):
+            for key in corpus.feature_keys(kind):
+                values_by_group: dict[str, list[str]] = {}
+                for f in logical.features:
+                    if f.kind == kind and f.key == key:
+                        values_by_group.setdefault(group_of[kind, f.target], []).append(f.value)
+                for group, values in values_by_group.items():
+                    table = feature_frequency(corpus, group, key, kind)
+                    assert list(table.entries) == reference.frequency(values)
+                    assert table.total == len(values)
 
 
 class TestEdgeTables:
@@ -110,6 +121,28 @@ class TestEdgeTables:
         written = render_docs(self.corpus(), tmp_path)
         assert "edge-dep.role.txt" in written
         assert "edge-link.role.json" in written
+
+    def test_label_order_is_not_id_order(self, tmp_path):
+        # EDGES is ordered by label, so edge 2 ("a") is stored before edge 1.
+        base = toy4()
+        corpus = load(
+            replace(
+                base,
+                edges=(Edge(1, 4, 3, "z"), Edge(2, 4, 1, "a"), Edge(3, 101, 102, "z")),
+                features=base.features
+                + (
+                    FeatureAssignment(EDGE_KIND, 1, "role", "subj"),
+                    FeatureAssignment(EDGE_KIND, 2, "role", "obj"),
+                    FeatureAssignment(EDGE_KIND, 3, "role", "subj"),
+                ),
+            )
+        )
+        assert feature_frequency(corpus, "a", "role", EDGE_KIND).entries == (("obj", 1),)
+        assert feature_frequency(corpus, "z", "role", EDGE_KIND).entries == (("subj", 2),)
+        render_docs(corpus, tmp_path)
+        index = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+        edge_rows = [(r["otype"], r["key"], r["total"]) for r in index["tables"] if r["kind"] == EDGE_KIND]
+        assert edge_rows == [("a", "role", 1), ("z", "role", 2)]
 
     def test_unknown_edge_label(self):
         with pytest.raises(KeyError):
