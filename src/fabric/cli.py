@@ -41,7 +41,7 @@ from .errors import (
 from .featuredoc import render_docs
 from .ingest import parse_graf, parse_tabular
 from .model import LogicalCorpus
-from .query import explain, parse
+from .query import explain
 from .query.evaluator import _Eval
 
 EXIT_OK = 0
@@ -96,20 +96,6 @@ def _passage_labels(corpus: Corpus, rows: np.ndarray) -> list[str]:
     """The label of the first passage meeting each row (``passage_of``)."""
     first = corpus._first_passages(rows)
     return _verse_labels(corpus, np.where(first < 0, -1, corpus._ids[first].astype(np.int64)))
-
-
-def _block_paths(query) -> list[str]:
-    """Pre-order path label of each block: "1", "1.1", "2", ..."""
-    paths: list[str] = []
-
-    def walk(blockstring, prefix: str) -> None:
-        for i, block in enumerate(blockstring.blocks, start=1):
-            paths.append(f"{prefix}{i}")
-            if block.children is not None:
-                walk(block.children, f"{prefix}{i}.")
-
-    walk(query.root, "")
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +169,8 @@ def cmd_info(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
     """Print the matches one chunk of the match table at a time, with the
     otype and passage columns of each chunk gathered in one batch."""
-    query = parse(query_text)
-    ev = _Eval(corpus, query, None if cfg.timeout is None else time.monotonic() + cfg.timeout)
-    paths, slot = _block_paths(query), corpus.metadata.slot_otype
+    ev = _Eval(corpus, query_text, cfg.timeout)
+    paths, slot = [p.path for p in ev.blocks], corpus.metadata.slot_otype
     shown = 0
     try:
         for cols in ev.table(cfg.limit):
@@ -314,7 +299,11 @@ def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:
 
     if action == "save":
         # Locked from read to replace, so two concurrent saves both land.
-        with open(f"{store_path}.lock", "a") as lock:
+        try:
+            lock = open(f"{store_path}.lock", "a")
+        except OSError as exc:  # name the store, not its lock file
+            raise OSError(exc.errno, exc.strerror, store_path) from None
+        with lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             store = _open_store(store_path, corpus)
             saved = save_query(

@@ -65,13 +65,14 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     ends = [r.end for r in corpus.slots]
     sections.append((image.SLOTS, image.pack(len(corpus.slots), starts, ends)))
 
-    ranked = list(rank_otypes(corpus.metadata, {n.otype for n in corpus.nodes}))
+    nodes = sorted(corpus.nodes, key=lambda n: n.id)
+    ranked = list(rank_otypes(corpus.metadata, {n.otype for n in nodes}))
     rank = {otype: i for i, otype in enumerate(ranked)}
     sections.append((image.OTYPES, image.pack(len(ranked), strings=ranked)))
 
     # Monad-set pool: distinct run tuples in lexicographic order.
     pool_index: dict[tuple[tuple[int, int], ...], int] = {}
-    for node in corpus.nodes:
+    for node in nodes:
         pool_index.setdefault(node.monads.runs, 0)
     ordered_sets = sorted(pool_index)
     pool_index = {runs: i for i, runs in enumerate(ordered_sets)}
@@ -87,10 +88,10 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
         (image.MONADPOOL, image.pack(len(ordered_sets), set_offsets, run_first, run_last, extra=len(run_first)))
     )
 
-    node_ids = [_check_u32(n.id, "node id") for n in corpus.nodes]
-    otype_codes = [rank[n.otype] for n in corpus.nodes]
-    monad_idx = [pool_index[n.monads.runs] for n in corpus.nodes]
-    sections.append((image.NODES, image.pack(len(corpus.nodes), node_ids, otype_codes, monad_idx)))
+    node_ids = [_check_u32(n.id, "node id") for n in nodes]
+    otype_codes = [rank[n.otype] for n in nodes]
+    monad_idx = [pool_index[n.monads.runs] for n in nodes]
+    sections.append((image.NODES, image.pack(len(nodes), node_ids, otype_codes, monad_idx)))
 
     labels = sorted({e.label for e in corpus.edges})
     label_code = {label: i for i, label in enumerate(labels)}
@@ -179,7 +180,10 @@ def _write_atomic(out_path: str | Path, data: bytes) -> None:
     """Write a file atomically: the target either keeps its old content or
     holds the complete new bytes, never a torn write."""
     path = Path(out_path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:  # name the target, not the temp file beside it
+        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -141,8 +141,21 @@ class Corpus:
             pool = need(image.MONADPOOL)
             sets, runs = image.head(pool)
             self._set_offsets, self._run_first, self._run_last, _ = image.unpack(pool, sets + 1, runs, runs)
+            offsets = self._set_offsets.astype(np.int64)
+            sizes = np.diff(offsets)
+            if offsets[0] != 0 or offsets[-1] != runs or sizes.min(initial=1) <= 0:
+                raise ValueError(f"set offsets do not ascend strictly from 0 to the run count {runs}")
             if runs and (int(self._run_first.min()) < 1 or int(self._run_last.max()) > width):
                 raise ValueError(f"a monad run lies outside 1..{width}")
+            if np.any(self._run_first > self._run_last):
+                raise ValueError("a run's first monad is past its last")
+            if runs > sets:  # some set has more than one run
+                # Each run after the first of its set starts past the one
+                # before it, with a gap.
+                multi = np.flatnonzero(sizes > 1)
+                _, later = self._pairs(offsets[multi] + 1, offsets[multi + 1])
+                if np.any(self._run_first[later] <= self._run_last[later - 1].astype(np.int64) + 1):
+                    raise ValueError("the runs of a set do not ascend with a gap between them")
 
             nodes = need(image.NODES)
             n, _ = image.head(nodes)
@@ -156,7 +169,7 @@ class Corpus:
             sets = self._monad_idx.astype(np.int64)
             self._first = self._run_first[self._set_offsets[sets]].astype(np.int64)
             self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
-            self._nruns = np.diff(self._set_offsets.astype(np.int64))[sets]
+            self._nruns = sizes[sets]
 
             # Canonical permutation; lexsort treats its last key as primary.
             self._canon = np.lexsort((self._ids, self._otype_code, -self._last, self._first))
@@ -173,6 +186,9 @@ class Corpus:
                 raise ValueError(f"edge label code past the {len(self._edge_labels)}-entry label table")
             if e and np.any(_find_all(self._ids, np.concatenate((self._edge_src, self._edge_dst))) < 0):
                 raise ValueError("an edge endpoint is not a node id")
+            ids = np.sort(self._edge_ids)
+            if np.any(ids[1:] == ids[:-1]):
+                raise ValueError("edge ids are not unique")
 
             meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
             self.metadata = CorpusMetadata(

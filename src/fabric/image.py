@@ -96,7 +96,8 @@ def unpack(payload: memoryview, *lengths: int, strings: bool = False) -> tuple:
     """The columns of a table section, as read-only u32 views of the given
     lengths; then, with ``strings``, its ``count`` strings as a tuple; then
     the bytes left over.  Raises ValueError when a column runs past the
-    end or a string is not UTF-8."""
+    end, string offsets decrease or run past it, or a string is not
+    UTF-8."""
     out: list = []
     pos = 8
     for n in lengths:
@@ -107,6 +108,8 @@ def unpack(payload: memoryview, *lengths: int, strings: bool = False) -> tuple:
         offsets = np.frombuffer(payload, dtype="<u4", count=count + 1, offset=pos).tolist()
         pos += 4 * (count + 1)
         blob = bytes(payload[pos:])
+        if offsets != sorted(offsets) or offsets[-1] > len(blob):
+            raise ValueError("string offsets decrease or run past the end")
         out.append(tuple(blob[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])))
         pos += offsets[-1]
     out.append(payload[pos:])

@@ -55,7 +55,7 @@ import numpy as np
 
 from ..corpus import Corpus, _find_all
 from ..errors import QueryError
-from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Query, parse
+from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Placed, Query, parse
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,10 +172,16 @@ def _as_int(key: str, operand: str | int) -> int:
 
 
 class _Eval:
-    def __init__(self, corpus: Corpus, query: Query, deadline: float | None = None):
+    """One evaluation of a query (parsed here when given as text) on a
+    corpus.  ``blocks`` is the query's ``placed()`` records: block k is
+    match-table column k.  ``timeout`` (seconds) starts once the query is
+    parsed."""
+
+    def __init__(self, corpus: Corpus, query: Query | str, timeout: float | None = None):
         self.c = corpus
-        self.q = query
-        self.deadline = deadline
+        self.q = parse(query) if isinstance(query, str) else query
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.blocks = self.q.placed()
         self.stopped: str | None = None  # why table() ended early: "limit" or "timeout"
         self._masks: dict[Atom, np.ndarray] = {}
         self._cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -183,7 +189,7 @@ class _Eval:
         self._sources: dict[int, Source] = {}
         # Resolve in the oracle's order, so errors come before any matching
         # work and the first one reported is the oracle's.
-        for block in query.blocks_preorder():
+        for block in (p.block for p in self.blocks):
             if block.otype not in corpus._otype_rank:
                 raise QueryError(f"unknown otype {block.otype!r}")
             for atom in _atoms(block.constraint):
@@ -325,10 +331,8 @@ class _Eval:
         kept = 0
         try:
             self._check_deadline()
-            blocks: list[Block] = []
-            steps: list[tuple] = []
-            self._steps(self.q.root, 0, blocks, steps)
-            rows = [self.candidates(block)[0] for block in blocks]
+            steps = [self._step(p) for p in self.blocks]
+            rows = [self.candidates(p.block)[0] for p in self.blocks]
             for cols in self._expand(steps, [np.zeros(1, dtype=np.int64)]):
                 if limit is not None and kept + len(cols[0]) > limit:
                     cols, self.stopped = [col[: max(limit - kept, 0)] for col in cols], "limit"
@@ -339,35 +343,27 @@ class _Eval:
         except TimeoutError:
             self.stopped = "timeout"
 
-    def _steps(self, bs: BlockString, parent: int, blocks: list[Block], steps: list[tuple]) -> None:
-        """Append the blocks of ``bs`` and their descendants in pre-order,
-        each with its expansion step.  Column 0 of the table is a one-row
-        root, one segment holding every top-level candidate; block k is
-        column k + 1.  (A method, not a recursive closure: that would hold
-        the corpus in a reference cycle until the collector runs.)"""
-        prev = None
-        for i, block in enumerate(bs.blocks):
-            firsts = self.candidates(block)[1]
-            n = len(firsts)
-            if parent:
-                offsets, kids = self._csr[id(block)]
-                keys = np.repeat(np.arange(len(offsets) - 1) * n, np.diff(offsets)) + kids
-            else:
-                keys = kids = np.arange(n)
-            lo, hi = 0, n  # the whole segment
-            if prev is not None:
-                # After the previous sibling's candidate: the block starts in
-                # after..after+limit, by default up to the last monad;
-                # adjacency is limit 0.
-                gap = bs.gaps[i - 1]
-                limit = 0 if gap.kind == ADJACENT else gap.limit
-                after = self.c._last[self.candidates(blocks[prev - 1])[0]] + 1
-                lo, hi = self.c._window(firsts, after, after + (self.c.width if limit is None else limit))
-            steps.append((parent, prev, lo, hi, n, keys, kids))
-            blocks.append(block)
-            prev = len(blocks)
-            if block.children is not None:
-                self._steps(block.children, prev, blocks, steps)
+    def _step(self, p: Placed) -> tuple:
+        """The expansion step of block ``p``.  Column 0 of the table is a
+        one-row root, one segment holding every top-level candidate; block
+        k is column k + 1."""
+        firsts = self.candidates(p.block)[1]
+        n = len(firsts)
+        if p.parent is None:
+            keys = kids = np.arange(n)
+        else:
+            offsets, kids = self._csr[id(p.block)]
+            keys = np.repeat(np.arange(len(offsets) - 1) * n, np.diff(offsets)) + kids
+        lo, hi = 0, n  # the whole segment
+        if p.prev is not None:
+            # After the previous sibling's candidate: the block starts in
+            # after..after+limit, by default up to the last monad;
+            # adjacency is limit 0.
+            limit = 0 if p.gap.kind == ADJACENT else p.gap.limit
+            after = self.c._last[self.candidates(self.blocks[p.prev].block)[0]] + 1
+            lo, hi = self.c._window(firsts, after, after + (self.c.width if limit is None else limit))
+        parent = 0 if p.parent is None else p.parent + 1
+        return (parent, None if p.prev is None else p.prev + 1, lo, hi, n, keys, kids)
 
     def _expand(self, steps: list[tuple], cols: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
         """Extend each row of the prefix table ``cols`` (candidate indices)
@@ -402,15 +398,11 @@ class _Eval:
             raise TimeoutError
 
 
-def _as_query(query: Query | str) -> Query:
-    return parse(query) if isinstance(query, str) else query
-
-
 def iter_matches(corpus: Corpus, query: Query | str) -> Iterator[Match]:
     """Stream matches in deterministic order, one chunk of the match table
     at a time."""
-    q = _as_query(query)
-    ev, shape = _Eval(corpus, q), _shape(q.root)
+    ev = _Eval(corpus, query)
+    shape = _shape(ev.q.root)
     return (match for cols in ev.table() for match in _trees(shape, iter([corpus._ids[col].tolist() for col in cols])))
 
 
@@ -428,15 +420,13 @@ def evaluate(
     at every chunk the join expands, so it holds even when nothing matches.
     Either cutoff sets ``truncated``.
     """
-    q = _as_query(query)
-    ev = _Eval(corpus, q, None if timeout is None else time.monotonic() + timeout)
+    ev = _Eval(corpus, query, timeout)
     chunks = list(ev.table(max_matches))
     total = sum(len(cols[0]) for cols in chunks)
-    blocks = q.blocks_preorder()
     empty = np.empty(0, dtype=np.int64)
-    cols = [corpus._ids[np.concatenate([empty] + [c[k] for c in chunks])] for k in range(len(blocks))]
-    outer = np.concatenate([col for col, block in zip(cols, blocks) if any(block is b for b in q.root.blocks)])
+    cols = [corpus._ids[np.concatenate([empty] + [c[k] for c in chunks])] for k in range(len(ev.blocks))]
+    outer = np.concatenate([col for col, p in zip(cols, ev.blocks) if p.parent is None])
     verses, hits = corpus._passages_meeting(outer)
     result = ResultSet(None, total, tuple(verses), ev.stopped is not None)  # type: ignore[arg-type]
-    result._shape, result._cols, result._hits = _shape(q.root), cols, hits
+    result._shape, result._cols, result._hits = _shape(ev.q.root), cols, hits
     return result

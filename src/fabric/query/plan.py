@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .evaluator import _as_query, _Eval
-from .syntax import BlockString, Query, quote_string
+from .evaluator import _Eval
+from .syntax import Query, quote_string
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,32 +43,22 @@ class QueryPlan:
         return "\n".join(lines)
 
 
+def _fmt_value(operand) -> str:
+    if isinstance(operand, tuple):
+        return "(" + ", ".join(map(quote_string, operand)) + ")"
+    return quote_string(str(operand))
+
+
 def explain(corpus: Corpus, query: Query | str) -> QueryPlan:
-    """Describe the evaluation plan for a query on this corpus."""
-    q = _as_query(query)
-    ev = _Eval(corpus, q)
-    steps: list[PlanStep] = []
-    nested = False
-
-    def fmt_value(operand) -> str:
-        if isinstance(operand, tuple):
-            return "(" + ", ".join(map(quote_string, operand)) + ")"
-        return quote_string(str(operand))
-
-    def walk(bs: BlockString, depth: int) -> None:
-        nonlocal nested
-        for block in bs.blocks:
-            source = ev.source_for(block)
-            if source.kind == "posting":
-                description = f"dictionary lookup {source.atom.key}→{fmt_value(source.atom.operand)}"
-            else:
-                description = "otype scan"
-            steps.append(
-                PlanStep(depth=depth, otype=block.otype, description=description, estimate=source.estimate)
-            )
-            if block.children is not None:
-                nested = True
-                walk(block.children, depth + 1)
-
-    walk(q.root, 0)
-    return QueryPlan(steps=tuple(steps), nested=nested)
+    """Describe the evaluation plan for a query on this corpus: one step
+    per block, in the match table's column order."""
+    ev = _Eval(corpus, query)
+    steps = []
+    for p in ev.blocks:
+        source = ev.source_for(p.block)
+        if source.kind == "posting":
+            description = f"dictionary lookup {source.atom.key}→{_fmt_value(source.atom.operand)}"
+        else:
+            description = "otype scan"
+        steps.append(PlanStep(depth=p.depth, otype=p.block.otype, description=description, estimate=source.estimate))
+    return QueryPlan(steps=tuple(steps), nested=any(p.parent is not None for p in ev.blocks))

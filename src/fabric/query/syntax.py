@@ -191,21 +191,44 @@ class BlockString:
 
 
 @dataclass(frozen=True, slots=True)
+class Placed:
+    """One block at its place in the query: the pre-order indices of its
+    parent and previous sibling (None where there is none), the gap after
+    that sibling, its nesting depth and its path label ("1", "1.2")."""
+
+    block: Block
+    parent: int | None
+    prev: int | None
+    gap: Gap | None
+    depth: int
+    path: str
+
+
+def _place(bs: BlockString, parent: int | None, out: list[Placed]) -> None:
+    up = None if parent is None else out[parent]
+    prev = None
+    for i, block in enumerate(bs.blocks):
+        depth, path = (0, str(i + 1)) if up is None else (up.depth + 1, f"{up.path}.{i + 1}")
+        out.append(Placed(block, parent, prev, bs.gaps[i - 1] if i else None, depth, path))
+        prev = len(out) - 1
+        if block.children is not None:
+            _place(block.children, prev, out)
+
+
+@dataclass(frozen=True, slots=True)
 class Query:
     root: BlockString
     text: str = field(default="", compare=False)
 
-    def blocks_preorder(self) -> tuple[Block, ...]:
-        out: list[Block] = []
-
-        def walk(bs: BlockString) -> None:
-            for b in bs.blocks:
-                out.append(b)
-                if b.children is not None:
-                    walk(b.children)
-
-        walk(self.root)
+    def placed(self) -> tuple[Placed, ...]:
+        """Every block once, in pre-order: the one numbering of blocks that
+        match-table columns, plan lines and CLI paths share."""
+        out: list[Placed] = []
+        _place(self.root, None, out)
         return tuple(out)
+
+    def blocks_preorder(self) -> tuple[Block, ...]:
+        return tuple(p.block for p in self.placed())
 
 
 # ---------------------------------------------------------------------------

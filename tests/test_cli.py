@@ -61,22 +61,24 @@ class TestExitCodes:
         assert "not found" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,named",
         [
-            "annotate {tree}/toy4.fab {tmp}/no/s.json save -q [word] --name a --author b",
-            "annotate {tree}/toy4.fab {tmp} list",
-            "compile {tree}/graf/toy4.graf {tmp}/no/out.fab",
-            "features {tree}/toy4.fab {tree}/toy4.fab",
-            "info {tmp}",
-            "query {tmp} -q [word]",
+            ("annotate {tree}/toy4.fab {tmp}/no/s.json save -q [word] --name a --author b", "{tmp}/no/s.json"),
+            ("annotate {tree}/toy4.fab {tmp} list", None),
+            ("compile {tree}/graf/toy4.graf {tmp}/no/out.fab", "{tmp}/no/out.fab"),
+            ("features {tree}/toy4.fab {tree}/toy4.fab", None),
+            ("info {tmp}", None),
+            ("query {tmp} -q [word]", None),
         ],
         ids=["save-into-missing-dir", "store-is-a-dir", "compile-into-missing-dir", "docs-into-a-file",
              "info-of-a-dir", "query-of-a-dir"],
     )
-    def test_unusable_path_is_a_user_error(self, capsys, tree, tmp_path, argv):
+    def test_unusable_path_is_a_user_error(self, capsys, tree, tmp_path, argv, named):
         code, _, err = run(capsys, *(arg.format(tree=tree, tmp=tmp_path) for arg in argv.split()))
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("fabric: ")
+        if named is not None:  # the path as given, not a temp or lock file beside it
+            assert err == f"fabric: {named.format(tmp=tmp_path)}: No such file or directory\n"
 
     def test_broken_pipe_exits_zero(self, capsys, image, monkeypatch):
         from fabric import cli

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import functools
 import random
 import re
 import struct
@@ -11,10 +14,11 @@ from hypothesis import strategies as st
 from fabric import image
 from fabric.cli import main
 from fabric.compiler import compile_corpus, compile_to_bytes, verify_image
-from fabric.errors import ImageError, ValidationFailure
+from fabric.errors import FabricError, ImageError, ValidationFailure
 from fabric.corpus import Corpus
 from fabric.featuredoc import render_docs
 from fabric.model import MonadSet, Node, Region
+from fabric.query import evaluate
 from fabric.synth import random_corpus, toy4
 
 HEADER = struct.Struct("<8sHHI")
@@ -58,6 +62,75 @@ def run_past_the_text(data: bytes) -> bytes:
     sets, runs = image.head(memoryview(data)[pool.offset : pool.offset + pool.length])
     last_run_last = 8 + 4 * (sets + 1 + 2 * runs - 1)
     return rewrite_section(data, "monadpool", last_run_last, struct.pack("<I", corpus.width + 5))
+
+
+def pool_layout(data: bytes) -> tuple[int, int]:
+    """The set and run counts of the monad pool: its set offsets start at
+    payload byte 8, run firsts at 8 + 4 * (sets + 1), run lasts after those."""
+    pool = next(e for e in image.read_directory(data) if e.name == "monadpool")
+    return image.head(memoryview(data)[pool.offset : pool.offset + pool.length])
+
+
+def set_offsets_from_one(data: bytes) -> bytes:
+    """The image with the pool's first set offset 1, not 0."""
+    return rewrite_section(data, "monadpool", 8, struct.pack("<I", 1))
+
+
+def set_offsets_decreasing(data: bytes) -> bytes:
+    """The image with the pool's second and third set offsets (1 and 2)
+    swapped."""
+    return rewrite_section(data, "monadpool", 12, struct.pack("<II", 2, 1))
+
+
+def set_offsets_past_the_runs(data: bytes) -> bytes:
+    """The image with the pool's last set offset one past the run count."""
+    sets, runs = pool_layout(data)
+    return rewrite_section(data, "monadpool", 8 + 4 * sets, struct.pack("<I", runs + 1))
+
+
+def run_first_past_last(data: bytes) -> bytes:
+    """The image with the pool's first run (1..1) starting at monad 2."""
+    sets, _ = pool_layout(data)
+    return rewrite_section(data, "monadpool", 8 + 4 * (sets + 1), struct.pack("<I", 2))
+
+
+def string_offsets_decreasing(data: bytes) -> bytes:
+    """The image with the second and third string offsets of OTYPES
+    swapped."""
+    first, second, _ = (len(s.encode()) for s in Corpus.from_bytes(data).otypes()[:3])
+    return rewrite_section(data, "otypes", 12, struct.pack("<II", first + second, first))
+
+
+def string_offsets_past_the_end(data: bytes) -> bytes:
+    """The image with the last string offset of OTYPES one past its blob."""
+    otypes = Corpus.from_bytes(data).otypes()
+    end = sum(len(s.encode()) for s in otypes)
+    return rewrite_section(data, "otypes", 8 + 4 * len(otypes), struct.pack("<I", end + 1))
+
+
+def two_run_set(data: bytes) -> tuple[int, list[int], list[int]]:
+    """The payload offset of the first run of the pool's first two-run set,
+    and the firsts and lasts of its runs."""
+    corpus = Corpus.from_bytes(data)
+    offsets = corpus._set_offsets.tolist()
+    at = next(a for a, b in zip(offsets, offsets[1:]) if b - a == 2)
+    sets, _ = pool_layout(data)
+    return 8 + 4 * (sets + 1 + at), corpus._run_first[at : at + 2].tolist(), corpus._run_last[at : at + 2].tolist()
+
+
+def swapped_runs(data: bytes) -> bytes:
+    """The image with the two runs of a two-run set swapped."""
+    at, firsts, lasts = two_run_set(data)
+    _, runs = pool_layout(data)
+    out = rewrite_section(data, "monadpool", at, struct.pack("<II", *firsts[::-1]))
+    return rewrite_section(out, "monadpool", at + 4 * runs, struct.pack("<II", *lasts[::-1]))
+
+
+def adjacent_runs(data: bytes) -> bytes:
+    """The image with the second run of a two-run set starting right after
+    the first ends."""
+    at, _, lasts = two_run_set(data)
+    return rewrite_section(data, "monadpool", at + 4, struct.pack("<I", lasts[0] + 1))
 
 
 def lex_store(data: bytes) -> tuple[str, list[int]]:
@@ -107,6 +180,11 @@ def edge_from_no_node(data: bytes) -> bytes:
     return rewrite_section(data, "edges", first_src, struct.pack("<I", 0))
 
 
+def repeated_edge_id(data: bytes) -> bytes:
+    """The image with edge row 1's id set to edge row 0's."""
+    return rewrite_section(data, "edges", 12, struct.pack("<I", int(Corpus.from_bytes(data)._edge_ids[0])))
+
+
 # (section, payload offset, new bytes): counts past the payload's end, and
 # METADATA that is not JSON.
 MALFORMED = [
@@ -120,8 +198,23 @@ MALFORMED = [
     ("featindex", 0, struct.pack("<I", 10**6)),
 ]
 
+@functools.cache
+def fuzz_images() -> tuple[bytes, ...]:
+    """TOY4, and random corpora with two-run sets and edges."""
+    return tuple(compile_to_bytes(c)[0] for c in (toy4(), *(random_corpus(random.Random(s)) for s in (0, 6, 10))))
+
+
 # (section, rewrite): sections that decode but contradict the image.
-CONTRADICTORY = [("nodes", swapped_node_ids), ("monadpool", run_past_the_text)]
+CONTRADICTORY = [
+    ("nodes", swapped_node_ids),
+    ("monadpool", run_past_the_text),
+    ("monadpool", set_offsets_from_one),
+    ("monadpool", set_offsets_decreasing),
+    ("monadpool", set_offsets_past_the_runs),
+    ("monadpool", run_first_past_last),
+    ("otypes", string_offsets_decreasing),
+    ("otypes", string_offsets_past_the_end),
+]
 
 
 class TestDeterminism:
@@ -134,6 +227,10 @@ class TestDeterminism:
     def test_random_corpora_compile_deterministically(self, seed):
         corpus = random_corpus(random.Random(seed))
         assert compile_to_bytes(corpus)[0] == compile_to_bytes(corpus)[0]
+
+    def test_node_order_does_not_change_the_bytes(self, toy4_logical, toy4_bytes):
+        reversed_nodes = dataclasses.replace(toy4_logical, nodes=tuple(reversed(toy4_logical.nodes)))
+        assert compile_to_bytes(reversed_nodes)[0] == toy4_bytes
 
     def test_fingerprint_tracks_content(self, toy4_bytes, toy4_corpus):
         other = random_corpus(random.Random(5))
@@ -294,7 +391,18 @@ class TestCorruption:
         assert main(["features", str(bad), str(tmp_path / "docs")]) == 2
         assert f"section {name}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rewrite", [edge_label_past_the_table, edge_from_no_node])
+    @pytest.mark.parametrize("args", [["info"], ["query", "-q", "[word]"]], ids=["info", "query"])
+    @pytest.mark.parametrize("rewrite", [swapped_runs, adjacent_runs])
+    def test_contradictory_runs(self, tmp_path, capsys, rewrite, args):
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(rewrite(compile_to_bytes(random_corpus(random.Random(0)))[0]))
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_file(bad)
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "monadpool")
+        assert main([args[0], str(bad), *args[1:]]) == 2
+        assert "section monadpool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rewrite", [edge_label_past_the_table, edge_from_no_node, repeated_edge_id])
     def test_contradictory_edges(self, tmp_path, capsys, rewrite):
         bad = tmp_path / "bad.fab"
         bad.write_bytes(rewrite(compile_to_bytes(random_corpus(random.Random(3)))[0]))
@@ -303,6 +411,27 @@ class TestCorruption:
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "edges")
         assert main(["info", str(bad)]) == 2
         assert "section edges" in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_rewritten_bytes_fail_cleanly(self, data):
+        """1-4 bytes of one section rewritten, its CRC recomputed: either the
+        load raises ImageError, or querying and browsing the image raise
+        nothing but FabricError."""
+        raw = data.draw(st.sampled_from(fuzz_images()))
+        entry = data.draw(st.sampled_from([e for e in image.read_directory(raw) if e.length]))
+        byte = st.tuples(st.integers(0, entry.length - 1), st.integers(0, 255))
+        for at, value in data.draw(st.lists(byte, min_size=1, max_size=4)):
+            raw = rewrite_section(raw, entry.name, at, bytes([value]))
+        try:
+            corpus = Corpus.from_bytes(raw)
+        except ImageError:
+            return
+        with contextlib.suppress(FabricError):
+            evaluate(corpus, f"[{corpus.metadata.slot_otype}]")
+        for node in corpus.nodes():
+            with contextlib.suppress(FabricError):
+                corpus.up(node), corpus.down(node), corpus.text_of(node), corpus.passage_of(node)
 
     def test_feature_index_naming_a_missing_section(self, toy4_bytes):
         with pytest.raises(ImageError) as exc:

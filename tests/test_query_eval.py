@@ -1,10 +1,13 @@
+import contextlib
+import io
 import time
-from itertools import islice
+from itertools import groupby, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 import reference
+from fabric.cli import main
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.errors import OracleGuardError, QueryError
@@ -285,3 +288,38 @@ class TestRandomEquivalence:
         assert reference.result_rows(fast) == reference.result_rows(slow), query
         assert fast.verses == slow.verses, query
         assert fast.total == slow.total
+
+
+class TestBlockNumbering:
+    """Match-table columns, plan lines and CLI paths all follow the one
+    pre-order numbering of ``Query.placed``."""
+
+    def check(self, corpus, text, image_path):
+        try:
+            result = evaluate(corpus, text)
+        except QueryError:
+            return
+        placed = parse(text).placed()
+        for k, p in enumerate(placed):
+            assert {corpus.otype(n) for n in result._cols[k].tolist()} <= {p.block.otype}, text
+        steps = explain(corpus, text).steps
+        assert [(s.depth, s.otype) for s in steps] == [(p.depth, p.block.otype) for p in placed], text
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["query", str(image_path), "-q", text, "--format", "tsv"]) == 0
+        lines = [line.split("\t") for line in out.getvalue().splitlines()]
+        matches = [[path for _, path, *_ in rows] for _, rows in groupby(lines, key=lambda row: row[0])]
+        assert matches == [[p.path for p in placed]] * result.total, text
+
+    def test_golden_queries(self, toy4_corpus, toy4_tree, golden):
+        for case in golden("toy4_queries.json")["queries"]:
+            self.check(toy4_corpus, case["q"], toy4_tree / "toy4.fab")
+        assert [p.path for p in parse("[verse [clause [phrase]]]").placed()] == ["1", "1.1", "1.1.1"]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus_and_query())
+    def test_random_queries(self, tmp_path_factory, pair):
+        corpus, text = pair
+        image_path = tmp_path_factory.mktemp("numbering") / "random.fab"
+        image_path.write_bytes(corpus._data)
+        self.check(corpus, text, image_path)

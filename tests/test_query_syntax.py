@@ -187,6 +187,17 @@ class TestQueryObject:
         text = '[word lex="fox"] // find the fox'
         assert parse(text).text == text
 
+    def test_placed_records_parent_sibling_gap_depth_and_path(self):
+        query = parse("[clause [phrase] .. <= 2 [phrase [word]]] [clause]")
+        got = [(p.block.otype, p.parent, p.prev, p.gap, p.depth, p.path) for p in query.placed()]
+        assert got == [
+            ("clause", None, None, None, 0, "1"),
+            ("phrase", 0, None, None, 1, "1.1"),
+            ("phrase", 0, 1, Gap(GAP, 2), 1, "1.2"),
+            ("word", 2, None, None, 2, "1.2.1"),
+            ("clause", None, 0, Gap(ADJACENT), 0, "2"),
+        ]
+
     def test_blocks_preorder(self):
         query = parse("[verse [clause [phrase]] [clause]] .. [verse]")
         assert [b.otype for b in query.blocks_preorder()] == [
