@@ -234,8 +234,28 @@ def result_page(saved: SavedQuery, page: int, page_size: int) -> ResultPage:
 # ---------------------------------------------------------------------------
 
 
-def _saved_to_json(saved: SavedQuery) -> dict:
-    return {
+_string = json.JSONEncoder(ensure_ascii=False).encode  # one leaf, by the C encoder
+
+
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
+    lays it out at indentation ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _object(doc: dict, pad: str) -> str:
+    """A JSON object whose values are already encoded, keys sorted, laid
+    out as ``json.dumps(indent=2, sort_keys=True)`` at indentation ``pad``."""
+    inner = "\n" + pad + "  "
+    return "{" + inner + ("," + inner).join(f"{_string(k)}: {doc[k]}" for k in sorted(doc)) + "\n" + pad + "}"
+
+
+def _saved_query_text(saved: SavedQuery) -> str:
+    """One saved query, encoded as an entry of the store's query list."""
+    leaves = {
         "id": saved.id,
         "name": saved.name,
         "author": saved.author,
@@ -246,18 +266,26 @@ def _saved_to_json(saved: SavedQuery) -> dict:
         "modified": saved.modified,
         "match_count": saved.match_count,
         "verse_count": saved.verse_count,
-        "snapshot": [[verse, list(nodes)] for verse, nodes in saved.snapshot],
     }
+    doc = {key: _string(value) for key, value in leaves.items()}
+    doc["snapshot"] = _array(
+        [_array([str(verse), _array(list(map(str, nodes)), " " * 10)], " " * 8) for verse, nodes in saved.snapshot],
+        " " * 6,
+    )
+    return _object(doc, " " * 4)
 
 
 def export_bytes(store: AnnotationStore) -> bytes:
-    """Serialize deterministically: same store, same bytes."""
+    """Serialize deterministically: same store, same bytes.  The bytes are
+    those of ``json.dumps(doc, ensure_ascii=False, sort_keys=True,
+    indent=2)`` plus a newline, written here because ``indent`` would turn
+    the C encoder off."""
     doc = {
-        "format_version": FORMAT_VERSION,
-        "corpus_fingerprint": store.corpus_fingerprint,
-        "queries": [_saved_to_json(store.queries[qid]) for qid in sorted(store.queries)],
+        "format_version": _string(FORMAT_VERSION),
+        "corpus_fingerprint": _string(store.corpus_fingerprint),
+        "queries": _array([_saved_query_text(store.queries[qid]) for qid in sorted(store.queries)], "  "),
     }
-    return (json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (_object(doc, "") + "\n").encode("utf-8")
 
 
 def export_store(store: AnnotationStore, path: str | Path) -> None:

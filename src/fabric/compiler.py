@@ -3,7 +3,9 @@
 ``compile_to_bytes`` is the one gate in front of every image: it runs the
 structural validator (``ingest.validate``) and refuses an invalid corpus
 before any byte is built, whether the corpus came from a front end, was
-built by hand or was read back from an image.
+built by hand or was read back from an image.  Both the validator and
+``build_sections`` read only the corpus's columns (``model.Columns``),
+never its node, edge or feature objects.
 
 Compilation is deterministic: the same corpus always produces the same
 bytes.  Everything variable is given a fixed order: nodes by id, edges by
@@ -18,17 +20,15 @@ import json
 import os
 import tempfile
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import image
-from .ingest import _check, validate
-from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, rank_otypes
+from .ingest import _U32_MAX, _check, validate
+from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, gather, rank_otypes
 
-_U32_MAX = 2**32 - 1
 _KIND_CODE = {NODE_KIND: 0, EDGE_KIND: 1}
 
 
@@ -41,76 +41,55 @@ class CompileSummary:
     dictionaries: tuple[tuple[str, int], ...]  # ("N:lex", distinct values)
 
 
-def _check_u32(value: int, what: str) -> int:
-    if not 0 <= value <= _U32_MAX:
-        raise ValueError(f"{what} {value} exceeds the 32-bit image format limit")
-    return value
-
-
-def _value_dictionary(values: Counter[str]) -> dict[str, int]:
-    """Dictionary codes: most frequent first, ties broken lexicographically."""
-    ordered = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {value: code for code, (value, _) in enumerate(ordered)}
-
-
 def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list[tuple[str, int]]]:
-    """Produce (section_id, payload) pairs plus dictionary-size bookkeeping."""
-    sections: list[tuple[int, bytes]] = []
-    dict_sizes: list[tuple[str, int]] = []
+    """Produce (section_id, payload) pairs plus dictionary-size bookkeeping,
+    from the columns of a validated corpus."""
+    c, meta = corpus.columns, corpus.metadata
+    if len(corpus.text) > _U32_MAX:
+        raise ValueError(f"text length {len(corpus.text)} exceeds the 32-bit image format limit")
+    sections: list[tuple[int, bytes]] = [
+        (image.TEXT, corpus.text.encode("utf-8")),
+        (image.SLOTS, image.pack(len(c.slot_start), c.slot_start, c.slot_end)),
+    ]
 
-    sections.append((image.TEXT, corpus.text.encode("utf-8")))
-
-    _check_u32(len(corpus.text), "text length")
-    starts = [r.start for r in corpus.slots]
-    ends = [r.end for r in corpus.slots]
-    sections.append((image.SLOTS, image.pack(len(corpus.slots), starts, ends)))
-
-    nodes = sorted(corpus.nodes, key=lambda n: n.id)
-    ranked = list(rank_otypes(corpus.metadata, {n.otype for n in nodes}))
-    rank = {otype: i for i, otype in enumerate(ranked)}
+    ranked = list(rank_otypes(meta, c.otype.strings))
     sections.append((image.OTYPES, image.pack(len(ranked), strings=ranked)))
 
-    # Monad-set pool: distinct run tuples in lexicographic order.
-    pool_index: dict[tuple[tuple[int, int], ...], int] = {}
-    for node in nodes:
-        pool_index.setdefault(node.monads.runs, 0)
-    ordered_sets = sorted(pool_index)
-    pool_index = {runs: i for i, runs in enumerate(ordered_sets)}
-    set_offsets = [0]
-    run_first: list[int] = []
-    run_last: list[int] = []
-    for runs in ordered_sets:
-        for first, last in runs:
-            run_first.append(first)
-            run_last.append(_check_u32(last, "monad"))
-        set_offsets.append(len(run_first))
+    # Monad-set pool: distinct run tuples in lexicographic order.  That is
+    # the order of (first run, rank of the rest), where a set of one run
+    # has rest 0 and sorts before every longer set with its first run.
+    head = c.runs[:-1]
+    rest = np.zeros(len(head), np.int64)
+    longer = np.flatnonzero(np.diff(c.runs) > 1).tolist()
+    if longer:
+        sets = [c.monad_set(i).runs for i in longer]
+        rank = {runs: r for r, runs in enumerate(sorted(set(sets)), start=1)}
+        rest[longer] = [rank[runs] for runs in sets]
+    keys = (rest, c.last[head], c.first[head])
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    pool_index = np.empty(len(order), np.int64)
+    pool_index[order] = np.cumsum(new) - 1
+    set_offsets, flat = gather(c.runs, order[new])
     sections.append(
-        (image.MONADPOOL, image.pack(len(ordered_sets), set_offsets, run_first, run_last, extra=len(run_first)))
+        (image.MONADPOOL, image.pack(len(set_offsets) - 1, set_offsets, c.first[flat], c.last[flat], extra=len(flat)))
     )
 
-    node_ids = [_check_u32(n.id, "node id") for n in nodes]
-    otype_codes = [rank[n.otype] for n in nodes]
-    monad_idx = [pool_index[n.monads.runs] for n in nodes]
-    sections.append((image.NODES, image.pack(len(nodes), node_ids, otype_codes, monad_idx)))
+    by_id = np.argsort(c.node_id, kind="stable")
+    rank_of = np.array([ranked.index(t) for t in c.otype.strings], dtype=np.int64)
+    sections.append(
+        (image.NODES, image.pack(len(by_id), c.node_id[by_id], rank_of[c.otype.codes[by_id]], pool_index[by_id]))
+    )
 
-    labels = sorted({e.label for e in corpus.edges})
-    label_code = {label: i for i, label in enumerate(labels)}
+    labels = list(c.label.strings)
     sections.append((image.EDGELABELS, image.pack(len(labels), strings=labels)))
-    edges = sorted(corpus.edges, key=lambda e: (label_code[e.label], e.src, e.id))
-    sections.append(
-        (
-            image.EDGES,
-            image.pack(
-                len(edges),
-                [_check_u32(e.id, "edge id") for e in edges],
-                [e.src for e in edges],
-                [e.dst for e in edges],
-                [label_code[e.label] for e in edges],
-            ),
-        )
-    )
+    e = np.lexsort((c.edge_id, c.src, c.label.codes))
+    sections.append((image.EDGES, image.pack(len(e), c.edge_id[e], c.src[e], c.dst[e], c.label.codes[e])))
 
-    meta = corpus.metadata
     meta_json = json.dumps(
         {
             "format_version": image.FORMAT_VERSION,
@@ -134,22 +113,31 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
         )
     )
 
-    # One store per (kind, key), N before E, keys in lexicographic order.
-    grouped: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    for f in corpus.features:
-        grouped.setdefault((f.kind, f.key), []).append((f.target, f.value))
-    ordered_keys = sorted(grouped, key=lambda kk: (_KIND_CODE[kk[0]], kk[1]))
-    index_ids = [image.FEATURE_BASE + i for i in range(len(ordered_keys))]
-    for sid, (kind, key) in zip(index_ids, ordered_keys):
-        pairs = sorted(grouped[(kind, key)])
-        codes_by_value = _value_dictionary(Counter(v for _, v in pairs))
-        dict_sizes.append((f"{kind}:{key}", len(codes_by_value)))
-        values = sorted(codes_by_value, key=codes_by_value.get)
-        targets, codes = [t for t, _ in pairs], [codes_by_value[v] for _, v in pairs]
-        store = image.pack(len(pairs), targets, codes, extra=len(values))
-        sections.append((sid, store + image.pack(len(values), strings=values)))
-    kinds = [_KIND_CODE[kind] for kind, _ in ordered_keys]
-    keys = [key for _, key in ordered_keys]
+    # One store per (kind, key), N before E, keys in lexicographic order;
+    # each sorted by target.  Value codes follow value order, so a stable
+    # sort on descending count orders each dictionary by frequency, ties
+    # broken lexicographically.
+    nkeys = len(c.key.strings)
+    store = (c.kind.codes == c.kind.code(EDGE_KIND)) * nkeys + c.key.codes
+    rows = np.lexsort((c.value.codes, c.target, store))
+    stores, starts = np.unique(store[rows], return_index=True)
+    bounds = [*starts.tolist(), len(rows)]
+    dict_sizes: list[tuple[str, int]] = []
+    index_ids, kinds, keys = [], [], []
+    for n, (s, a, b) in enumerate(zip(stores.tolist(), bounds, bounds[1:])):
+        kind, key = (EDGE_KIND, NODE_KIND)[s < nkeys], c.key.strings[s % nkeys]
+        r = rows[a:b]
+        codes, inverse, counts = np.unique(c.value.codes[r], return_inverse=True, return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        recode = np.empty_like(by_count)
+        recode[by_count] = np.arange(len(by_count))
+        values = list(map(c.value.strings.__getitem__, codes[by_count].tolist()))
+        dict_sizes.append((f"{kind}:{key}", len(values)))
+        store_payload = image.pack(len(r), c.target[r], recode[inverse], extra=len(values))
+        sections.append((image.FEATURE_BASE + n, store_payload + image.pack(len(values), strings=values)))
+        index_ids.append(image.FEATURE_BASE + n)
+        kinds.append(_KIND_CODE[kind])
+        keys.append(key)
     sections.append((image.FEATINDEX, image.pack(len(keys), index_ids, kinds, strings=keys)))
 
     return sections, dict_sizes

@@ -76,12 +76,13 @@ def _find_all(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 class FeatureStore:
     """One (kind, key) feature table: sorted targets, dictionary codes."""
 
-    __slots__ = ("targets", "codes", "values")
+    __slots__ = ("targets", "codes", "values", "ints")
 
     def __init__(self, payload: memoryview):
         count, _ = image.head(payload)
         self.targets, self.codes, dictionary = image.unpack(payload, count, count)
         self.values, _ = image.unpack(dictionary, strings=True)
+        self.ints: np.ndarray | None = None  # the values as int64, for an integer-typed key
         if np.any(self.targets[1:] <= self.targets[:-1]):
             raise ValueError("targets are not strictly ascending")
         if count and int(self.codes.max()) >= len(self.values):
@@ -266,6 +267,18 @@ class Corpus:
                 raise _bad_section(image.section_name(sid), exc) from None
             self._stores[(kind, key)] = cached
         return cached
+
+    def int_values(self, key: str, kind: str = NODE_KIND) -> np.ndarray:
+        """The dictionary of the integer-typed (kind, key) store as int64,
+        decoded once.  The compiler admits only such values, so one that
+        does not decode makes the store a bad section."""
+        store = self.store(key, kind)
+        if store.ints is None:
+            try:
+                store.ints = np.fromiter(map(int, store.values), dtype=np.int64, count=len(store.values))
+            except (ValueError, OverflowError) as exc:
+                raise _bad_section(image.section_name(self._feature_sections[(kind, key)]), exc) from None
+        return store.ints
 
     @cached_property
     def _edges_by_id(self) -> tuple[np.ndarray, np.ndarray]:

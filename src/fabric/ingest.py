@@ -9,9 +9,14 @@ Two interchangeable front ends are supported:
 
 Both report problems only a source file shows (bad headers, rows, ids,
 links or monad sets) with file, line and xml:id, and abort with the full
-report; an unused region is only a warning.  Structural invariants of the
-corpus itself are checked once, by ``validate`` at compile time
-(``compiler.compile_to_bytes``).
+report; an unused region is only a warning.  Neither builds a node, edge or
+feature object: each fills flat columns (``model.Columns``), sorted into
+``LogicalCorpus.assemble``'s order, and the corpus materializes its
+objects only when something reads them.
+
+Structural invariants of the corpus itself are checked once, by
+``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
+over the columns, which a corpus built from objects gets in one pass.
 """
 
 from __future__ import annotations
@@ -21,24 +26,27 @@ import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import IngestError, ValidationFailure
 from .model import (
     EDGE_KIND,
     NODE_KIND,
     RESERVED_CONTAINMENT_LABELS,
+    Columns,
     CorpusMetadata,
-    Edge,
-    FeatureAssignment,
     LogicalCorpus,
     MonadSet,
-    Node,
-    Region,
+    region_problem,
 )
 
 XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
+_U32_MAX = 2**32 - 1  # the widest id the image format stores
 
+_ANCHORS_RE = re.compile(r"\s*(-?\d+)\s+(-?\d+)\s*")
+_ID_HEAD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ID_SUFFIX_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*?(\d+)$|^(\d+)$")
 
 
@@ -78,93 +86,112 @@ def _report(errors: list[ValidationIssue], warns: list[ValidationIssue]) -> Vali
     return ValidationReport(errors=_sorted_issues(errors), warnings=_sorted_issues(warns))
 
 
+def _repeats(*columns: np.ndarray) -> np.ndarray:
+    """Which rows repeat the values of an earlier row in every column."""
+    order = np.lexsort(columns[::-1])
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for col in columns:
+        ordered = col[order]
+        same &= ordered[1:] == ordered[:-1]
+    out = np.zeros(len(order), dtype=bool)
+    out[order[1:]] = same
+    return out
+
+
+def _is_int64(value: str) -> bool:
+    """Whether ``value`` is an integer text whose value fits in int64, the
+    width queries compare integer-typed values at."""
+    try:
+        return -(2**63) <= int(value) < 2**63
+    except ValueError:
+        return False
+
+
 def validate(corpus: LogicalCorpus) -> ValidationReport:
-    """Check every structural invariant; an empty error list means the corpus
-    is accepted for compilation."""
+    """Check every structural invariant of the corpus's columns; an empty
+    error list means the corpus is accepted for compilation.  Where rows
+    repeat a node id, an edge id, a feature or a slot's owner, the first
+    row counts and the later ones are reported."""
+    c = corpus.columns
+    meta = corpus.metadata
     errors: list[ValidationIssue] = []
-    warns: list[ValidationIssue] = []
 
-    def err(code: str, where: str, message: str) -> None:
-        errors.append(ValidationIssue(code=code, message=message, where=where))
+    def err(code: str, rows: np.ndarray, where: Callable[[int], str], message: Callable[[int], str]) -> None:
+        errors.extend(ValidationIssue(code=code, message=message(i), where=where(i)) for i in rows.tolist())
 
-    width = len(corpus.slots)
+    width, text_len = len(c.slot_start), len(corpus.text)
     if width == 0:
-        err("NO_SLOTS", "slots", "corpus has no slots")
-    text_len = len(corpus.text)
-    for i, region in enumerate(corpus.slots, start=1):
-        if region.end > text_len:
-            err("REGION_BOUNDS", f"slot {i}", f"region ends at {region.end}, text has {text_len} characters")
-        if i < width and region.end > corpus.slots[i].start:
-            err("SLOT_OVERLAP", f"slot {i}", f"region overlaps or disorders slot {i + 1}")
+        errors.append(ValidationIssue(code="NO_SLOTS", message="corpus has no slots", where="slots"))
+    slot_at = lambda i: f"slot {i + 1}"
+    err("REGION_BOUNDS", np.flatnonzero(c.slot_end > text_len), slot_at,
+        lambda i: f"region ends at {c.slot_end[i]}, text has {text_len} characters")
+    err("SLOT_OVERLAP", np.flatnonzero(c.slot_end[:-1] > c.slot_start[1:]), slot_at,
+        lambda i: f"region overlaps or disorders slot {i + 2}")
 
-    node_ids: set[int] = set()
-    slot_owner: dict[int, int] = {}
-    for node in corpus.nodes:
-        where = f"node {node.id}"
-        if node.id in node_ids:
-            err("DUPLICATE_NODE_ID", where, "node id is not unique")
-            continue
-        node_ids.add(node.id)
-        if len(node.monads) == 0:
-            err("EMPTY_MONADS", where, "node has an empty monad set")
-            continue
-        if node.monads.last > width or node.monads.first < 1:
-            err("MONAD_RANGE", where, f"monads {node.monads} outside 1..{width}")
-        if node.otype == corpus.metadata.slot_otype:
-            if len(node.monads) != 1:
-                err("SLOT_ARITY", where, "slot-type node must own exactly one monad")
-            else:
-                m = node.monads.first
-                if m in slot_owner:
-                    err("DUPLICATE_SLOT_NODE", where, f"monad {m} already owned by node {slot_owner[m]}")
-                else:
-                    slot_owner[m] = node.id
-    for m in range(1, width + 1):
-        if m not in slot_owner:
-            err("MISSING_SLOT_NODE", f"slot {m}", "no slot-type node owns this monad")
+    ids = c.node_id
+    node_at = lambda i: f"node {ids[i]}"
+    dup = _repeats(ids)
+    err("DUPLICATE_NODE_ID", np.flatnonzero(dup), node_at, lambda i: "node id is not unique")
+    err("ID_RANGE", np.flatnonzero(~dup & ((ids < 0) | (ids > _U32_MAX))), node_at,
+        lambda i: f"node id {ids[i]} exceeds the 32-bit image format limit")
+    nruns = np.diff(c.runs)
+    err("EMPTY_MONADS", np.flatnonzero(~dup & (nruns == 0)), node_at, lambda i: "node has an empty monad set")
+    live = ~dup & (nruns > 0)
+    lo, hi = np.zeros(len(ids), np.int64), np.zeros(len(ids), np.int64)
+    lo[live], hi[live] = c.first[c.runs[:-1][live]], c.last[c.runs[1:][live] - 1]
+    err("MONAD_RANGE", np.flatnonzero(live & ((hi > width) | (lo < 1))), node_at,
+        lambda i: f"monads {c.monad_set(i)} outside 1..{width}")
+    covered = np.zeros(len(c.first) + 1, np.int64)
+    np.cumsum(c.last - c.first + 1, out=covered[1:])
+    size = covered[c.runs[1:]] - covered[c.runs[:-1]]
+    slot = live & (c.otype.codes == c.otype.code(meta.slot_otype))
+    err("SLOT_ARITY", np.flatnonzero(slot & (size != 1)), node_at,
+        lambda i: "slot-type node must own exactly one monad")
+    owners = np.flatnonzero(slot & (size == 1))
+    later = _repeats(lo[owners])
+    owner_of = dict(zip(lo[owners[~later]].tolist(), ids[owners[~later]].tolist()))
+    err("DUPLICATE_SLOT_NODE", owners[later], node_at,
+        lambda i: f"monad {lo[i]} already owned by node {owner_of[int(lo[i])]}")
+    owned = np.zeros(width + 1, dtype=bool)
+    owned[lo[owners][lo[owners] <= width]] = True
+    err("MISSING_SLOT_NODE", np.flatnonzero(~owned[1:]), slot_at, lambda i: "no slot-type node owns this monad")
 
-    declared = set(corpus.metadata.otypes)
-    if declared:
-        for otype in sorted({n.otype for n in corpus.nodes} - declared):
-            warns.append(
-                ValidationIssue(
-                    code="UNDECLARED_OTYPE",
-                    message=f"otype {otype!r} is not in the declared rank list",
-                    where=f"otype {otype}",
-                )
-            )
+    warns = [
+        ValidationIssue(
+            code="UNDECLARED_OTYPE",
+            message=f"otype {otype!r} is not in the declared rank list",
+            where=f"otype {otype}",
+        )
+        for otype in (sorted(set(c.otype.strings) - set(meta.otypes)) if meta.otypes else ())
+    ]
 
-    edge_ids: set[int] = set()
-    for edge in corpus.edges:
-        where = f"edge {edge.id}"
-        if edge.id in edge_ids:
-            err("DUPLICATE_EDGE_ID", where, "edge id is not unique")
-            continue
-        edge_ids.add(edge.id)
-        for end, role in ((edge.src, "from"), (edge.dst, "to")):
-            if end not in node_ids:
-                err("DANGLING_EDGE", where, f"{role} references unknown node {end}")
-        if edge.src == edge.dst and edge.label in RESERVED_CONTAINMENT_LABELS:
-            err("SELF_CONTAINMENT", where, f"self-loop with containment label {edge.label!r}")
+    edge_at = lambda i: f"edge {c.edge_id[i]}"
+    edup = _repeats(c.edge_id)
+    err("DUPLICATE_EDGE_ID", np.flatnonzero(edup), edge_at, lambda i: "edge id is not unique")
+    err("ID_RANGE", np.flatnonzero(~edup & ((c.edge_id < 0) | (c.edge_id > _U32_MAX))), edge_at,
+        lambda i: f"edge id {c.edge_id[i]} exceeds the 32-bit image format limit")
+    for role, end in (("from", c.src), ("to", c.dst)):
+        err("DANGLING_EDGE", np.flatnonzero(~edup & ~np.isin(end, ids)), edge_at,
+            lambda i: f"{role} references unknown node {end[i]}")
+    containment = [i for i, label in enumerate(c.label.strings) if label in RESERVED_CONTAINMENT_LABELS]
+    err("SELF_CONTAINMENT", np.flatnonzero(~edup & (c.src == c.dst) & np.isin(c.label.codes, containment)),
+        edge_at, lambda i: f"self-loop with containment label {c.label.strings[c.label.codes[i]]!r}")
 
-    seen_features: set[tuple[str, int, str]] = set()
-    for f in corpus.features:
-        where = f"feature {f.kind}:{f.target}:{f.key}"
-        if f.kind not in (NODE_KIND, EDGE_KIND):
-            err("BAD_KIND", where, f"feature kind must be N or E, got {f.kind!r}")
-            continue
-        pool = node_ids if f.kind == NODE_KIND else edge_ids
-        if f.target not in pool:
-            err("DANGLING_TARGET", where, f"feature targets unknown {'node' if f.kind == NODE_KIND else 'edge'} {f.target}")
-        triple = (f.kind, f.target, f.key)
-        if triple in seen_features:
-            err("DUPLICATE_FEATURE", where, "more than one value for this target and key")
-        seen_features.add(triple)
-        if f.key in corpus.metadata.int_features:
-            try:
-                int(f.value)
-            except ValueError:
-                err("INT_VALUE", where, f"key {f.key!r} is integer-typed but value is {f.value!r}")
+    kind = lambda i: c.kind.strings[c.kind.codes[i]]
+    feature_at = lambda i: f"feature {kind(i)}:{c.target[i]}:{c.key.strings[c.key.codes[i]]}"
+    on_node, on_edge = c.kind.codes == c.kind.code(NODE_KIND), c.kind.codes == c.kind.code(EDGE_KIND)
+    good = on_node | on_edge
+    err("BAD_KIND", np.flatnonzero(~good), feature_at, lambda i: f"feature kind must be N or E, got {kind(i)!r}")
+    err("DANGLING_TARGET", np.flatnonzero((on_node & ~np.isin(c.target, ids)) | (on_edge & ~np.isin(c.target, c.edge_id))),
+        feature_at, lambda i: f"feature targets unknown {'node' if kind(i) == NODE_KIND else 'edge'} {c.target[i]}")
+    rows = np.flatnonzero(good)
+    err("DUPLICATE_FEATURE", rows[_repeats(c.kind.codes[rows], c.target[rows], c.key.codes[rows])], feature_at,
+        lambda i: "more than one value for this target and key")
+    int_rows = good & np.isin(c.key.codes, [i for i, key in enumerate(c.key.strings) if key in meta.int_features])
+    not_ints = [v for v in np.unique(c.value.codes[int_rows]).tolist() if not _is_int64(c.value.strings[v])]
+    err("INT_VALUE", np.flatnonzero(int_rows & np.isin(c.value.codes, not_ints)), feature_at,
+        lambda i: f"key {c.key.strings[c.key.codes[i]]!r} is integer-typed but value is "
+        f"{c.value.strings[c.value.codes[i]]!r}")
 
     return _report(errors, warns)
 
@@ -248,6 +275,9 @@ def _read_text_file(path: Path) -> str:
 
 def extract_id(token: str) -> int | None:
     """Numeric identity of an xml:id: its decimal suffix (``n101`` -> 101)."""
+    digits = token[1:] if token[:1] in _ID_HEAD else token
+    if digits.isdecimal():  # the usual forms: digits, or one letter and digits
+        return int(digits)
     m = _ID_SUFFIX_RE.match(token)
     if m is None:
         return None
@@ -278,8 +308,10 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
     word_nodes: list[tuple[str, str, str]] = []  # (xid, region ref, file)
     other_nodes: list[tuple[str, str, str, str]] = []  # (xid, otype, monads, file)
     edges_raw: list[tuple[str, str, str, str, str]] = []  # (xid, from, to, label, file)
-    annos: list[tuple[str, str, str, str]] = []  # (ref, key, value, file)
-    seen_xids: set[str] = set()
+    annos: list[tuple[str, str, str, str]] = []  # (ref, key, value, file) of each <f>
+    # A dict of str keys and None values, not a set: the collector does not
+    # track it, so it adds nothing to the cost of each full collection.
+    seen_xids: dict[str, None] = {}
 
     def data_err(code: str, message: str, file: str, where: str | None = None) -> None:
         issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
@@ -293,8 +325,6 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             _, root = next(stream)
         except ET.ParseError as exc:
             raise IngestError(f"malformed XML: {exc.msg}", file=fname, line=exc.position[0]) from None
-        except StopIteration:
-            raise IngestError("malformed XML: empty document", file=fname) from None
         if root.tag != "graph":
             raise IngestError(f"root element must be <graph>, got <{root.tag}>", file=fname)
 
@@ -306,26 +336,25 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             if xid in seen_xids:
                 data_err("DUPLICATE_XMLID", f"xml:id {xid!r} used more than once", fname, where=xid)
                 return None
-            seen_xids.add(xid)
+            seen_xids[xid] = None
             return xid
 
         try:
             for event, elem in stream:
-                if event != "end" or elem.tag not in ("region", "node", "edge", "a"):
+                if event == "start":
                     continue
-                if elem.tag == "region":
+                tag = elem.tag
+                if tag == "region":
                     xid = claim_xid(elem, "region")
-                    anchors = (elem.get("anchors") or "").split()
                     if xid is not None:
-                        if len(anchors) != 2 or not all(a.lstrip("-").isdigit() for a in anchors):
+                        anchors = _ANCHORS_RE.fullmatch(elem.get("anchors") or "")
+                        if anchors is None:
                             data_err("BAD_ANCHORS", f"region {xid!r}: anchors must be two integers", fname, where=xid)
                         else:
-                            regions[xid] = (int(anchors[0]), int(anchors[1]), fname)
-                elif elem.tag == "node":
+                            regions[xid] = (int(anchors[1]), int(anchors[2]), fname)
+                elif tag == "node":
                     xid = claim_xid(elem, "node")
-                    if xid is None:
-                        pass
-                    else:
+                    if xid is not None:
                         links = elem.findall("link")
                         monads = elem.get("monads")
                         otype = elem.get("otype")
@@ -346,7 +375,7 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                                 other_nodes.append((xid, otype, monads, fname))
                         else:
                             data_err("UNANCHORED_NODE", f"node {xid!r} has neither a link nor monads", fname, where=xid)
-                elif elem.tag == "edge":
+                elif tag == "edge":
                     xid = claim_xid(elem, "edge")
                     src, dst = elem.get("from"), elem.get("to")
                     if xid is not None:
@@ -354,7 +383,7 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                             data_err("BAD_EDGE", f"edge {xid!r} needs from and to", fname, where=xid)
                         else:
                             edges_raw.append((xid, src, dst, elem.get("label") or "", fname))
-                elif elem.tag == "a":
+                elif tag == "a":
                     ref = elem.get("ref")
                     if ref is None:
                         data_err("BAD_ANNOTATION", "<a> has no ref", fname)
@@ -365,15 +394,20 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                                 data_err("BAD_FEATURE", f"<f> under {ref!r} needs name and value", fname, where=ref)
                             else:
                                 annos.append((ref, name, value, fname))
+                else:
+                    continue
                 root.clear()
         except ET.ParseError as exc:
             raise IngestError(f"malformed XML: {exc.msg}", file=fname, line=exc.position[0]) from None
 
     # Slot assembly: word regions sorted by start become slots 1..W.
-    ordered = sorted(word_nodes, key=lambda w: (regions[w[1]][0], regions[w[1]][1]) if w[1] in regions else (0, 0))
-    slots: list[Region] = []
-    nodes: list[Node] = []
-    xid_kind: dict[str, tuple[str, int]] = {}
+    no_region = (0, 0, "")
+    spans = [regions.get(ref, no_region)[:2] for _, ref, _ in word_nodes]
+    starts: list[int] = []
+    ends: list[int] = []
+    ids: list[int] = []
+    node_of: dict[str, int] = {}  # xid -> id of each node accepted, and of each edge
+    edge_of: dict[str, int] = {}
     used_regions: set[str] = set()
 
     def node_id_of(xid: str, fname: str) -> int | None:
@@ -383,27 +417,27 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             return None
         return nid
 
-    slot_index = 0
-    for xid, region_ref, fname in ordered:
-        if region_ref not in regions:
+    for i in sorted(range(len(spans)), key=spans.__getitem__):
+        xid, region_ref, fname = word_nodes[i]
+        region = regions.get(region_ref)
+        if region is None:
             data_err("DANGLING_LINK", f"node {xid!r} links unknown region {region_ref!r}", fname, where=xid)
             continue
         if region_ref in used_regions:
             data_err("REGION_REUSED", f"region {region_ref!r} linked by more than one node", fname, where=xid)
             continue
         used_regions.add(region_ref)
-        start, end, _ = regions[region_ref]
         nid = node_id_of(xid, fname)
         if nid is None:
             continue
-        try:
-            slots.append(Region(start, end))
-        except ValueError as exc:
-            data_err("BAD_ANCHORS", f"region {region_ref!r}: {exc}", fname, where=xid)
+        start, end, _ = region
+        if not 0 <= start < end:
+            data_err("BAD_ANCHORS", f"region {region_ref!r}: {region_problem(start, end)}", fname, where=xid)
             continue
-        slot_index += 1
-        nodes.append(Node(id=nid, otype=metadata.slot_otype, monads=MonadSet(((slot_index, slot_index),))))
-        xid_kind[xid] = (NODE_KIND, nid)
+        starts.append(start)
+        ends.append(end)
+        ids.append(nid)
+        node_of[xid] = nid
 
     for xid in sorted(set(regions) - used_regions):
         soft.append(
@@ -415,6 +449,8 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             )
         )
 
+    otypes = [metadata.slot_otype] * len(ids)
+    runs = [((k, k),) for k in range(1, len(ids) + 1)]
     for xid, otype, monads_text, fname in other_nodes:
         nid = node_id_of(xid, fname)
         if nid is None:
@@ -424,34 +460,43 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
         except ValueError as exc:
             data_err("BAD_MONADS", f"node {xid!r}: {exc}", fname, where=xid)
             continue
-        nodes.append(Node(id=nid, otype=otype, monads=monads))
-        xid_kind[xid] = (NODE_KIND, nid)
+        ids.append(nid)
+        otypes.append(otype)
+        runs.append(monads.runs)
+        node_of[xid] = nid
 
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, int, str]] = []
     for xid, src_ref, dst_ref, label, fname in edges_raw:
         eid = node_id_of(xid, fname)
         if eid is None:
             continue
-        src = xid_kind.get(src_ref)
-        dst = xid_kind.get(dst_ref)
-        if src is None or src[0] != NODE_KIND or dst is None or dst[0] != NODE_KIND:
+        src, dst = node_of.get(src_ref), node_of.get(dst_ref)
+        if src is None or dst is None:
             data_err("DANGLING_EDGE_REF", f"edge {xid!r} references unknown node", fname, where=xid)
             continue
-        edges.append(Edge(id=eid, src=src[1], dst=dst[1], label=label))
-        xid_kind[xid] = (EDGE_KIND, eid)
+        edges.append((eid, src, dst, label))
+        edge_of[xid] = eid
 
-    features: list[FeatureAssignment] = []
-    for ref, key, value, fname in annos:
-        target = xid_kind.get(ref)
-        if target is None:
+    kinds = [NODE_KIND if ref in node_of else EDGE_KIND if ref in edge_of else None for ref, _, _, _ in annos]
+    for (ref, _, _, fname), kind in zip(annos, kinds):
+        if kind is None:
             data_err("DANGLING_REF", f"annotation references unknown id {ref!r}", fname, where=ref)
-            continue
-        features.append(FeatureAssignment(kind=target[0], target=target[1], key=key, value=value))
 
-    _check(_report(issues, soft))
-    return LogicalCorpus.assemble(
-        text=text, slots=slots, nodes=nodes, edges=edges, features=features, metadata=metadata
+    _check(_report(issues, soft))  # from here on, every ref was found
+    features = (
+        kinds,
+        [(node_of if kind == NODE_KIND else edge_of)[ref] for (ref, _, _, _), kind in zip(annos, kinds)],
+        [key for _, key, _, _ in annos],
+        [value for _, _, value, _ in annos],
     )
+    return _assembled(text, (starts, ends), (ids, otypes, runs), edges, features, metadata)
+
+
+def _assembled(text, slots, nodes, edges, features, metadata) -> LogicalCorpus:
+    """A front end's corpus: its rows as columns, in ``assemble``'s order.
+    ``edges`` is a list of row tuples."""
+    columns = Columns.build(slots, nodes, tuple(zip(*edges)) or ((),) * 4, features)
+    return LogicalCorpus.from_columns(text, columns.assembled(), metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +521,9 @@ def escape_cell(value: str) -> str:
 
 
 def unescape_cell(cell: str) -> str:
+    if "\\" not in cell:
+        return cell
+
     def sub(m: re.Match[str]) -> str:
         token = m.group(0)
         if token == "\\":
@@ -561,7 +609,7 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
         return nid
 
     slots_path = base / "slots.tsv"
-    slot_rows: dict[int, Region] = {}
+    slot_rows: dict[int, tuple[int, int]] = {}
     for lineno, cells in _read_tsv(slots_path, issues):
         idx = parse_int(slots_path, lineno, cells[0], "slot_index")
         start = parse_int(slots_path, lineno, cells[1], "start")
@@ -571,16 +619,19 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
         if idx in slot_rows:
             row_err(slots_path, lineno, "DUPLICATE_SLOT", f"slot {idx} defined twice")
             continue
-        try:
-            slot_rows[idx] = Region(start, end)
-        except ValueError as exc:
-            row_err(slots_path, lineno, "BAD_REGION", str(exc))
+        problem = region_problem(start, end)
+        if problem:
+            row_err(slots_path, lineno, "BAD_REGION", problem)
+            continue
+        slot_rows[idx] = (start, end)
     if slot_rows and sorted(slot_rows) != list(range(1, len(slot_rows) + 1)):
         row_err(slots_path, 0, "SLOT_NUMBERING", "slot indices must be dense 1..W")
-    slots = tuple(slot_rows[i] for i in sorted(slot_rows)) if slot_rows else ()
+    regions = [slot_rows[i] for i in sorted(slot_rows)]
 
     nodes_path = base / "nodes.tsv"
-    nodes: list[Node] = []
+    ids: list[int] = []
+    otypes: list[str] = []
+    runs: list[tuple[tuple[int, int], ...]] = []
     for lineno, cells in _read_tsv(nodes_path, issues):
         nid = parse_id(nodes_path, lineno, cells[0], "node_id")
         try:
@@ -590,10 +641,13 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
             continue
         if nid is None:
             continue
-        nodes.append(Node(id=nid, otype=cells[1], monads=monads))
+        ids.append(nid)
+        otypes.append(cells[1])
+        runs.append(monads.runs)
 
     features_path = base / "features.tsv"
-    features: list[FeatureAssignment] = []
+    features: tuple[list[str], list[int], list[str], list[str]] = ([], [], [], [])
+    kinds, targets, keys, values = features
     for lineno, cells in _read_tsv(features_path, issues):
         target = parse_id(features_path, lineno, cells[1], "target_id")
         if target is None:
@@ -603,10 +657,13 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
         except ValueError as exc:
             row_err(features_path, lineno, "BAD_ESCAPE", str(exc))
             continue
-        features.append(FeatureAssignment(kind=cells[0], target=target, key=cells[2], value=value))
+        kinds.append(cells[0])
+        targets.append(target)
+        keys.append(cells[2])
+        values.append(value)
 
     edges_path = base / "edges.tsv"
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, int, str]] = []
     if edges_path.exists():
         for lineno, cells in _read_tsv(edges_path, issues):
             eid = parse_id(edges_path, lineno, cells[0], "edge_id")
@@ -614,9 +671,7 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
             dst = parse_id(edges_path, lineno, cells[2], "to")
             if eid is None or src is None or dst is None:
                 continue
-            edges.append(Edge(id=eid, src=src, dst=dst, label=cells[3]))
+            edges.append((eid, src, dst, cells[3]))
 
     _check(_report(issues, []))
-    return LogicalCorpus.assemble(
-        text=text, slots=slots, nodes=nodes, edges=edges, features=features, metadata=metadata
-    )
+    return _assembled(text, tuple(zip(*regions)) or ((), ()), (ids, otypes, runs), edges, features, metadata)

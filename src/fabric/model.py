@@ -8,14 +8,18 @@ containment) and sequence (monad order), are defined here, together with the
 canonical total order used for every deterministic traversal.
 
 All values are frozen dataclasses: safe to share across threads, never
-mutated after construction.
+mutated after construction.  ``Columns`` is the same corpus as flat arrays,
+the form the validator and the compiler read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 NODE_KIND = "N"
 EDGE_KIND = "E"
@@ -26,6 +30,11 @@ RESERVED_CONTAINMENT_LABELS = frozenset({"parent"})
 _RANGE_RE = re.compile(r"(\d+)(?:-(\d+))?$")
 
 
+def region_problem(start: int, end: int) -> str | None:
+    """Why [start, end) is no region, or None when it is one."""
+    return None if 0 <= start < end else f"bad region ({start}, {end}): need 0 <= start < end"
+
+
 @dataclass(frozen=True, slots=True)
 class Region:
     """Half-open character span [start, end) over the primary text."""
@@ -34,8 +43,9 @@ class Region:
     end: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"bad region ({self.start}, {self.end}): need 0 <= start < end")
+        problem = region_problem(self.start, self.end)
+        if problem:
+            raise ValueError(problem)
 
     @property
     def length(self) -> int:
@@ -84,6 +94,12 @@ class MonadSet:
     def parse(cls, text: str) -> "MonadSet":
         """Parse the canonical form, e.g. ``"1-3,5"``. Empty text is the empty set."""
         text = text.strip()
+        head, dash, tail = text.partition("-")
+        if head.isdecimal() and (tail.isdecimal() or not dash):  # one run: "3" or "3-5"
+            lo = int(head)
+            hi = int(tail) if dash else lo
+            if 1 <= lo <= hi:
+                return cls(((lo, hi),))
         if not text:
             return cls(())
         ranges: list[tuple[int, int]] = []
@@ -206,13 +222,148 @@ class CorpusMetadata:
     provenance: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+def _ints(values: Sequence[int]) -> np.ndarray:
+    """Python ints as int64.  One past that range is clipped to it, and
+    fails validation all the same: as an id past 32 bits, a monad past the
+    slots, or a reference to no node or edge but such an id."""
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return np.fromiter((min(max(v, _I64_MIN), _I64_MAX) for v in values), np.int64, len(values))
+
+
+def gather(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ragged rows ``rows`` of a column with row i at
+    ``offsets[i]:offsets[i + 1]``: their own offsets, and the flat index
+    of each of their elements."""
+    starts, sizes = offsets[:-1][rows], np.diff(offsets)[rows]
+    out = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out, np.repeat(starts - out[:-1], sizes) + np.arange(out[-1])
+
+
+class Coded(NamedTuple):
+    """A string column: codes into its distinct strings, sorted, so that
+    code order is string order and every string is used."""
+
+    codes: np.ndarray
+    strings: tuple[str, ...]
+
+    @classmethod
+    def of(cls, values: Sequence[str]) -> "Coded":
+        strings = sorted(set(values))
+        index = {s: i for i, s in enumerate(strings)}
+        return cls(np.fromiter(map(index.__getitem__, values), np.int64, len(values)), tuple(strings))
+
+    def code(self, value: str) -> int:
+        """The code of ``value``; -1 when no row has it."""
+        return self.strings.index(value) if value in self.strings else -1
+
+    def take(self, rows: np.ndarray) -> "Coded":
+        return Coded(self.codes[rows], self.strings)
+
+    def decoded(self) -> list[str]:
+        return list(map(self.strings.__getitem__, self.codes.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A corpus as flat int64 arrays, row for row.
+
+    Slot k is ``slot_start[k-1]``..``slot_end[k-1]``.  Node i owns the
+    monad runs ``first[j]``..``last[j]`` for j in ``runs[i]:runs[i + 1]``.
+    Edges are (``edge_id``, ``src``, ``dst``, ``label``) rows; features are
+    (``kind``, ``target``, ``key``, ``value``) rows.
+    """
+
+    slot_start: np.ndarray
+    slot_end: np.ndarray
+    node_id: np.ndarray
+    otype: Coded
+    runs: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    edge_id: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    label: Coded
+    kind: Coded
+    target: np.ndarray
+    key: Coded
+    value: Coded
+
+    @classmethod
+    def build(
+        cls,
+        slots: tuple[Sequence[int], Sequence[int]],
+        nodes: tuple[Sequence[int], Sequence[str], Sequence[tuple[tuple[int, int], ...]]],
+        edges: tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[str]],
+        features: tuple[Sequence[str], Sequence[int], Sequence[str], Sequence[str]],
+    ) -> "Columns":
+        """Columns from Python sequences, one per column, rows in order:
+        slot starts and ends; node ids, otypes and run tuples; edge ids,
+        sources, targets and labels; feature kinds, targets, keys and
+        values."""
+        (starts, ends), (ids, otypes, runs), (eids, srcs, dsts, labels), (kinds, targets, keys, values) = (
+            slots, nodes, edges, features,
+        )
+        offsets = np.zeros(len(runs) + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, runs), np.int64, len(runs)), out=offsets[1:])
+        bounds = _ints(list(chain.from_iterable(chain.from_iterable(runs))))
+        return cls(
+            _ints(starts), _ints(ends), _ints(ids), Coded.of(otypes), offsets, bounds[0::2], bounds[1::2],
+            _ints(eids), _ints(srcs), _ints(dsts), Coded.of(labels),
+            Coded.of(kinds), _ints(targets), Coded.of(keys), Coded.of(values),
+        )
+
+    def assembled(self) -> "Columns":
+        """The same rows in ``LogicalCorpus.assemble``'s order: nodes and
+        edges by id, features by (kind, target, key), ties kept in order."""
+        n = np.argsort(self.node_id, kind="stable")
+        e = np.argsort(self.edge_id, kind="stable")
+        f = np.lexsort((self.key.codes, self.target, self.kind.codes))
+        runs, j = gather(self.runs, n)
+        return Columns(
+            self.slot_start, self.slot_end, self.node_id[n], self.otype.take(n), runs, self.first[j], self.last[j],
+            self.edge_id[e], self.src[e], self.dst[e], self.label.take(e),
+            self.kind.take(f), self.target[f], self.key.take(f), self.value.take(f),
+        )
+
+    def monad_set(self, row: int) -> MonadSet:
+        a, b = self.runs[row], self.runs[row + 1]
+        return MonadSet(tuple(zip(self.first[a:b].tolist(), self.last[a:b].tolist())))
+
+    def monad_sets(self) -> list[MonadSet]:
+        runs, offsets = list(zip(self.first.tolist(), self.last.tolist())), self.runs.tolist()
+        return [MonadSet(tuple(runs[a:b])) for a, b in zip(offsets, offsets[1:])]
+
+
+# How each collection of a corpus handed over as columns is built on first read.
+_MATERIALIZE = {
+    "slots": lambda c: tuple(map(Region, c.slot_start.tolist(), c.slot_end.tolist())),
+    "nodes": lambda c: tuple(map(Node, c.node_id.tolist(), c.otype.decoded(), c.monad_sets())),
+    "edges": lambda c: tuple(map(Edge, c.edge_id.tolist(), c.src.tolist(), c.dst.tolist(), c.label.decoded())),
+    "features": lambda c: tuple(
+        map(FeatureAssignment, c.kind.decoded(), c.target.tolist(), c.key.decoded(), c.value.decoded())
+    ),
+}
+
+
+@dataclass(frozen=True)
 class LogicalCorpus:
     """The fully assembled in-memory corpus.
 
     Collections are normalized (slots by index, nodes and edges by id,
     features by (kind, target, key)), so equality between two corpora is
     plain field equality.  Slot k (1-based) owns region ``slots[k-1]``.
+
+    A front end hands its corpus over as ``Columns`` (``from_columns``):
+    ``slots``, ``nodes``, ``edges`` and ``features`` are then materialized
+    on first read, and compiling never reads them.  A corpus built from
+    objects gets its columns in one pass on first use.
     """
 
     text: str
@@ -242,17 +393,48 @@ class LogicalCorpus:
             metadata=metadata,
         )
 
+    @classmethod
+    def from_columns(cls, text: str, columns: Columns, metadata: CorpusMetadata) -> "LogicalCorpus":
+        """A corpus whose collections are ``columns``, already in
+        ``assemble``'s order."""
+        corpus = object.__new__(cls)
+        for name, value in (("text", text), ("metadata", metadata), ("_columns", columns)):
+            object.__setattr__(corpus, name, value)
+        return corpus
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute never set: a collection of a corpus
+        # made by ``from_columns``, read for the first time.
+        if name not in _MATERIALIZE or "_columns" not in self.__dict__:
+            raise AttributeError(name)
+        value = _MATERIALIZE[name](self.__dict__["_columns"])
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def columns(self) -> Columns:
+        columns = self.__dict__.get("_columns")
+        if columns is None:
+            nodes, edges, features = self.nodes, self.edges, self.features
+            columns = Columns.build(
+                ([r.start for r in self.slots], [r.end for r in self.slots]),
+                ([n.id for n in nodes], [n.otype for n in nodes], [n.monads.runs for n in nodes]),
+                ([e.id for e in edges], [e.src for e in edges], [e.dst for e in edges], [e.label for e in edges]),
+                ([f.kind for f in features], [f.target for f in features], [f.key for f in features],
+                 [f.value for f in features]),
+            )
+            object.__setattr__(self, "_columns", columns)
+        return columns
+
     def stats(self) -> CorpusStats:
-        words = sum(1 for n in self.nodes if n.otype == self.metadata.slot_otype)
+        c = self.columns
+        words = np.count_nonzero(c.otype.codes == c.otype.code(self.metadata.slot_otype))
         return CorpusStats(
-            words=words,
-            nodes=len(self.nodes),
-            features=len(self.features),
-            edges=len(self.edges),
+            words=int(words), nodes=len(c.node_id), features=len(c.target), edges=len(c.edge_id)
         )
 
     def present_otypes(self) -> tuple[str, ...]:
-        return rank_otypes(self.metadata, {n.otype for n in self.nodes})
+        return rank_otypes(self.metadata, self.columns.otype.strings)
 
 
 def rank_otypes(metadata: CorpusMetadata, present: Iterable[str]) -> tuple[str, ...]:

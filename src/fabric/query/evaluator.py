@@ -222,7 +222,7 @@ class _Eval:
                 (atom.pattern.search(v) is not None for v in values), dtype=bool, count=len(values)
             )
         elif int_typed:
-            ints = np.fromiter(map(int, values), dtype=np.int64, count=len(values))
+            ints = self.c.int_values(atom.key)
             mask = np.zeros(len(values), dtype=bool)
             for m in members:  # type: ignore[union-attr]
                 mask |= _COMPARE.get(op, np.equal)(ints, _as_int(atom.key, m))

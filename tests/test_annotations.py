@@ -306,6 +306,39 @@ class TestPersistence:
         store, _ = fox_store(toy4_corpus)
         assert export_bytes(store).endswith(b"\n")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_export_is_the_json_modules_layout(self, data):
+        """The hand-written layout is byte for byte that of the json module
+        with ``indent=2``, control and non-ASCII characters included."""
+        text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+        number = st.integers(min_value=-(2**40), max_value=2**40)
+        snapshot = st.lists(st.tuples(number, st.lists(number, max_size=3).map(tuple)), max_size=3).map(tuple)
+        store = AnnotationStore(data.draw(text))
+        for _ in range(data.draw(st.integers(0, 3))):
+            saved = SavedQuery(
+                id=data.draw(number), name=data.draw(text), author=data.draw(text), query_text=data.draw(text),
+                description=data.draw(text), is_public=data.draw(st.booleans()), created=data.draw(text),
+                modified=data.draw(text), corpus_fingerprint=store.corpus_fingerprint, snapshot=data.draw(snapshot),
+                match_count=data.draw(number), verse_count=data.draw(number),
+            )
+            store.queries[saved.id] = saved
+        doc = {
+            "format_version": 1,
+            "corpus_fingerprint": store.corpus_fingerprint,
+            "queries": [
+                {
+                    "id": q.id, "name": q.name, "author": q.author, "query": q.query_text,
+                    "description": q.description, "is_public": q.is_public, "created": q.created,
+                    "modified": q.modified, "match_count": q.match_count, "verse_count": q.verse_count,
+                    "snapshot": [[verse, list(nodes)] for verse, nodes in q.snapshot],
+                }
+                for q in (store.queries[i] for i in sorted(store.queries))
+            ],
+        }
+        want = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        assert export_bytes(store) == want.encode("utf-8")
+
 
 class TestImportValidation:
     def doc(self, toy4_corpus, **edits):

@@ -163,6 +163,19 @@ class TestCompile:
         assert code == 1
         assert "REGION_BOUNDS" in err and "MISSING_SLOT_NODE" in err
 
+    @pytest.mark.parametrize("xml_id", ["n99999999999", "n99999999999999999999"])
+    def test_id_past_the_image_format_is_a_validation_failure(self, capsys, tmp_path, xml_id):
+        (tmp_path / "c.txt").write_text("ab", encoding="utf-8")
+        (tmp_path / "c.xml").write_text(
+            '<graph><region xml:id="r1" anchors="0 2"/><node xml:id="n1"><link targets="r1"/></node>'
+            f'<node xml:id="{xml_id}" otype="phrase" monads="1"/></graph>',
+            encoding="utf-8",
+        )
+        (tmp_path / "c.graf").write_text("text=c.txt\nannotations=c.xml\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "compile", str(tmp_path / "c.graf"), str(tmp_path / "x.fab"))
+        assert (code, stdout) == (1, "")
+        assert err.count("fabric:") == 1 and "ID_RANGE" in err and "32-bit" in err
+
     def test_validation_failures_as_json(self, capsys, tmp_path):
         src = tmp_path / "bad"
         src.mkdir()

@@ -416,8 +416,8 @@ class TestCorruption:
     @given(st.data())
     def test_rewritten_bytes_fail_cleanly(self, data):
         """1-4 bytes of one section rewritten, its CRC recomputed: either the
-        load raises ImageError, or querying and browsing the image raise
-        nothing but FabricError."""
+        load raises ImageError, or querying (one atom per feature key too)
+        and browsing the image raise nothing but FabricError."""
         raw = data.draw(st.sampled_from(fuzz_images()))
         entry = data.draw(st.sampled_from([e for e in image.read_directory(raw) if e.length]))
         byte = st.tuples(st.integers(0, entry.length - 1), st.integers(0, 255))
@@ -429,9 +429,22 @@ class TestCorruption:
             return
         with contextlib.suppress(FabricError):
             evaluate(corpus, f"[{corpus.metadata.slot_otype}]")
+        for key in corpus.feature_keys():
+            for atom in ('="1"', '~"1"', "<2")[: 3 if key in corpus.metadata.int_features else 2]:
+                with contextlib.suppress(FabricError):
+                    evaluate(corpus, f"[{corpus.metadata.slot_otype} {key}{atom}]")
         for node in corpus.nodes():
             with contextlib.suppress(FabricError):
                 corpus.up(node), corpus.down(node), corpus.text_of(node), corpus.passage_of(node)
+
+    def test_int_store_value_that_is_no_integer(self):
+        data = compile_to_bytes(random_corpus(random.Random(0)))[0]
+        name = image.section_name(Corpus.from_bytes(data)._feature_sections[("N", "freq")])
+        length = next(e.length for e in image.read_directory(data) if e.name == name)
+        corpus = Corpus.from_bytes(rewrite_section(data, name, length - 1, b"x"))  # the last value's last byte
+        with pytest.raises(ImageError) as exc:
+            evaluate(corpus, '[word freq="1"]')
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
 
     def test_feature_index_naming_a_missing_section(self, toy4_bytes):
         with pytest.raises(ImageError) as exc:
@@ -483,8 +496,19 @@ class TestFileWriting:
             toy4_logical,
             nodes=toy4_logical.nodes + (Node(2**33, "phrase", MonadSet.from_monads([1])),),
         )
-        with pytest.raises(ValueError, match="32-bit"):
+        with pytest.raises(ValidationFailure, match="32-bit"):
             compile_to_bytes(big)
+
+
+class TestMonadPool:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_pool_holds_each_distinct_set_once_in_run_tuple_order(self, seed):
+        logical = random_corpus(random.Random(seed), max_words=60)
+        corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
+        offsets, firsts, lasts = (a.tolist() for a in (corpus._set_offsets, corpus._run_first, corpus._run_last))
+        pool = [tuple(zip(firsts[a:b], lasts[a:b])) for a, b in zip(offsets, offsets[1:])]
+        assert pool == sorted({n.monads.runs for n in logical.nodes})
 
 
 class TestRoundTrip:

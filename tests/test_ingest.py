@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 
@@ -26,6 +27,7 @@ from fabric.model import (
     Region,
 )
 from fabric.synth import random_corpus, write_graf, write_tabular
+import reference
 from strategies import cell_text
 
 
@@ -188,6 +190,29 @@ class TestValidate:
         )
         self.check(bad, "INT_VALUE")
 
+    def test_int_value_beyond_int64(self):
+        bad = tiny(
+            features=(FeatureAssignment("N", 1, "freq", str(2**63)),),
+            metadata=CorpusMetadata(otypes=("word",), int_features=frozenset({"freq"})),
+        )
+        self.check(bad, "INT_VALUE")
+
+    @pytest.mark.parametrize("nid", [2**32, 2**63, 2**70, -1])
+    def test_node_id_beyond_the_image_format(self, nid):
+        words = (Node(1, "word", MonadSet.from_monads([1])), Node(2, "word", MonadSet.from_monads([2])))
+        report = validate(tiny(nodes=words + (Node(nid, "phrase", MonadSet.from_monads([1, 2])),)))
+        assert [(i.code, "32-bit" in i.message) for i in report.errors] == [("ID_RANGE", True)]
+
+    def test_widest_ids_the_image_format_stores(self):
+        words = (Node(1, "word", MonadSet.from_monads([1])), Node(2, "word", MonadSet.from_monads([2])))
+        top = 2**32 - 1
+        assert validate(tiny(nodes=words + (Node(top, "phrase", MonadSet.from_monads([1])),))).ok
+        assert validate(tiny(edges=(Edge(top, 1, 2, "dep"),))).ok
+
+    def test_edge_id_beyond_the_image_format(self):
+        report = validate(tiny(edges=(Edge(2**32, 1, 2, "dep"),)))
+        assert [(i.code, i.where) for i in report.errors] == [("ID_RANGE", f"edge {2**32}")]
+
     def test_failure_message_counts_remaining_errors(self):
         report = validate(tiny(slots=(), nodes=()))
         exc = ValidationFailure(report)
@@ -195,6 +220,64 @@ class TestValidate:
         assert str(exc).startswith(f"{first.code}: {first.message}")
         if len(report.errors) > 1:
             assert f"(+{len(report.errors) - 1} more)" in str(exc)
+
+
+@st.composite
+def broken_corpora(draw):
+    """A random corpus with one to five defects of the kinds ``validate``
+    reports, as a hand-built corpus in canonical order or in the order the
+    defects were appended."""
+    corpus = random_corpus(random.Random(draw(st.integers(0, 2**32 - 1))), max_words=10)
+    slots, nodes, edges, features = list(corpus.slots), list(corpus.nodes), list(corpus.edges), list(corpus.features)
+    width, slot = len(corpus.slots), corpus.metadata.slot_otype
+    ids = [n.id for n in nodes]
+    some_id = st.sampled_from(ids + [max(ids) + 1, 2**32 - 1, 2**32])
+    new_id = st.sampled_from([max(ids) + 1, max(ids) + 2, 2**32 - 1, 2**32])
+    monads = st.frozensets(st.integers(1, width + 2), max_size=3).map(MonadSet.from_monads)
+    otype = st.sampled_from(sorted({n.otype for n in nodes}) + ["para"])
+    for defect in draw(st.lists(st.integers(0, 7), min_size=1, max_size=5)):
+        if defect == 0:  # a repeated node id, any monads (empty, past the text, a second owner)
+            nodes.append(Node(draw(st.sampled_from(ids)), draw(otype), draw(monads)))
+        elif defect == 1:  # a new node: a multi-monad slot, a doubly owned slot, an id past 32 bits
+            one = st.integers(1, width).map(lambda m: MonadSet.from_monads([m]))
+            nodes.append(Node(draw(new_id), draw(st.sampled_from([slot, "phrase"])), draw(st.one_of(monads, one))))
+        elif defect == 2 and nodes:  # a node gone: a missing slot, dangling edges and targets
+            nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+        elif defect == 3:  # an edge: dangling, a containment self-loop, an id repeated or past 32 bits
+            src = draw(some_id)
+            dst = draw(st.sampled_from([src, draw(some_id)]))
+            edge_id = draw(st.sampled_from([e.id for e in edges] + [1, 2**32]))
+            edges.append(Edge(edge_id, src, dst, draw(st.sampled_from(["parent", "role"]))))
+        elif defect in (4, 5):  # a feature: a bad kind, a dangling or repeated target, a non-integer
+            kind = draw(st.sampled_from(["N", "E", "X"]))
+            target = draw(st.sampled_from([f.target for f in features] + [e.id for e in edges] + [99_999]))
+            key = draw(st.sampled_from(["freq", "lex", "typ"]))
+            value = draw(st.sampled_from(["7", " 8 ", "lots", "1_0", "²", str(2**63), ""]))
+            features.append(FeatureAssignment(kind, target, key, value))
+        elif defect == 6 and features:  # a repeated feature
+            features.append(dataclasses.replace(draw(st.sampled_from(features)), value="again"))
+        elif defect == 7 and slots:  # a slot region past the text or over the next one, or no slots at all
+            i = draw(st.integers(0, len(slots) - 1))
+            slots[i] = Region(slots[i].start, slots[i].end + draw(st.integers(1, 3)))
+            slots = slots if draw(st.integers(0, 9)) else []
+    if draw(st.booleans()):
+        return LogicalCorpus.assemble(corpus.text, slots, nodes, edges, features, corpus.metadata)
+    return dataclasses.replace(
+        corpus, slots=tuple(slots), nodes=tuple(nodes), edges=tuple(edges), features=tuple(features)
+    )
+
+
+class TestValidateAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(broken_corpora())
+    def test_reports_equal_the_object_loop(self, corpus):
+        assert validate(corpus) == reference.validate(corpus)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_valid_corpora_pass_both(self, seed):
+        corpus = random_corpus(random.Random(seed))
+        assert validate(corpus) == reference.validate(corpus)
 
 
 class TestTabularParsing:
@@ -390,6 +473,74 @@ class TestGrafParsing:
     def test_not_xml(self, tmp_path):
         with pytest.raises(IngestError):
             parse_graf(self.header(tmp_path, "not xml at all"))
+
+    @pytest.mark.parametrize(
+        "extra,code,where,message",
+        [
+            ('<node otype="phrase" monads="1-2"/>', "MISSING_XMLID", None, "<node> has no xml:id"),
+            (
+                '<node xml:id="n3"><link targets="r1"/><link targets="r2"/></node>',
+                "BAD_LINK", "n3", "node 'n3' must link exactly one region",
+            ),
+            (
+                '<node xml:id="n3"><link targets="r1 r2"/></node>',
+                "BAD_LINK", "n3", "node 'n3' must link exactly one region",
+            ),
+            (
+                '<node xml:id="n3" monads="1"><link targets="r1"/></node>',
+                "BAD_LINK", "n3", "node 'n3' has both a link and monads",
+            ),
+            (
+                '<node xml:id="n3" otype="phrase"><link targets="r1"/></node>',
+                "BAD_OTYPE", "n3", "linked node 'n3' cannot have otype 'phrase'",
+            ),
+            ('<node xml:id="n3" monads="1-2"/>', "MISSING_OTYPE", "n3", "node 'n3' has no otype"),
+            ('<node xml:id="n3"/>', "UNANCHORED_NODE", "n3", "node 'n3' has neither a link nor monads"),
+            ('<edge xml:id="e1" from="n1"/>', "BAD_EDGE", "e1", "edge 'e1' needs from and to"),
+            (
+                '<edge xml:id="e1" from="n1" to="n9"/>',
+                "DANGLING_EDGE_REF", "e1", "edge 'e1' references unknown node",
+            ),
+            ('<a><f name="k" value="v"/></a>', "BAD_ANNOTATION", None, "<a> has no ref"),
+            ('<a ref="n1"><f name="k"/></a>', "BAD_FEATURE", "n1", "<f> under 'n1' needs name and value"),
+            (
+                '<a ref="n9"><f name="k" value="v"/></a>',
+                "DANGLING_REF", "n9", "annotation references unknown id 'n9'",
+            ),
+            (
+                '<node xml:id="n3"><link targets="r2"/></node>',
+                "REGION_REUSED", "n3", "region 'r2' linked by more than one node",
+            ),
+            (
+                '<node xml:id="nx" otype="phrase" monads="1-2"/>',
+                "BAD_ID", "nx", "xml:id 'nx' has no positive decimal suffix",
+            ),
+        ],
+    )
+    def test_reports_each_source_defect(self, tmp_path, extra, code, where, message):
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(self.header(tmp_path, self.BASE.format(extra=extra)))
+        got = [(i.code, i.file, i.line, i.where, i.message) for i in exc.value.report.errors]
+        assert got == [(code, str(tmp_path / "c.xml"), None, where, message)]
+
+    @pytest.mark.parametrize(
+        "xml,line,message",
+        [
+            ("<corpus/>", None, "root element must be <graph>, got <corpus>"),
+            ("", 1, "malformed XML: no element found: line 1, column 0"),
+            (
+                BASE.format(extra="").replace('"r1"/></node>', '"r1"/></node', 1),
+                5,
+                "malformed XML: not well-formed (invalid token): line 5, column 0",
+            ),
+        ],
+        ids=["not-a-graph", "empty", "malformed"],
+    )
+    def test_unreadable_xml(self, tmp_path, xml, line, message):
+        with pytest.raises(IngestError) as exc:
+            parse_graf(self.header(tmp_path, xml))
+        assert (exc.value.file, exc.value.line) == (str(tmp_path / "c.xml"), line)
+        assert str(exc.value).endswith(message)
 
 
 class TestCellEscaping:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -60,6 +60,22 @@ class TestMonadSet:
         assert MonadSet.parse("1-4,3-6,8").runs == ((1, 6), (8, 8))
         assert MonadSet.parse("2-3,1").runs == ((1, 3),)
         assert MonadSet.parse("1-10,2-3").runs == ((1, 10),)
+
+    @given(
+        st.text(alphabet="0123456789-٣² ", max_size=7)
+        | st.tuples(st.integers(0, 9), st.integers(0, 12)).map(lambda ab: f"{ab[0]}-{ab[1]}")
+    )
+    def test_one_run_text_parses_as_through_the_general_path(self, text):
+        """Text without a comma takes the one-run shortcut; the same range
+        twice takes the general path, which must agree."""
+        assume(text.strip())  # blank text is the empty set, and "," is malformed
+        try:
+            want = MonadSet.parse(f"{text},{text}")
+        except ValueError:
+            with pytest.raises(ValueError):
+                MonadSet.parse(text)
+        else:
+            assert MonadSet.parse(text) == want
 
     @pytest.mark.parametrize("text", ["5-3", "a", "0", "1,2-", "-2", "1--3"])
     def test_parse_rejects_malformed_input(self, text):
