@@ -293,6 +293,13 @@ def export_store(store: AnnotationStore, path: str | Path) -> None:
     _write_atomic(path, export_bytes(store))
 
 
+# The type of each saved-query field, matched exactly: a bool is no int.
+_FIELD_TYPES = {
+    "id": int, "name": str, "author": str, "query": str, "description": str, "is_public": bool,
+    "created": str, "modified": str, "match_count": int, "verse_count": int, "snapshot": list,
+}
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise StoreError(message)
@@ -333,26 +340,19 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
     for entry in queries:
         _require(isinstance(entry, dict), "each query must be a JSON object")
         try:
-            snapshot = tuple(
-                (int(verse), tuple(int(n) for n in nodes)) for verse, nodes in entry["snapshot"]
-            )
-            saved = SavedQuery(
-                id=int(entry["id"]),
-                name=entry["name"],
-                author=entry["author"],
-                query_text=entry["query"],
-                description=entry["description"],
-                is_public=bool(entry["is_public"]),
-                created=entry["created"],
-                modified=entry["modified"],
-                corpus_fingerprint=fingerprint,
-                snapshot=snapshot,
-                match_count=int(entry["match_count"]),
-                verse_count=int(entry["verse_count"]),
-                stale=stale,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed saved query entry: {exc}") from None
+            fields = {key: entry[key] for key in _FIELD_TYPES}
+        except KeyError as exc:
+            raise StoreError(f"malformed saved query entry: no field {exc}") from None
+        for key, kind in _FIELD_TYPES.items():
+            _require(type(fields[key]) is kind, f"saved query field {key!r} must be {kind.__name__}")
+        _require(
+            all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is list
+                and {*map(type, p[1])} <= {int} for p in fields["snapshot"]),
+            "saved query field 'snapshot' must hold [verse, [node, ...]] integer pairs",
+        )
+        fields["snapshot"] = tuple((verse, tuple(nodes)) for verse, nodes in fields["snapshot"])
+        fields["query_text"] = fields.pop("query")
+        saved = SavedQuery(**fields, corpus_fingerprint=fingerprint, stale=stale)
         _require(saved.id not in store.queries, f"duplicate saved-query id {saved.id}")
         _require(
             (saved.author, saved.name) not in seen_names,
@@ -393,7 +393,7 @@ def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
     head = np.maximum.accumulate(np.where(verse, np.arange(len(ids)), 0))[at]
     v, n = rows[head], rows[at]
     meet = (corpus._first[v] <= corpus._last[n]) & (corpus._first[n] <= corpus._last[v])
-    meet &= corpus._exact(v, n, meet & ((corpus._nruns[v] > 1) | (corpus._nruns[n] > 1)), corpus._meets)
+    meet &= corpus._run_test(v, n, meet & ((corpus._nruns[v] > 1) | (corpus._nruns[n] > 1)), False)
     bad = np.flatnonzero(~meet)
     if len(bad):
         i = bad[0]

@@ -395,6 +395,8 @@ def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:
         saved = store.queries.get(args.id)
         if saved is None:
             return cfg.fail(f"no saved query with id {args.id}")
+        if args.page_size < 1:
+            return cfg.fail(f"--page-size must be at least 1, not {args.page_size}")
         page = result_page(saved, args.page, args.page_size)
         if cfg.format == "json":
             print(

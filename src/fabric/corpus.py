@@ -15,7 +15,7 @@ import json
 import warnings
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -310,15 +310,10 @@ class Corpus:
         ids = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
         return _find_all(self._ids, ids)
 
-    def _runs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """First and last monads of the row's runs."""
-        s = self._monad_idx[row]
-        lo, hi = self._set_offsets[s], self._set_offsets[s + 1]
-        return self._run_first[lo:hi], self._run_last[lo:hi]
-
     def _monad_set(self, row: int) -> MonadSet:
-        firsts, lasts = self._runs(row)
-        return MonadSet(tuple(zip(firsts.tolist(), lasts.tolist())))
+        s = self._monad_idx[row]
+        runs = slice(self._set_offsets[s], self._set_offsets[s + 1])
+        return MonadSet(tuple(zip(self._run_first[runs].tolist(), self._run_last[runs].tolist())))
 
     def monads(self, node: int) -> MonadSet:
         return self._monad_set(self._row(node))
@@ -375,31 +370,36 @@ class Corpus:
         first monads).  Given arrays of bounds, it finds one slice each."""
         return firsts.searchsorted(lo), firsts.searchsorted(hi + 1)
 
-    @staticmethod
-    def _exact(a, b, need: np.ndarray, test: Callable[[int, int], bool]) -> np.ndarray:
+    @cached_property
+    def _run_keys(self) -> np.ndarray:
+        """Every run's key for ``_run_test``, set index * (width + 1) + first
+        monad; it ascends, since sets are stored in order and so are the
+        runs within a set."""
+        sizes = np.diff(self._set_offsets)
+        return np.repeat(np.arange(len(sizes), dtype=np.int64) * (self.width + 1), sizes) + self._run_first
+
+    def _run_test(self, a, b, need: np.ndarray, embed: bool) -> np.ndarray:
         """Mask over pairs of rows ``a`` and ``b`` (either may be one row)
-        that passed an envelope test: ``test(a, b)`` where ``need`` is set,
-        True elsewhere, where the envelope test is already exact."""
+        that passed an envelope test: where ``need`` is set, whether ``a``'s
+        monads include all of ``b``'s (``embed``) or share one with them;
+        True elsewhere, where the envelope test is exact.  One search on
+        ``_run_keys`` finds, for each run of ``b`` in every pair, the last
+        run of ``a`` starting at or before the run's first monad, which must
+        cover it (embedding), or its last monad, which must overlap it."""
         keep = ~need
         idx = np.flatnonzero(need)
         if len(idx):
             a, b = np.broadcast_to(a, need.shape)[idx], np.broadcast_to(b, need.shape)[idx]
-            keep[idx] = [test(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            start = self._set_offsets[self._monad_idx[b]].astype(np.int64)
+            owner, run = self._pairs(start, start + self._nruns[b])
+            first, last = self._run_first[run], self._run_last[run]
+            probe, reach = (first, last) if embed else (last, first)
+            sa = self._monad_idx[a][owner].astype(np.int64)
+            j = self._run_keys.searchsorted(sa * (self.width + 1) + probe, side="right") - 1
+            hit = (j >= self._set_offsets[sa]) & (self._run_last[j] >= reach)
+            placed = np.bincount(owner[hit], minlength=len(idx))
+            keep[idx] = placed == self._nruns[b] if embed else placed > 0
         return keep
-
-    def _covers(self, outer: int, inner: int) -> bool:
-        """Whether row ``outer``'s monads include all of row ``inner``'s."""
-        ofirst, olast = self._runs(outer)
-        ifirst, ilast = self._runs(inner)
-        j = np.searchsorted(ofirst, ifirst, side="right") - 1
-        return bool(np.all((j >= 0) & (ilast <= olast[j])))
-
-    def _meets(self, a: int, b: int) -> bool:
-        """Whether rows ``a`` and ``b`` share a monad."""
-        afirst, alast = self._runs(a)
-        bfirst, blast = self._runs(b)
-        j = np.searchsorted(afirst, blast, side="right") - 1
-        return bool(np.any((j >= 0) & (alast[j] >= bfirst)))
 
     @staticmethod
     def _pairs(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +416,7 @@ class Corpus:
         cand = rows[start:stop]
         cand = cand[(self._last[cand] <= self._last[row]) & (cand != row)]
         if self._nruns[row] > 1:  # else the envelope test is exact
-            cand = cand[self._exact(row, cand, np.ones_like(cand, dtype=bool), self._covers)]
+            cand = cand[self._run_test(row, cand, np.ones_like(cand, dtype=bool), True)]
         return cand
 
     def _inside_many(
@@ -428,7 +428,7 @@ class Corpus:
         outer, inner = parents[i], rows[j]
         keep = (self._last[inner] <= self._last[outer]) & (inner != outer)
         i, j, outer, inner = i[keep], j[keep], outer[keep], inner[keep]
-        keep = self._exact(outer, inner, self._nruns[outer] > 1, self._covers)
+        keep = self._run_test(outer, inner, self._nruns[outer] > 1, True)
         return i[keep], j[keep]
 
     @cached_property
@@ -449,7 +449,7 @@ class Corpus:
         meet = self._last[pair_ps] >= self._first[pair_rows]
         owner, pair_rows, pair_ps = owner[meet], pair_rows[meet], pair_ps[meet]
         multi = (self._nruns[pair_ps] > 1) | (self._nruns[pair_rows] > 1)
-        meet = self._exact(pair_ps, pair_rows, multi, self._meets)
+        meet = self._run_test(pair_ps, pair_rows, multi, False)
         return owner[meet], pair_ps[meet]
 
     def _first_passages(self, rows: np.ndarray) -> np.ndarray:
@@ -487,7 +487,7 @@ class Corpus:
         lo = self._last_runmax(otype).searchsorted(self._last[row])
         cand = rows[lo : self._window(firsts, 1, self._first[row])[1]]
         cand = cand[(self._last[cand] >= self._last[row]) & (cand != row)]
-        return self._ids[cand[self._exact(cand, row, self._nruns[cand] > 1, self._covers)]].tolist()
+        return self._ids[cand[self._run_test(cand, row, self._nruns[cand] > 1, True)]].tolist()
 
     def down(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedded in this one (monad subset, self excluded), in
@@ -524,7 +524,7 @@ class Corpus:
         first, last = self._first[row], self._last[row]
         cand = prows[slice(*self._window(pfirsts, first - span + 1, last))]
         cand = cand[self._last[cand] >= first]
-        cand = cand[self._exact(cand, row, (self._nruns[cand] > 1) | (self._nruns[row] > 1), self._meets)]
+        cand = cand[self._run_test(cand, row, (self._nruns[cand] > 1) | (self._nruns[row] > 1), False)]
         return int(self._ids[cand[0]]) if len(cand) else None
 
     def slot_region(self, monad: int) -> Region:

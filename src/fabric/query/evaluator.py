@@ -357,11 +357,13 @@ class _Eval:
         lo, hi = 0, n  # the whole segment
         if p.prev is not None:
             # After the previous sibling's candidate: the block starts in
-            # after..after+limit, by default up to the last monad;
-            # adjacency is limit 0.
+            # after..after+limit; adjacency is limit 0.  No gap skips more
+            # monads than the corpus width, which stands for no limit and
+            # for any larger one.
             limit = 0 if p.gap.kind == ADJACENT else p.gap.limit
+            limit = self.c.width if limit is None else min(limit, self.c.width)
             after = self.c._last[self.candidates(self.blocks[p.prev].block)[0]] + 1
-            lo, hi = self.c._window(firsts, after, after + (self.c.width if limit is None else limit))
+            lo, hi = self.c._window(firsts, after, after + limit)
         parent = 0 if p.parent is None else p.parent + 1
         return (parent, None if p.prev is None else p.prev + 1, lo, hi, n, keys, kids)
 

@@ -384,6 +384,31 @@ class TestImportValidation:
         with pytest.raises(StoreError, match="malformed"):
             import_bytes(self.dump(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snapshot", [[301, "23"]]),
+            ("snapshot", [[301, [True]]]),
+            ("snapshot", [[301.0, [3]]]),
+            ("snapshot", [[301, [3], []]]),
+            ("snapshot", "ab"),
+            ("is_public", "no"),
+            ("is_public", 1),
+            ("id", 1.9),
+            ("id", True),
+            ("verse_count", "1"),
+            ("name", 7),
+            ("created", None),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, toy4_corpus, field, value):
+        # Types are checked, not coerced: "23" is not the nodes 2 and 3,
+        # [True] is not node 1 and "no" is not True.
+        doc = self.doc(toy4_corpus)
+        doc["queries"][0][field] = value
+        with pytest.raises(StoreError, match=f"saved query field '{field}' must "):
+            import_bytes(self.dump(doc))
+
     def test_verifies_verse_is_a_passage_node(self, toy4_corpus):
         doc = self.doc(toy4_corpus)
         doc["queries"][0]["snapshot"] = [[3, [3]]]

@@ -287,6 +287,12 @@ class TestQuery:
         plain = run(capsys, "query", image, "-q", "[verse [clause [phrase]]]")
         assert run(capsys, "query", image, "-q", "[verse [clause [phrase]]]", "--timeout", "60") == plain
 
+    @pytest.mark.parametrize("limit", [2**63 - 1, 10**23])
+    def test_huge_gap_limit(self, image, capsys, limit):
+        code, stdout, err = run(capsys, "query", image, "-q", f"[word] .. <= {limit} [word]")
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[-1] == "6 match(es)"  # as brute_force_evaluate finds on toy4
+
     def test_query_file(self, image, capsys, tmp_path):
         qfile = tmp_path / "q.fql"
         qfile.write_text('[word lex="fox"] // comment\n', encoding="utf-8")
@@ -505,6 +511,14 @@ class TestAnnotate:
         code, _, err = run(capsys, "annotate", image, store, "page", "--id", "9")
         assert code == 1
         assert "no saved query" in err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_page_size_below_one(self, image, capsys, tmp_path, size):
+        store = str(tmp_path / "store.json")
+        run(capsys, "annotate", image, store, "save", "-q", "[word]", "--name", "w", "--author", "ada")
+        code, stdout, err = run(capsys, "annotate", image, store, "page", "--id", "1", "--page-size", size)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [f"fabric: --page-size must be at least 1, not {size}"]
 
     def test_page_json(self, image, capsys, tmp_path):
         store = str(tmp_path / "store.json")

@@ -10,7 +10,10 @@ passage's envelope can overlap a node it does not meet.  The nested
 shapes check the batched containment semi-join of nested blocks.  Every
 query is evaluated at match-table chunk sizes 1, 2 and the default, and
 ``fabric query`` output is checked against a row-at-a-time rendering from
-the scalar ``passage_of``, ``otype`` and ``text_of``.
+the scalar ``passage_of``, ``otype`` and ``text_of``.  In ``random_corpus``
+discontiguous phrases never partly overlap one another, so the run-level
+test is also checked on hand-built corpora whose phrases and verses are
+arbitrary monad sets.
 """
 
 from __future__ import annotations
@@ -20,18 +23,23 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
-from fabric.annotations import AnnotationStore, build_snapshot, save_query
+from fabric.annotations import AnnotationStore, _verify_snapshot, build_snapshot, save_query
 from fabric.cli import CliConfig, _stream_matches
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
+from fabric.errors import StoreError
 from fabric.ingest import parse_graf
+from fabric.model import CorpusMetadata, LogicalCorpus, MonadSet, Node, Region
 from fabric.query import evaluator
 from fabric.query.evaluator import ResultSet, _Eval, evaluate, iter_matches
 from fabric.query.oracle import _expr_true
 from fabric.query.syntax import parse
 from fabric.synth import quote_string, random_corpus, write_big_graf
+from strategies import monad_sets
 
 # The eight query shapes of the benchmark's query workload.
 SHAPES = (
@@ -308,3 +316,57 @@ def test_random_corpus_cli_rows_match_scalar_reference(seed, passage_otype, caps
     for (text, fmt), lines in want.items():
         assert _stream_matches(scan.corpus, text, CliConfig(format=fmt)) == 0
         assert capsys.readouterr().out.splitlines() == lines, (text, fmt)
+
+
+@st.composite
+def multirun_corpora(draw):
+    """One word per monad, plus verses and phrases whose monads are
+    arbitrary sets: they overlap one another in part, run by run."""
+    sets = draw(st.lists(monad_sets, min_size=1, max_size=8))
+    otypes = draw(st.lists(st.sampled_from(("verse", "phrase")), min_size=len(sets), max_size=len(sets)))
+    width = max(max(s) for s in sets)
+    words = [Node(m, "word", MonadSet.from_monads([m])) for m in range(1, width + 1)]
+    others = [Node(width + i, otype, s) for i, (otype, s) in enumerate(zip(otypes, sets), start=1)]
+    return LogicalCorpus.assemble(
+        text="w " * width,
+        slots=[Region(2 * i, 2 * i + 1) for i in range(width)],
+        nodes=words + others,
+        metadata=CorpusMetadata(otypes=("verse", "phrase", "word")),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(multirun_corpora(), st.randoms(use_true_random=False))
+def test_multirun_nodes_match_set_semantics(logical, rng):
+    scan = Scan(logical)
+    scan.check_nodes(scan.order, rng)
+    for text in ("[phrase [phrase]]", "[verse [phrase]]", "[phrase [verse [word]]]", "[verse [verse]]"):
+        scan.check_query(text)
+    # Snapshot verification accepts every (verse, node) pair whose monads
+    # meet, and rejects each pair whose envelopes overlap but monads do not.
+    m = scan.monads
+    pairs = [(v, n) for v in scan.passages for n in scan.order]
+    saved = save_query(AnnotationStore.for_corpus(scan.corpus), scan.corpus, "[word]", name="w", author="a")
+    met = tuple((v, (n,)) for v, n in pairs if m[v] & m[n])
+    _verify_snapshot(scan.corpus, replace(saved, snapshot=met))
+    for v, n in pairs:
+        if not m[v] & m[n] and min(m[v]) <= max(m[n]) and min(m[n]) <= max(m[v]):
+            with pytest.raises(StoreError, match=f"node {n} does not intersect verse {v}$"):
+                _verify_snapshot(scan.corpus, replace(saved, snapshot=met + ((v, (n,)),)))
+
+
+def test_run_test_runs_once_per_join(monkeypatch):
+    # Two containment joins and one passage join, however many pairs need
+    # the run-level test.
+    logical = random_corpus(random.Random(3), max_words=400, tricky_values=False)
+    corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
+    calls = []
+    run_test = Corpus._run_test
+
+    def counted(self, a, b, need, embed):
+        calls.append(int(need.sum()))
+        return run_test(self, a, b, need, embed)
+
+    monkeypatch.setattr(Corpus, "_run_test", counted)
+    assert evaluate(corpus, "[clause [phrase [word]]]").total
+    assert len(calls) == 3 and sum(calls) > len(calls), calls

@@ -135,6 +135,14 @@ class TestGapSemantics:
             [1, 2], [1, 3], [2, 3], [2, 4], [3, 4],
         ]
 
+    @pytest.mark.parametrize("limit", [2**63 - 1, 10**23])
+    def test_huge_limits_mean_no_limit(self, toy4_corpus, limit):
+        # No gap skips more monads than the corpus width, so any limit at
+        # least that wide is no bound.
+        q = f"[word] .. <= {limit} [word]"
+        assert rows(evaluate(toy4_corpus, q)) == rows(brute_force_evaluate(toy4_corpus, q))
+        assert rows(evaluate(toy4_corpus, q)) == rows(evaluate(toy4_corpus, "[word] .. [word]"))
+
     def test_gap_is_exclusive_of_overlap(self, toy4_corpus):
         # A phrase and a word inside it never form a sequence.
         assert rows(evaluate(toy4_corpus, '[phrase typ="NP"] .. [word text="fox"]')) == []
