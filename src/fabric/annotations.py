@@ -79,8 +79,9 @@ def build_snapshot(corpus: Corpus, result: ResultSet) -> Snapshot:
     hits = result._hits
     if hits is None:
         outer = np.fromiter((tree.node for match in result.matches for tree in match), dtype=np.int64)
-        hits = corpus._passages_meeting(outer)[1]
-    return tuple(zip(result.verses, hits))
+        hits = corpus._passages_meeting(outer)[1:]
+    met, bounds = hits[0].tolist(), hits[1].tolist()
+    return tuple(zip(result.verses, (tuple(met[a:b]) for a, b in zip(bounds, bounds[1:]))))
 
 
 class AnnotationStore:

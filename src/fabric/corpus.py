@@ -462,19 +462,19 @@ class Corpus:
         first[owner[head]] = ps[head]
         return first
 
-    def _passages_meeting(self, nodes: np.ndarray) -> tuple[list[int], list[tuple[int, ...]]]:
+    def _passages_meeting(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The passage nodes meeting any of the given (existing) node ids,
-        each with those of the ids whose monads meet it; both canonical."""
+        and the ids meeting each: passage k's are ``met[bounds[k]:bounds[k
+        + 1]]``.  Both are in canonical order."""
         rows = _find_all(self._ids, np.unique(nodes))
         rows = rows[np.argsort(self._canon_pos[rows])]
         owner, ps = self._meeting(rows)
         # Group the pairs by passage; a stable sort keeps each group's nodes
         # in canonical order.
         order = np.argsort(self._canon_pos[ps], kind="stable")
-        ps, met = ps[order], self._ids[rows[owner[order]]].tolist()
+        ps, met = ps[order], self._ids[rows[owner[order]]]
         heads = np.flatnonzero(np.diff(ps, prepend=-1))
-        bounds = heads.tolist() + [len(met)]
-        return self._ids[ps[heads]].tolist(), [tuple(met[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return self._ids[ps[heads]], met, np.append(heads, len(met))
 
     def up(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedding this one (monad superset, self excluded), in

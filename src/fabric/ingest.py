@@ -14,6 +14,14 @@ feature object: each fills flat columns (``model.Columns``), sorted into
 ``LogicalCorpus.assemble``'s order, and the corpus materializes its
 objects only when something reads them.
 
+Both decode a column at a time.  ``parse_tabular`` splits each file into
+rows (at "\n" only) and cells with a few passes over its bytes;
+``parse_graf`` scans the XML into one list per field.  Three decoders
+shared by both then read whole columns of ids, integers and monad sets
+with numpy, and hand only the cells they cannot read (anything but plain
+ASCII numbers and one-run sets) to the per-row decoders (``extract_id``,
+``int``, ``MonadSet.parse``), which give every value and report.
+
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
 over the columns, which a corpus built from objects gets in one pass.
@@ -21,12 +29,17 @@ over the columns, which a corpus built from objects gets in one pass.
 
 from __future__ import annotations
 
+import gc
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import contains
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +52,8 @@ from .model import (
     CorpusMetadata,
     LogicalCorpus,
     MonadSet,
+    flat_runs,
+    gather,
     region_problem,
 )
 
@@ -46,7 +61,6 @@ XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
 _U32_MAX = 2**32 - 1  # the widest id the image format stores
 
 _ANCHORS_RE = re.compile(r"\s*(-?\d+)\s+(-?\d+)\s*")
-_ID_HEAD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ID_SUFFIX_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*?(\d+)$|^(\d+)$")
 
 
@@ -211,15 +225,20 @@ def _check(report: ValidationReport) -> None:
 _LIST_SPLIT_RE = re.compile(r"[,\s]+")
 
 
-def _parse_keyvalue(path: Path) -> dict[str, list[tuple[int, str]]]:
-    entries: dict[str, list[tuple[int, str]]] = {}
+def _text(path: Path) -> str:
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise IngestError("file not found", file=str(path)) from None
     except UnicodeDecodeError as exc:
         raise IngestError(f"not valid UTF-8: {exc}", file=str(path)) from None
-    for lineno, raw in enumerate(lines, start=1):
+
+
+def _parse_keyvalue(path: Path) -> dict[str, list[tuple[int, str]]]:
+    r"""Key=value lines, split at "\n" only (stripping each line drops a
+    "\r" before it)."""
+    entries: dict[str, list[tuple[int, str]]] = {}
+    for lineno, raw in enumerate(_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -269,21 +288,164 @@ def _read_text_file(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
+# column decoders (shared by both front ends)
+# ---------------------------------------------------------------------------
+#
+# Each decodes a whole column of source text with a few numpy passes and
+# hands only the rows it cannot take to ``slow``, the per-row decoder,
+# which returns the row's value, or None after reporting why it rejects it.
+# The bulk pass takes a subset of what the per-row decoder accepts, so
+# values and reports are the per-row decoder's.
+
+
+def _digits(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each token ``chars[starts:ends]`` that is 1 to 18
+    ASCII digits, and which tokens those are: Horner's rule, one character
+    position at a time for every token at once."""
+    size = ends - starts
+    ok = (size >= 1) & (size <= 18)  # 18 digits always fit in int64
+    value = np.zeros(len(size), np.int64)
+    for k in range(int(size[ok].max(initial=0)), 0, -1):  # the k-th character from the end
+        inside = size >= k
+        digit = chars[ends - k] - 48  # uint8, so anything below "0" wraps past 9
+        ok &= ~inside | (digit < 10)
+        value = value * 10 + digit * inside
+    return value, ok
+
+
+def _numbers(cells: list[str], head: bool = False, dash: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plain numbers of a column: cells of 1 to 18 ASCII digits; with
+    ``head``, after one ASCII letter or "_" (an id such as ``n12``); with
+    ``dash``, also two such numbers joined by "-" (a run such as ``3-5``).
+    Returns each cell's first and last number (the same when it holds one)
+    and which cells are plain; other cells' numbers mean nothing."""
+    size = np.fromiter(map(len, cells), np.int64, len(cells))
+    ends = np.cumsum(size)
+    starts = ends - size
+    # A character past ASCII becomes one "?", so it is never a digit.
+    chars = np.frombuffer("".join(cells).encode("ascii", "replace"), np.uint8)
+    if head:
+        lead = np.zeros(len(cells), np.uint8)
+        lead[size > 0] = chars[starts[size > 0]]
+        starts += ((lead | 32) - 97 < 26) | (lead == 95)
+    mid = ends.copy()  # where the first number ends
+    if dash:  # a cell with more dashes keeps one inside a number and is not plain
+        at = np.flatnonzero(chars == 45)
+        mid[np.searchsorted(ends, at, side="right")] = at
+    first, ok = _digits(chars, starts, mid)
+    if not dash:
+        return first, first, ok
+    last, ok_last = _digits(chars, np.minimum(mid + 1, ends), ends)
+    one = mid == ends
+    return first, np.where(one, first, last), ok & (one | ok_last)
+
+
+def _fallback(ok: np.ndarray, slow: Callable[[int], object]) -> tuple[list[int], list, np.ndarray]:
+    """Run ``slow`` on each row the bulk pass left (``ok`` false): the rows
+    it decodes, their values, and which rows are decoded now."""
+    rows = np.flatnonzero(~ok).tolist()
+    got = list(map(slow, rows))
+    kept = [value is not None for value in got]
+    ok = ok.copy()
+    ok[rows] = kept
+    return list(compress(rows, kept)), list(compress(got, kept)), ok
+
+
+def _column(values: np.ndarray, ok: np.ndarray, slow: Callable[[int], int | None]) -> tuple[np.ndarray, np.ndarray]:
+    rows, got, ok = _fallback(ok, slow)
+    try:
+        values[rows] = got
+    except OverflowError:  # exact Python ints; ``Columns`` clips them
+        values = values.astype(object)
+        values[rows] = got
+    return values, ok
+
+
+def _int_column(cells: list[str], slow: Callable[[int], int | None]) -> tuple[np.ndarray, np.ndarray]:
+    """An integer column, as ``int()`` reads it: values and which rows
+    decoded."""
+    values, _, ok = _numbers(cells)
+    return _column(values, ok, slow)
+
+
+def _id_column(cells: list[str], slow: Callable[[int], int | None]) -> tuple[np.ndarray, np.ndarray]:
+    """An id column, as ``extract_id`` reads ids, each at least 1: values
+    and which rows decoded."""
+    values, _, ok = _numbers(cells, head=True)
+    return _column(values, ok & (values >= 1), slow)
+
+
+def _monad_column(
+    cells: list[str], slow: Callable[[int], tuple[tuple[int, int], ...] | None]
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """A monad set column: its runs as ``Columns`` holds them, and which
+    rows decoded.  One-run text goes straight into the run arrays; only
+    the rest is parsed into run tuples, by ``slow``."""
+    lo, hi, one = _numbers(cells, dash=True)
+    one &= (lo >= 1) & (lo <= hi)
+    rows, got, ok = _fallback(one, slow)
+    size = one.astype(np.int64)
+    size[rows] = list(map(len, got))
+    offsets = np.zeros(len(cells) + 1, np.int64)
+    np.cumsum(size, out=offsets[1:])
+    first, last = np.empty(offsets[-1], np.int64), np.empty(offsets[-1], np.int64)
+    first[offsets[:-1][one]], last[offsets[:-1][one]] = lo[one], hi[one]
+    at = gather(offsets, np.array(rows, np.int64))[1]
+    first[at], last[at] = flat_runs(got)[1:]
+    return (offsets, first, last), ok
+
+
+def _take(values: list, rows: np.ndarray) -> list:
+    """The items of a list at an index array, or where a mask is set."""
+    if rows.dtype == bool:
+        return list(compress(values, rows.tolist()))
+    return list(map(values.__getitem__, rows.tolist()))
+
+
+def _exact(values: list[int]) -> np.ndarray:
+    """Python ints as int64, or as objects when one does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def _node_table(ids: np.ndarray, otypes: list[str], runs, keep: np.ndarray):
+    """The nodes where ``keep`` is set: ids, otypes and runs."""
+    offsets, at = gather(runs[0], np.flatnonzero(keep))
+    return ids[keep], _take(otypes, keep), (offsets, runs[1][at], runs[2][at])
+
+
+# ---------------------------------------------------------------------------
 # graph XML front end
 # ---------------------------------------------------------------------------
 
 
 def extract_id(token: str) -> int | None:
     """Numeric identity of an xml:id: its decimal suffix (``n101`` -> 101)."""
-    digits = token[1:] if token[:1] in _ID_HEAD else token
-    if digits.isdecimal():  # the usual forms: digits, or one letter and digits
-        return int(digits)
     m = _ID_SUFFIX_RE.match(token)
     if m is None:
         return None
     return int(m.group(1) or m.group(2))
 
 
+_REGION, _WORD, _NODE, _EDGE, _ANNO = range(5)  # the tables of ``parse_graf``'s scan
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, which would walk every item of
+    a scan's row lists at each full collection; a parse makes no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def parse_graf(header_path: str | Path) -> LogicalCorpus:
     """Parse a header file plus the annotation XML files it references."""
     header = Path(header_path)
@@ -304,17 +466,23 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
 
     issues: list[ValidationIssue] = []
     soft: list[ValidationIssue] = []
-    regions: dict[str, tuple[int, int, str]] = {}  # xid -> (start, end, file)
-    word_nodes: list[tuple[str, str, str]] = []  # (xid, region ref, file)
-    other_nodes: list[tuple[str, str, str, str]] = []  # (xid, otype, monads, file)
-    edges_raw: list[tuple[str, str, str, str, str]] = []  # (xid, from, to, label, file)
-    annos: list[tuple[str, str, str, str]] = []  # (ref, key, value, file) of each <f>
-    # A dict of str keys and None values, not a set: the collector does not
-    # track it, so it adds nothing to the cost of each full collection.
-    seen_xids: dict[str, None] = {}
+    # The scan keeps each element kind's rows as one list per field.
+    regions: dict[str, int] = {}  # xid -> row of region_start and region_end
+    region_start: list[int] = []
+    region_end: list[int] = []
+    word_xid, word_ref = [], []  # nodes that link a region
+    node_xid, node_otype, node_monads = [], [], []  # nodes with monads
+    edge_xid, edge_src, edge_dst, edge_label = [], [], [], []
+    anno_ref, anno_key, anno_value = [], [], []  # one row per <f>
+    tables = (region_start, word_xid, node_xid, edge_xid, anno_ref)
+    file_ends: list[list[int]] = [[] for _ in tables]  # each table's length at the end of each file
+    seen_xids: set[str] = set()
 
     def data_err(code: str, message: str, file: str, where: str | None = None) -> None:
         issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
+
+    def file_of(table: int, row: int) -> str:
+        return str(anno_paths[bisect_right(file_ends[table], row)])
 
     for anno_path in anno_paths:
         fname = str(anno_path)
@@ -336,7 +504,7 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             if xid in seen_xids:
                 data_err("DUPLICATE_XMLID", f"xml:id {xid!r} used more than once", fname, where=xid)
                 return None
-            seen_xids[xid] = None
+            seen_xids.add(xid)
             return xid
 
         try:
@@ -351,7 +519,9 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                         if anchors is None:
                             data_err("BAD_ANCHORS", f"region {xid!r}: anchors must be two integers", fname, where=xid)
                         else:
-                            regions[xid] = (int(anchors[1]), int(anchors[2]), fname)
+                            regions[xid] = len(region_start)
+                            region_start.append(int(anchors[1]))
+                            region_end.append(int(anchors[2]))
                 elif tag == "node":
                     xid = claim_xid(elem, "node")
                     if xid is not None:
@@ -367,12 +537,15 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                             elif otype not in (None, metadata.slot_otype):
                                 data_err("BAD_OTYPE", f"linked node {xid!r} cannot have otype {otype!r}", fname, where=xid)
                             else:
-                                word_nodes.append((xid, targets[0], fname))
+                                word_xid.append(xid)
+                                word_ref.append(targets[0])
                         elif monads is not None:
                             if otype is None:
                                 data_err("MISSING_OTYPE", f"node {xid!r} has no otype", fname, where=xid)
                             else:
-                                other_nodes.append((xid, otype, monads, fname))
+                                node_xid.append(xid)
+                                node_otype.append(otype)
+                                node_monads.append(monads)
                         else:
                             data_err("UNANCHORED_NODE", f"node {xid!r} has neither a link nor monads", fname, where=xid)
                 elif tag == "edge":
@@ -382,7 +555,10 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                         if src is None or dst is None:
                             data_err("BAD_EDGE", f"edge {xid!r} needs from and to", fname, where=xid)
                         else:
-                            edges_raw.append((xid, src, dst, elem.get("label") or "", fname))
+                            edge_xid.append(xid)
+                            edge_src.append(src)
+                            edge_dst.append(dst)
+                            edge_label.append(elem.get("label") or "")
                 elif tag == "a":
                     ref = elem.get("ref")
                     if ref is None:
@@ -393,109 +569,115 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                             if name is None or value is None:
                                 data_err("BAD_FEATURE", f"<f> under {ref!r} needs name and value", fname, where=ref)
                             else:
-                                annos.append((ref, name, value, fname))
+                                anno_ref.append(ref)
+                                anno_key.append(name)
+                                anno_value.append(value)
                 else:
                     continue
                 root.clear()
         except ET.ParseError as exc:
             raise IngestError(f"malformed XML: {exc.msg}", file=fname, line=exc.position[0]) from None
+        for ends, table in zip(file_ends, tables):
+            ends.append(len(table))
 
-    # Slot assembly: word regions sorted by start become slots 1..W.
-    no_region = (0, 0, "")
-    spans = [regions.get(ref, no_region)[:2] for _, ref, _ in word_nodes]
-    starts: list[int] = []
-    ends: list[int] = []
-    ids: list[int] = []
-    node_of: dict[str, int] = {}  # xid -> id of each node accepted, and of each edge
-    edge_of: dict[str, int] = {}
-    used_regions: set[str] = set()
+    def id_of(xids: list[str], table: int, rows: list[int]) -> Callable[[int], int | None]:
+        """The per-row id decoder of row ``rows[k]`` of a table."""
 
-    def node_id_of(xid: str, fname: str) -> int | None:
-        nid = extract_id(xid)
-        if nid is None or nid < 1:
-            data_err("BAD_ID", f"xml:id {xid!r} has no positive decimal suffix", fname, where=xid)
-            return None
-        return nid
+        def slow(k: int) -> int | None:
+            xid = xids[rows[k]]
+            nid = extract_id(xid)
+            if nid is None or nid < 1:
+                data_err("BAD_ID", f"xml:id {xid!r} has no positive decimal suffix", file_of(table, rows[k]), where=xid)
+                return None
+            return nid
 
-    for i in sorted(range(len(spans)), key=spans.__getitem__):
-        xid, region_ref, fname = word_nodes[i]
-        region = regions.get(region_ref)
-        if region is None:
-            data_err("DANGLING_LINK", f"node {xid!r} links unknown region {region_ref!r}", fname, where=xid)
-            continue
-        if region_ref in used_regions:
-            data_err("REGION_REUSED", f"region {region_ref!r} linked by more than one node", fname, where=xid)
-            continue
-        used_regions.add(region_ref)
-        nid = node_id_of(xid, fname)
-        if nid is None:
-            continue
-        start, end, _ = region
-        if not 0 <= start < end:
-            data_err("BAD_ANCHORS", f"region {region_ref!r}: {region_problem(start, end)}", fname, where=xid)
-            continue
-        starts.append(start)
-        ends.append(end)
-        ids.append(nid)
-        node_of[xid] = nid
+        return slow
 
-    for xid in sorted(set(regions) - used_regions):
+    # Slot assembly: word regions sorted by start become slots 1..W.  A word
+    # with no region sorts as (0, 0).
+    ref_row = np.fromiter(map(regions.get, word_ref, repeat(-1)), np.int64, len(word_ref))
+    span_start = np.append(_exact(region_start), 0)[ref_row]
+    span_end = np.append(_exact(region_end), 0)[ref_row]
+    order = np.lexsort((span_end, span_start))
+    linked = ref_row[order] >= 0
+    reused = linked & _repeats(ref_row[order])  # a later word on a region already linked
+    for code, rows, message in (
+        ("DANGLING_LINK", order[~linked], lambda i: f"node {word_xid[i]!r} links unknown region {word_ref[i]!r}"),
+        ("REGION_REUSED", order[reused], lambda i: f"region {word_ref[i]!r} linked by more than one node"),
+    ):
+        for i in rows.tolist():
+            data_err(code, message(i), file_of(_WORD, i), where=word_xid[i])
+    rows = order[linked & ~reused]
+    word_ids, ok = _id_column(_take(word_xid, rows), id_of(word_xid, _WORD, rows.tolist()))
+    bad = ok & ~((span_start[rows] >= 0) & (span_start[rows] < span_end[rows]))
+    for i in rows[bad].tolist():
+        data_err("BAD_ANCHORS", f"region {word_ref[i]!r}: {region_problem(span_start[i], span_end[i])}",
+                 file_of(_WORD, i), where=word_xid[i])
+    words, word_ids = rows[ok & ~bad], word_ids[ok & ~bad]
+    used = np.zeros(len(region_start), dtype=bool)
+    used[ref_row[order[linked]]] = True
+    for xid in sorted(compress(regions, (~used).tolist())):
         soft.append(
             ValidationIssue(
                 code="UNUSED_REGION",
                 message=f"region {xid!r} is not linked by any node",
-                file=regions[xid][2],
+                file=file_of(_REGION, regions[xid]),
                 where=xid,
             )
         )
 
-    otypes = [metadata.slot_otype] * len(ids)
-    runs = [((k, k),) for k in range(1, len(ids) + 1)]
-    for xid, otype, monads_text, fname in other_nodes:
-        nid = node_id_of(xid, fname)
-        if nid is None:
-            continue
+    node_ids, ok = _id_column(node_xid, id_of(node_xid, _NODE, list(range(len(node_xid)))))
+    rows = np.flatnonzero(ok)
+
+    def runs_of(k: int) -> tuple[tuple[int, int], ...] | None:
+        i = rows[k]
         try:
-            monads = MonadSet.parse(monads_text)
+            return MonadSet.parse(node_monads[i]).runs
         except ValueError as exc:
-            data_err("BAD_MONADS", f"node {xid!r}: {exc}", fname, where=xid)
-            continue
-        ids.append(nid)
-        otypes.append(otype)
-        runs.append(monads.runs)
-        node_of[xid] = nid
+            data_err("BAD_MONADS", f"node {node_xid[i]!r}: {exc}", file_of(_NODE, i), where=node_xid[i])
+            return None
 
-    edges: list[tuple[int, int, int, str]] = []
-    for xid, src_ref, dst_ref, label, fname in edges_raw:
-        eid = node_id_of(xid, fname)
-        if eid is None:
-            continue
-        src, dst = node_of.get(src_ref), node_of.get(dst_ref)
-        if src is None or dst is None:
-            data_err("DANGLING_EDGE_REF", f"edge {xid!r} references unknown node", fname, where=xid)
-            continue
-        edges.append((eid, src, dst, label))
-        edge_of[xid] = eid
+    runs, ok = _monad_column(_take(node_monads, rows), runs_of)
+    ids, otypes, (offsets, first, last) = _node_table(node_ids[rows], _take(node_otype, rows), runs, ok)
+    width = len(words)
+    monad = np.arange(1, width + 1, dtype=np.int64)  # slot k owns monad k
+    nodes = (
+        np.concatenate((word_ids, ids)),
+        [metadata.slot_otype] * width + otypes,
+        (np.concatenate((monad - 1, offsets + width)), np.concatenate((monad, first)), np.concatenate((monad, last))),
+    )
+    node_row = dict(zip(_take(word_xid, words) + _take(node_xid, rows[ok]), range(len(nodes[0]))))
 
-    kinds = [NODE_KIND if ref in node_of else EDGE_KIND if ref in edge_of else None for ref, _, _, _ in annos]
-    for (ref, _, _, fname), kind in zip(annos, kinds):
-        if kind is None:
-            data_err("DANGLING_REF", f"annotation references unknown id {ref!r}", fname, where=ref)
+    edge_ids, ok = _id_column(edge_xid, id_of(edge_xid, _EDGE, list(range(len(edge_xid)))))
+    rows = np.flatnonzero(ok)
+    src, dst = (
+        np.fromiter(map(node_row.get, _take(refs, rows), repeat(-1)), np.int64, len(rows)) for refs in (edge_src, edge_dst)
+    )
+    found = (src >= 0) & (dst >= 0)
+    for i in rows[~found].tolist():
+        data_err("DANGLING_EDGE_REF", f"edge {edge_xid[i]!r} references unknown node", file_of(_EDGE, i), where=edge_xid[i])
+    rows = rows[found]
+    node_id = np.append(nodes[0], 0)  # by row; row -1 is no node, and its id is never read
+    edges = (edge_ids[rows], node_id[src[found]], node_id[dst[found]], _take(edge_label, rows))
+    edge_row = dict(zip(_take(edge_xid, rows), range(len(rows))))
+
+    on_node, on_edge = (
+        np.fromiter(map(table.get, anno_ref, repeat(-1)), np.int64, len(anno_ref)) for table in (node_row, edge_row)
+    )
+    for i in np.flatnonzero((on_node < 0) & (on_edge < 0)).tolist():
+        data_err("DANGLING_REF", f"annotation references unknown id {anno_ref[i]!r}", file_of(_ANNO, i), where=anno_ref[i])
 
     _check(_report(issues, soft))  # from here on, every ref was found
-    features = (
-        kinds,
-        [(node_of if kind == NODE_KIND else edge_of)[ref] for (ref, _, _, _), kind in zip(annos, kinds)],
-        [key for _, key, _, _ in annos],
-        [value for _, _, value, _ in annos],
-    )
-    return _assembled(text, (starts, ends), (ids, otypes, runs), edges, features, metadata)
+    is_node = on_node >= 0
+    targets = np.where(is_node, node_id[on_node], np.append(edges[0], 0)[on_edge])
+    kinds = np.where(is_node, NODE_KIND, EDGE_KIND).tolist()
+    slots = (span_start[words], span_end[words])
+    return _assembled(text, slots, nodes, edges, (kinds, targets, anno_key, anno_value), metadata)
 
 
 def _assembled(text, slots, nodes, edges, features, metadata) -> LogicalCorpus:
-    """A front end's corpus: its rows as columns, in ``assemble``'s order.
-    ``edges`` is a list of row tuples."""
-    columns = Columns.build(slots, nodes, tuple(zip(*edges)) or ((),) * 4, features)
+    """A front end's corpus: its columns, in ``assemble``'s order."""
+    columns = Columns.build(slots, nodes, edges, features)
     return LogicalCorpus.from_columns(text, columns.assembled(), metadata)
 
 
@@ -521,9 +703,6 @@ def escape_cell(value: str) -> str:
 
 
 def unescape_cell(cell: str) -> str:
-    if "\\" not in cell:
-        return cell
-
     def sub(m: re.Match[str]) -> str:
         token = m.group(0)
         if token == "\\":
@@ -533,43 +712,46 @@ def unescape_cell(cell: str) -> str:
     return _ESCAPE_RE.sub(sub, cell)
 
 
-def _read_tsv(path: Path, issues: list[ValidationIssue]) -> list[tuple[int, list[str]]]:
-    rows: list[tuple[int, list[str]]] = []
+def _table(path: Path, issues: list[ValidationIssue]) -> tuple[list[int], list[list[str]]]:
+    r"""A TSV file's data rows: their line numbers, and their cells as one
+    list per column.  Rows are split at "\n" only, each without one
+    trailing "\r".  Blank rows and rows starting with "#" are skipped;
+    the first other row must be the header.  A row with another number of
+    cells is reported and left out."""
     expected = _TSV_HEADERS[path.name]
-    header_seen = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        cells = raw.split("\t")
-        if not header_seen:
-            if cells != expected:
-                issues.append(
-                    ValidationIssue(
-                        code="BAD_HEADER",
-                        message=f"expected header {expected}, got {cells}",
-                        file=str(path),
-                        line=lineno,
-                    )
-                )
-                return []
-            header_seen = True
-            continue
-        if len(cells) != len(expected):
-            issues.append(
-                ValidationIssue(
-                    code="BAD_ROW",
-                    message=f"expected {len(expected)} columns, got {len(cells)}",
-                    file=str(path),
-                    line=lineno,
-                )
-            )
-            continue
-        rows.append((lineno, cells))
-    if not header_seen:
-        issues.append(
-            ValidationIssue(code="BAD_HEADER", message="missing header line", file=str(path))
-        )
-    return rows
+    data = _text(path).encode().replace(b"\r\n", b"\n").removesuffix(b"\r")
+    buf = np.frombuffer(data, np.uint8)
+    breaks = np.flatnonzero(buf == 10)
+    start = np.append(0, breaks + 1)  # where each line starts
+    size = np.append(breaks, len(buf)) - start
+    lead = np.zeros(len(start), np.uint8)  # each line's first byte, 0 when it has none
+    lead[size > 0] = buf[start[size > 0]]
+    line = lambda i: data[start[i] : start[i] + size[i]].decode()
+    # Only a line that starts with an ASCII space or control character, or
+    # with a character past ASCII, can be all whitespace.
+    blank = size == 0
+    for i in np.flatnonzero((size > 0) & ((lead <= 32) | (lead >= 128))).tolist():
+        blank[i] = not line(i).strip()
+    kept = np.flatnonzero(~blank & (lead != 35))  # "#" starts a comment
+    no_rows: tuple[list[int], list[list[str]]] = ([], [[] for _ in expected])
+    if not len(kept):
+        issues.append(ValidationIssue("BAD_HEADER", "missing header line", str(path)))
+        return no_rows
+    header = line(kept[0]).split("\t")
+    if header != expected:
+        issues.append(ValidationIssue("BAD_HEADER", f"expected header {expected}, got {header}", str(path), int(kept[0]) + 1))
+        return no_rows
+    rows = kept[1:]
+    width = np.bincount(np.searchsorted(breaks, np.flatnonzero(buf == 9)), minlength=len(start))[rows] + 1
+    for i in np.flatnonzero(width != len(expected)).tolist():
+        issues.append(ValidationIssue("BAD_ROW", f"expected {len(expected)} columns, got {width[i]}", str(path), int(rows[i]) + 1))
+    rows = rows[width == len(expected)]
+    # Every good row with the "\n" after it, which becomes one more tab.
+    keep = np.zeros(len(start), dtype=bool)
+    keep[rows] = True
+    body = buf[np.repeat(keep, size + 1)[: len(buf)]].tobytes().replace(b"\n", b"\t")
+    cells = body.decode().split("\t")[: len(rows) * len(expected)]
+    return (rows + 1).tolist(), [cells[k :: len(expected)] for k in range(len(expected))]
 
 
 def parse_tabular(directory: str | Path) -> LogicalCorpus:
@@ -608,70 +790,67 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
             return None
         return nid
 
+    def ints(path: Path, linenos: list[int], cells: list[str], what: str) -> tuple[np.ndarray, np.ndarray]:
+        return _int_column(cells, lambda i: parse_int(path, linenos[i], cells[i], what))
+
+    def ids(path: Path, linenos: list[int], cells: list[str], what: str) -> tuple[np.ndarray, np.ndarray]:
+        return _id_column(cells, lambda i: parse_id(path, linenos[i], cells[i], what))
+
     slots_path = base / "slots.tsv"
-    slot_rows: dict[int, tuple[int, int]] = {}
-    for lineno, cells in _read_tsv(slots_path, issues):
-        idx = parse_int(slots_path, lineno, cells[0], "slot_index")
-        start = parse_int(slots_path, lineno, cells[1], "start")
-        end = parse_int(slots_path, lineno, cells[2], "end")
-        if idx is None or start is None or end is None:
-            continue
-        if idx in slot_rows:
-            row_err(slots_path, lineno, "DUPLICATE_SLOT", f"slot {idx} defined twice")
-            continue
-        problem = region_problem(start, end)
-        if problem:
-            row_err(slots_path, lineno, "BAD_REGION", problem)
-            continue
-        slot_rows[idx] = (start, end)
-    if slot_rows and sorted(slot_rows) != list(range(1, len(slot_rows) + 1)):
+    linenos, cells = _table(slots_path, issues)
+    (idx, a), (start, b), (end, c) = (ints(slots_path, linenos, *col) for col in zip(cells, _TSV_HEADERS[slots_path.name]))
+    rows = np.flatnonzero(a & b & c)
+    idx, start, end = idx[rows], start[rows], end[rows]
+    fine = (start >= 0) & (start < end)
+    # A row repeats a slot when an earlier row with its index took the
+    # slot, which a row with a bad region does not.
+    order = np.argsort(idx, kind="stable")
+    took = np.cumsum(fine[order]) - fine[order]  # slots taken before each row, in index order
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = idx[order][1:] != idx[order][:-1]
+    again = np.empty(len(order), dtype=bool)
+    again[order] = took > took[np.maximum.accumulate(np.where(head, np.arange(len(order)), 0))]
+    for i in np.flatnonzero(again).tolist():
+        row_err(slots_path, linenos[rows[i]], "DUPLICATE_SLOT", f"slot {idx[i]} defined twice")
+    for i in np.flatnonzero(~again & ~fine).tolist():
+        row_err(slots_path, linenos[rows[i]], "BAD_REGION", region_problem(start[i], end[i]))
+    taken = np.flatnonzero(fine & ~again)
+    taken = taken[np.argsort(idx[taken], kind="stable")]
+    if len(taken) and not np.array_equal(idx[taken], np.arange(1, len(taken) + 1)):
         row_err(slots_path, 0, "SLOT_NUMBERING", "slot indices must be dense 1..W")
-    regions = [slot_rows[i] for i in sorted(slot_rows)]
 
     nodes_path = base / "nodes.tsv"
-    ids: list[int] = []
-    otypes: list[str] = []
-    runs: list[tuple[tuple[int, int], ...]] = []
-    for lineno, cells in _read_tsv(nodes_path, issues):
-        nid = parse_id(nodes_path, lineno, cells[0], "node_id")
+    linenos, (id_cells, otypes, monad_cells) = _table(nodes_path, issues)
+    node_ids, a = ids(nodes_path, linenos, id_cells, "node_id")
+
+    def runs_of(i: int) -> tuple[tuple[int, int], ...] | None:
         try:
-            monads = MonadSet.parse(cells[2])
+            return MonadSet.parse(monad_cells[i]).runs
         except ValueError as exc:
-            row_err(nodes_path, lineno, "BAD_MONADS", str(exc))
-            continue
-        if nid is None:
-            continue
-        ids.append(nid)
-        otypes.append(cells[1])
-        runs.append(monads.runs)
+            row_err(nodes_path, linenos[i], "BAD_MONADS", str(exc))
+            return None
+
+    runs, b = _monad_column(monad_cells, runs_of)
 
     features_path = base / "features.tsv"
-    features: tuple[list[str], list[int], list[str], list[str]] = ([], [], [], [])
-    kinds, targets, keys, values = features
-    for lineno, cells in _read_tsv(features_path, issues):
-        target = parse_id(features_path, lineno, cells[1], "target_id")
-        if target is None:
-            continue
+    linenos, (kinds, target_cells, keys, values) = _table(features_path, issues)
+    targets, ok = ids(features_path, linenos, target_cells, "target_id")
+    for i in np.flatnonzero(ok & np.fromiter(map(contains, values, repeat("\\")), bool, len(values))).tolist():
         try:
-            value = unescape_cell(cells[3])
+            values[i] = unescape_cell(values[i])
         except ValueError as exc:
-            row_err(features_path, lineno, "BAD_ESCAPE", str(exc))
-            continue
-        kinds.append(cells[0])
-        targets.append(target)
-        keys.append(cells[2])
-        values.append(value)
+            row_err(features_path, linenos[i], "BAD_ESCAPE", str(exc))
+            ok[i] = False
+    features = (_take(kinds, ok), targets[ok], _take(keys, ok), _take(values, ok))
 
     edges_path = base / "edges.tsv"
-    edges: list[tuple[int, int, int, str]] = []
+    edges: tuple = ((), (), (), ())
     if edges_path.exists():
-        for lineno, cells in _read_tsv(edges_path, issues):
-            eid = parse_id(edges_path, lineno, cells[0], "edge_id")
-            src = parse_id(edges_path, lineno, cells[1], "from")
-            dst = parse_id(edges_path, lineno, cells[2], "to")
-            if eid is None or src is None or dst is None:
-                continue
-            edges.append((eid, src, dst, cells[3]))
+        linenos, cells = _table(edges_path, issues)
+        (eids, e), (src, f), (dst, g) = (ids(edges_path, linenos, *col) for col in zip(cells, ("edge_id", "from", "to")))
+        ok = e & f & g
+        edges = (eids[ok], src[ok], dst[ok], _take(cells[3], ok))
 
     _check(_report(issues, []))
-    return _assembled(text, tuple(zip(*regions)) or ((), ()), (ids, otypes, runs), edges, features, metadata)
+    nodes = _node_table(node_ids, otypes, runs, a & b)
+    return _assembled(text, (start[taken], end[taken]), nodes, edges, features, metadata)

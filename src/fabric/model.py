@@ -94,12 +94,6 @@ class MonadSet:
     def parse(cls, text: str) -> "MonadSet":
         """Parse the canonical form, e.g. ``"1-3,5"``. Empty text is the empty set."""
         text = text.strip()
-        head, dash, tail = text.partition("-")
-        if head.isdecimal() and (tail.isdecimal() or not dash):  # one run: "3" or "3-5"
-            lo = int(head)
-            hi = int(tail) if dash else lo
-            if 1 <= lo <= hi:
-                return cls(((lo, hi),))
         if not text:
             return cls(())
         ranges: list[tuple[int, int]] = []
@@ -225,10 +219,13 @@ class CorpusMetadata:
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
-def _ints(values: Sequence[int]) -> np.ndarray:
-    """Python ints as int64.  One past that range is clipped to it, and
-    fails validation all the same: as an id past 32 bits, a monad past the
-    slots, or a reference to no node or edge but such an id."""
+def _ints(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Python ints (or an array of them) as int64.  One past that range is
+    clipped to it, and fails validation all the same: as an id past 32
+    bits, a monad past the slots, or a reference to no node or edge but
+    such an id."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
     try:
         return np.fromiter(values, np.int64, len(values))
     except OverflowError:
@@ -243,6 +240,15 @@ def gather(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     out = np.zeros(len(rows) + 1, np.int64)
     np.cumsum(sizes, out=out[1:])
     return out, np.repeat(starts - out[:-1], sizes) + np.arange(out[-1])
+
+
+def flat_runs(runs: Sequence[tuple[tuple[int, int], ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monad sets given as run tuples, as ``Columns`` holds them: the
+    offsets of each set's runs, and the first and last monad of each run."""
+    offsets = np.zeros(len(runs) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, runs), np.int64, len(runs)), out=offsets[1:])
+    bounds = _ints(list(chain.from_iterable(chain.from_iterable(runs))))
+    return offsets, bounds[0::2], bounds[1::2]
 
 
 class Coded(NamedTuple):
@@ -299,22 +305,19 @@ class Columns:
     def build(
         cls,
         slots: tuple[Sequence[int], Sequence[int]],
-        nodes: tuple[Sequence[int], Sequence[str], Sequence[tuple[tuple[int, int], ...]]],
+        nodes: tuple[Sequence[int], Sequence[str], tuple[np.ndarray, np.ndarray, np.ndarray]],
         edges: tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[str]],
         features: tuple[Sequence[str], Sequence[int], Sequence[str], Sequence[str]],
     ) -> "Columns":
-        """Columns from Python sequences, one per column, rows in order:
-        slot starts and ends; node ids, otypes and run tuples; edge ids,
-        sources, targets and labels; feature kinds, targets, keys and
-        values."""
-        (starts, ends), (ids, otypes, runs), (eids, srcs, dsts, labels), (kinds, targets, keys, values) = (
-            slots, nodes, edges, features,
-        )
-        offsets = np.zeros(len(runs) + 1, np.int64)
-        np.cumsum(np.fromiter(map(len, runs), np.int64, len(runs)), out=offsets[1:])
-        bounds = _ints(list(chain.from_iterable(chain.from_iterable(runs))))
+        """Columns from one sequence (or array) per column, rows in order:
+        slot starts and ends; node ids, otypes and runs (as ``flat_runs``
+        gives them); edge ids, sources, targets and labels; feature kinds,
+        targets, keys and values."""
+        (starts, ends), (ids, otypes, (offsets, first, last)), (eids, srcs, dsts, labels), (
+            kinds, targets, keys, values,
+        ) = (slots, nodes, edges, features)
         return cls(
-            _ints(starts), _ints(ends), _ints(ids), Coded.of(otypes), offsets, bounds[0::2], bounds[1::2],
+            _ints(starts), _ints(ends), _ints(ids), Coded.of(otypes), offsets, first, last,
             _ints(eids), _ints(srcs), _ints(dsts), Coded.of(labels),
             Coded.of(kinds), _ints(targets), Coded.of(keys), Coded.of(values),
         )
@@ -418,7 +421,7 @@ class LogicalCorpus:
             nodes, edges, features = self.nodes, self.edges, self.features
             columns = Columns.build(
                 ([r.start for r in self.slots], [r.end for r in self.slots]),
-                ([n.id for n in nodes], [n.otype for n in nodes], [n.monads.runs for n in nodes]),
+                ([n.id for n in nodes], [n.otype for n in nodes], flat_runs([n.monads.runs for n in nodes])),
                 ([e.id for e in edges], [e.src for e in edges], [e.dst for e in edges], [e.label for e in edges]),
                 ([f.kind for f in features], [f.target for f in features], [f.key for f in features],
                  [f.value for f in features]),

@@ -428,7 +428,7 @@ def evaluate(
     empty = np.empty(0, dtype=np.int64)
     cols = [corpus._ids[np.concatenate([empty] + [c[k] for c in chunks])] for k in range(len(ev.blocks))]
     outer = np.concatenate([col for col, p in zip(cols, ev.blocks) if p.parent is None])
-    verses, hits = corpus._passages_meeting(outer)
-    result = ResultSet(None, total, tuple(verses), ev.stopped is not None)  # type: ignore[arg-type]
+    verses, *hits = corpus._passages_meeting(outer)
+    result = ResultSet(None, total, tuple(verses.tolist()), ev.stopped is not None)  # type: ignore[arg-type]
     result._shape, result._cols, result._hits = _shape(ev.q.root), cols, hits
     return result

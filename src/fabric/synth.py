@@ -278,8 +278,18 @@ def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "cor
     return header
 
 
+def _cell(value: str, what: str, row: object) -> str:
+    """A cell written unescaped, as the tabular form keeps otypes, kinds,
+    keys and labels: it must hold no tab, CR or LF."""
+    if "\t" in value or "\r" in value or "\n" in value:
+        raise ValueError(f"{row}: {what} {value!r} holds a tab, CR or LF, which a tabular cell cannot hold")
+    return value
+
+
 def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
-    """Write the tabular form; returns the directory for ``parse_tabular``."""
+    """Write the tabular form; returns the directory for ``parse_tabular``.
+    Feature values are escaped; an otype, kind, key or label holding a tab,
+    CR or LF is a ``ValueError`` naming its row."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / "text.txt").write_bytes(corpus.text.encode("utf-8"))
@@ -294,18 +304,18 @@ def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
 
     rows = ["node_id\totype\tmonadset"]
     for node in corpus.nodes:
-        rows.append(f"n{node.id}\t{node.otype}\t{node.monads}")
+        rows.append(f"n{node.id}\t{_cell(node.otype, 'otype', node)}\t{node.monads}")
     (base / "nodes.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     rows = ["kind\ttarget_id\tkey\tvalue"]
     for f in corpus.features:
-        rows.append(f"{f.kind}\t{f.target}\t{f.key}\t{escape_cell(f.value)}")
+        rows.append(f"{_cell(f.kind, 'kind', f)}\t{f.target}\t{_cell(f.key, 'key', f)}\t{escape_cell(f.value)}")
     (base / "features.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     if corpus.edges:
         rows = ["edge_id\tfrom\tto\tlabel"]
         for edge in corpus.edges:
-            rows.append(f"{edge.id}\t{edge.src}\t{edge.dst}\t{edge.label}")
+            rows.append(f"{edge.id}\t{edge.src}\t{edge.dst}\t{_cell(edge.label, 'label', edge)}")
         (base / "edges.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return base
 

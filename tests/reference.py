@@ -242,3 +242,154 @@ def validate(corpus):
         return tuple(sorted(issues, key=lambda i: (i.file or "", i.line or 0, i.code, i.where or "", i.message)))
 
     return ValidationReport(errors=ordered(errors), warnings=ordered(warns))
+
+
+def parse_tabular(directory):
+    """The tabular front end one row at a time: the engine's parser from
+    before its columns were decoded in bulk, with rows split at "\\n" only
+    and a trailing "\\r" dropped, building the corpus from objects.
+    Returns the corpus, or raises ``ValidationFailure`` with every row
+    report (or ``IngestError``) as ``fabric.ingest.parse_tabular`` does."""
+    from pathlib import Path
+
+    from fabric.errors import IngestError, ValidationFailure
+    from fabric.ingest import (
+        ValidationIssue,
+        ValidationReport,
+        _metadata_from_entries,
+        _parse_keyvalue,
+        extract_id,
+        unescape_cell,
+    )
+    from fabric.model import (
+        CorpusMetadata,
+        Edge,
+        FeatureAssignment,
+        LogicalCorpus,
+        MonadSet,
+        Node,
+        Region,
+        region_problem,
+    )
+
+    headers = {
+        "slots.tsv": ["slot_index", "start", "end"],
+        "nodes.tsv": ["node_id", "otype", "monadset"],
+        "features.tsv": ["kind", "target_id", "key", "value"],
+        "edges.tsv": ["edge_id", "from", "to", "label"],
+    }
+    base = Path(directory)
+    if not base.is_dir():
+        raise IngestError("not a directory", file=str(base))
+    for required in ("text.txt", "slots.tsv", "nodes.tsv", "features.tsv"):
+        if not (base / required).exists():
+            raise IngestError(f"missing {required}", file=str(base / required))
+    meta_path = base / "meta.txt"
+    metadata = (
+        _metadata_from_entries(_parse_keyvalue(meta_path), meta_path) if meta_path.exists() else CorpusMetadata()
+    )
+    text = (base / "text.txt").read_bytes().decode("utf-8")
+    issues = []
+
+    def row_err(path, lineno, code, message):
+        issues.append(ValidationIssue(code=code, message=message, file=str(path), line=lineno))
+
+    def read(path):
+        rows = []
+        expected = headers[path.name]
+        header_seen = False
+        for lineno, raw in enumerate(path.read_bytes().decode("utf-8").split("\n"), start=1):
+            if raw.endswith("\r"):
+                raw = raw[:-1]
+            if not raw.strip() or raw.startswith("#"):
+                continue
+            cells = raw.split("\t")
+            if not header_seen:
+                if cells != expected:
+                    row_err(path, lineno, "BAD_HEADER", f"expected header {expected}, got {cells}")
+                    return []
+                header_seen = True
+                continue
+            if len(cells) != len(expected):
+                row_err(path, lineno, "BAD_ROW", f"expected {len(expected)} columns, got {len(cells)}")
+                continue
+            rows.append((lineno, cells))
+        if not header_seen:
+            issues.append(ValidationIssue(code="BAD_HEADER", message="missing header line", file=str(path)))
+        return rows
+
+    def parse_int(path, lineno, cell, what):
+        try:
+            return int(cell)
+        except ValueError:
+            row_err(path, lineno, "BAD_INT", f"{what} must be an integer, got {cell!r}")
+            return None
+
+    def parse_id(path, lineno, cell, what):
+        nid = extract_id(cell)
+        if nid is None or nid < 1:
+            row_err(path, lineno, "BAD_ID", f"{what} must be a positive id, got {cell!r}")
+            return None
+        return nid
+
+    slots_path = base / "slots.tsv"
+    slot_rows = {}
+    for lineno, cells in read(slots_path):
+        idx = parse_int(slots_path, lineno, cells[0], "slot_index")
+        start = parse_int(slots_path, lineno, cells[1], "start")
+        end = parse_int(slots_path, lineno, cells[2], "end")
+        if idx is None or start is None or end is None:
+            continue
+        if idx in slot_rows:
+            row_err(slots_path, lineno, "DUPLICATE_SLOT", f"slot {idx} defined twice")
+            continue
+        problem = region_problem(start, end)
+        if problem:
+            row_err(slots_path, lineno, "BAD_REGION", problem)
+            continue
+        slot_rows[idx] = (start, end)
+    if slot_rows and sorted(slot_rows) != list(range(1, len(slot_rows) + 1)):
+        row_err(slots_path, 0, "SLOT_NUMBERING", "slot indices must be dense 1..W")
+
+    nodes_path = base / "nodes.tsv"
+    nodes = []
+    for lineno, cells in read(nodes_path):
+        nid = parse_id(nodes_path, lineno, cells[0], "node_id")
+        try:
+            monads = MonadSet.parse(cells[2])
+        except ValueError as exc:
+            row_err(nodes_path, lineno, "BAD_MONADS", str(exc))
+            continue
+        if nid is None:
+            continue
+        nodes.append(Node(nid, cells[1], monads))
+
+    features_path = base / "features.tsv"
+    features = []
+    for lineno, cells in read(features_path):
+        target = parse_id(features_path, lineno, cells[1], "target_id")
+        if target is None:
+            continue
+        try:
+            value = unescape_cell(cells[3])
+        except ValueError as exc:
+            row_err(features_path, lineno, "BAD_ESCAPE", str(exc))
+            continue
+        features.append(FeatureAssignment(cells[0], target, cells[2], value))
+
+    edges_path = base / "edges.tsv"
+    edges = []
+    if edges_path.exists():
+        for lineno, cells in read(edges_path):
+            eid = parse_id(edges_path, lineno, cells[0], "edge_id")
+            src = parse_id(edges_path, lineno, cells[1], "from")
+            dst = parse_id(edges_path, lineno, cells[2], "to")
+            if eid is None or src is None or dst is None:
+                continue
+            edges.append(Edge(eid, src, dst, cells[3]))
+
+    if issues:
+        ordered = sorted(issues, key=lambda i: (i.file or "", i.line or 0, i.code, i.where or "", i.message))
+        raise ValidationFailure(ValidationReport(errors=tuple(ordered), warnings=()))
+    slots = [Region(*slot_rows[i]) for i in sorted(slot_rows)]
+    return LogicalCorpus.assemble(text, slots, nodes, edges, features, metadata)

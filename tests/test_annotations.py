@@ -24,7 +24,7 @@ from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.errors import QueryError, StoreError
 from fabric.query import evaluator
-from fabric.query.evaluator import evaluate
+from fabric.query.evaluator import ResultSet, evaluate
 from fabric.query.oracle import brute_force_evaluate
 from fabric.synth import random_corpus, random_query
 
@@ -119,6 +119,19 @@ class TestSaveWithoutTrees:
             assert build_snapshot(toy4_corpus, brute_force_evaluate(toy4_corpus, query)) == build_snapshot(
                 toy4_corpus, result
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_snapshot_of_the_passage_join_equals_one_from_matches(self, seed):
+        """``evaluate`` keeps its passage join's grouped ids; a result that
+        holds only matches joins its outermost nodes in ``build_snapshot``."""
+        rng = random.Random(seed)
+        corpus = Corpus.from_bytes(compile_to_bytes(random_corpus(rng, max_words=40))[0])
+        result = evaluate(corpus, random_query(rng, corpus))
+        plain = ResultSet(result.matches, result.total, result.verses, result.truncated)
+        assert result._hits is not None and plain._hits is None
+        assert build_snapshot(corpus, plain) == build_snapshot(corpus, result)
+        assert plain == result
 
 
 class TestSaveRules:

@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +401,235 @@ class TestTabularParsing:
             },
         )
         assert len(parse_tabular(base).slots) == 2
+
+    SLOTS = "slot_index\tstart\tend\n"
+    NODES = "node_id\totype\tmonadset\n"
+    FEATURES = "kind\ttarget_id\tkey\tvalue\n"
+    EDGES = "edge_id\tfrom\tto\tlabel\n"
+
+    @pytest.mark.parametrize(
+        "name,content,want",
+        [
+            (
+                "slots.tsv", "# c\n\nslot\tstart\tend\n1\t0\t2\n",
+                [("BAD_HEADER", 3, "expected header ['slot_index', 'start', 'end'], got ['slot', 'start', 'end']")],
+            ),
+            ("nodes.tsv", "# only a comment\n\n", [("BAD_HEADER", None, "missing header line")]),
+            ("slots.tsv", SLOTS + "1\t0\t2\n2\t3\n", [("BAD_ROW", 3, "expected 3 columns, got 2")]),
+            ("slots.tsv", SLOTS + "1\t0\t2\n2\t3\t5\t\n", [("BAD_ROW", 3, "expected 3 columns, got 4")]),
+            ("slots.tsv", SLOTS + "1\t0\t2\n2\tzero\t5\n", [("BAD_INT", 3, "start must be an integer, got 'zero'")]),
+            (
+                "slots.tsv", SLOTS + "x\t0\t2\n2\t3\ty\n",
+                [
+                    ("BAD_INT", 2, "slot_index must be an integer, got 'x'"),
+                    ("BAD_INT", 3, "end must be an integer, got 'y'"),
+                ],
+            ),
+            (
+                "nodes.tsv", NODES + "n1\tword\t1\n-n1-\tword\t2\n",
+                [("BAD_ID", 3, "node_id must be a positive id, got '-n1-'")],
+            ),
+            (
+                "nodes.tsv", NODES + "n1\tword\t1\nn0\tword\t5-3\n",
+                [
+                    ("BAD_ID", 3, "node_id must be a positive id, got 'n0'"),
+                    ("BAD_MONADS", 3, "malformed monad range '5-3'"),
+                ],
+            ),
+            (
+                "features.tsv", FEATURES + "N\tt1x\ttext\tbad\\x\n",
+                [("BAD_ID", 2, "target_id must be a positive id, got 't1x'")],
+            ),
+            (
+                "edges.tsv", EDGES + "0\tn1\tn2\tl\ne1\tn?\tx2y\tl\n",
+                [
+                    ("BAD_ID", 2, "edge_id must be a positive id, got '0'"),
+                    ("BAD_ID", 3, "from must be a positive id, got 'n?'"),
+                    ("BAD_ID", 3, "to must be a positive id, got 'x2y'"),
+                ],
+            ),
+            (
+                "nodes.tsv", NODES + "n1\tword\t1\nn2\tword\t2\nn3\tphrase\t1-2,x\n",
+                [("BAD_MONADS", 4, "malformed monad range 'x'")],
+            ),
+            ("slots.tsv", SLOTS + "1\t0\t2\n3\t3\t5\n", [("SLOT_NUMBERING", 0, "slot indices must be dense 1..W")]),
+            (
+                "slots.tsv", SLOTS + "1\t0\t2\n2\t3\t3\n",
+                [("BAD_REGION", 3, "bad region (3, 3): need 0 <= start < end")],
+            ),
+            ("features.tsv", FEATURES + "N\tn1\ttext\tbad\\x\n", [("BAD_ESCAPE", 2, "dangling backslash")]),
+            (
+                "slots.tsv", SLOTS + "1\t0\t2\n1\t3\t5\n1\t5\t4\n2\t3\t5\n",
+                [
+                    ("DUPLICATE_SLOT", 3, "slot 1 defined twice"),
+                    ("DUPLICATE_SLOT", 4, "slot 1 defined twice"),
+                ],
+            ),
+            # A row with a bad region takes no slot: the later row with its
+            # index is accepted.
+            (
+                "slots.tsv", SLOTS + "1\t2\t2\n1\t0\t2\n2\t3\t5\n",
+                [("BAD_REGION", 2, "bad region (2, 2): need 0 <= start < end")],
+            ),
+        ],
+        ids=[
+            "bad-header", "missing-header", "short-row", "long-row", "bad-int", "bad-ints",
+            "bad-node-id", "zero-id-and-bad-monads", "bad-target", "bad-edge-ids", "bad-monad-list",
+            "slot-numbering", "bad-region", "bad-escape", "duplicate-slot", "duplicate-of-bad-region",
+        ],
+    )
+    def test_reports_each_row_defect(self, tmp_path, name, content, want):
+        base = self.write(tmp_path, **{name: content})
+        with pytest.raises(ValidationFailure) as exc:
+            parse_tabular(base)
+        got = [(i.code, i.file, i.line, i.where, i.message) for i in exc.value.report.errors]
+        assert got == [(code, str(base / name), line, None, message) for code, line, message in want]
+        assert exc.value.report.warnings == ()
+
+
+    def test_slot_values_past_int64_are_reported_exactly(self, tmp_path):
+        big = 2**70
+        base = self.write(tmp_path, **{"slots.tsv": self.SLOTS + f"1\t0\t2\n{big}\t3\t5\n{big}\t3\t5\n2\t{2**64}\t5\n"})
+        with pytest.raises(ValidationFailure) as exc:
+            parse_tabular(base)
+        got = [(i.code, i.line, i.message) for i in exc.value.report.errors]
+        assert got == [
+            ("SLOT_NUMBERING", 0, "slot indices must be dense 1..W"),
+            ("DUPLICATE_SLOT", 4, f"slot {big} defined twice"),
+            ("BAD_REGION", 5, f"bad region ({2**64}, 5): need 0 <= start < end"),
+        ]
+
+
+def _with_feature(corpus, key, value):
+    extra = FeatureAssignment("N", corpus.nodes[0].id, key, value)
+    return LogicalCorpus.assemble(
+        corpus.text, corpus.slots, corpus.nodes, corpus.edges, corpus.features + (extra,), corpus.metadata
+    )
+
+
+class TestTabularRows:
+    r"""Rows end at "\n" only (after one "\r"): any other line break is data."""
+
+    @pytest.mark.parametrize(
+        "char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+        ids=["U+2028", "U+2029", "U+0085", "x0b", "x0c", "x1c", "x1d", "x1e"],
+    )
+    def test_line_break_in_a_cell_round_trips(self, tmp_path, toy4_logical, char):
+        corpus = _with_feature(toy4_logical, f"key{char}", f"a{char}b")
+        assert parse_tabular(write_tabular(corpus, tmp_path)) == corpus
+
+    def test_crlf_files_parse_as_lf(self, tmp_path, toy4_logical):
+        base = write_tabular(toy4_logical, tmp_path)
+        for path in base.iterdir():
+            if path.suffix in (".tsv", ".txt") and path.name != "text.txt":
+                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in (base / "nodes.tsv").read_bytes()
+        assert parse_tabular(base) == toy4_logical
+
+    def test_invalid_utf8_is_an_ingest_error(self, tmp_path, toy4_logical):
+        base = write_tabular(toy4_logical, tmp_path)
+        with (base / "nodes.tsv").open("ab") as f:
+            f.write(b"n9\tword\t\xff\n")
+        with pytest.raises(IngestError, match="not valid UTF-8") as exc:
+            parse_tabular(base)
+        assert exc.value.file == str(base / "nodes.tsv")
+
+    @pytest.mark.parametrize("field,value", [("otype", "a\tb"), ("key", "a\nb"), ("label", "a\rb")])
+    def test_writer_rejects_a_cell_it_cannot_write(self, tmp_path, toy4_logical, field, value):
+        c = toy4_logical
+        if field == "otype":
+            row = dataclasses.replace(c.nodes[0], otype=value)
+            c = dataclasses.replace(c, nodes=(row,) + c.nodes[1:])
+        elif field == "key":
+            c = _with_feature(c, value, "v")
+            row = next(f for f in c.features if f.key == value)
+        else:
+            row = Edge(9, 1, 2, value)
+            c = dataclasses.replace(c, edges=(row,))
+        with pytest.raises(ValueError) as exc:
+            write_tabular(c, tmp_path)
+        assert str(exc.value) == f"{row}: {field} {value!r} holds a tab, CR or LF, which a tabular cell cannot hold"
+
+
+# "\u0663" is an Arabic-Indic three, which int() reads; "\u00b2" a superscript two, which it does not.
+_NUMBERS = ["1_0", " 5", "5 ", "+5", "\u0663", "n\u0663", "\u00b2", "n0", "0", "00012", "n00012", "_7", "ab12", "a.b-3", "n-1", "7n", "", "x"]
+_HUGE = [str(2**63 - 1), str(2**63), "n" + str(2**64 + 3), "9" * 25]
+_MONADS = ["3-1", "1-3,5", "2-2", "1,1", " 1-2", "1 - 2", "1--2", "-", "1-", "0", "0-2", "2,1", "1-" + "9" * 20, "\u0663"]
+_VALUES = ["bad\\", "a\\tb", "\\q", "\u2028", "x\x85y", "\x0c", "#"]
+_ROWS = ["", "   ", "# note", "#\tx", "\t", " \t ", "\x1c"]
+_COLUMNS = {  # what each column holds, by file
+    "slots.tsv": ("int", "int", "int"),
+    "nodes.tsv": ("id", "text", "monads"),
+    "features.tsv": ("text", "id", "text", "value"),
+    "edges.tsv": ("id", "id", "id", "text"),
+}
+
+
+@st.composite
+def mutated_tables(draw):
+    """A ``write_tabular`` directory as text, with a few rows or cells
+    changed: odd numbers and ids, monad sets and values, extra or missing
+    tabs, blank, comment and duplicated rows, and CRLF line ends."""
+    corpus = random_corpus(random.Random(draw(st.integers(0, 2**32 - 1))), max_words=10)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = write_tabular(corpus, Path(tmp))
+        files = {path.name: path.read_text(encoding="utf-8") for path in base.iterdir()}
+    for _ in range(draw(st.integers(0, 10))):
+        name = draw(st.sampled_from(sorted(n for n in files if n in _COLUMNS)))
+        lines = files[name].split("\n")
+        row = draw(st.integers(1, len(lines) - 1))
+        op = draw(st.sampled_from(["cell"] * 8 + ["tab", "cut", "insert", "dup", "header"]))
+        if op == "header":
+            row = 0
+        cells = lines[row].split("\t")
+        if op == "cell":
+            col = draw(st.integers(0, len(cells) - 1))
+            kind = _COLUMNS[name][min(col, len(_COLUMNS[name]) - 1)]
+            pool = {
+                "int": _NUMBERS + _HUGE, "id": _NUMBERS + _HUGE, "monads": _MONADS + _NUMBERS,
+                "value": _VALUES, "text": ["", " ", "x y", "#a", "\u2028"],
+            }[kind]
+            cells[col] = draw(st.sampled_from(pool))
+            lines[row] = "\t".join(cells)
+        elif op == "tab":
+            at = draw(st.integers(0, len(lines[row])))
+            lines[row] = lines[row][:at] + "\t" + lines[row][at:]
+        elif op in ("cut", "header") and len(cells) > 1:
+            lines[row] = "\t".join(cells[:-1])
+        elif op == "insert":
+            lines.insert(row, draw(st.sampled_from(_ROWS)))
+        elif op == "dup":
+            lines.insert(row, lines[row])
+        files[name] = "\n".join(lines)
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(files)))
+        if name != "text.txt":
+            files[name] = files[name].replace("\n", "\r\n")
+    return files
+
+
+def _outcome(parse, base):
+    """What a parser makes of a directory: its columns, or its report."""
+    try:
+        columns = parse(base).columns
+    except ValidationFailure as exc:
+        return exc.report
+    except IngestError as exc:
+        return (str(exc), exc.file, exc.line)
+    return [
+        (f, (v.codes.tolist(), v.strings) if isinstance(v, tuple) else v.tolist())
+        for f, v in vars(columns).items()
+    ]
+
+
+class TestTabularAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_tables())
+    def test_corpus_or_report_equals_the_row_at_a_time_parser(self, tmp_path_factory, files):
+        base = tmp_path_factory.mktemp("tab")
+        for name, content in files.items():
+            (base / name).write_bytes(content.encode("utf-8"))
+        assert _outcome(parse_tabular, base) == _outcome(reference.parse_tabular, base)
 
 
 class TestGrafParsing:
