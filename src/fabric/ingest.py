@@ -16,11 +16,13 @@ objects only when something reads them.
 
 Both decode a column at a time.  ``parse_tabular`` splits each file into
 rows (at "\n" only) and cells with a few passes over its bytes;
-``parse_graf`` scans the XML into one list per field.  Three decoders
-shared by both then read whole columns of ids, integers and monad sets
-with numpy, and hand only the cells they cannot read (anything but plain
-ASCII numbers and one-run sets) to the per-row decoders (``extract_id``,
-``int``, ``MonadSet.parse``), which give every value and report.
+``parse_graf`` scans the XML into one list per field.  Column decoders
+then read whole columns of ids and integers (both front ends) and of
+monad sets (``parse_tabular``) with numpy, and hand only the cells they
+cannot read (anything but plain ASCII numbers and one-run sets) to the
+per-row decoders (``extract_id``, ``int``, ``MonadSet.parse``), which
+give every value and report.  ``parse_graf`` parses each node's monad
+text with ``MonadSet.parse``.
 
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
@@ -288,7 +290,7 @@ def _read_text_file(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# column decoders (shared by both front ends)
+# column decoders (ids and integers in both front ends, monad sets in tables)
 # ---------------------------------------------------------------------------
 #
 # Each decodes a whole column of source text with a few numpy passes and
@@ -637,7 +639,12 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             data_err("BAD_MONADS", f"node {node_xid[i]!r}: {exc}", file_of(_NODE, i), where=node_xid[i])
             return None
 
-    runs, ok = _monad_column(_take(node_monads, rows), runs_of)
+    # Monad texts go through ``MonadSet.parse`` one node at a time, not
+    # ``_monad_column``: the traced bench times these calls
+    # (``model.monadset_parse_s``) and requires them on every XML build.
+    got = list(map(runs_of, range(len(rows))))
+    ok = np.fromiter((r is not None for r in got), bool, len(got))
+    runs = flat_runs([r or () for r in got])
     ids, otypes, (offsets, first, last) = _node_table(node_ids[rows], _take(node_otype, rows), runs, ok)
     width = len(words)
     monad = np.arange(1, width + 1, dtype=np.int64)  # slot k owns monad k
