@@ -166,6 +166,20 @@ def cmd_info(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
+def _slot_texts(corpus: Corpus, rows: np.ndarray) -> dict[int, str]:
+    """``text_of`` of each slot-type node among ``rows``, by id.  A node
+    owning one monad (every slot node of a valid image) has one slice of
+    the text, found with one gather of the slot bounds for all of them."""
+    rows = np.unique(rows[corpus._otype_code[rows] == corpus._otype_rank.get(corpus.metadata.slot_otype, -1)])
+    first, last = corpus._first[rows], corpus._last[rows]
+    starts, ends = corpus._slot_starts[first - 1].tolist(), corpus._slot_ends[first - 1].tolist()
+    text = corpus.text
+    return {
+        n: text[a:b] if one else corpus.text_of(n)
+        for n, a, b, one in zip(corpus._ids[rows].tolist(), starts, ends, (first == last).tolist())
+    }
+
+
 def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
     """Print the matches one chunk of the match table at a time, with the
     otype and passage columns of each chunk gathered in one batch."""
@@ -178,6 +192,7 @@ def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
             nodes = corpus._ids[rows].tolist()
             names = np.array(corpus._otypes, dtype=object)[corpus._otype_code[rows]].tolist()
             labels = np.array(_passage_labels(corpus, rows.ravel()), dtype=object).reshape(rows.shape).tolist()
+            texts = _slot_texts(corpus, rows.ravel()) if cfg.format == "text" else {}
             lines = []
             for i, match in enumerate(zip(nodes, names, labels), start=shown + 1):
                 row = list(zip(paths, *match))  # (path, node, otype, passage) per block
@@ -188,7 +203,7 @@ def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:
                     lines.append(json.dumps({"match": i, "nodes": entries}))
                 else:
                     parts = " ".join(
-                        f"[{p}] n{n}={t}" + (f" {corpus.text_of(n)!r}" if t == slot else "") for p, n, t, _ in row
+                        f"[{p}] n{n}={t}" + (f" {texts[n]!r}" if t == slot else "") for p, n, t, _ in row
                     )
                     lines.append(f"match {i} @ {row[0][3]}: {parts}")
             shown += len(rows)

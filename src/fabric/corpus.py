@@ -6,7 +6,11 @@ integrity checks plus one sort, not a parse.  All arrays are read-only
 views of the image bytes.
 
 Node identity in this API is the integer node id.  Canonical order is
-(first monad asc, last monad desc, otype rank asc, id asc).
+(first monad asc, last monad desc, otype rank asc, id asc).  The load sorts
+into it with two stable passes: a radix sort on the otype rank (rows are
+stored by id, so ties keep id order), then a sort on one u64 key,
+first * (width + 1) + (width - last), which the checked bounds
+1 <= first, last <= width < 2**32 keep from overflowing.
 """
 
 from __future__ import annotations
@@ -172,8 +176,12 @@ class Corpus:
             self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
             self._nruns = sizes[sets]
 
-            # Canonical permutation; lexsort treats its last key as primary.
-            self._canon = np.lexsort((self._ids, self._otype_code, -self._last, self._first))
+            # Canonical permutation in two stable passes: a radix sort on otype
+            # rank (ties keep id order), then (first asc, last desc) as one key.
+            by_type = np.argsort(self._otype_code.astype(np.min_scalar_type(len(self._otypes) - 1)), kind="stable")
+            # first <= width < 2**32 and last >= 1 are checked above, so the key stays below 2**64.
+            key = self._first.astype(np.uint64) * np.uint64(width + 1) + (width - self._last).astype(np.uint64)
+            self._canon = by_type[np.argsort(key[by_type], kind="stable")]
             self._canon_pos = np.empty(n, dtype=np.int64)
             self._canon_pos[self._canon] = np.arange(n)
 

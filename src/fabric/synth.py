@@ -220,21 +220,45 @@ def random_corpus(
 # ---------------------------------------------------------------------------
 
 
+def _metadata_value(field: str, value: str, *, name: bool = True) -> str:
+    """A value written unescaped on a ``field=`` line.  The reader splits
+    lines at LF and strips them, and splits lists of otype and feature
+    names at commas and whitespace, so a value that would not read back as
+    written is a ``ValueError`` naming the field."""
+    if "\r" in value or "\n" in value:
+        why = "holds a CR or LF"
+    elif value != value.strip():
+        why = "starts or ends with whitespace"
+    elif name and not value:
+        why = "is empty"
+    elif name and re.search(r"[,\s]", value):
+        why = "holds a comma or whitespace"
+    else:
+        return value
+    raise ValueError(f"metadata {field} {value!r} {why}, so it would not read back as written")
+
+
 def _metadata_lines(metadata: CorpusMetadata) -> list[str]:
+    """The key=value lines of the metadata; raises ``ValueError`` for a
+    value they cannot hold."""
     lines = []
     if metadata.otypes:
-        lines.append("otypes=" + ",".join(metadata.otypes))
-    lines.append(f"slot_otype={metadata.slot_otype}")
-    lines.append(f"passage_otype={metadata.passage_otype}")
+        lines.append("otypes=" + ",".join(_metadata_value("otypes", t) for t in metadata.otypes))
+    lines.append("slot_otype=" + _metadata_value("slot_otype", metadata.slot_otype))
+    lines.append("passage_otype=" + _metadata_value("passage_otype", metadata.passage_otype))
     if metadata.int_features:
-        lines.append("intfeatures=" + ",".join(sorted(metadata.int_features)))
+        names = sorted(metadata.int_features)
+        lines.append("intfeatures=" + ",".join(_metadata_value("intfeatures", k) for k in names))
     for entry in metadata.provenance:
-        lines.append(f"provenance={entry}")
+        lines.append("provenance=" + _metadata_value("provenance", entry, name=False))
     return lines
 
 
 def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "corpus") -> Path:
-    """Write the graph XML form; returns the header path for ``parse_graf``."""
+    """Write the graph XML form; returns the header path for ``parse_graf``.
+    Metadata the header cannot hold is a ``ValueError``, raised before any
+    file is written."""
+    meta = _metadata_lines(corpus.metadata)
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / f"{stem}.txt").write_bytes(corpus.text.encode("utf-8"))
@@ -273,7 +297,7 @@ def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "cor
     tree.write(base / f"{stem}.xml", encoding="utf-8", xml_declaration=True)
 
     header = base / f"{stem}.graf"
-    lines = [f"text={stem}.txt", f"annotations={stem}.xml"] + _metadata_lines(corpus.metadata)
+    lines = [f"text={stem}.txt", f"annotations={stem}.xml"] + meta
     header.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return header
 
@@ -289,13 +313,13 @@ def _cell(value: str, what: str, row: object) -> str:
 def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
     """Write the tabular form; returns the directory for ``parse_tabular``.
     Feature values are escaped; an otype, kind, key or label holding a tab,
-    CR or LF is a ``ValueError`` naming its row."""
+    CR or LF is a ``ValueError`` naming its row, and metadata ``meta.txt``
+    cannot hold one naming its field, raised before any file is written."""
+    meta = _metadata_lines(corpus.metadata)
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / "text.txt").write_bytes(corpus.text.encode("utf-8"))
-    (base / "meta.txt").write_text(
-        "\n".join(_metadata_lines(corpus.metadata)) + "\n", encoding="utf-8"
-    )
+    (base / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
 
     rows = ["slot_index\tstart\tend"]
     for i, region in enumerate(corpus.slots, start=1):

@@ -1,13 +1,16 @@
 """First-principles re-implementations used as test oracles.
 
-Everything here works on plain Python sets and lists, deliberately
-avoiding the package's own data structures, so a bug in the engine cannot
+Everything here works on plain Python sets and lists (or, for
+``canonical_permutation``, one numpy lexsort), deliberately avoiding the
+package's own data structures, so a bug in the engine cannot
 hide inside the expectation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+import numpy as np
 
 
 def monad_set(node) -> frozenset[int]:
@@ -35,6 +38,13 @@ def canonical_sorted(nodes, metadata) -> list[int]:
         nodes, key=lambda n: sort_key(monad_set(n), ranks[n.otype], n.id)
     )
     return [n.id for n in ordered]
+
+
+def canonical_permutation(ids, otype_code, first, last) -> np.ndarray:
+    """Rows in canonical order by one four-key lexsort over a loaded
+    corpus's columns (``last`` signed); lexsort treats its last key as
+    primary."""
+    return np.lexsort((ids, otype_code, -last, first))
 
 
 def embeds(a_monads: frozenset[int], b_monads: frozenset[int], same_node: bool) -> bool:

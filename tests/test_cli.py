@@ -1,5 +1,9 @@
+import ast
 import json
 import os
+import random
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,16 +11,17 @@ from pathlib import Path
 import pytest
 
 from fabric.cli import main
+from fabric.compiler import compile_corpus, compile_to_bytes
+from fabric.corpus import Corpus
 from fabric.query import evaluator
+from fabric.synth import random_corpus, toy4, write_graf, write_tabular
+from test_compiler import rewrite_section
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
 def tree(tmp_path_factory):
-    from fabric.compiler import compile_corpus
-    from fabric.synth import toy4, write_graf, write_tabular
-
     root = tmp_path_factory.mktemp("cli")
     logical = toy4()
     graf = root / "graf"
@@ -231,6 +236,22 @@ class TestQuery:
         assert "match 1 @ n301" in stdout
         assert "n3=word" in stdout and "'fox'" in stdout
         assert stdout.splitlines()[-1] == "1 match(es)"
+
+    @pytest.mark.parametrize("case", ["toy4", "random7", "wide_word"])
+    def test_text_output_shows_text_of_every_slot_node(self, tmp_path, capsys, monkeypatch, case):
+        data, _ = compile_to_bytes(random_corpus(random.Random(7), max_words=40) if case == "random7" else toy4())
+        if case == "wide_word":  # word 3 given phrase 101's monads 1-3, which only an edited image holds
+            c = Corpus.from_bytes(data)
+            at = 8 + 4 * (2 * len(c) + c._row(3))  # NODES monad_idx of word 3
+            data = rewrite_section(data, "nodes", at, struct.pack("<I", int(c._monad_idx[c._row(101)])))
+        (tmp_path / "c.fab").write_bytes(data)
+        corpus = Corpus.from_file(tmp_path / "c.fab")
+        monkeypatch.setattr(evaluator, "_CHUNK", 5)  # several chunks
+        code, stdout, _ = run(capsys, "query", str(tmp_path / "c.fab"), "-q", "[word]")
+        assert code == 0
+        lines = [re.fullmatch(r"match \d+ @ .*?: \[1\] n(\d+)=word (.*)", line) for line in stdout.splitlines()[:-1]]
+        got = {int(m[1]): ast.literal_eval(m[2]) for m in lines}
+        assert got == {n: corpus.text_of(n) for n in corpus.nodes("word")}
 
     def test_json_lines(self, image, capsys):
         code, stdout, _ = run(

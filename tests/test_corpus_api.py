@@ -10,8 +10,10 @@ from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus, UnknownOtypeWarning
 from fabric.model import (
     EDGE_KIND,
+    CorpusMetadata,
     Edge,
     FeatureAssignment,
+    LogicalCorpus,
     MonadSet,
     Node,
     Region,
@@ -221,3 +223,66 @@ class TestStructuralProperties:
                 logical.text, logical.slots, reference.monad_set(node)
             )
             assert corpus.text_of(node.id) == want
+
+
+def _one_char_slots(width: int) -> tuple[str, list[Region], list[Node]]:
+    """A text of ``width`` one-character words, their regions and word nodes
+    (ids 1..width)."""
+    slots = [Region(i, i + 1) for i in range(width)]
+    return "a" * width, slots, [Node(m, "word", MonadSet(((m, m),))) for m in range(1, width + 1)]
+
+
+def tied_otypes_corpus() -> LogicalCorpus:
+    """300 otypes, each with the same four spans, one of them a word's and
+    one of two runs; ids fall as the rank rises, so only the otype key
+    orders the ties."""
+    text, slots, nodes = _one_char_slots(6)
+    otypes = tuple(f"t{k:03d}" for k in range(300))
+    spans = (((1, 6),), ((2, 3),), ((4, 4),), ((1, 1), (5, 6)))
+    for k, otype in enumerate(otypes):
+        for j, runs in enumerate(spans):
+            nodes.append(Node(10_000 - 10 * k - j, otype, MonadSet(runs)))
+    return LogicalCorpus.assemble(text=text, slots=slots, nodes=nodes, metadata=CorpusMetadata(otypes=otypes + ("word",)))
+
+
+def wide_corpus() -> LogicalCorpus:
+    """70,000 one-character words and a few long nodes near the end, so a
+    first monad times (width + 1) passes 2**32."""
+    width = 70_000
+    text, slots, nodes = _one_char_slots(width)
+    spans = (((1, width),), ((60_000, width),), ((69_990, width),), ((65_000, 65_010), (69_000, width)))
+    for j, runs in enumerate(spans):
+        for otype in ("sentence", "clause"):
+            nodes.append(Node(3 * width - len(nodes), otype, MonadSet(runs)))
+    return LogicalCorpus.assemble(
+        text=text, slots=slots, nodes=nodes, metadata=CorpusMetadata(otypes=("sentence", "clause", "word"))
+    )
+
+
+class TestCanonicalPermutation:
+    """The load's two stable sorts against the four-key lexsort."""
+
+    @staticmethod
+    def check(corpus: Corpus) -> None:
+        want = reference.canonical_permutation(corpus._ids, corpus._otype_code, corpus._first, corpus._last)
+        assert corpus._canon.tolist() == want.tolist()
+        assert list(corpus.nodes()) == corpus._ids[want].tolist()
+
+    def test_random_corpora(self):
+        multi = duplicates = 0
+        for seed in range(60):
+            logical = random_corpus(random.Random(seed), max_words=40)
+            multi += sum(len(n.monads.runs) > 1 for n in logical.nodes)
+            duplicates += len(logical.nodes) - len({(n.otype, n.monads) for n in logical.nodes})
+            self.check(load(logical))
+        assert multi and duplicates
+
+    def test_more_than_256_otypes_tied_spans(self):
+        corpus = load(tied_otypes_corpus())
+        assert len(corpus.otypes()) > 256
+        self.check(corpus)
+
+    def test_key_past_32_bits(self):
+        corpus = load(wide_corpus())
+        assert int(corpus._first.max()) * (corpus.width + 1) > 2**32
+        self.check(corpus)

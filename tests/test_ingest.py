@@ -831,6 +831,69 @@ class TestMetadataParsing:
         assert meta.provenance == ("first hop", "second hop")
 
 
+def _graf(corpus, directory):
+    return write_graf(corpus, directory, stem="m")
+
+
+_READERS = {write_tabular: parse_tabular, _graf: parse_graf}
+
+
+class TestMetadataWriting:
+    """Both writers put metadata on key=value lines, which the reader splits
+    at LF and strips, splitting the otypes and intfeatures lists at commas
+    and whitespace: what those lines cannot hold is refused."""
+
+    @staticmethod
+    def with_value(meta: CorpusMetadata, field: str, value: str) -> CorpusMetadata:
+        if field == "otypes":
+            return dataclasses.replace(meta, otypes=meta.otypes + (value,))
+        if field == "intfeatures":
+            return dataclasses.replace(meta, int_features=meta.int_features | {value})
+        if field == "provenance":
+            return dataclasses.replace(meta, provenance=meta.provenance + ("first hop", value))
+        return dataclasses.replace(meta, **{field: value})
+
+    @pytest.mark.parametrize("writer", list(_READERS), ids=["tabular", "graf"])
+    @pytest.mark.parametrize(
+        "field,value,why",
+        [
+            ("provenance", "a\nb", "holds a CR or LF"),
+            ("provenance", "a\rb", "holds a CR or LF"),
+            ("provenance", " a", "starts or ends with whitespace"),
+            ("provenance", "a\t", "starts or ends with whitespace"),
+            ("slot_otype", "word\n", "holds a CR or LF"),
+            ("passage_otype", " verse", "starts or ends with whitespace"),
+            ("passage_otype", "", "is empty"),
+            ("otypes", "a,b", "holds a comma or whitespace"),
+            ("otypes", "a b", "holds a comma or whitespace"),
+            ("otypes", "", "is empty"),
+            ("intfeatures", "f,g", "holds a comma or whitespace"),
+            ("intfeatures", "f\u2028g", "holds a comma or whitespace"),
+        ],
+    )
+    def test_writer_rejects_metadata_it_cannot_write(self, tmp_path, toy4_logical, writer, field, value, why):
+        corpus = dataclasses.replace(toy4_logical, metadata=self.with_value(toy4_logical.metadata, field, value))
+        with pytest.raises(ValueError) as exc:
+            writer(corpus, tmp_path / "out")
+        assert str(exc.value) == f"metadata {field} {value!r} {why}, so it would not read back as written"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("writer", list(_READERS), ids=["tabular", "graf"])
+    def test_metadata_round_trips(self, tmp_path, toy4_logical, writer):
+        meta = CorpusMetadata(
+            otypes=("book", "chapter", "verse", "sentence", "clause", "phrase", "ph-2", "word"),
+            slot_otype="word",
+            int_features=frozenset({"freq", "n_2"}),
+            passage_otype="verse",
+            provenance=("", "a = b", "#not a comment", "in\tner", "x\x0by", "\u05d1\u05e8\u05d0\u05e9\u05d9\u05ea"),
+        )
+        corpus = dataclasses.replace(toy4_logical, metadata=meta)
+        out = writer(corpus, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IngestWarning)
+            assert _READERS[writer](out).metadata == meta
+
+
 class TestSerializerRoundTrip:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
