@@ -78,8 +78,7 @@ def build_snapshot(corpus: Corpus, result: ResultSet) -> Snapshot:
     ``verses``; any other result's outermost nodes are joined here."""
     hits = result._hits
     if hits is None:
-        outer = np.fromiter((tree.node for match in result.matches for tree in match), dtype=np.int64)
-        hits = corpus._passages_meeting(outer)[1:]
+        hits = corpus._passages_meeting(corpus._rows([tree.node for match in result.matches for tree in match]))[1:]
     met, bounds = hits[0].tolist(), hits[1].tolist()
     return tuple(zip(result.verses, (tuple(met[a:b]) for a, b in zip(bounds, bounds[1:]))))
 

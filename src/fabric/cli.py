@@ -167,17 +167,14 @@ def cmd_info(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _slot_texts(corpus: Corpus, rows: np.ndarray) -> dict[int, str]:
-    """``text_of`` of each slot-type node among ``rows``, by id.  A node
-    owning one monad (every slot node of a valid image) has one slice of
-    the text, found with one gather of the slot bounds for all of them."""
+    """``text_of`` of each slot-type node among ``rows``, by id.  The load
+    checks that each slot node owns one monad, so its text is one slice,
+    found with one gather of the slot bounds for all of them."""
     rows = np.unique(rows[corpus._otype_code[rows] == corpus._otype_rank.get(corpus.metadata.slot_otype, -1)])
-    first, last = corpus._first[rows], corpus._last[rows]
-    starts, ends = corpus._slot_starts[first - 1].tolist(), corpus._slot_ends[first - 1].tolist()
+    first = corpus._first[rows] - 1
+    starts, ends = corpus._slot_starts[first].tolist(), corpus._slot_ends[first].tolist()
     text = corpus.text
-    return {
-        n: text[a:b] if one else corpus.text_of(n)
-        for n, a, b, one in zip(corpus._ids[rows].tolist(), starts, ends, (first == last).tolist())
-    }
+    return {n: text[a:b] for n, a, b in zip(corpus._ids[rows].tolist(), starts, ends)}
 
 
 def _stream_matches(corpus: Corpus, query_text: str, cfg: CliConfig) -> int:

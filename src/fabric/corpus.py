@@ -11,6 +11,15 @@ into it with two stable passes: a radix sort on the otype rank (rows are
 stored by id, so ties keep id order), then a sort on one u64 key,
 first * (width + 1) + (width - last), which the checked bounds
 1 <= first, last <= width < 2**32 keep from overflowing.
+
+Other arrays are built on first use and cached per corpus: each feature
+store, decoded (``store``); per (kind, key) store, the row of each target
+(``_target_rows``), checked to be a node (edge) id; per node-feature key,
+the dictionary code at every corpus row, -1 where the row lacks the key
+(``_row_codes``); per otype, its rows in canonical order
+(``_rows_for_otype``) and the running maximum of their last monads
+(``_last_runmax``); the passage rows (``_passages``); the pool-wide run
+keys (``_run_keys``); and the edges by id (``_edges_by_id``).
 """
 
 from __future__ import annotations
@@ -77,16 +86,24 @@ def _find_all(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
+def _heads(arr: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``arr`` starts, as a mask."""
+    head = np.ones(len(arr), dtype=bool)
+    head[1:] = arr[1:] != arr[:-1]
+    return head
+
+
 class FeatureStore:
     """One (kind, key) feature table: sorted targets, dictionary codes."""
 
-    __slots__ = ("targets", "codes", "values", "ints")
+    __slots__ = ("targets", "codes", "values", "ints", "counts")
 
     def __init__(self, payload: memoryview):
         count, _ = image.head(payload)
         self.targets, self.codes, dictionary = image.unpack(payload, count, count)
         self.values, _ = image.unpack(dictionary, strings=True)
         self.ints: np.ndarray | None = None  # the values as int64, for an integer-typed key
+        self.counts: np.ndarray | None = None  # value_counts(), once read
         if np.any(self.targets[1:] <= self.targets[:-1]):
             raise ValueError("targets are not strictly ascending")
         if count and int(self.codes.max()) >= len(self.values):
@@ -108,8 +125,11 @@ class FeatureStore:
             yield int(self.targets[i]), self.values[int(self.codes[i])]
 
     def value_counts(self) -> np.ndarray:
-        """Occurrences per dictionary code (codes are frequency-ordered)."""
-        return np.bincount(self.codes, minlength=len(self.values))
+        """Occurrences per dictionary code (codes are frequency-ordered),
+        counted once."""
+        if self.counts is None:
+            self.counts = np.bincount(self.codes, minlength=len(self.values))
+        return self.counts
 
 
 class Corpus:
@@ -162,6 +182,15 @@ class Corpus:
                 if np.any(self._run_first[later] <= self._run_last[later - 1].astype(np.int64) + 1):
                     raise ValueError("the runs of a set do not ascend with a gap between them")
 
+            meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
+            self.metadata = CorpusMetadata(
+                otypes=tuple(meta["otypes"]),
+                slot_otype=meta["slot_otype"],
+                int_features=frozenset(meta["int_features"]),
+                passage_otype=meta["passage_otype"],
+                provenance=tuple(meta["provenance"]),
+            )
+
             nodes = need(image.NODES)
             n, _ = image.head(nodes)
             self._ids, self._otype_code, self._monad_idx, _ = image.unpack(nodes, n, n, n)
@@ -175,6 +204,17 @@ class Corpus:
             self._first = self._run_first[self._set_offsets[sets]].astype(np.int64)
             self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
             self._nruns = sizes[sets]
+            # The compiler's slot rules: each slot-type node owns one monad
+            # (first == last: the runs of a set have gaps between them), and
+            # these cover 1..width once each.
+            slot = self._otype_code == self._otype_rank.get(self.metadata.slot_otype, -1)
+            owned = self._first[slot]
+            if np.any(self._last[slot] != owned):
+                raise ValueError("a slot-type node does not own exactly one monad")
+            seen = np.zeros(width + 1, dtype=bool)
+            seen[owned] = True
+            if len(owned) != width or not seen[1:].all():
+                raise ValueError(f"slot-type nodes do not own the monads 1..{width} once each")
 
             # Canonical permutation in two stable passes: a radix sort on otype
             # rank (ties keep id order), then (first asc, last desc) as one key.
@@ -199,15 +239,6 @@ class Corpus:
             if np.any(ids[1:] == ids[:-1]):
                 raise ValueError("edge ids are not unique")
 
-            meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
-            self.metadata = CorpusMetadata(
-                otypes=tuple(meta["otypes"]),
-                slot_otype=meta["slot_otype"],
-                int_features=frozenset(meta["int_features"]),
-                passage_otype=meta["passage_otype"],
-                provenance=tuple(meta["provenance"]),
-            )
-
             stats = np.frombuffer(need(image.STATS), dtype="<u8", count=4)
             self._stats = CorpusStats(
                 words=int(stats[0]), nodes=int(stats[1]), features=int(stats[2]), edges=int(stats[3])
@@ -226,6 +257,8 @@ class Corpus:
         self._payloads = payloads
         self._stores: dict[tuple[str, str], FeatureStore] = {}
         self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
+        self._store_rows: dict[tuple[str, str], np.ndarray] = {}
+        self._codes: dict[str, np.ndarray] = {}
         self._runmax: dict[str | None, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
@@ -296,15 +329,44 @@ class Corpus:
         order = np.argsort(self._edge_ids, kind="stable")
         return self._edge_ids[order], self._edge_label_code[order]
 
+    def _rows_of_targets(self, targets: np.ndarray, key: str, kind: str = NODE_KIND) -> np.ndarray:
+        """Rows of some ``targets`` of the (kind, key) store: positions in
+        ``_ids`` for a node store, in ``_edges_by_id`` for an edge store.
+        The compiler admits no other target, so one that is no node (edge)
+        id makes the store a bad section."""
+        ids = self._ids if kind == NODE_KIND else self._edges_by_id[0]
+        rows = ids.searchsorted(targets)
+        # A store's targets ascend, and so do their rows: the last bounds all.
+        if len(rows) and (rows[-1] >= len(ids) or np.any(ids[rows] != targets)):
+            section = image.section_name(self._feature_sections[(kind, key)])
+            raise ImageError("BAD_SECTION", f"section {section} has a target the image lacks", section=section)
+        return rows
+
+    def _target_rows(self, key: str, kind: str = NODE_KIND) -> np.ndarray:
+        """``_rows_of_targets`` for every target of the store, in the
+        store's order; cached."""
+        cached = self._store_rows.get((kind, key))
+        if cached is None:
+            cached = self._store_rows[(kind, key)] = self._rows_of_targets(self.store(key, kind).targets, key, kind)
+        return cached
+
+    def _row_codes(self, key: str) -> np.ndarray:
+        """The dictionary code of the node store ``key`` at every corpus
+        row, -1 where the row's node lacks the key; cached.  The codes are
+        numpy's index type, which a gather through them need not convert."""
+        cached = self._codes.get(key)
+        if cached is None:
+            rows = self._target_rows(key)  # checked before anything is cached
+            cached = np.full(len(self._ids), -1, dtype=np.intp)
+            cached[rows] = self.store(key).codes
+            self._codes[key] = cached
+        return cached
+
     def _group_codes(self, key: str, kind: str) -> np.ndarray:
         """The group of each target of the (kind, key) store, in the store's
         order: a node's otype code, an edge's label code."""
-        ids, codes = (self._ids, self._otype_code) if kind == NODE_KIND else self._edges_by_id
-        rows = _find_all(ids, self.store(key, kind).targets)
-        if np.any(rows < 0):
-            section = image.section_name(self._feature_sections[(kind, key)])
-            raise ImageError("BAD_SECTION", f"section {section} has a target the image lacks", section=section)
-        return codes[rows]
+        codes = self._otype_code if kind == NODE_KIND else self._edges_by_id[1]
+        return codes[self._target_rows(key, kind)]
 
     def _row(self, node: int) -> int:
         i = _find(self._ids, node)
@@ -464,24 +526,23 @@ class Corpus:
         """``passage_of`` for every row at once: the row of the first passage
         meeting each row, -1 where none does."""
         owner, ps = self._meeting(rows)
-        head = np.ones(len(owner), dtype=bool)
-        head[1:] = owner[1:] != owner[:-1]
+        head = _heads(owner)
         first = np.full(len(rows), -1, dtype=np.int64)
         first[owner[head]] = ps[head]
         return first
 
-    def _passages_meeting(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The passage nodes meeting any of the given (existing) node ids,
-        and the ids meeting each: passage k's are ``met[bounds[k]:bounds[k
-        + 1]]``.  Both are in canonical order."""
-        rows = _find_all(self._ids, np.unique(nodes))
-        rows = rows[np.argsort(self._canon_pos[rows])]
+    def _passages_meeting(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The passage nodes meeting any of the given rows (in any order,
+        repeats allowed), and the ids of the rows meeting each: passage k's
+        are ``met[bounds[k]:bounds[k + 1]]``.  Both are in canonical order."""
+        pos = np.sort(self._canon_pos[rows])
+        rows = self._canon[pos[_heads(pos)]]
         owner, ps = self._meeting(rows)
         # Group the pairs by passage; a stable sort keeps each group's nodes
         # in canonical order.
         order = np.argsort(self._canon_pos[ps], kind="stable")
         ps, met = ps[order], self._ids[rows[owner[order]]]
-        heads = np.flatnonzero(np.diff(ps, prepend=-1))
+        heads = np.flatnonzero(_heads(ps))
         return self._ids[ps[heads]], met, np.append(heads, len(met))
 
     def up(self, node: int, otype: str | None = None) -> list[int]:

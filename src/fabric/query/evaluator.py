@@ -20,13 +20,16 @@ independently):
 Each atom is decided once, as a boolean mask over its key's value
 dictionary (one entry per dictionary code): a node satisfies the atom iff
 it carries the key and the mask holds at its value's code.  That mask gives
-the atom on any set of nodes, its posting list (the feature entries whose
-code it holds) and that list's exact length.
+the atom on any set of corpus rows, in one gather through the key's cached
+per-row code column (``Corpus._row_codes``, -1 on rows without the key,
+which read an appended False); its posting list (the feature entries whose
+code it holds); and that list's exact length.
 
 Candidate generation follows rarest-posting-first: a block whose constraint
 conjunctively requires an ``=`` or ``IN`` atom can start from that atom's
 posting list instead of the full otype list when the list is shorter; the
-chosen source is what ``explain`` reports.
+chosen source is what ``explain`` reports.  A block whose whole constraint
+is that atom keeps the posting list unfiltered.
 
 Nested blocks are joined first, in one batched containment semi-join per
 block with children, child blocks first: a block keeps the candidates that
@@ -41,7 +44,9 @@ and the deadline is checked before the first chunk and at every chunk.
 ``evaluate`` keeps the table's node-id columns and builds no ``MatchTree``:
 ``matches`` is built from them when first read (``repr`` reads it), and
 ``==`` between two such results compares the columns.  Its passage join
-also gives each verse's outermost nodes, for ``build_snapshot``.
+runs on the table's outer row columns as they come, unsorted and with
+repeats, and also gives each verse's outermost nodes, for
+``build_snapshot``.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..corpus import Corpus, _find_all
+from ..corpus import Corpus
 from ..errors import QueryError
 from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Placed, Query, parse
 
@@ -234,27 +239,23 @@ class _Eval:
         mask = self._masks[atom] = ~mask if op == "<>" else mask
         return mask
 
-    def _atom_mask(self, atom: Atom, ids: np.ndarray) -> np.ndarray:
-        store = self.c.store(atom.key)
-        assert store is not None
-        pos = _find_all(store.targets, ids)
-        hit = pos >= 0
-        hit[hit] = self._value_mask(atom)[store.codes[pos[hit]]]
-        return hit
+    def _atom_mask(self, atom: Atom, rows: np.ndarray) -> np.ndarray:
+        # A row without the key has code -1, which reads the appended False.
+        return np.append(self._value_mask(atom), False)[self.c._row_codes(atom.key)[rows]]
 
-    def _expr_mask(self, expr: Expr, ids: np.ndarray) -> np.ndarray:
+    def _expr_mask(self, expr: Expr, rows: np.ndarray) -> np.ndarray:
         if isinstance(expr, Atom):
-            return self._atom_mask(expr, ids)
+            return self._atom_mask(expr, rows)
         if isinstance(expr, Not):
-            return ~self._atom_mask(expr.inner, ids)
+            return ~self._atom_mask(expr.inner, rows)
         if isinstance(expr, And):
-            mask = self._expr_mask(expr.parts[0], ids)
+            mask = self._expr_mask(expr.parts[0], rows)
             for part in expr.parts[1:]:
-                mask &= self._expr_mask(part, ids)
+                mask &= self._expr_mask(part, rows)
             return mask
-        mask = self._expr_mask(expr.parts[0], ids)
+        mask = self._expr_mask(expr.parts[0], rows)
         for part in expr.parts[1:]:
-            mask |= self._expr_mask(part, ids)
+            mask |= self._expr_mask(part, rows)
         return mask
 
     # -- candidate generation -------------------------------------------------
@@ -278,9 +279,7 @@ class _Eval:
         store = self.c.store(source.atom.key)
         assert store is not None
         targets = store.targets[self._value_mask(source.atom)[store.codes]]
-        # Every feature target is a node id (validated at compile time), so the
-        # searchsorted positions are exact rows.
-        return np.searchsorted(self.c._ids, targets).astype(np.int64)
+        return self.c._rows_of_targets(targets, source.atom.key)
 
     def candidates(self, block: Block) -> tuple[np.ndarray, np.ndarray]:
         """Rows matching this block, in canonical order, with their first
@@ -298,8 +297,9 @@ class _Eval:
             rows = rows[np.argsort(self.c._canon_pos[rows], kind="stable")]
         else:
             rows = self.c._rows_for_otype(block.otype)[0]
-        if block.constraint is not None and len(rows):
-            rows = rows[self._expr_mask(block.constraint, self.c._ids[rows])]
+        # A posting list holds exactly the nodes its atom is true on.
+        if block.constraint is not None and block.constraint is not source.atom and len(rows):
+            rows = rows[self._expr_mask(block.constraint, rows)]
         if block.children is not None:
             rows = self._semi_join(rows, block.children.blocks)
         cached = self._cands[id(block)] = (rows, self.c._first[rows])
@@ -426,9 +426,8 @@ def evaluate(
     chunks = list(ev.table(max_matches))
     total = sum(len(cols[0]) for cols in chunks)
     empty = np.empty(0, dtype=np.int64)
-    cols = [corpus._ids[np.concatenate([empty] + [c[k] for c in chunks])] for k in range(len(ev.blocks))]
-    outer = np.concatenate([col for col, p in zip(cols, ev.blocks) if p.parent is None])
-    verses, *hits = corpus._passages_meeting(outer)
+    rows = [np.concatenate([empty] + [c[k] for c in chunks]) for k in range(len(ev.blocks))]
+    verses, *hits = corpus._passages_meeting(np.concatenate([r for r, p in zip(rows, ev.blocks) if p.parent is None]))
     result = ResultSet(None, total, tuple(verses.tolist()), ev.stopped is not None)  # type: ignore[arg-type]
-    result._shape, result._cols, result._hits = _shape(ev.q.root), cols, hits
+    result._shape, result._cols, result._hits = _shape(ev.q.root), [corpus._ids[r] for r in rows], hits
     return result

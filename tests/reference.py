@@ -3,7 +3,9 @@
 Everything here works on plain Python sets and lists (or, for
 ``canonical_permutation``, one numpy lexsort), deliberately avoiding the
 package's own data structures, so a bug in the engine cannot
-hide inside the expectation.
+hide inside the expectation.  The exceptions are ``atom_mask_by_ids`` and
+``passages_meeting_by_ids``: the engine's earlier id-based forms of two
+steps that now run on corpus rows, kept to check those rows against.
 """
 
 from __future__ import annotations
@@ -45,6 +47,33 @@ def canonical_permutation(ids, otype_code, first, last) -> np.ndarray:
     corpus's columns (``last`` signed); lexsort treats its last key as
     primary."""
     return np.lexsort((ids, otype_code, -last, first))
+
+
+def atom_mask_by_ids(corpus, key: str, value_mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Whether each node id carries ``key`` with a value whose dictionary
+    code ``value_mask`` holds: one search of the ids in the key's store."""
+    from fabric.corpus import _find_all
+
+    store = corpus.store(key)
+    pos = _find_all(store.targets, ids)
+    hit = pos >= 0
+    hit[hit] = value_mask[store.codes[pos[hit]]]
+    return hit
+
+
+def passages_meeting_by_ids(corpus, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The passage ids meeting any of the (existing) node ids, the ids
+    meeting each and the group bounds, as ``Corpus._passages_meeting``
+    gives them: found through the ids, deduplicated with ``np.unique``."""
+    from fabric.corpus import _find_all
+
+    rows = _find_all(corpus._ids, np.unique(nodes))
+    rows = rows[np.argsort(corpus._canon_pos[rows])]
+    owner, ps = corpus._meeting(rows)
+    order = np.argsort(corpus._canon_pos[ps], kind="stable")
+    ps, met = ps[order], corpus._ids[rows[owner[order]]]
+    heads = np.flatnonzero(np.diff(ps, prepend=-1))
+    return corpus._ids[ps[heads]], met, np.append(heads, len(met))
 
 
 def embeds(a_monads: frozenset[int], b_monads: frozenset[int], same_node: bool) -> bool:

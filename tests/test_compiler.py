@@ -166,6 +166,25 @@ def lex_target_not_a_node(data: bytes) -> bytes:
     return rewrite_section(data, name, 8, struct.pack("<I", 0))
 
 
+def monad_set_of(data: bytes, node: int, donor: int) -> bytes:
+    """The image with the NODES monad set index of ``node`` set to that of
+    ``donor``."""
+    corpus = Corpus.from_bytes(data)
+    at = 8 + 4 * (2 * len(corpus) + corpus._row(node))
+    return rewrite_section(data, "nodes", at, struct.pack("<I", int(corpus._monad_idx[corpus._row(donor)])))
+
+
+def wide_word(data: bytes) -> bytes:
+    """TOY4 with word 3 given phrase 101's monads 1-3."""
+    return monad_set_of(data, 3, 101)
+
+
+def twice_owned_monad(data: bytes) -> bytes:
+    """TOY4 with word 3 given word 2's monad: monad 2 has two slot nodes,
+    monad 3 none."""
+    return monad_set_of(data, 3, 2)
+
+
 def edge_label_past_the_table(data: bytes) -> bytes:
     """The image with edge row 0's label code set to the first code past
     the edge label table."""
@@ -207,6 +226,8 @@ def fuzz_images() -> tuple[bytes, ...]:
 # (section, rewrite): sections that decode but contradict the image.
 CONTRADICTORY = [
     ("nodes", swapped_node_ids),
+    ("nodes", wide_word),
+    ("nodes", twice_owned_monad),
     ("monadpool", run_past_the_text),
     ("monadpool", set_offsets_from_one),
     ("monadpool", set_offsets_decreasing),
@@ -390,6 +411,21 @@ class TestCorruption:
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
         assert main(["features", str(bad), str(tmp_path / "docs")]) == 2
         assert f"section {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [150, 10**6])
+    @pytest.mark.parametrize("query", ['[word lex="jump"]', '[word lex="jump" OR lex="fox"]'], ids=["posting", "or"])
+    def test_query_on_a_target_the_image_lacks(self, toy4_bytes, tmp_path, capsys, target, query):
+        name, targets = lex_store(toy4_bytes)
+        assert targets[3] == 4  # "jump", at payload offset 20; the targets still ascend
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(rewrite_section(toy4_bytes, name, 20, struct.pack("<I", target)))
+        corpus = Corpus.from_file(bad)
+        for _ in range(2):  # a failed first read leaves nothing cached
+            with pytest.raises(ImageError, match="has a target the image lacks") as exc:
+                evaluate(corpus, query)
+            assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+        assert main(["query", str(bad), "-q", query]) == 2
+        assert f"section {name} has a target the image lacks" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [["info"], ["query", "-q", "[word]"]], ids=["info", "query"])
     @pytest.mark.parametrize("rewrite", [swapped_runs, adjacent_runs])

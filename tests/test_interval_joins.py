@@ -13,15 +13,20 @@ query is evaluated at match-table chunk sizes 1, 2 and the default, and
 the scalar ``passage_of``, ``otype`` and ``text_of``.  In ``random_corpus``
 discontiguous phrases never partly overlap one another, so the run-level
 test is also checked on hand-built corpora whose phrases and verses are
-arbitrary monad sets.
+arbitrary monad sets.  The evaluator's atom masks and passage join, which
+run on corpus rows, are checked against their id-based forms in
+``reference``, and posting-led blocks against the brute-force oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,9 +41,9 @@ from fabric.ingest import parse_graf
 from fabric.model import CorpusMetadata, LogicalCorpus, MonadSet, Node, Region
 from fabric.query import evaluator
 from fabric.query.evaluator import ResultSet, _Eval, evaluate, iter_matches
-from fabric.query.oracle import _expr_true
-from fabric.query.syntax import parse
-from fabric.synth import quote_string, random_corpus, write_big_graf
+from fabric.query.oracle import _expr_true, brute_force_evaluate
+from fabric.query.syntax import Not, parse
+from fabric.synth import quote_string, random_corpus, toy4, write_big_graf
 from strategies import monad_sets
 
 # The eight query shapes of the benchmark's query workload.
@@ -370,3 +375,96 @@ def test_run_test_runs_once_per_join(monkeypatch):
     monkeypatch.setattr(Corpus, "_run_test", counted)
     assert evaluate(corpus, "[clause [phrase [word]]]").total
     assert len(calls) == 3 and sum(calls) > len(calls), calls
+
+
+# TOY4, and random corpora with discontiguous phrases and tricky values.
+ROW_CASES = ("toy4", "random0", "random4", "random9")
+
+
+@functools.cache
+def rows_corpus(case: str, passage_otype: str = "verse") -> Corpus:
+    logical = toy4() if case == "toy4" else random_corpus(random.Random(int(case[6:])), max_words=60)
+    logical = replace(logical, metadata=replace(logical.metadata, passage_otype=passage_otype))
+    corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
+    assert case == "toy4" or corpus._nruns.max() > 1
+    return corpus
+
+
+def atom_constraints(corpus: Corpus, key: str, rng: random.Random) -> list[str]:
+    """Constraints of one atom on ``key``, or ``NOT`` of one: every string
+    operator, and the ordered ones on an integer-typed key."""
+    values = corpus.store(key).values
+    a, b = quote_string(rng.choice(values)), quote_string(rng.choice(values))
+    head = quote_string(re.escape(rng.choice(values)[:2]))
+    int_typed = key in corpus.metadata.int_features
+    absent = quote_string("999999" if int_typed else "no such value")
+    texts = [f"{key} = {a}", f"{key} <> {a}", f"{key} IN ({a}, {b})", f"{key} ~ {head}", f"{key} = {absent}"]
+    texts += [f"NOT {key} = {a}", f"NOT {key} ~ {head}"]
+    if int_typed:
+        bound = int(rng.choice(values))
+        texts += [f"{key} {op} {bound}" for op in ("<", "<=", ">", ">=")] + [f"NOT {key} > {bound}"]
+    return texts
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_atom_masks_on_rows_match_id_reference(case):
+    corpus = rows_corpus(case)
+    rng = random.Random(case)
+    rows = np.array(rng.choices(range(len(corpus)), k=2 * len(corpus)))  # unsorted, with repeats
+    for key in corpus.feature_keys():
+        assert np.any(corpus._row_codes(key) < 0), key  # some rows lack every key
+        for constraint in atom_constraints(corpus, key, rng):
+            text = f"[{corpus.metadata.slot_otype} {constraint}]"
+            ev = _Eval(corpus, text)
+            expr = ev.blocks[0].block.constraint
+            atom = expr.inner if isinstance(expr, Not) else expr
+            want = reference.atom_mask_by_ids(corpus, key, ev._value_mask(atom), corpus._ids[rows])
+            assert np.array_equal(ev._expr_mask(expr, rows), ~want if expr is not atom else want), text
+
+
+@pytest.mark.parametrize("passage_otype", ["verse", "phrase"])
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_passage_join_on_rows_matches_id_reference(case, passage_otype):
+    corpus = rows_corpus(case, passage_otype)
+    rng = random.Random(case)
+    n = len(corpus)
+    for size in (0, 1, 5, n, 3 * n):
+        rows = np.array(rng.choices(range(n), k=size), dtype=np.int64)  # unsorted, with repeats
+        got = corpus._passages_meeting(rows)
+        assert all(map(np.array_equal, got, reference.passages_meeting_by_ids(corpus, corpus._ids[rows]))), size
+    # Two top-level blocks: their outer columns join unsorted, with repeats.
+    for text in ("[phrase] .. [phrase]", "[word] [word]", "[clause [word]] .. [phrase]"):
+        result = evaluate(corpus, text)
+        outer = np.concatenate([col for col, p in zip(result._cols, parse(text).placed()) if p.parent is None])
+        verses, *hits = reference.passages_meeting_by_ids(corpus, outer)
+        assert result.verses == tuple(verses.tolist()), text
+        assert all(map(np.array_equal, result._hits, hits)), text
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_posting_led_blocks_match_oracle(case):
+    corpus = rows_corpus(case)
+    rng = random.Random(case)
+    q = quote_string
+    # The conjunctions drop word w from the posting list of its lex value.
+    w = rng.choice(list(corpus.nodes("word")))
+    a, t, b = q(corpus.feature(w, "lex")), q(corpus.feature(w, "text")), q(rng.choice(corpus.store("lex").values))
+    queries = (
+        f"[word lex = {a}]",
+        f"[word lex IN ({a}, {b})]",
+        f"[word lex = {a} AND NOT text = {t}]",
+        f"[word text = {t} AND lex IN ({b}, {a})]",
+        f"[phrase [word lex = {a}]]",
+        f"[word lex = {b}] .. [word lex = {a} AND text <> {t}]",
+    )
+    bare = conjunction = 0
+    for text in queries:
+        ev = _Eval(corpus, text)
+        for p in ev.blocks:
+            if p.block.otype == "word":
+                source = ev.source_for(p.block)
+                assert source.kind == "posting", text
+                bare += p.block.constraint is source.atom
+                conjunction += p.block.constraint is not source.atom
+        assert evaluate(corpus, text) == brute_force_evaluate(corpus, text), text
+    assert bare and conjunction
