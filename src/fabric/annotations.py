@@ -75,10 +75,15 @@ def _now_utc() -> str:
 def build_snapshot(corpus: Corpus, result: ResultSet) -> Snapshot:
     """Denormalize a result into (verse, outermost matched nodes) pairs.
     An ``evaluate`` result keeps them from the passage join it ran for
-    ``verses``; any other result's outermost nodes are joined here."""
+    ``verses``; any other result's outermost nodes are joined here, and a
+    node id the corpus lacks is a ``KeyError``, as ``Corpus.monads`` gives."""
     hits = result._hits
     if hits is None:
-        hits = corpus._passages_meeting(corpus._rows([tree.node for match in result.matches for tree in match]))[1:]
+        nodes = [tree.node for match in result.matches for tree in match]
+        rows = corpus._rows(nodes)
+        for i in np.flatnonzero(rows < 0)[:1].tolist():
+            raise KeyError(f"no node with id {nodes[i]}")
+        hits = corpus._passages_meeting(rows)[1:]
     met, bounds = hits[0].tolist(), hits[1].tolist()
     return tuple(zip(result.verses, (tuple(met[a:b]) for a, b in zip(bounds, bounds[1:]))))
 

@@ -16,13 +16,14 @@ objects only when something reads them.
 
 Both decode a column at a time.  ``parse_tabular`` splits each file into
 rows (at "\n" only) and cells with a few passes over its bytes;
-``parse_graf`` scans the XML into one list per field.  Column decoders
-then read whole columns of ids and integers (both front ends) and of
-monad sets (``parse_tabular``) with numpy, and hand only the cells they
-cannot read (anything but plain ASCII numbers and one-run sets) to the
-per-row decoders (``extract_id``, ``int``, ``MonadSet.parse``), which
-give every value and report.  ``parse_graf`` parses each node's monad
-text with ``MonadSet.parse``.
+``parse_graf`` scans the XML in one ``pyexpat`` pass whose handlers append
+attribute values to one list per field, building no element tree.
+Column decoders then read whole columns of ids and integers (both front
+ends) and of monad sets (``parse_tabular``) with numpy, and hand only the
+cells they cannot read (anything but plain ASCII numbers and one-run
+sets) to the per-row decoders (``extract_id``, ``int``,
+``MonadSet.parse``), which give every value and report.  ``parse_graf``
+parses each node's monad text with ``MonadSet.parse``.
 
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
@@ -34,14 +35,14 @@ from __future__ import annotations
 import gc
 import re
 import warnings
-import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import contains
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
+from xml.parsers import expat
 
 import numpy as np
 
@@ -59,7 +60,9 @@ from .model import (
     region_problem,
 )
 
-XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
+_XML_ID = "http://www.w3.org/XML/1998/namespace}id"  # as expat names it, with "}" between namespace and name
+XML_ID = "{" + _XML_ID  # as ElementTree names it
+_PARENT = {"link": "node", "f": "a"}  # the child elements ``parse_graf`` reads, and their parents
 _U32_MAX = 2**32 - 1  # the widest id the image format stores
 
 _ANCHORS_RE = re.compile(r"\s*(-?\d+)\s+(-?\d+)\s*")
@@ -89,17 +92,9 @@ class ValidationReport:
         return not self.errors
 
 
-def _sorted_issues(issues: Iterable[ValidationIssue]) -> tuple[ValidationIssue, ...]:
-    return tuple(
-        sorted(
-            issues,
-            key=lambda i: (i.file or "", i.line or 0, i.code, i.where or "", i.message),
-        )
-    )
-
-
 def _report(errors: list[ValidationIssue], warns: list[ValidationIssue]) -> ValidationReport:
-    return ValidationReport(errors=_sorted_issues(errors), warnings=_sorted_issues(warns))
+    key = lambda i: (i.file or "", i.line or 0, i.code, i.where or "", i.message)
+    return ValidationReport(errors=tuple(sorted(errors, key=key)), warnings=tuple(sorted(warns, key=key)))
 
 
 def _repeats(*columns: np.ndarray) -> np.ndarray:
@@ -261,9 +256,7 @@ def _single(entries: dict[str, list[tuple[int, str]]], key: str, path: Path) -> 
     return values[0][1]
 
 
-def _metadata_from_entries(
-    entries: dict[str, list[tuple[int, str]]], path: Path
-) -> CorpusMetadata:
+def _metadata_from_entries(entries: dict[str, list[tuple[int, str]]], path: Path) -> CorpusMetadata:
     otypes_raw = _single(entries, "otypes", path)
     otypes = tuple(t for t in _LIST_SPLIT_RE.split(otypes_raw or "") if t)
     intfeat_raw = _single(entries, "intfeatures", path)
@@ -467,11 +460,10 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
         raise IngestError("header names no annotation files", file=str(header))
 
     issues: list[ValidationIssue] = []
-    soft: list[ValidationIssue] = []
+    soft: list[ValidationIssue] = []  # warnings
     # The scan keeps each element kind's rows as one list per field.
     regions: dict[str, int] = {}  # xid -> row of region_start and region_end
-    region_start: list[int] = []
-    region_end: list[int] = []
+    region_start, region_end = [], []
     word_xid, word_ref = [], []  # nodes that link a region
     node_xid, node_otype, node_monads = [], [], []  # nodes with monads
     edge_xid, edge_src, edge_dst, edge_label = [], [], [], []
@@ -490,16 +482,16 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
         fname = str(anno_path)
         if not anno_path.exists():
             raise IngestError("annotation file not found", file=fname)
-        try:
-            stream = ET.iterparse(fname, events=("start", "end"))
-            _, root = next(stream)
-        except ET.ParseError as exc:
-            raise IngestError(f"malformed XML: {exc.msg}", file=fname, line=exc.position[0]) from None
-        if root.tag != "graph":
-            raise IngestError(f"root element must be <graph>, got <{root.tag}>", file=fname)
+        # One expat pass: each start pushes (tag, attributes, kids), handing
+        # a <link> to the <node> and an <f> to the <a> that is its parent,
+        # as ``findall`` on direct children would; each end pops its element
+        # and fills the field lists.  Ids are claimed at end tags, so of two
+        # nested duplicates the inner one counts.  A namespaced tag reads
+        # "uri}tag" and matches nothing.
+        stack: list[tuple[str, dict[str, str], list[dict[str, str]]]] = []
 
-        def claim_xid(elem: ET.Element, what: str) -> str | None:
-            xid = elem.get(XML_ID)
+        def claim_xid(attrs: dict[str, str], what: str) -> str | None:
+            xid = attrs.get(_XML_ID)
             if xid is None:
                 data_err("MISSING_XMLID", f"<{what}> has no xml:id", fname)
                 return None
@@ -509,76 +501,89 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
             seen_xids.add(xid)
             return xid
 
-        try:
-            for event, elem in stream:
-                if event == "start":
-                    continue
-                tag = elem.tag
-                if tag == "region":
-                    xid = claim_xid(elem, "region")
-                    if xid is not None:
-                        anchors = _ANCHORS_RE.fullmatch(elem.get("anchors") or "")
-                        if anchors is None:
-                            data_err("BAD_ANCHORS", f"region {xid!r}: anchors must be two integers", fname, where=xid)
-                        else:
-                            regions[xid] = len(region_start)
-                            region_start.append(int(anchors[1]))
-                            region_end.append(int(anchors[2]))
-                elif tag == "node":
-                    xid = claim_xid(elem, "node")
-                    if xid is not None:
-                        links = elem.findall("link")
-                        monads = elem.get("monads")
-                        otype = elem.get("otype")
-                        if links:
-                            targets = (links[0].get("targets") or "").split()
-                            if len(links) > 1 or len(targets) != 1:
-                                data_err("BAD_LINK", f"node {xid!r} must link exactly one region", fname, where=xid)
-                            elif monads is not None:
-                                data_err("BAD_LINK", f"node {xid!r} has both a link and monads", fname, where=xid)
-                            elif otype not in (None, metadata.slot_otype):
-                                data_err("BAD_OTYPE", f"linked node {xid!r} cannot have otype {otype!r}", fname, where=xid)
-                            else:
-                                word_xid.append(xid)
-                                word_ref.append(targets[0])
-                        elif monads is not None:
-                            if otype is None:
-                                data_err("MISSING_OTYPE", f"node {xid!r} has no otype", fname, where=xid)
-                            else:
-                                node_xid.append(xid)
-                                node_otype.append(otype)
-                                node_monads.append(monads)
-                        else:
-                            data_err("UNANCHORED_NODE", f"node {xid!r} has neither a link nor monads", fname, where=xid)
-                elif tag == "edge":
-                    xid = claim_xid(elem, "edge")
-                    src, dst = elem.get("from"), elem.get("to")
-                    if xid is not None:
-                        if src is None or dst is None:
-                            data_err("BAD_EDGE", f"edge {xid!r} needs from and to", fname, where=xid)
-                        else:
-                            edge_xid.append(xid)
-                            edge_src.append(src)
-                            edge_dst.append(dst)
-                            edge_label.append(elem.get("label") or "")
-                elif tag == "a":
-                    ref = elem.get("ref")
-                    if ref is None:
-                        data_err("BAD_ANNOTATION", "<a> has no ref", fname)
+        def start(tag: str, attrs: dict[str, str]) -> None:
+            if not stack and tag != "graph":  # a namespaced root is named "{uri}tag"
+                raise IngestError(f"root element must be <graph>, got <{'{' if '}' in tag else ''}{tag}>", file=fname)
+            if stack and stack[-1][0] == _PARENT.get(tag):
+                stack[-1][2].append(attrs)
+            stack.append((tag, attrs, []))
+
+        def end(_: str) -> None:
+            tag, attrs, kids = stack.pop()
+            if tag == "region":
+                xid = claim_xid(attrs, "region")
+                if xid is not None:
+                    anchors = _ANCHORS_RE.fullmatch(attrs.get("anchors") or "")
+                    if anchors is None:
+                        data_err("BAD_ANCHORS", f"region {xid!r}: anchors must be two integers", fname, where=xid)
                     else:
-                        for f in elem.findall("f"):
-                            name, value = f.get("name"), f.get("value")
-                            if name is None or value is None:
-                                data_err("BAD_FEATURE", f"<f> under {ref!r} needs name and value", fname, where=ref)
-                            else:
-                                anno_ref.append(ref)
-                                anno_key.append(name)
-                                anno_value.append(value)
+                        regions[xid] = len(region_start)
+                        region_start.append(int(anchors[1]))
+                        region_end.append(int(anchors[2]))
+            elif tag == "node":
+                xid = claim_xid(attrs, "node")
+                if xid is not None:
+                    monads, otype = attrs.get("monads"), attrs.get("otype")
+                    if kids:
+                        targets = (kids[0].get("targets") or "").split()
+                        if len(kids) > 1 or len(targets) != 1:
+                            data_err("BAD_LINK", f"node {xid!r} must link exactly one region", fname, where=xid)
+                        elif monads is not None:
+                            data_err("BAD_LINK", f"node {xid!r} has both a link and monads", fname, where=xid)
+                        elif otype not in (None, metadata.slot_otype):
+                            data_err("BAD_OTYPE", f"linked node {xid!r} cannot have otype {otype!r}", fname, where=xid)
+                        else:
+                            word_xid.append(xid)
+                            word_ref.append(targets[0])
+                    elif monads is not None:
+                        if otype is None:
+                            data_err("MISSING_OTYPE", f"node {xid!r} has no otype", fname, where=xid)
+                        else:
+                            node_xid.append(xid)
+                            node_otype.append(otype)
+                            node_monads.append(monads)
+                    else:
+                        data_err("UNANCHORED_NODE", f"node {xid!r} has neither a link nor monads", fname, where=xid)
+            elif tag == "edge":
+                xid = claim_xid(attrs, "edge")
+                src, dst = attrs.get("from"), attrs.get("to")
+                if xid is not None:
+                    if src is None or dst is None:
+                        data_err("BAD_EDGE", f"edge {xid!r} needs from and to", fname, where=xid)
+                    else:
+                        edge_xid.append(xid)
+                        edge_src.append(src)
+                        edge_dst.append(dst)
+                        edge_label.append(attrs.get("label") or "")
+            elif tag == "a":
+                ref = attrs.get("ref")
+                if ref is None:
+                    data_err("BAD_ANNOTATION", "<a> has no ref", fname)
                 else:
-                    continue
-                root.clear()
-        except ET.ParseError as exc:
-            raise IngestError(f"malformed XML: {exc.msg}", file=fname, line=exc.position[0]) from None
+                    for f in kids:
+                        name, value = f.get("name"), f.get("value")
+                        if name is None or value is None:
+                            data_err("BAD_FEATURE", f"<f> under {ref!r} needs name and value", fname, where=ref)
+                        else:
+                            anno_ref.append(ref)
+                            anno_key.append(name)
+                            anno_value.append(value)
+
+        def undefined(name: str, parameter: bool = False) -> None:  # an undeclared or external entity in content
+            if not parameter:
+                at = (name, parser.CurrentLineNumber, parser.CurrentColumnNumber)
+                raise IngestError("malformed XML: undefined entity &%s;: line %d, column %d" % at, file=fname, line=at[1])
+
+        parser = expat.ParserCreate(namespace_separator="}")
+        parser.StartElementHandler, parser.EndElementHandler, parser.SkippedEntityHandler = start, end, undefined
+        parser.ExternalEntityRefHandler = lambda context, *_: undefined(context.rsplit("\f", 1)[-1])
+        try:
+            with open(fname, "rb") as source:
+                parser.ParseFile(source)
+        except expat.ExpatError as exc:
+            raise IngestError(f"malformed XML: {exc}", file=fname, line=exc.lineno) from None
+        finally:  # ``undefined`` refers to the parser: a cycle would keep the scan's lists alive
+            del parser
         for ends, table in zip(file_ends, tables):
             ends.append(len(table))
 
@@ -619,14 +624,8 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
     used = np.zeros(len(region_start), dtype=bool)
     used[ref_row[order[linked]]] = True
     for xid in sorted(compress(regions, (~used).tolist())):
-        soft.append(
-            ValidationIssue(
-                code="UNUSED_REGION",
-                message=f"region {xid!r} is not linked by any node",
-                file=file_of(_REGION, regions[xid]),
-                where=xid,
-            )
-        )
+        soft.append(ValidationIssue("UNUSED_REGION", f"region {xid!r} is not linked by any node",
+                                    file_of(_REGION, regions[xid]), where=xid))
 
     node_ids, ok = _id_column(node_xid, id_of(node_xid, _NODE, list(range(len(node_xid)))))
     rows = np.flatnonzero(ok)

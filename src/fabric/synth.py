@@ -13,13 +13,17 @@ import random
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from typing import Iterable
 from xml.sax.saxutils import quoteattr
+
+import numpy as np
 
 from .corpus import Corpus
 from .ingest import XML_ID, escape_cell
 from .model import (
     EDGE_KIND,
     NODE_KIND,
+    Coded,
     CorpusMetadata,
     Edge,
     FeatureAssignment,
@@ -302,45 +306,59 @@ def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "cor
     return header
 
 
-def _cell(value: str, what: str, row: object) -> str:
-    """A cell written unescaped, as the tabular form keeps otypes, kinds,
-    keys and labels: it must hold no tab, CR or LF."""
-    if "\t" in value or "\r" in value or "\n" in value:
+_BREAKS_RE = re.compile("[\t\r\n]")
+
+
+def _check_cells(corpus: LogicalCorpus, table: str, **columns: Coded) -> None:
+    """The tabular form keeps otypes, kinds, keys and labels unescaped: a
+    ``ValueError`` names the first row of ``table`` with a tab, CR or LF in
+    one of ``columns`` (the row's fields of those names, checked in order).
+    Each distinct string is checked once, and a row object is built only
+    for the error."""
+    bad = [np.array([bool(_BREAKS_RE.search(s)) for s in col.strings], bool)[col.codes] for col in columns.values()]
+    for i in np.flatnonzero(np.logical_or.reduce(bad))[:1].tolist():
+        row = getattr(corpus, table)[i]
+        what = next(field for field, b in zip(columns, bad) if b[i])
+        value = getattr(row, what)
         raise ValueError(f"{row}: {what} {value!r} holds a tab, CR or LF, which a tabular cell cannot hold")
-    return value
+
+
+def _write_rows(path: Path, header: str, row: str, *columns: Iterable) -> None:
+    """A TSV file: the header, then ``row`` formatted with one item of each column per line."""
+    path.write_text("\n".join([header, *map(row.format, *columns)]) + "\n", encoding="utf-8")
 
 
 def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
     """Write the tabular form; returns the directory for ``parse_tabular``.
     Feature values are escaped; an otype, kind, key or label holding a tab,
     CR or LF is a ``ValueError`` naming its row, and metadata ``meta.txt``
-    cannot hold one naming its field, raised before any file is written."""
+    cannot hold one naming its field, raised before any file is written.
+    Each table is written straight from ``corpus.columns``."""
     meta = _metadata_lines(corpus.metadata)
+    c = corpus.columns
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / "text.txt").write_bytes(corpus.text.encode("utf-8"))
     (base / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    _write_rows(base / "slots.tsv", "slot_index\tstart\tend", "{}\t{}\t{}",
+                range(1, len(c.slot_start) + 1), c.slot_start.tolist(), c.slot_end.tolist())
 
-    rows = ["slot_index\tstart\tend"]
-    for i, region in enumerate(corpus.slots, start=1):
-        rows.append(f"{i}\t{region.start}\t{region.end}")
-    (base / "slots.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _check_cells(corpus, "nodes", otype=c.otype)
+    runs = [f"{a}-{b}" if a != b else f"{a}" for a, b in zip(c.first.tolist(), c.last.tolist())]
+    offsets = c.runs.tolist()
+    monads = map(",".join, map(runs.__getitem__, map(slice, offsets[:-1], offsets[1:])))
+    _write_rows(base / "nodes.tsv", "node_id\totype\tmonadset", "n{}\t{}\t{}",
+                c.node_id.tolist(), c.otype.decoded(), monads)
 
-    rows = ["node_id\totype\tmonadset"]
-    for node in corpus.nodes:
-        rows.append(f"n{node.id}\t{_cell(node.otype, 'otype', node)}\t{node.monads}")
-    (base / "nodes.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _check_cells(corpus, "features", kind=c.kind, key=c.key)
+    values = list(map(escape_cell, c.value.strings))
+    _write_rows(base / "features.tsv", "kind\ttarget_id\tkey\tvalue", "{}\t{}\t{}\t{}",
+                c.kind.decoded(), c.target.tolist(), c.key.decoded(), map(values.__getitem__, c.value.codes.tolist()))
 
-    rows = ["kind\ttarget_id\tkey\tvalue"]
-    for f in corpus.features:
-        rows.append(f"{_cell(f.kind, 'kind', f)}\t{f.target}\t{_cell(f.key, 'key', f)}\t{escape_cell(f.value)}")
-    (base / "features.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    if corpus.edges:
-        rows = ["edge_id\tfrom\tto\tlabel"]
-        for edge in corpus.edges:
-            rows.append(f"{edge.id}\t{edge.src}\t{edge.dst}\t{_cell(edge.label, 'label', edge)}")
-        (base / "edges.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    if len(c.edge_id):
+        _check_cells(corpus, "edges", label=c.label)
+        _write_rows(base / "edges.tsv", "edge_id\tfrom\tto\tlabel", "{}\t{}\t{}\t{}",
+                    c.edge_id.tolist(), c.src.tolist(), c.dst.tolist(), c.label.decoded())
     return base
 
 

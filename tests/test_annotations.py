@@ -24,7 +24,7 @@ from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.errors import QueryError, StoreError
 from fabric.query import evaluator
-from fabric.query.evaluator import ResultSet, evaluate
+from fabric.query.evaluator import MatchTree, ResultSet, evaluate
 from fabric.query.oracle import brute_force_evaluate
 from fabric.synth import random_corpus, random_query
 
@@ -132,6 +132,14 @@ class TestSaveWithoutTrees:
         assert result._hits is not None and plain._hits is None
         assert build_snapshot(corpus, plain) == build_snapshot(corpus, result)
         assert plain == result
+
+    @pytest.mark.parametrize("node", [999999, -1, 2**64])
+    def test_snapshot_of_a_node_the_corpus_lacks_is_a_key_error(self, toy4_corpus, node):
+        """A hand-built result names no row of the corpus for an unknown id,
+        and no other row is filed in its place."""
+        result = ResultSet(((MatchTree(1),), (MatchTree(node),)), 2, (301,))
+        with pytest.raises(KeyError, match=f"no node with id {node}"):
+            build_snapshot(toy4_corpus, result)
 
 
 class TestSaveRules:

@@ -12,6 +12,7 @@ import pytest
 from fabric.cli import main
 from fabric.compiler import compile_corpus, compile_to_bytes
 from fabric.corpus import Corpus
+from fabric.ingest import parse_graf, parse_tabular
 from fabric.query import evaluator
 from fabric.synth import random_corpus, toy4, write_graf, write_tabular
 
@@ -125,6 +126,22 @@ class TestExitCodes:
         together = [run(capsys, *[a.format(store=tmp_path / "together.json") for a in argv]) for argv in calls]
         assert together == apart
         assert [code for code, _, _ in together] == [1, 0, 0]
+
+
+class TestSampleScript:
+    def test_make_sample_writes_toy4_in_every_form(self, tmp_path):
+        """``scripts/make_sample.py`` writes graph XML, tables and an image,
+        and each loads back as the four-word sample corpus."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        script = Path(SRC).parent / "scripts" / "make_sample.py"
+        done = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == f"wrote {tmp_path / 'toy4.graf'}"
+        assert parse_graf(tmp_path / "toy4.graf") == toy4()
+        assert parse_tabular(tmp_path / "toy4-tabular") == toy4()
+        image = (tmp_path / "toy4.fab").read_bytes()
+        assert image == compile_to_bytes(toy4())[0]
+        assert Corpus.from_bytes(image).stats() == toy4().stats()
 
 
 class TestCompile:

@@ -28,7 +28,7 @@ from fabric.model import (
     Node,
     Region,
 )
-from fabric.synth import random_corpus, write_graf, write_tabular
+from fabric.synth import random_corpus, toy4, write_graf, write_tabular
 import reference
 from strategies import cell_text
 
@@ -550,6 +550,53 @@ class TestTabularRows:
             write_tabular(c, tmp_path)
         assert str(exc.value) == f"{row}: {field} {value!r} holds a tab, CR or LF, which a tabular cell cannot hold"
 
+    @pytest.mark.parametrize(
+        "nodes,edges,features,named",
+        [
+            # "a\tx" sorts first, but node 1 is written first
+            ([Node(1, "b\tx", MonadSet.parse("1")), Node(2, "a\tx", MonadSet.parse("2"))], [], [], (0, "otype")),
+            # nodes before features, features before edges
+            ([Node(1, "word", MonadSet.parse("1")), Node(2, "a\rx", MonadSet.parse("2"))], [Edge(1, 1, 2, "l\n")],
+             [FeatureAssignment("N", 1, "k\n", "v")], (1, "otype")),
+            ([], [Edge(1, 1, 2, "l\n")], [FeatureAssignment("N", 2, "k\t", "v")], (0, "key")),
+            # in one row the kind comes before the key; an earlier row's key before a later row's kind
+            ([], [], [FeatureAssignment("N\t", 1, "k\t", "v")], (0, "kind")),
+            ([], [], [FeatureAssignment("N", 1, "b\t", "v"), FeatureAssignment("N\t", 2, "a", "v")], (0, "key")),
+            ([], [Edge(1, 1, 2, "b\n"), Edge(2, 2, 1, "a\n")], [], (0, "label")),
+        ],
+    )
+    def test_writer_names_the_first_bad_row_in_write_order(self, tmp_path, nodes, edges, features, named):
+        c = tiny(nodes=nodes or tiny().nodes, edges=edges, features=features)
+        row, field = named
+        row = (c.features if field in ("kind", "key") else c.edges if field == "label" else c.nodes)[row]
+        with pytest.raises(ValueError) as exc:
+            write_tabular(c, tmp_path)
+        value = getattr(row, field)
+        assert str(exc.value) == f"{row}: {field} {value!r} holds a tab, CR or LF, which a tabular cell cannot hold"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corpus_from_objects_and_from_columns_write_the_same_bytes(self, tmp_path, seed):
+        """A corpus built with ``assemble`` and the same corpus as a front
+        end hands it over, as columns with no objects."""
+        made = random_corpus(random.Random(seed)) if seed else toy4()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IngestWarning)
+            parsed = parse_graf(write_graf(made, tmp_path / "graf"))
+        assert "_columns" not in vars(made) and "nodes" not in vars(parsed)
+        written = [write_tabular(c, tmp_path / name) for c, name in ((made, "objects"), (parsed, "columns"))]
+        files = [{p.name: p.read_bytes() for p in base.iterdir()} for base in written]
+        assert files[0] == files[1] and "nodes.tsv" in files[0]
+
+    def test_empty_and_multi_run_monad_sets_round_trip(self, tmp_path):
+        """Four nodes with four runs in all, not one each."""
+        nodes = tiny().nodes + (Node(3, "phrase", MonadSet.parse("1,3")), Node(4, "phrase", MonadSet(())))
+        corpus = tiny(text="ab cd ef", slots=tiny().slots + (Region(6, 8),), nodes=nodes)
+        assert len(corpus.columns.first) == len(corpus.nodes)
+        rows = (write_tabular(corpus, tmp_path) / "nodes.tsv").read_text(encoding="utf-8").split("\n")
+        assert rows[1:-1] == [f"n{n.id}\t{n.otype}\t{n.monads}" for n in nodes]
+        assert rows[3:] == ["n3\tphrase\t1,3", "n4\tphrase\t", ""]
+        assert parse_tabular(tmp_path) == corpus
+
 
 # "\u0663" is an Arabic-Indic three, which int() reads; "\u00b2" a superscript two, which it does not.
 _NUMBERS = ["1_0", " 5", "5 ", "+5", "\u0663", "n\u0663", "\u00b2", "n0", "0", "00012", "n00012", "_7", "ab12", "a.b-3", "n-1", "7n", "", "x"]
@@ -764,14 +811,66 @@ class TestGrafParsing:
                 5,
                 "malformed XML: not well-formed (invalid token): line 5, column 0",
             ),
+            (  # 80 kB: the parser's line and text wherever it stops
+                BASE.format(extra='<a ref="n1"><f name="k" value="v"/></a>\n' * 2000 + '<a ref="n1">< /a>'),
+                2006,
+                "malformed XML: not well-formed (invalid token): line 2006, column 13",
+            ),
+            (
+                BASE.format(extra="").replace("<graph>", '<graph xmlns="urn:x">'),
+                None,
+                "root element must be <graph>, got <{urn:x}graph>",
+            ),
         ],
-        ids=["not-a-graph", "empty", "malformed"],
+        ids=["not-a-graph", "empty", "malformed", "malformed-past-64kb", "default-namespace"],
     )
     def test_unreadable_xml(self, tmp_path, xml, line, message):
         with pytest.raises(IngestError) as exc:
             parse_graf(self.header(tmp_path, xml))
         assert (exc.value.file, exc.value.line) == (str(tmp_path / "c.xml"), line)
         assert str(exc.value).endswith(message)
+
+    def test_namespaced_elements_and_attributes_are_ignored(self, tmp_path):
+        extra = (
+            '<x:node xmlns:x="urn:x" xml:id="n3" otype="phrase" monads="1-2"/>'
+            '<node xml:id="n4" otype="phrase" monads="1-2" x:monads="1" xmlns:x="urn:x"/>'
+        )
+        corpus = parse_graf(self.header(tmp_path, self.BASE.format(extra=extra)))
+        assert [(n.id, str(n.monads)) for n in corpus.nodes] == [(1, "1"), (2, "2"), (4, "1-2")]
+
+    def test_of_nested_duplicate_ids_the_first_to_end_counts(self, tmp_path):
+        """The inner node ends first, so it claims n3 (and lacks an otype);
+        the outer one is the duplicate."""
+        extra = '<node xml:id="n3" otype="phrase" monads="1-2"><node xml:id="n3" monads="1"/></node>'
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(self.header(tmp_path, self.BASE.format(extra=extra)))
+        got = [(i.code, i.where, i.message) for i in exc.value.report.errors]
+        assert got == [
+            ("DUPLICATE_XMLID", "n3", "xml:id 'n3' used more than once"),
+            ("MISSING_OTYPE", "n3", "node 'n3' has no otype"),
+        ]
+
+    def test_links_and_features_count_only_as_direct_children(self, tmp_path):
+        extra = (
+            '<node xml:id="n3" otype="phrase" monads="1-2"><q><link targets="r1"/></q></node>'
+            '<a ref="n1"><q><f name="k" value="v"/></q><f name="lex" value="ab"/></a>'
+            '<q><f name="k" value="w"/></q>'
+        )
+        corpus = parse_graf(self.header(tmp_path, self.BASE.format(extra=extra)))
+        assert [(n.id, n.otype) for n in corpus.nodes] == [(1, "word"), (2, "word"), (3, "phrase")]
+        assert corpus.features == (FeatureAssignment("N", 1, "lex", "ab"),)
+
+    def test_latin1_file_parses_as_its_utf8_twin(self, tmp_path):
+        xml = self.BASE.format(extra='<a ref="n1"><f name="lex" value="café ½"/></a>')
+        corpora = []
+        for encoding in ("ISO-8859-1", "UTF-8"):
+            base = tmp_path / encoding
+            base.mkdir()
+            header = self.header(base, "")
+            (base / "c.xml").write_bytes(f'<?xml version="1.0" encoding="{encoding}"?>\n{xml}'.encode(encoding))
+            corpora.append(parse_graf(header))
+        assert corpora[0] == corpora[1]
+        assert corpora[0].features[0].value == "café ½"
 
 
 class TestCellEscaping:

@@ -82,6 +82,28 @@ class TestMonadSet:
         with pytest.raises(ValueError):
             MonadSet.parse(text)
 
+    @pytest.mark.parametrize(
+        "text,runs",
+        [
+            (" 2-2 ", ((2, 2),)),
+            ("٣", ((3, 3),)),  # an Arabic-Indic three, which int() reads
+            ("0", "malformed monad range '0'"),
+            ("0-2", "malformed monad range '0-2'"),
+            ("3-1", "malformed monad range '3-1'"),
+            ("1-", "malformed monad range '1-'"),
+            ("1 - 2", "malformed monad range '1 - 2'"),
+            ("1-" + "9" * 20, ((1, 10**20 - 1),)),
+            ("9" * 20, ((10**20 - 1, 10**20 - 1),)),
+        ],
+    )
+    def test_parse_one_run_text(self, text, runs):
+        if isinstance(runs, str):
+            with pytest.raises(ValueError) as exc:
+                MonadSet.parse(text)
+            assert str(exc.value) == runs
+        else:
+            assert MonadSet.parse(text).runs == runs
+
     def test_direct_construction_rejects_unsorted_runs(self):
         with pytest.raises(ValueError):
             MonadSet(((3, 5), (1, 2)))
