@@ -62,6 +62,34 @@ def synthetic(snapshot, qid=1, name="q", author="a"):
     )
 
 
+def two_verses():
+    """Words 1 and 2 on monads 1 and 2, in verses 10 and 11."""
+    from fabric.model import CorpusMetadata, FeatureAssignment, LogicalCorpus, MonadSet, Node, Region
+
+    logical = LogicalCorpus.assemble(
+        text="aa bb",
+        slots=(Region(0, 2), Region(3, 5)),
+        nodes=(
+            Node(1, "word", MonadSet.from_monads([1])),
+            Node(2, "word", MonadSet.from_monads([2])),
+            Node(10, "verse", MonadSet.from_monads([1])),
+            Node(11, "verse", MonadSet.from_monads([2])),
+        ),
+        features=(FeatureAssignment("N", 1, "text", "aa"),),
+        metadata=CorpusMetadata(otypes=("verse", "word")),
+    )
+    return Corpus.from_bytes(compile_to_bytes(logical)[0])
+
+
+def entry(qid, snapshot, name=None):
+    """A store file's saved-query entry with the given snapshot."""
+    return dict(
+        id=qid, name=name or f"q{qid}", author="a", query="[word]", description="",
+        is_public=True, created=STAMP, modified=STAMP,
+        match_count=len(snapshot), verse_count=len(snapshot), snapshot=snapshot,
+    )
+
+
 class TestSnapshots:
     def test_pinned_fox_snapshot(self, toy4_corpus, golden):
         want = golden("toy4_annotations.json")
@@ -453,37 +481,9 @@ class TestImportValidation:
 
     def test_verifies_intersection(self):
         # two verses; a node from the second cannot sit in the first's margin
-        from fabric.model import (
-            CorpusMetadata,
-            FeatureAssignment,
-            LogicalCorpus,
-            MonadSet,
-            Node,
-            Region,
-        )
-
-        logical = LogicalCorpus.assemble(
-            text="aa bb",
-            slots=(Region(0, 2), Region(3, 5)),
-            nodes=(
-                Node(1, "word", MonadSet.from_monads([1])),
-                Node(2, "word", MonadSet.from_monads([2])),
-                Node(10, "verse", MonadSet.from_monads([1])),
-                Node(11, "verse", MonadSet.from_monads([2])),
-            ),
-            features=(FeatureAssignment("N", 1, "text", "aa"),),
-            metadata=CorpusMetadata(otypes=("verse", "word")),
-        )
-        corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
-        store = AnnotationStore.for_corpus(corpus)
-        doc = json.loads(export_bytes(store))
-        doc["queries"] = [
-            dict(
-                id=1, name="bad", author="a", query="[word]", description="",
-                is_public=True, created=STAMP, modified=STAMP,
-                match_count=1, verse_count=1, snapshot=[[10, [2]]],
-            )
-        ]
+        corpus = two_verses()
+        doc = json.loads(export_bytes(AnnotationStore.for_corpus(corpus)))
+        doc["queries"] = [entry(1, [[10, [2]]])]
         with pytest.raises(StoreError, match="does not intersect"):
             import_bytes(self.dump(doc), corpus)
 
@@ -519,6 +519,43 @@ class TestImportValidation:
         doc["queries"][0]["snapshot"] = [[3, [999]]]
         store = import_bytes(self.dump(doc))
         assert store.queries[1].snapshot == ((3, (999,)),)
+
+
+class TestImportErrorOrder:
+    """Import reports the first failing entry in file order; within one
+    entry a bad id, in snapshot order, comes before a pair that does not
+    meet, and a structural fault of an entry is reported only when every
+    entry before it verifies."""
+
+    def store_file(self, corpus, *entries):
+        doc = json.loads(export_bytes(AnnotationStore.for_corpus(corpus)))
+        doc["queries"] = list(entries)
+        return json.dumps(doc).encode("utf-8")
+
+    def test_an_earlier_entry_that_does_not_meet_wins(self):
+        corpus = two_verses()
+        data = self.store_file(corpus, entry(1, [[10, [2]]]), entry(2, [[11, [999]]]))
+        with pytest.raises(StoreError, match=r"^saved query 1: node 2 does not intersect verse 10$"):
+            import_bytes(data, corpus)
+
+    def test_a_bad_entry_wins_over_a_later_duplicate_id(self, toy4_corpus):
+        data = self.store_file(toy4_corpus, entry(1, [[999, [3]]]), entry(1, [[301, [3]]], name="twin"))
+        with pytest.raises(StoreError, match=r"^saved query 1: unknown verse node 999$"):
+            import_bytes(data, toy4_corpus)
+        with pytest.raises(StoreError, match=r"^duplicate saved-query id 1$"):
+            import_bytes(data)
+
+    def test_an_unknown_node_wins_over_an_earlier_pair_that_does_not_meet(self):
+        corpus = two_verses()
+        data = self.store_file(corpus, entry(1, [[10, [2]], [11, [999]]]))
+        with pytest.raises(StoreError, match=r"^saved query 1: unknown matched node 999$"):
+            import_bytes(data, corpus)
+
+    @pytest.mark.parametrize("node", [2**70, -1])
+    def test_an_out_of_range_node_in_a_later_entry(self, toy4_corpus, node):
+        data = self.store_file(toy4_corpus, entry(1, [[301, [3]]]), entry(2, [[301, [1, node]]]))
+        with pytest.raises(StoreError, match=rf"^saved query 2: unknown matched node {node}$"):
+            import_bytes(data, toy4_corpus)
 
 
 class TestStaleness:
@@ -572,6 +609,16 @@ class TestVerseIndex:
         imported = import_bytes(json.dumps(doc).encode("utf-8"), toy4_corpus)
         assert imported.verse_index() == imported.rebuild_verse_index() == store.verse_index()
         assert all(qids == sorted(qids) for qids in imported.verse_index().values())
+
+    def test_index_stays_sorted_after_a_descending_import(self, toy4_corpus):
+        store = AnnotationStore.for_corpus(toy4_corpus)
+        for i, query in enumerate(("[word]", '[word lex="fox"]', "[verse]", "[phrase]")):
+            save_query(store, toy4_corpus, query, name=f"q{i}", author="ada", now=STAMP)
+        doc = json.loads(export_bytes(store))
+        doc["queries"].reverse()
+        imported = import_bytes(json.dumps(doc).encode("utf-8"), toy4_corpus)
+        assert imported == store
+        assert imported.verse_index() == imported.rebuild_verse_index() == {301: [1, 2, 3, 4]}
 
     def test_next_id_continues_after_import(self, toy4_corpus):
         store, _ = fox_store(toy4_corpus)
