@@ -19,6 +19,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .compiler import _write_atomic
 from .corpus import Corpus
 from .errors import StoreError
+from .ingest import _repeats
 from .query.evaluator import ResultSet, evaluate
 
 FORMAT_VERSION = 1
@@ -258,23 +260,26 @@ def _object(doc: dict, pad: str) -> str:
     return "{" + inner + ("," + inner).join(f"{_string(k)}: {doc[k]}" for k in sorted(doc)) + "\n" + pad + "}"
 
 
+# The type of each saved-query field, matched exactly: a bool is no int.
+_FIELD_TYPES = {
+    "id": int, "name": str, "author": str, "query": str, "description": str, "is_public": bool,
+    "created": str, "modified": str, "match_count": int, "verse_count": int, "snapshot": list,
+}
+_ATTRIBUTES = {"query": "query_text"}  # the fields whose SavedQuery attribute is named otherwise
+
+# One snapshot pair as ``json.dumps(indent=2)`` lays it out inside a saved
+# query: the verse, then its nodes joined by ``_NODES``.
+_PAIR = "[\n          %s,\n          [\n            %s\n          ]\n        ]"
+_EMPTY_PAIR = "[\n          %s,\n          []\n        ]"
+_NODES = ",\n            "
+
+
 def _saved_query_text(saved: SavedQuery) -> str:
     """One saved query, encoded as an entry of the store's query list."""
-    leaves = {
-        "id": saved.id,
-        "name": saved.name,
-        "author": saved.author,
-        "query": saved.query_text,
-        "description": saved.description,
-        "is_public": saved.is_public,
-        "created": saved.created,
-        "modified": saved.modified,
-        "match_count": saved.match_count,
-        "verse_count": saved.verse_count,
-    }
-    doc = {key: _string(value) for key, value in leaves.items()}
+    doc = {key: _string(getattr(saved, _ATTRIBUTES.get(key, key))) for key in _FIELD_TYPES if key != "snapshot"}
     doc["snapshot"] = _array(
-        [_array([str(verse), _array(list(map(str, nodes)), " " * 10)], " " * 8) for verse, nodes in saved.snapshot],
+        [_PAIR % (verse, _NODES.join(map(str, nodes))) if nodes else _EMPTY_PAIR % verse
+         for verse, nodes in saved.snapshot],
         " " * 6,
     )
     return _object(doc, " " * 4)
@@ -298,16 +303,12 @@ def export_store(store: AnnotationStore, path: str | Path) -> None:
     _write_atomic(path, export_bytes(store))
 
 
-# The type of each saved-query field, matched exactly: a bool is no int.
-_FIELD_TYPES = {
-    "id": int, "name": str, "author": str, "query": str, "description": str, "is_public": bool,
-    "created": str, "modified": str, "match_count": int, "verse_count": int, "snapshot": list,
-}
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise StoreError(message)
+
+
+_SHAPE = "saved query field 'snapshot' must hold [verse, [node, ...]] integer pairs"
 
 
 def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
@@ -316,6 +317,8 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
     With a matching corpus, snapshot invariants are enforced (every verse is
     a passage node, every matched node intersects it).  With a different
     fingerprint, records are marked stale and a warning is issued instead.
+    Of several problems, the one of the first entry in file order is
+    reported, as if each entry were read and verified before the next.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -338,71 +341,99 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
             StaleStoreWarning,
             stacklevel=2,
         )
-    verify = corpus is not None and not stale
 
     store = AnnotationStore(fingerprint)
     seen_names: set[tuple[str, str]] = set()
-    for entry in queries:
-        _require(isinstance(entry, dict), "each query must be a JSON object")
-        try:
-            fields = {key: entry[key] for key in _FIELD_TYPES}
-        except KeyError as exc:
-            raise StoreError(f"malformed saved query entry: no field {exc}") from None
-        for key, kind in _FIELD_TYPES.items():
-            _require(type(fields[key]) is kind, f"saved query field {key!r} must be {kind.__name__}")
-        _require(
-            all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is list
-                and {*map(type, p[1])} <= {int} for p in fields["snapshot"]),
-            "saved query field 'snapshot' must hold [verse, [node, ...]] integer pairs",
-        )
-        fields["snapshot"] = tuple((verse, tuple(nodes)) for verse, nodes in fields["snapshot"])
-        fields["query_text"] = fields.pop("query")
-        saved = SavedQuery(**fields, corpus_fingerprint=fingerprint, stale=stale)
-        _require(saved.id not in store.queries, f"duplicate saved-query id {saved.id}")
-        _require(
-            (saved.author, saved.name) not in seen_names,
-            f"duplicate (author, name): {saved.author!r}, {saved.name!r}",
-        )
-        seen_names.add((saved.author, saved.name))
-        _require(saved.verse_count == len(saved.snapshot), "verse_count does not match snapshot")
-        if verify:
-            _verify_snapshot(corpus, saved)
-        store.queries[saved.id] = saved
-        store._index_add(saved)
+    verses: list[int] = []  # the verse of every pair of the entries read, in file order
+    counts: list[int] = []  # the number of nodes of each
+    nodes: list[int] = []  # and the nodes, in file order
+    pending = None
+    try:
+        for entry in queries:
+            _require(isinstance(entry, dict), "each query must be a JSON object")
+            try:
+                fields = {key: entry[key] for key in _FIELD_TYPES}
+            except KeyError as exc:
+                raise StoreError(f"malformed saved query entry: no field {exc}") from None
+            for key, kind in _FIELD_TYPES.items():
+                _require(type(fields[key]) is kind, f"saved query field {key!r} must be {kind.__name__}")
+            snap = fields["snapshot"]
+            pairs = {*map(type, snap)} <= {list} and {*map(len, snap)} <= {2}
+            entry_verses, entry_nodes = zip(*snap) if pairs and snap else ((), ())
+            _require(pairs and {*map(type, entry_verses)} <= {int} and {*map(type, entry_nodes)} <= {list}, _SHAPE)
+            entry_flat = [*chain.from_iterable(entry_nodes)]
+            _require({*map(type, entry_flat)} <= {int}, _SHAPE)
+            fields["snapshot"] = tuple(zip(entry_verses, map(tuple, entry_nodes)))
+            fields["query_text"] = fields.pop("query")
+            saved = SavedQuery(**fields, corpus_fingerprint=fingerprint, stale=stale)
+            _require(saved.id not in store.queries, f"duplicate saved-query id {saved.id}")
+            _require(
+                (saved.author, saved.name) not in seen_names,
+                f"duplicate (author, name): {saved.author!r}, {saved.name!r}",
+            )
+            seen_names.add((saved.author, saved.name))
+            _require(saved.verse_count == len(saved.snapshot), "verse_count does not match snapshot")
+            store.queries[saved.id] = saved
+            verses += entry_verses
+            counts += map(len, entry_nodes)
+            nodes += entry_flat
+    except StoreError as exc:
+        pending = exc  # reported only if the entries before this one pass
+    _check_snapshots(list(store.queries.values()), verses, counts, nodes, corpus if not stale else None)
+    if pending is not None:
+        raise pending
+    store._verse_index = store.rebuild_verse_index()
     store._next_id = max(store.queries, default=0) + 1
     return store
 
 
-def _verify_snapshot(corpus: Corpus, saved: SavedQuery) -> None:
-    # Every id in snapshot order, each verse before its nodes, looked up at
-    # once; the first bad one is reported.
-    ids: list[int] = []
-    is_verse: list[bool] = []
-    for verse, nodes in saved.snapshot:
-        ids += (verse, *nodes)
-        is_verse += [True] + [False] * len(nodes)
-    rows = corpus._rows(ids)
-    passage = corpus._otype_rank.get(corpus.metadata.passage_otype, -1)
-    verse = np.array(is_verse, dtype=bool)
-    bad = np.flatnonzero((rows < 0) | (verse & (corpus._otype_code[rows] != passage)))
-    if len(bad):
-        i = bad[0]
-        if not is_verse[i]:
-            raise StoreError(f"saved query {saved.id}: unknown matched node {ids[i]}")
-        if rows[i] < 0:
-            raise StoreError(f"saved query {saved.id}: unknown verse node {ids[i]}")
-        raise StoreError(f"saved query {saved.id}: node {ids[i]} is not a {corpus.metadata.passage_otype}")
-    # Then every (verse, node) pair at once: their envelopes overlap, and
-    # their runs meet where either has more than one.
-    at = np.flatnonzero(~verse)
-    head = np.maximum.accumulate(np.where(verse, np.arange(len(ids)), 0))[at]
-    v, n = rows[head], rows[at]
-    meet = (corpus._first[v] <= corpus._last[n]) & (corpus._first[n] <= corpus._last[v])
-    meet &= corpus._run_test(v, n, meet & ((corpus._nruns[v] > 1) | (corpus._nruns[n] > 1)), False)
-    bad = np.flatnonzero(~meet)
-    if len(bad):
-        i = bad[0]
-        raise StoreError(f"saved query {saved.id}: node {ids[at[i]]} does not intersect verse {ids[head[i]]}")
+def _check_snapshots(
+    entries: list[SavedQuery], verses: list[int], counts: list[int], nodes: list[int], corpus: Corpus | None
+) -> None:
+    """Check the snapshots of ``entries`` all at once, and raise the fault
+    of the first failing entry.  Their pairs are given in file order, as
+    each verse, its number of nodes and all nodes in a row.  An entry fails
+    first on a verse that repeats or lists no node or one node twice; then,
+    given a corpus, on the first id in snapshot order that is no node or a
+    verse that is no passage; then on the first node that does not meet
+    its verse."""
+    entry_of = np.repeat(np.arange(len(entries)), [len(saved.snapshot) for saved in entries])
+    owner = np.repeat(np.arange(len(verses)), counts)  # the pair of each node
+    ids = verses + nodes
+    try:
+        id_array = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    except OverflowError:  # an id past int64, compared as a Python int
+        id_array = np.array(ids, dtype=object)
+    nv = len(verses)
+    faults = []  # (entry, rank within the entry, pair, verse 0 or node 1, message)
+
+    def fault(pair: int, rank: int, sub: int, message: str) -> None:
+        entry = int(entry_of[pair])
+        faults.append((entry, rank, pair, sub, f"saved query {entries[entry].id}: {message}"))
+
+    for i in np.flatnonzero(_repeats(entry_of, id_array[:nv]))[:1].tolist():
+        fault(i, 0, 0, f"verse {verses[i]} is listed twice")
+    for i in np.flatnonzero(np.equal(counts, 0))[:1].tolist():
+        fault(i, 0, 1, f"verse {verses[i]} lists no matched node")
+    for k in np.flatnonzero(_repeats(owner, id_array[nv:]))[:1].tolist():
+        fault(owner[k], 0, 1, f"verse {verses[owner[k]]} lists node {ids[nv + k]} twice")
+    if corpus is not None:
+        rows = corpus._rows(id_array)
+        v, n = rows[:nv], rows[nv:]
+        passage = corpus.metadata.passage_otype
+        for i in np.flatnonzero((v < 0) | (corpus._otype_code[v] != corpus._otype_rank.get(passage, -1)))[:1].tolist():
+            fault(i, 1, 0, f"unknown verse node {verses[i]}" if v[i] < 0 else f"node {verses[i]} is not a {passage}")
+        for k in np.flatnonzero(n < 0)[:1].tolist():
+            fault(owner[k], 1, 1, f"unknown matched node {ids[nv + k]}")
+        # Every (verse, node) pair at once: their envelopes overlap, and
+        # their runs meet where either has more than one.
+        v = v[owner]
+        meet = (corpus._first[v] <= corpus._last[n]) & (corpus._first[n] <= corpus._last[v])
+        meet &= corpus._run_test(v, n, meet & ((corpus._nruns[v] > 1) | (corpus._nruns[n] > 1)), False)
+        for k in np.flatnonzero(~meet)[:1].tolist():
+            fault(owner[k], 2, 1, f"node {ids[nv + k]} does not intersect verse {verses[owner[k]]}")
+    if faults:
+        raise StoreError(min(faults)[-1])
 
 
 def import_store(path: str | Path, corpus: Corpus | None = None) -> AnnotationStore:

@@ -374,10 +374,13 @@ class Corpus:
             raise KeyError(f"no node with id {node}")
         return i
 
-    def _rows(self, nodes: list[int]) -> np.ndarray:
+    def _rows(self, nodes: list[int] | np.ndarray) -> np.ndarray:
         """Rows of the given node ids, -1 for an id the corpus lacks; ids
         of any size are accepted."""
-        ids = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
+        try:
+            ids = np.asarray(nodes, dtype=np.int64)
+        except OverflowError:  # an id past int64, which no node has
+            ids = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
         return _find_all(self._ids, ids)
 
     def _monad_set(self, row: int) -> MonadSet:

@@ -278,7 +278,7 @@ class _Eval:
         assert source.atom is not None
         store = self.c.store(source.atom.key)
         assert store is not None
-        targets = store.targets[self._value_mask(source.atom)[store.codes]]
+        targets = store.targets[self._value_mask(source.atom).take(store.codes)]
         return self.c._rows_of_targets(targets, source.atom.key)
 
     def candidates(self, block: Block) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ Everything here works on plain Python sets and lists (or, for
 package's own data structures, so a bug in the engine cannot
 hide inside the expectation.  The exceptions are ``atom_mask_by_ids`` and
 ``passages_meeting_by_ids``: the engine's earlier id-based forms of two
-steps that now run on corpus rows, kept to check those rows against.
+steps that now run on corpus rows, kept to check those rows against,
+and ``import_store_bytes``, which fills the package's ``AnnotationStore``
+and ``SavedQuery``, the types the import it checks is compared in.
 """
 
 from __future__ import annotations
@@ -432,3 +434,150 @@ def parse_tabular(directory):
         raise ValidationFailure(ValidationReport(errors=tuple(ordered), warnings=()))
     slots = [Region(*slot_rows[i]) for i in sorted(slot_rows)]
     return LogicalCorpus.assemble(text, slots, nodes, edges, features, metadata)
+
+
+# ---------------------------------------------------------------------------
+# the annotation store, one saved query at a time
+# ---------------------------------------------------------------------------
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def saved_query_text(saved) -> str:
+    """One saved query as an entry of the store file's query list, laid out
+    as ``json.dumps(indent=2, sort_keys=True)`` lays it out: the leaves by
+    the json module, the snapshot as three nested arrays per verse."""
+    import json
+
+    string = json.JSONEncoder(ensure_ascii=False).encode
+    leaves = {
+        "id": saved.id, "name": saved.name, "author": saved.author, "query": saved.query_text,
+        "description": saved.description, "is_public": saved.is_public, "created": saved.created,
+        "modified": saved.modified, "match_count": saved.match_count, "verse_count": saved.verse_count,
+    }
+    doc = {key: string(value) for key, value in leaves.items()}
+    doc["snapshot"] = _json_array(
+        [
+            _json_array([str(verse), _json_array(list(map(str, nodes)), " " * 10)], " " * 8)
+            for verse, nodes in saved.snapshot
+        ],
+        " " * 6,
+    )
+    inner = "\n      "
+    return "{" + inner + ("," + inner).join(f"{string(k)}: {doc[k]}" for k in sorted(doc)) + "\n    }"
+
+
+_STORE_FIELD_TYPES = {
+    "id": int, "name": str, "author": str, "query": str, "description": str, "is_public": bool,
+    "created": str, "modified": str, "match_count": int, "verse_count": int, "snapshot": list,
+}
+
+
+def import_store_bytes(data: bytes, corpus=None):
+    """``annotations.import_bytes`` one saved query at a time: each entry
+    is checked, then verified against the corpus, before the next is read,
+    and filed in the verse index with ``insort``.  The checks and their
+    order are the import's: an entry's fields, its snapshot's shape, its id
+    and name, ``verse_count``, then each verse in turn for a repeat or an
+    empty node list, then the corpus.  Verification works id by id through
+    ``Corpus.otype`` and ``Corpus.monads``, on monad sets."""
+    import bisect
+    import json
+    import warnings
+
+    from fabric.annotations import FORMAT_VERSION, AnnotationStore, SavedQuery, StaleStoreWarning
+    from fabric.errors import StoreError
+
+    def require(condition: bool, message: str) -> None:
+        if not condition:
+            raise StoreError(message)
+
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StoreError(f"store file is not valid JSON: {exc}") from None
+    require(isinstance(doc, dict), "store file must hold a JSON object")
+    require(
+        doc.get("format_version") == FORMAT_VERSION,
+        f"unsupported store format_version {doc.get('format_version')!r}",
+    )
+    fingerprint = doc.get("corpus_fingerprint")
+    require(isinstance(fingerprint, str), "corpus_fingerprint must be a string")
+    queries = doc.get("queries")
+    require(isinstance(queries, list), "queries must be a list")
+    stale = corpus is not None and corpus.fingerprint != fingerprint
+    if stale:
+        warnings.warn(
+            "store was written for a different corpus image; snapshots marked stale",
+            StaleStoreWarning,
+            stacklevel=2,
+        )
+    store = AnnotationStore(fingerprint)
+    seen_names: set[tuple[str, str]] = set()
+    for entry in queries:
+        require(isinstance(entry, dict), "each query must be a JSON object")
+        try:
+            fields = {key: entry[key] for key in _STORE_FIELD_TYPES}
+        except KeyError as exc:
+            raise StoreError(f"malformed saved query entry: no field {exc}") from None
+        for key, kind in _STORE_FIELD_TYPES.items():
+            require(type(fields[key]) is kind, f"saved query field {key!r} must be {kind.__name__}")
+        require(
+            all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is list
+                and {*map(type, p[1])} <= {int} for p in fields["snapshot"]),
+            "saved query field 'snapshot' must hold [verse, [node, ...]] integer pairs",
+        )
+        fields["snapshot"] = tuple((verse, tuple(nodes)) for verse, nodes in fields["snapshot"])
+        fields["query_text"] = fields.pop("query")
+        saved = SavedQuery(**fields, corpus_fingerprint=fingerprint, stale=stale)
+        require(saved.id not in store.queries, f"duplicate saved-query id {saved.id}")
+        require(
+            (saved.author, saved.name) not in seen_names,
+            f"duplicate (author, name): {saved.author!r}, {saved.name!r}",
+        )
+        seen_names.add((saved.author, saved.name))
+        require(saved.verse_count == len(saved.snapshot), "verse_count does not match snapshot")
+        verses: set[int] = set()
+        for verse, nodes in saved.snapshot:
+            where = f"saved query {saved.id}: verse {verse}"
+            require(verse not in verses, f"{where} is listed twice")
+            require(len(nodes) > 0, f"{where} lists no matched node")
+            for i, node in enumerate(nodes):
+                require(node not in nodes[:i], f"{where} lists node {node} twice")
+            verses.add(verse)
+        if corpus is not None and not stale:
+            _verify_saved_query(corpus, saved)
+        store.queries[saved.id] = saved
+        for verse, _nodes in saved.snapshot:
+            bisect.insort(store._verse_index.setdefault(verse, []), saved.id)
+    store._next_id = max(store.queries, default=0) + 1
+    return store
+
+
+def _verify_saved_query(corpus, saved) -> None:
+    """Every id in snapshot order must exist, each verse as a passage node;
+    then every node must share a monad with its verse."""
+    from fabric.errors import StoreError
+
+    passage = corpus.metadata.passage_otype
+    for verse, nodes in saved.snapshot:
+        try:
+            otype = corpus.otype(verse)
+        except KeyError:
+            raise StoreError(f"saved query {saved.id}: unknown verse node {verse}") from None
+        if otype != passage:
+            raise StoreError(f"saved query {saved.id}: node {verse} is not a {passage}")
+        for node in nodes:
+            try:
+                corpus.monads(node)
+            except KeyError:
+                raise StoreError(f"saved query {saved.id}: unknown matched node {node}") from None
+    for verse, nodes in saved.snapshot:
+        for node in nodes:
+            if not frozenset(corpus.monads(verse)) & frozenset(corpus.monads(node)):
+                raise StoreError(f"saved query {saved.id}: node {node} does not intersect verse {verse}")

@@ -1,16 +1,19 @@
 import json
 import os
 import random
+import warnings
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from fabric.annotations import (
     AnnotationStore,
     SavedQuery,
     StaleStoreWarning,
+    _saved_query_text,
     build_snapshot,
     export_bytes,
     export_store,
@@ -27,6 +30,7 @@ from fabric.query import evaluator
 from fabric.query.evaluator import MatchTree, ResultSet, evaluate
 from fabric.query.oracle import brute_force_evaluate
 from fabric.synth import random_corpus, random_query
+from fabric.synth import toy4 as synth_toy4
 
 STAMP = "2024-01-01T00:00:00Z"
 
@@ -361,8 +365,8 @@ class TestPersistence:
         """The hand-written layout is byte for byte that of the json module
         with ``indent=2``, control and non-ASCII characters included."""
         text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
-        number = st.integers(min_value=-(2**40), max_value=2**40)
-        snapshot = st.lists(st.tuples(number, st.lists(number, max_size=3).map(tuple)), max_size=3).map(tuple)
+        number = st.integers(min_value=-(2**70), max_value=2**70)
+        snapshot = st.lists(st.tuples(number, st.lists(number, max_size=8).map(tuple)), max_size=8).map(tuple)
         store = AnnotationStore(data.draw(text))
         for _ in range(data.draw(st.integers(0, 3))):
             saved = SavedQuery(
@@ -458,6 +462,24 @@ class TestImportValidation:
         with pytest.raises(StoreError, match=f"saved query field '{field}' must "):
             import_bytes(self.dump(doc))
 
+    @pytest.mark.parametrize(
+        "snapshot, problem",
+        [
+            ([[301, [3]], [301, [3]]], "verse 301 is listed twice"),
+            ([[301, [3, 4, 3]]], "verse 301 lists node 3 twice"),
+            ([[301, []]], "verse 301 lists no matched node"),
+        ],
+        ids=["repeated_verse", "repeated_node", "no_node"],
+    )
+    @pytest.mark.parametrize("with_corpus", [True, False], ids=["corpus", "no_corpus"])
+    def test_rejects_repeats_and_empty_node_lists(self, toy4_corpus, snapshot, problem, with_corpus):
+        # build_snapshot writes none of these; a repeated verse would show
+        # its query twice in the margin.
+        doc = self.doc(toy4_corpus)
+        doc["queries"][0].update(snapshot=snapshot, verse_count=len(snapshot))
+        with pytest.raises(StoreError, match=rf"^saved query 1: {problem}$"):
+            import_bytes(self.dump(doc), toy4_corpus if with_corpus else None)
+
     def test_verifies_verse_is_a_passage_node(self, toy4_corpus):
         doc = self.doc(toy4_corpus)
         doc["queries"][0]["snapshot"] = [[3, [3]]]
@@ -550,6 +572,11 @@ class TestImportErrorOrder:
         data = self.store_file(corpus, entry(1, [[10, [2]], [11, [999]]]))
         with pytest.raises(StoreError, match=r"^saved query 1: unknown matched node 999$"):
             import_bytes(data, corpus)
+
+    def test_an_unknown_verse_wins_over_its_unknown_node(self, toy4_corpus):
+        data = self.store_file(toy4_corpus, entry(1, [[301, [3]], [999, [998]]]))
+        with pytest.raises(StoreError, match=r"^saved query 1: unknown verse node 999$"):
+            import_bytes(data, toy4_corpus)
 
     @pytest.mark.parametrize("node", [2**70, -1])
     def test_an_out_of_range_node_in_a_later_entry(self, toy4_corpus, node):
@@ -645,3 +672,127 @@ class TestVerseIndex:
         assert again == store
         assert export_bytes(again) == data
         assert again.verse_index() == again.rebuild_verse_index()
+
+
+def _differential_corpora():
+    """toy4, random corpora with discontiguous nodes and without, and one
+    whose passages are discontiguous phrases."""
+    corpora = [Corpus.from_bytes(compile_to_bytes(synth_toy4())[0])]
+    multi = plain = 0
+    for seed in range(100):
+        c = Corpus.from_bytes(compile_to_bytes(random_corpus(random.Random(seed), max_words=40))[0])
+        if c._nruns.max() > 1 and multi < 5:
+            corpora.append(c)
+            multi += 1
+        elif c._nruns.max() == 1 and plain < 2:
+            corpora.append(c)
+            plain += 1
+    logical = random_corpus(random.Random(2), max_words=60, tricky_values=False)
+    logical = replace(logical, metadata=replace(logical.metadata, passage_otype="phrase"))
+    corpora.append(Corpus.from_bytes(compile_to_bytes(logical)[0]))
+    return corpora
+
+
+def _saved_store(corpus, rng):
+    store = AnnotationStore.for_corpus(corpus)
+    for i in range(rng.randint(2, 5)):
+        try:
+            save_query(store, corpus, random_query(rng, corpus), name=f"q{i}", author="fuzz", now=STAMP)
+        except QueryError:
+            continue
+    return store
+
+
+_BAD_IDS = (999_999, -1, 2**32, 2**63, 2**70, -(2**70))
+
+
+def _mutate(doc, corpus, rng):
+    """One mutation of a store document, drawn at random."""
+    entries = doc["queries"]
+    if not entries:
+        return
+    e = rng.choice(entries)
+    snapshot = e.get("snapshot")  # an earlier mutation may have dropped or retyped it
+    pairs = [p for p in snapshot if type(p) is list and len(p) == 2 and type(p[1]) is list] if type(snapshot) is list else []
+    ids = list(corpus.nodes())
+    kind = rng.randrange(13)
+    if kind == 0:
+        del e[rng.choice(sorted(e))]
+    elif kind == 1:
+        e[rng.choice(sorted(e))] = rng.choice(["x", 1.5, True, None, [], 7, [[1, "2"]], [[1]]])
+    elif kind == 2 and pairs:  # another node of the corpus in place of a verse
+        rng.choice(pairs)[0] = rng.choice(ids)
+    elif kind == 3 and pairs:  # a bad or foreign node added
+        rng.choice(pairs)[1].insert(rng.randint(0, 1), rng.choice(_BAD_IDS))
+    elif kind == 4 and pairs:  # a node of the corpus, which may lie outside its verse
+        nodes = rng.choice(pairs)[1]
+        if nodes:
+            nodes[rng.randrange(len(nodes))] = rng.choice(ids)
+    elif kind == 5:
+        e["id"] = rng.choice(entries).get("id")
+    elif kind == 6:
+        twin = rng.choice(entries)
+        e["author"], e["name"] = twin.get("author"), twin.get("name")
+    elif kind == 7 and type(e.get("verse_count")) is int:
+        e["verse_count"] += rng.choice([-1, 1])
+    elif kind == 8 and pairs:  # a verse repeated
+        snapshot.insert(rng.randint(0, len(pairs)), json.loads(json.dumps(rng.choice(pairs))))
+        e["verse_count"] = len(snapshot)
+    elif kind == 9 and pairs:  # a node repeated under its verse
+        nodes = rng.choice(pairs)[1]
+        if nodes:
+            nodes.insert(rng.randint(0, len(nodes)), rng.choice(nodes))
+    elif kind == 10 and pairs:
+        rng.choice(pairs)[1].clear()
+    elif kind == 11:
+        entries.reverse()
+    elif pairs:  # a verse or node swapped for a bad id
+        pair = rng.choice(pairs)
+        if rng.random() < 0.5 or not pair[1]:
+            pair[0] = rng.choice(_BAD_IDS)
+        else:
+            pair[1][rng.randrange(len(pair[1]))] = rng.choice(_BAD_IDS)
+
+
+def _outcome(read, data, corpus):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StaleStoreWarning)
+            store = read(data, corpus)
+    except StoreError as exc:
+        return "error", str(exc)
+    stale = {qid: saved.stale for qid, saved in store.queries.items()}
+    return store, store.verse_index(), store._next_id, stale
+
+
+class TestImportAgainstReference:
+    """Import and export against their one-query-at-a-time forms in
+    ``reference``, on stores saved from real queries and then mutated."""
+
+    def test_mutated_stores_import_like_the_reference(self):
+        rng = random.Random(17)
+        corpora = _differential_corpora()
+        other = corpora[1]
+        imported = failed = 0
+        for corpus in corpora:
+            for _ in range(40):
+                store = _saved_store(corpus, rng)
+                doc = json.loads(export_bytes(store))
+                for _ in range(rng.choice([1, 1, 2, 3])):
+                    _mutate(doc, corpus, rng)
+                data = json.dumps(doc).encode("utf-8")
+                for against in (corpus, None, other):
+                    got = _outcome(import_bytes, data, against)
+                    assert got == _outcome(reference.import_store_bytes, data, against), doc
+                    failed += got[0] == "error"
+                    imported += got[0] != "error"
+        assert imported > 100 and failed > 300
+
+    def test_export_equals_the_reference(self):
+        rng = random.Random(5)
+        for corpus in _differential_corpora():
+            for _ in range(5):
+                store = _saved_store(corpus, rng)
+                for saved in store.queries.values():
+                    assert _saved_query_text(saved) == reference.saved_query_text(saved)
+                assert export_bytes(import_bytes(export_bytes(store), corpus)) == export_bytes(store)

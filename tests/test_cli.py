@@ -566,6 +566,73 @@ class TestAnnotate:
         assert doc["page"] == 1 and doc["total_pages"] == 1
         assert doc["entries"] == [{"verse": 301, "nodes": [3]}]
 
+    def test_list_rejects_a_repeated_verse(self, image, capsys, tmp_path):
+        store = tmp_path / "store.json"
+        run(capsys, "annotate", image, str(store), "save", "-q", '[word lex="fox"]', "--name", "f", "--author", "ada")
+        doc = json.loads(store.read_text(encoding="utf-8"))
+        doc["queries"][0].update(snapshot=[[301, [3]], [301, [3]]], verse_count=2)
+        store.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, err = run(capsys, "annotate", image, str(store), "list")
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["fabric: saved query 1: verse 301 is listed twice"]
+
+    def test_store_commands_agree_with_the_api(self, capsys, tmp_path):
+        """Saves through the command, then every read of the store in both
+        formats, each against what the API gives on the same store."""
+        from fabric.annotations import import_store, margin, result_page
+        from fabric.synth import random_query
+
+        rng = random.Random(11)
+        image, path = str(tmp_path / "r.fab"), str(tmp_path / "store.json")
+        compile_corpus(random_corpus(rng, max_words=40), image)
+        corpus = Corpus.from_file(image)
+        queries = ["[word]", "[phrase]", "[clause [word]]", "[sentence]"] + [random_query(rng, corpus) for _ in range(4)]
+        for i, query in enumerate(queries):
+            private = ["--private"] if i % 3 == 2 else []
+            code, _, err = run(capsys, "annotate", image, path, "save", "-q", query, "--name", f"q{i}",
+                               "--author", ("ada", "bob")[i % 2], *private)
+            assert code == 0 or err.startswith("fabric: ")
+        store = import_store(path, corpus)
+        saved = sorted(store.queries.values(), key=lambda s: s.id)
+        assert len(saved) >= 4
+
+        def both(*argv):
+            code, text, _ = run(capsys, "annotate", image, path, *argv)
+            code_json, doc, _ = run(capsys, "annotate", image, path, *argv, "--format", "json")
+            assert code == code_json == 0
+            return text.splitlines(), json.loads(doc)
+
+        text, doc = both("list")
+        assert text == [
+            f"{s.id}\t{s.name}\t{s.author}\t{'public' if s.is_public else 'private'}\t"
+            f"{s.match_count} match(es), {s.verse_count} verse(s)"
+            for s in saved
+        ]
+        assert doc == [
+            {"id": s.id, "name": s.name, "author": s.author, "public": s.is_public,
+             "matches": s.match_count, "verses": s.verse_count, "stale": False}
+            for s in saved
+        ]
+        for passage in list(corpus.nodes("verse")):
+            entries = margin(store, corpus, passage)
+            text, doc = both("margin", "--passage", str(passage))
+            assert text == [f"{s.author}/{s.name} (query {s.id}): " + ", ".join(f"n{n}" for n in nodes)
+                            for s, nodes in entries]
+            assert doc == [{"id": s.id, "name": s.name, "author": s.author, "nodes": list(nodes)} for s, nodes in entries]
+        for s in saved:
+            for number in (1, 2, 9):
+                page = result_page(s, number, 2)
+                text, doc = both("page", "--id", str(s.id), "--page", str(number), "--page-size", "2")
+                labels = [corpus.feature(verse, "ref") for verse, _ in page.entries]
+                assert text == [f"page {page.page}/{page.total_pages}" + (" (clamped)" if page.clamped else "")] + [
+                    f"{f'n{verse}' if label is None else label}: " + ", ".join(f"n{n}" for n in nodes)
+                    for label, (verse, nodes) in zip(labels, page.entries)
+                ]
+                assert doc == {
+                    "page": page.page, "total_pages": page.total_pages, "clamped": page.clamped,
+                    "entries": [{"verse": verse, "nodes": list(nodes)} for verse, nodes in page.entries],
+                }
+
 
 class TestEdgeCorpus:
     """Every command on an image with edge features; EDGES orders its rows

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from fabric.annotations import AnnotationStore, _verify_snapshot, build_snapshot, save_query
+from fabric.annotations import AnnotationStore, build_snapshot, export_bytes, import_bytes, save_query
 from fabric.cli import CliConfig, _stream_matches
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
@@ -347,17 +347,24 @@ def test_multirun_nodes_match_set_semantics(logical, rng):
     scan.check_nodes(scan.order, rng)
     for text in ("[phrase [phrase]]", "[verse [phrase]]", "[phrase [verse [word]]]", "[verse [verse]]"):
         scan.check_query(text)
-    # Snapshot verification accepts every (verse, node) pair whose monads
-    # meet, and rejects each pair whose envelopes overlap but monads do not.
+    # Snapshot verification on import accepts every (verse, node) pair whose
+    # monads meet, and rejects each pair whose envelopes overlap but monads
+    # do not.
     m = scan.monads
-    pairs = [(v, n) for v in scan.passages for n in scan.order]
     saved = save_query(AnnotationStore.for_corpus(scan.corpus), scan.corpus, "[word]", name="w", author="a")
-    met = tuple((v, (n,)) for v, n in pairs if m[v] & m[n])
-    _verify_snapshot(scan.corpus, replace(saved, snapshot=met))
-    for v, n in pairs:
-        if not m[v] & m[n] and min(m[v]) <= max(m[n]) and min(m[n]) <= max(m[v]):
-            with pytest.raises(StoreError, match=f"node {n} does not intersect verse {v}$"):
-                _verify_snapshot(scan.corpus, replace(saved, snapshot=met + ((v, (n,)),)))
+
+    def verify(snapshot):
+        store = AnnotationStore.for_corpus(scan.corpus)
+        store.queries[saved.id] = replace(saved, snapshot=snapshot, verse_count=len(snapshot))
+        import_bytes(export_bytes(store), scan.corpus)
+
+    met = tuple((v, tuple(n for n in scan.order if m[v] & m[n])) for v in scan.passages)
+    verify(met)
+    for v, nodes in met:
+        for n in scan.order:
+            if not m[v] & m[n] and min(m[v]) <= max(m[n]) and min(m[n]) <= max(m[v]):
+                with pytest.raises(StoreError, match=f"node {n} does not intersect verse {v}$"):
+                    verify(tuple((u, ns + (n,) if u == v else ns) for u, ns in met))
 
 
 def test_run_test_runs_once_per_join(monkeypatch):
