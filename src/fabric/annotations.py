@@ -391,14 +391,15 @@ def _check_snapshots(
     entries: list[SavedQuery], verses: list[int], counts: list[int], nodes: list[int], corpus: Corpus | None
 ) -> None:
     """Check the snapshots of ``entries`` all at once, and raise the fault
-    of the first failing entry.  Their pairs are given in file order, as
-    each verse, its number of nodes and all nodes in a row.  An entry fails
-    first on a verse that repeats or lists no node or one node twice; then,
-    given a corpus, on the first id in snapshot order that is no node or a
-    verse that is no passage; then on the first node that does not meet
-    its verse."""
+    of the first failing entry.  ``verses`` and ``counts`` give each pair's
+    verse and number of nodes, in file order, and ``nodes`` all their nodes
+    in a row.  An entry fails first on a verse that repeats or lists no
+    node or one node twice; then, given a corpus, on the first id in
+    snapshot order that is no node or a verse that is no passage; then on
+    the first node that does not meet its verse."""
     entry_of = np.repeat(np.arange(len(entries)), [len(saved.snapshot) for saved in entries])
-    owner = np.repeat(np.arange(len(verses)), counts)  # the pair of each node
+    sizes = np.fromiter(counts, dtype=np.intp, count=len(counts))
+    owner = np.repeat(np.arange(len(verses)), sizes)  # the pair of each node
     ids = verses + nodes
     try:
         id_array = np.fromiter(ids, dtype=np.int64, count=len(ids))
@@ -413,7 +414,7 @@ def _check_snapshots(
 
     for i in np.flatnonzero(_repeats(entry_of, id_array[:nv]))[:1].tolist():
         fault(i, 0, 0, f"verse {verses[i]} is listed twice")
-    for i in np.flatnonzero(np.equal(counts, 0))[:1].tolist():
+    for i in np.flatnonzero(sizes == 0)[:1].tolist():
         fault(i, 0, 1, f"verse {verses[i]} lists no matched node")
     for k in np.flatnonzero(_repeats(owner, id_array[nv:]))[:1].tolist():
         fault(owner[k], 0, 1, f"verse {verses[owner[k]]} lists node {ids[nv + k]} twice")

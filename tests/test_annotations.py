@@ -29,8 +29,7 @@ from fabric.errors import QueryError, StoreError
 from fabric.query import evaluator
 from fabric.query.evaluator import MatchTree, ResultSet, evaluate
 from fabric.query.oracle import brute_force_evaluate
-from fabric.synth import random_corpus, random_query
-from fabric.synth import toy4 as synth_toy4
+from fabric.synth import random_corpus, random_query, toy4
 
 STAMP = "2024-01-01T00:00:00Z"
 
@@ -677,7 +676,7 @@ class TestVerseIndex:
 def _differential_corpora():
     """toy4, random corpora with discontiguous nodes and without, and one
     whose passages are discontiguous phrases."""
-    corpora = [Corpus.from_bytes(compile_to_bytes(synth_toy4())[0])]
+    corpora = [Corpus.from_bytes(compile_to_bytes(toy4())[0])]
     multi = plain = 0
     for seed in range(100):
         c = Corpus.from_bytes(compile_to_bytes(random_corpus(random.Random(seed), max_words=40))[0])

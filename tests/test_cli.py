@@ -14,7 +14,7 @@ from fabric.compiler import compile_corpus, compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.ingest import parse_graf, parse_tabular
 from fabric.query import evaluator
-from fabric.synth import random_corpus, toy4, write_graf, write_tabular
+from fabric.synth import random_corpus, random_query, toy4, write_graf, write_tabular
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -580,7 +580,6 @@ class TestAnnotate:
         """Saves through the command, then every read of the store in both
         formats, each against what the API gives on the same store."""
         from fabric.annotations import import_store, margin, result_page
-        from fabric.synth import random_query
 
         rng = random.Random(11)
         image, path = str(tmp_path / "r.fab"), str(tmp_path / "store.json")
