@@ -578,10 +578,11 @@ class TestTabularRows:
     def test_corpus_from_objects_and_from_columns_write_the_same_bytes(self, tmp_path, seed):
         """A corpus built with ``assemble`` and the same corpus as a front
         end hands it over, as columns with no objects."""
-        made = random_corpus(random.Random(seed)) if seed else toy4()
+        made, twin = (random_corpus(random.Random(seed)) if seed else toy4() for _ in range(2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IngestWarning)
-            parsed = parse_graf(write_graf(made, tmp_path / "graf"))
+            parsed = parse_graf(write_graf(twin, tmp_path / "graf"))  # the writer reads the twin's columns
+        assert twin == made
         assert "_columns" not in vars(made) and "nodes" not in vars(parsed)
         written = [write_tabular(c, tmp_path / name) for c, name in ((made, "objects"), (parsed, "columns"))]
         files = [{p.name: p.read_bytes() for p in base.iterdir()} for base in written]
@@ -1003,6 +1004,23 @@ class TestSerializerRoundTrip:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IngestWarning)
             assert parse_graf(out / "rt.graf") == corpus
+
+    @pytest.mark.parametrize(
+        "value",
+        ['say "hi"', "it's", "\"'", "a<b", "a&b", "a>b", "]]>", "a\tb", "a\rb", "a\nb", "a\r\nb",
+         "בְּרֵאשִׁית", "", " \"'<&>\t\r\nא "],
+        ids=["double", "single", "both", "lt", "amp", "gt", "cdata-end", "tab", "cr", "lf", "crlf",
+             "hebrew", "empty", "all"],
+    )
+    def test_graf_round_trips_awkward_values_and_labels(self, tmp_path, toy4_logical, value):
+        """Feature values and edge labels are attribute values in the graph
+        XML: quotes, markup characters and whitespace must come back as written."""
+        c = toy4_logical
+        extra = (FeatureAssignment("N", 101, "note", value), FeatureAssignment("E", 7, "role", value))
+        corpus = LogicalCorpus.assemble(
+            c.text, c.slots, c.nodes, (Edge(7, 1, 2, value), Edge(8, 2, 1, "dep")), c.features + extra, c.metadata
+        )
+        assert parse_graf(write_graf(corpus, tmp_path)) == corpus
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
