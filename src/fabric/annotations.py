@@ -14,7 +14,6 @@ snapshots stay readable but are no longer claimed to be reproducible.
 
 from __future__ import annotations
 
-import bisect
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -96,7 +95,8 @@ class AnnotationStore:
     def __init__(self, corpus_fingerprint: str):
         self.corpus_fingerprint = corpus_fingerprint
         self.queries: dict[int, SavedQuery] = {}
-        self._verse_index: dict[int, list[int]] = {}
+        # verse -> {saved query id: the verse's position in its snapshot}, ids ascending
+        self._verse_index: dict[int, dict[int, int]] = {}
         self._next_id = 1
 
     @classmethod
@@ -124,8 +124,9 @@ class AnnotationStore:
         return index
 
     def _index_add(self, saved: SavedQuery) -> None:
-        for verse, _nodes in saved.snapshot:
-            bisect.insort(self._verse_index.setdefault(verse, []), saved.id)
+        """Index a saved query whose id is past every indexed one."""
+        for pos, (verse, _nodes) in enumerate(saved.snapshot):
+            self._verse_index.setdefault(verse, {})[saved.id] = pos
 
     def by_author_name(self, author: str, name: str) -> SavedQuery | None:
         for saved in self.queries.values():
@@ -195,14 +196,13 @@ def margin(
             f"node {passage} is a {otype}, not a {corpus.metadata.passage_otype}"
         )
     entries: list[tuple[SavedQuery, tuple[int, ...]]] = []
-    for qid in store._verse_index.get(passage, ()):
+    for qid, pos in store._verse_index.get(passage, {}).items():
         saved = store.queries[qid]
         if author is not None and saved.author != author:
             continue
         if public_only and not saved.is_public:
             continue
-        nodes = next(nodes for verse, nodes in saved.snapshot if verse == passage)
-        entries.append((saved, nodes))
+        entries.append((saved, saved.snapshot[pos][1]))
     entries.sort(key=lambda e: (e[0].author, e[0].name, e[0].id))
     return entries
 
@@ -382,7 +382,8 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
     _check_snapshots(list(store.queries.values()), verses, counts, nodes, corpus if not stale else None)
     if pending is not None:
         raise pending
-    store._verse_index = store.rebuild_verse_index()
+    for qid in sorted(store.queries):
+        store._index_add(store.queries[qid])
     store._next_id = max(store.queries, default=0) + 1
     return store
 

@@ -37,14 +37,14 @@ from .errors import ImageError
 from .model import (
     EDGE_KIND,
     NODE_KIND,
+    Columns,
     CorpusMetadata,
     CorpusStats,
     Edge,
-    FeatureAssignment,
     LogicalCorpus,
     MonadSet,
-    Node,
     Region,
+    gather,
 )
 
 _KINDS = (NODE_KIND, EDGE_KIND)
@@ -119,10 +119,6 @@ class FeatureStore:
     def get(self, target: int) -> str | None:
         code = self.code_of(target)
         return None if code is None else self.values[code]
-
-    def items(self) -> Iterator[tuple[int, str]]:
-        for i in range(len(self.targets)):
-            yield int(self.targets[i]), self.values[int(self.codes[i])]
 
     def value_counts(self) -> np.ndarray:
         """Occurrences per dictionary code (codes are frequency-ordered),
@@ -243,6 +239,10 @@ class Corpus:
             self._stats = CorpusStats(
                 words=int(stats[0]), nodes=int(stats[1]), features=int(stats[2]), edges=int(stats[3])
             )
+            # The feature count would need every store's head, and stores decode lazily.
+            for what, said, has in zip(("words", "nodes", "edges"), stats[[0, 1, 3]].tolist(), (width, n, e)):
+                if said != has:
+                    raise ValueError(f"counts {said} {what}, the image has {has}")
 
             findex = need(image.FEATINDEX)
             fcount, _ = image.head(findex)
@@ -619,28 +619,22 @@ class Corpus:
     # -- reconstruction ------------------------------------------------------
 
     def as_logical_corpus(self) -> LogicalCorpus:
-        """Rebuild the logical corpus this image was compiled from."""
-        slots = tuple(
-            Region(int(self._slot_starts[i]), int(self._slot_ends[i])) for i in range(self.width)
+        """Rebuild the logical corpus this image was compiled from, as
+        columns gathered from the image's arrays."""
+        offsets, runs = gather(self._set_offsets, self._monad_idx)
+        kinds, targets, keys, values = [], [], [], []
+        for kind, key in self._feature_sections:
+            store = self.store(key, kind)
+            kinds += [kind] * len(store)
+            targets += store.targets.tolist()
+            keys += [key] * len(store)
+            values += map(store.values.__getitem__, store.codes.tolist())
+        columns = Columns.build(
+            (self._slot_starts, self._slot_ends),
+            (self._ids, list(map(self._otypes.__getitem__, self._otype_code.tolist())),
+             (offsets, self._run_first[runs], self._run_last[runs])),
+            (self._edge_ids, self._edge_src, self._edge_dst,
+             list(map(self._edge_labels.__getitem__, self._edge_label_code.tolist()))),
+            (kinds, targets, keys, values),
         )
-        nodes = [
-            Node(
-                id=int(self._ids[i]),
-                otype=self._otypes[int(self._otype_code[i])],
-                monads=self._monad_set(i),
-            )
-            for i in range(len(self._ids))
-        ]
-        features = [
-            FeatureAssignment(kind=kind, target=target, key=key, value=value)
-            for (kind, key) in sorted(self._feature_sections)
-            for target, value in self.store(key, kind).items()
-        ]
-        return LogicalCorpus.assemble(
-            text=self.text,
-            slots=slots,
-            nodes=nodes,
-            edges=list(self.edges()),
-            features=features,
-            metadata=self.metadata,
-        )
+        return LogicalCorpus.from_columns(self.text, columns.assembled(), self.metadata)

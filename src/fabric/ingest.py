@@ -61,7 +61,6 @@ from .model import (
 )
 
 _XML_ID = "http://www.w3.org/XML/1998/namespace}id"  # as expat names it, with "}" between namespace and name
-XML_ID = "{" + _XML_ID  # as ElementTree names it
 _PARENT = {"link": "node", "f": "a"}  # the child elements ``parse_graf`` reads, and their parents
 _U32_MAX = 2**32 - 1  # the widest id the image format stores
 

@@ -220,12 +220,12 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 def _ints(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Python ints (or an array of them) as int64.  One past that range is
-    clipped to it, and fails validation all the same: as an id past 32
-    bits, a monad past the slots, or a reference to no node or edge but
-    such an id."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        return values
+    """Python ints (or an array that casts safely to int64) as int64.  One
+    past that range is clipped to it, and fails validation all the same: as
+    an id past 32 bits, a monad past the slots, or a reference to no node
+    or edge but such an id."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64, copy=False)
     try:
         return np.fromiter(values, np.int64, len(values))
     except OverflowError:
@@ -317,7 +317,7 @@ class Columns:
             kinds, targets, keys, values,
         ) = (slots, nodes, edges, features)
         return cls(
-            _ints(starts), _ints(ends), _ints(ids), Coded.of(otypes), offsets, first, last,
+            _ints(starts), _ints(ends), _ints(ids), Coded.of(otypes), _ints(offsets), _ints(first), _ints(last),
             _ints(eids), _ints(srcs), _ints(dsts), Coded.of(labels),
             Coded.of(kinds), _ints(targets), Coded.of(keys), Coded.of(values),
         )

@@ -4,26 +4,28 @@ Everything here is deterministic given a ``random.Random``: the same seed
 produces the same corpus, the same files, the same queries.  The writers
 are exact inverses of the ingest parsers, so a generated corpus survives
 ``write_graf`` -> ``parse_graf`` and ``write_tabular`` -> ``parse_tabular``
-unchanged; tests lean on that for round-trip checks.
+unchanged; tests lean on that for round-trip checks.  Both writers format
+their files straight from the corpus's columns (``LogicalCorpus.columns``),
+one line per element or row, and build no object per row.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import xml.etree.ElementTree as ET
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
 from .corpus import Corpus
-from .ingest import XML_ID, escape_cell
+from .ingest import escape_cell
 from .model import (
     EDGE_KIND,
     NODE_KIND,
     Coded,
+    Columns,
     CorpusMetadata,
     Edge,
     FeatureAssignment,
@@ -258,47 +260,50 @@ def _metadata_lines(metadata: CorpusMetadata) -> list[str]:
     return lines
 
 
+def _joined(items: list[str], offsets: list[int], sep: str) -> Iterator[str]:
+    """``sep.join(items[offsets[i]:offsets[i + 1]])`` for each i."""
+    return map(sep.join, map(items.__getitem__, map(slice, offsets[:-1], offsets[1:])))
+
+
+def _monad_texts(c: Columns) -> Iterator[str]:
+    """Each node's monad set as ``MonadSet`` writes it, e.g. ``1-3,5``."""
+    runs = [f"{a}-{b}" if a != b else f"{a}" for a, b in zip(c.first.tolist(), c.last.tolist())]
+    return _joined(runs, c.runs.tolist(), ",")
+
+
 def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "corpus") -> Path:
-    """Write the graph XML form; returns the header path for ``parse_graf``.
-    Metadata the header cannot hold is a ``ValueError``, raised before any
-    file is written."""
+    """Write the graph XML form, one element per line (an ``<a>`` with its
+    ``<f>`` children on one), straight from ``corpus.columns``; returns the
+    header path for ``parse_graf``.  Metadata the header cannot hold is a
+    ``ValueError``, raised before any file is written."""
     meta = _metadata_lines(corpus.metadata)
+    c = corpus.columns
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / f"{stem}.txt").write_bytes(corpus.text.encode("utf-8"))
 
-    graph = ET.Element("graph")
-    for i in range(1, len(corpus.slots) + 1):
-        region = corpus.slots[i - 1]
-        ET.SubElement(graph, "region", {XML_ID: f"r{i}", "anchors": f"{region.start} {region.end}"})
-    for node in corpus.nodes:
-        if node.otype == corpus.metadata.slot_otype:
-            el = ET.SubElement(graph, "node", {XML_ID: f"n{node.id}"})
-            ET.SubElement(el, "link", {"targets": f"r{node.monads.first}"})
-        else:
-            ET.SubElement(
-                graph,
-                "node",
-                {XML_ID: f"n{node.id}", "otype": node.otype, "monads": str(node.monads)},
-            )
-    for edge in corpus.edges:
-        ET.SubElement(
-            graph,
-            "edge",
-            {XML_ID: f"e{edge.id}", "from": f"n{edge.src}", "to": f"n{edge.dst}", "label": edge.label},
-        )
-    current: tuple[str, int] | None = None
-    holder: ET.Element | None = None
-    for f in corpus.features:  # already sorted by (kind, target, key)
-        if (f.kind, f.target) != current:
-            current = (f.kind, f.target)
-            prefix = "n" if f.kind == NODE_KIND else "e"
-            holder = ET.SubElement(graph, "a", {"ref": f"{prefix}{f.target}"})
-        ET.SubElement(holder, "f", {"name": f.key, "value": f.value})
-
-    tree = ET.ElementTree(graph)
-    ET.indent(tree)
-    tree.write(base / f"{stem}.xml", encoding="utf-8", xml_declaration=True)
+    regions = map('<region xml:id="r{}" anchors="{} {}"/>'.format,
+                  range(1, len(c.slot_start) + 1), c.slot_start.tolist(), c.slot_end.tolist())
+    # A slot-type node links the region of its one monad; any other node names its otype and monads.
+    slot, otypes = c.otype.code(corpus.metadata.slot_otype), list(map(quoteattr, c.otype.strings))
+    nodes = [
+        f'<node xml:id="n{i}"><link targets="r{m}"/></node>' if t == slot
+        else f'<node xml:id="n{i}" otype={otypes[t]} monads="{m}"/>'
+        for i, t, m in zip(c.node_id.tolist(), c.otype.codes.tolist(), _monad_texts(c))
+    ]
+    labels = list(map(quoteattr, c.label.strings))
+    edges = map('<edge xml:id="e{}" from="n{}" to="n{}" label={}/>'.format,
+                c.edge_id.tolist(), c.src.tolist(), c.dst.tolist(), map(labels.__getitem__, c.label.codes.tolist()))
+    # Features come sorted by (kind, target, key): one <a> per (kind, target) run.
+    names, values = list(map(quoteattr, c.key.strings)), list(map(quoteattr, c.value.strings))
+    fs = list(map("<f name={} value={}/>".format,
+                  map(names.__getitem__, c.key.codes.tolist()), map(values.__getitem__, c.value.codes.tolist())))
+    heads = np.flatnonzero((np.diff(c.kind.codes, prepend=-1) != 0) | (np.diff(c.target, prepend=-1) != 0))
+    prefix = ["n" if kind == NODE_KIND else "e" for kind in c.kind.strings]
+    annotations = map('<a ref="{}{}">{}</a>'.format, map(prefix.__getitem__, c.kind.codes[heads].tolist()),
+                      c.target[heads].tolist(), _joined(fs, [*heads.tolist(), len(fs)], ""))
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<graph>", *regions, *nodes, *edges, *annotations, "</graph>"]
+    (base / f"{stem}.xml").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     header = base / f"{stem}.graf"
     lines = [f"text={stem}.txt", f"annotations={stem}.xml"] + meta
@@ -344,11 +349,8 @@ def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
                 range(1, len(c.slot_start) + 1), c.slot_start.tolist(), c.slot_end.tolist())
 
     _check_cells(corpus, "nodes", otype=c.otype)
-    runs = [f"{a}-{b}" if a != b else f"{a}" for a, b in zip(c.first.tolist(), c.last.tolist())]
-    offsets = c.runs.tolist()
-    monads = map(",".join, map(runs.__getitem__, map(slice, offsets[:-1], offsets[1:])))
     _write_rows(base / "nodes.tsv", "node_id\totype\tmonadset", "n{}\t{}\t{}",
-                c.node_id.tolist(), c.otype.decoded(), monads)
+                c.node_id.tolist(), c.otype.decoded(), _monad_texts(c))
 
     _check_cells(corpus, "features", kind=c.kind, key=c.key)
     values = list(map(escape_cell, c.value.strings))

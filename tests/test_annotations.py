@@ -671,6 +671,12 @@ class TestVerseIndex:
         assert again == store
         assert export_bytes(again) == data
         assert again.verse_index() == again.rebuild_verse_index()
+        # Every verse's margin, the last of a long snapshot too, lists the
+        # nodes its pair holds, in the saved store and the imported one.
+        for which in (store, again):
+            for saved in which.queries.values():
+                for verse, nodes in saved.snapshot:
+                    assert dict((s.id, n) for s, n in margin(which, corpus, verse))[saved.id] == nodes
 
 
 def _differential_corpora():

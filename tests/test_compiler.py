@@ -17,7 +17,7 @@ from fabric.compiler import compile_corpus, compile_to_bytes, verify_image
 from fabric.errors import FabricError, ImageError, ValidationFailure
 from fabric.corpus import Corpus
 from fabric.featuredoc import render_docs
-from fabric.model import MonadSet, Node, Region
+from fabric.model import Edge, FeatureAssignment, LogicalCorpus, MonadSet, Node, Region
 from fabric.query import evaluate
 from fabric.synth import random_corpus, toy4
 
@@ -204,6 +204,22 @@ def repeated_edge_id(data: bytes) -> bytes:
     return rewrite_section(data, "edges", 12, struct.pack("<I", int(Corpus.from_bytes(data)._edge_ids[0])))
 
 
+def stats_words_past_the_width(data: bytes) -> bytes:
+    """TOY4 with STATS (words, nodes, features, edges as u64) counting 5
+    words over its 4 slots."""
+    return rewrite_section(data, "stats", 0, struct.pack("<Q", 5))
+
+
+def stats_nodes_miscounted(data: bytes) -> bytes:
+    """TOY4 with STATS counting 12,345 nodes."""
+    return rewrite_section(data, "stats", 8, struct.pack("<Q", 12_345))
+
+
+def stats_edges_miscounted(data: bytes) -> bytes:
+    """TOY4, which has no edges, with STATS counting one."""
+    return rewrite_section(data, "stats", 24, struct.pack("<Q", 1))
+
+
 # (section, payload offset, new bytes): counts past the payload's end, and
 # METADATA that is not JSON.
 MALFORMED = [
@@ -235,6 +251,9 @@ CONTRADICTORY = [
     ("monadpool", run_first_past_last),
     ("otypes", string_offsets_decreasing),
     ("otypes", string_offsets_past_the_end),
+    ("stats", stats_words_past_the_width),
+    ("stats", stats_nodes_miscounted),
+    ("stats", stats_edges_miscounted),
 ]
 
 
@@ -547,7 +566,36 @@ class TestMonadPool:
         assert pool == sorted({n.monads.runs for n in logical.nodes})
 
 
+def _toy4_with(nodes=(), edges=(), features=None):
+    """TOY4 with more nodes and edges, and its features replaced."""
+    c = toy4()
+    features = c.features if features is None else features
+    return LogicalCorpus.assemble(c.text, c.slots, c.nodes + nodes, edges, features, c.metadata)
+
+
+# (name, corpus): images the rebuild must read back exactly.
+REBUILT = [
+    ("no_edges", toy4),
+    ("no_features", lambda: _toy4_with(features=())),
+    ("edge_features", lambda: _toy4_with(
+        edges=(Edge(5, 1, 2, "dep"), Edge(3, 2, 1, "dep"), Edge(9, 3, 3, "ref")),
+        features=toy4().features + (FeatureAssignment("E", 5, "role", "subj"), FeatureAssignment("E", 9, "role", "")),
+    )),
+    ("multi_run_nodes", lambda: _toy4_with(
+        nodes=(Node(401, "phrase", MonadSet.parse("1,3-4")), Node(402, "clause", MonadSet.parse("1,3")))
+    )),
+]
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("make", [make for _, make in REBUILT], ids=[name for name, _ in REBUILT])
+    def test_hand_built_corpora_reconstruct_exactly(self, make):
+        corpus = make()
+        data, _ = compile_to_bytes(corpus)
+        rebuilt = Corpus.from_bytes(data).as_logical_corpus()
+        assert rebuilt == corpus
+        assert compile_to_bytes(rebuilt)[0] == data
+
     def test_toy4_reconstructs_exactly(self, toy4_corpus, toy4_logical):
         assert toy4_corpus.as_logical_corpus() == toy4_logical
 
