@@ -225,7 +225,10 @@ def cmd_query(args: argparse.Namespace, cfg: CliConfig) -> int:
         qpath = Path(args.query_file)
         if not qpath.exists():
             return cfg.fail(f"query file not found: {qpath}")
-        query_text = qpath.read_text(encoding="utf-8")
+        try:
+            query_text = qpath.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            return cfg.fail(f"query file is not UTF-8: {qpath}: {exc.reason} at byte {exc.start}")
     return _stream_matches(corpus, query_text, cfg)
 
 

@@ -16,6 +16,7 @@ tuples, edge labels lexicographically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -168,21 +169,20 @@ def _write_atomic(out_path: str | Path, data: bytes) -> None:
     """Write a file atomically: the target either keeps its old content or
     holds the complete new bytes, never a torn write."""
     path = Path(out_path)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
-    except OSError as exc:  # name the target, not the temp file beside it
-        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
-    try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:  # name the target, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(out_path)) from None
         raise
 
 

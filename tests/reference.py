@@ -480,13 +480,13 @@ _STORE_FIELD_TYPES = {
 
 def import_store_bytes(data: bytes, corpus=None):
     """``annotations.import_bytes`` one saved query at a time: each entry
-    is checked, then verified against the corpus, before the next is read,
-    and filed in the verse index with ``insort``.  The checks and their
+    is checked, then verified against the corpus, before the next is read;
+    the verse index is then built through ``AnnotationStore._index_add``,
+    in id order.  The checks and their
     order are the import's: an entry's fields, its snapshot's shape, its id
     and name, ``verse_count``, then each verse in turn for a repeat or an
     empty node list, then the corpus.  Verification works id by id through
     ``Corpus.otype`` and ``Corpus.monads``, on monad sets."""
-    import bisect
     import json
     import warnings
 
@@ -553,8 +553,8 @@ def import_store_bytes(data: bytes, corpus=None):
         if corpus is not None and not stale:
             _verify_saved_query(corpus, saved)
         store.queries[saved.id] = saved
-        for verse, _nodes in saved.snapshot:
-            bisect.insort(store._verse_index.setdefault(verse, []), saved.id)
+    for qid in sorted(store.queries):
+        store._index_add(store.queries[qid])
     store._next_id = max(store.queries, default=0) + 1
     return store
 

@@ -344,6 +344,15 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
+    def test_export_onto_a_directory_names_the_store(self, tmp_path, toy4_corpus):
+        store, _ = fox_store(toy4_corpus)
+        path = tmp_path / "store.json"
+        path.mkdir()
+        with pytest.raises(OSError) as exc:
+            export_store(store, path)
+        assert exc.value.filename == str(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
     def test_document_shape(self, toy4_corpus):
         store, saved = fox_store(toy4_corpus)
         doc = json.loads(export_bytes(store))
@@ -759,7 +768,10 @@ def _mutate(doc, corpus, rng):
             pair[1][rng.randrange(len(pair[1]))] = rng.choice(_BAD_IDS)
 
 
-def _outcome(read, data, corpus):
+def _outcome(read, data, corpus, home):
+    """What ``read`` makes of the store file ``data`` checked against
+    ``corpus``, with the margin of every indexed verse on ``home``, the
+    corpus the store was saved from (or the error that margin raises)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StaleStoreWarning)
@@ -767,7 +779,13 @@ def _outcome(read, data, corpus):
     except StoreError as exc:
         return "error", str(exc)
     stale = {qid: saved.stale for qid, saved in store.queries.items()}
-    return store, store.verse_index(), store._next_id, stale
+    margins = {}
+    for verse in store.verse_index():
+        try:
+            margins[verse] = margin(store, home, verse)
+        except StoreError as exc:
+            margins[verse] = str(exc)
+    return store, store.verse_index(), store._next_id, stale, margins
 
 
 class TestImportAgainstReference:
@@ -787,8 +805,8 @@ class TestImportAgainstReference:
                     _mutate(doc, corpus, rng)
                 data = json.dumps(doc).encode("utf-8")
                 for against in (corpus, None, other):
-                    got = _outcome(import_bytes, data, against)
-                    assert got == _outcome(reference.import_store_bytes, data, against), doc
+                    got = _outcome(import_bytes, data, against, corpus)
+                    assert got == _outcome(reference.import_store_bytes, data, against, corpus), doc
                     failed += got[0] == "error"
                     imported += got[0] != "error"
         assert imported > 100 and failed > 300

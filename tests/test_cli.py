@@ -14,6 +14,7 @@ from fabric.compiler import compile_corpus, compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.ingest import parse_graf, parse_tabular
 from fabric.query import evaluator
+from fabric.query.syntax import MAX_NESTING
 from fabric.synth import random_corpus, random_query, toy4, write_graf, write_tabular
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -145,6 +146,14 @@ class TestSampleScript:
 
 
 class TestCompile:
+    def test_compile_onto_a_directory_names_it(self, tree, capsys, tmp_path):
+        out = tmp_path / "out.fab"
+        out.mkdir()
+        code, _, err = run(capsys, "compile", str(tree / "graf" / "toy4.graf"), str(out))
+        assert code == 1
+        assert err == f"fabric: {out}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fab"]  # no temp file is left
+
     def test_compile_graf(self, tree, capsys, tmp_path):
         out = tmp_path / "out.fab"
         code, stdout, _ = run(capsys, "compile", str(tree / "graf" / "toy4.graf"), str(out))
@@ -336,6 +345,20 @@ class TestQuery:
         code, _, err = run(capsys, "query", image, "-f", "absent.fql")
         assert code == 1
         assert "query file not found" in err
+
+    def test_query_file_not_utf8(self, image, capsys, tmp_path):
+        path = tmp_path / "latin1.fql"
+        path.write_bytes('[word lex="caf\u00e9"]'.encode("latin-1"))
+        code, out, err = run(capsys, "query", image, "-f", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"fabric: query file is not UTF-8: {path}: invalid continuation byte at byte 14\n"
+
+    def test_query_nested_past_the_bound(self, image, capsys):
+        deep = "[word " * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1)
+        code, out, err = run(capsys, "query", image, "-q", deep)
+        assert (code, out) == (1, "")
+        where = f"at line 1, column {6 * MAX_NESTING + 1}"
+        assert err == f"fabric: query nests deeper than {MAX_NESTING} levels of blocks and parentheses {where}\n"
 
     def test_syntax_error_reports_position(self, image, capsys):
         code, _, err = run(capsys, "query", image, "-q", "[word][word")

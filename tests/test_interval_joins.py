@@ -388,9 +388,13 @@ def test_run_test_runs_once_per_join(monkeypatch):
 ROW_CASES = ("toy4", "random0", "random4", "random9")
 
 
+def row_case(case: str) -> LogicalCorpus:
+    return toy4() if case == "toy4" else random_corpus(random.Random(int(case[6:])), max_words=60)
+
+
 @functools.cache
 def rows_corpus(case: str, passage_otype: str = "verse") -> Corpus:
-    logical = toy4() if case == "toy4" else random_corpus(random.Random(int(case[6:])), max_words=60)
+    logical = row_case(case)
     logical = replace(logical, metadata=replace(logical.metadata, passage_otype=passage_otype))
     corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
     assert case == "toy4" or corpus._nruns.max() > 1
@@ -446,6 +450,34 @@ def test_passage_join_on_rows_matches_id_reference(case, passage_otype):
         verses, *hits = reference.passages_meeting_by_ids(corpus, outer)
         assert result.verses == tuple(verses.tolist()), text
         assert all(map(np.array_equal, result._hits, hits)), text
+
+
+def with_nodes(logical: LogicalCorpus, *nodes: Node) -> LogicalCorpus:
+    return LogicalCorpus.assemble(
+        logical.text, logical.slots, logical.nodes + nodes, logical.edges, logical.features, logical.metadata
+    )
+
+
+@pytest.mark.parametrize("reach", ["whole", "half"])
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_leading_long_passage_joins_match_scans(case, reach):
+    # A verse from monad 1 over the whole text (or its first half) comes
+    # ahead of the short verses in canonical order, so the running maximum
+    # of the verses' last monads stays high from the first verse on.
+    logical = row_case(case)
+    width = len(logical.slots)
+    long = Node(logical.nodes[-1].id + 1, "verse", MonadSet(((1, width if reach == "whole" else width // 2),)))
+    scan = Scan(with_nodes(logical, long))
+    rng = random.Random(case)
+    scan.check_nodes(scan.order, rng)
+    m = scan.monads
+    for size in (1, 5, len(scan.order)):
+        nodes = set(rng.sample(scan.order, size))
+        verses = reference.passages_meeting(scan.passages, nodes, m)
+        want = [[n for n in scan.order if n in nodes and m[v] & m[n]] for v in verses]
+        got, met, bounds = scan.corpus._passages_meeting(scan.corpus._rows(sorted(nodes)))
+        assert got.tolist() == verses, size
+        assert [met[i:j].tolist() for i, j in zip(bounds, bounds[1:])] == want, size
 
 
 @pytest.mark.parametrize("case", ROW_CASES)

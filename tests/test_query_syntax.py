@@ -1,9 +1,12 @@
 import pytest
 
 from fabric.errors import QuerySyntaxError
+from fabric.query.evaluator import evaluate
+from fabric.query.plan import explain
 from fabric.query.syntax import (
     ADJACENT,
     GAP,
+    MAX_NESTING,
     And,
     Atom,
     Gap,
@@ -180,6 +183,31 @@ class TestStructureErrors:
     def test_missing_operator(self):
         with pytest.raises(QuerySyntaxError, match="comparison operator"):
             parse('[word text "x"]')
+
+
+def nested(blocks: int, parens: int) -> str:
+    """``blocks`` nested word blocks, the innermost with its constraint
+    inside ``parens`` parentheses."""
+    return "[word " * blocks + "(" * parens + 'lex="fox"' + ")" * parens + "]" * blocks
+
+
+class TestNesting:
+    @pytest.mark.parametrize("blocks", [1, MAX_NESTING // 2, MAX_NESTING])
+    def test_query_at_the_bound_runs(self, toy4_corpus, blocks):
+        text = nested(blocks, MAX_NESTING - blocks)
+        assert len(parse(text).placed()) == blocks
+        assert evaluate(toy4_corpus, text).total == (blocks == 1)
+        assert len(explain(toy4_corpus, text).steps) == blocks
+
+    @pytest.mark.parametrize("blocks", [1, MAX_NESTING // 2, MAX_NESTING + 1, 600])
+    def test_one_level_deeper_is_a_syntax_error(self, blocks):
+        # Refused at the opening token that crosses the bound, however deep
+        # the query goes on to nest.
+        text = nested(blocks, max(MAX_NESTING + 1 - blocks, 0) + 400 * (blocks == 1))
+        opening = [i for i, ch in enumerate(text) if ch in "[("]
+        with pytest.raises(QuerySyntaxError, match=f"deeper than {MAX_NESTING} levels") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, opening[MAX_NESTING] + 1)
 
 
 class TestQueryObject:
