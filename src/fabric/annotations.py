@@ -427,12 +427,8 @@ def _check_snapshots(
             fault(i, 1, 0, f"unknown verse node {verses[i]}" if v[i] < 0 else f"node {verses[i]} is not a {passage}")
         for k in np.flatnonzero(n < 0)[:1].tolist():
             fault(owner[k], 1, 1, f"unknown matched node {ids[nv + k]}")
-        # Every (verse, node) pair at once: their envelopes overlap, and
-        # their runs meet where either has more than one.
-        v = v[owner]
-        meet = (corpus._first[v] <= corpus._last[n]) & (corpus._first[n] <= corpus._last[v])
-        meet &= corpus._run_test(v, n, meet & ((corpus._nruns[v] > 1) | (corpus._nruns[n] > 1)), False)
-        for k in np.flatnonzero(~meet)[:1].tolist():
+        # Every (verse, node) pair at once.
+        for k in np.flatnonzero(~corpus._meets(v[owner], n))[:1].tolist():
             fault(owner[k], 2, 1, f"node {ids[nv + k]} does not intersect verse {verses[owner[k]]}")
     if faults:
         raise StoreError(min(faults)[-1])

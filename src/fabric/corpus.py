@@ -18,8 +18,12 @@ store, decoded (``store``); per (kind, key) store, the row of each target
 the dictionary code at every corpus row, -1 where the row lacks the key
 (``_row_codes``); per otype, its rows in canonical order
 (``_rows_for_otype``) and the running maximum of their last monads
-(``_last_runmax``); the passage rows (``_passages``); the pool-wide run
-keys (``_run_keys``); and the edges by id (``_edges_by_id``).
+(``_last_runmax``); the pool-wide run keys (``_run_keys``); and the edges
+by id (``_edges_by_id``).
+
+Every monad join is a slice of canonical order (``_window`` or
+``_reach``), its pairs (``_pairs``) and one relation on them all:
+``_embeds`` or ``_meets``, the embedding and intersection of monad sets.
 """
 
 from __future__ import annotations
@@ -482,48 +486,43 @@ class Corpus:
         owner = np.repeat(np.arange(len(counts)), counts)
         return owner, np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
-    def _inside(self, rows: np.ndarray, firsts: np.ndarray, row: int) -> np.ndarray:
-        """Those of the canonical-order ``rows`` (first monads ``firsts``)
-        embedded in ``row``: monad subset, ``row`` itself excluded."""
-        start, stop = self._window(firsts, self._first[row], self._last[row])
-        cand = rows[start:stop]
-        cand = cand[(self._last[cand] <= self._last[row]) & (cand != row)]
-        if self._nruns[row] > 1:  # else the envelope test is exact
-            cand = cand[self._run_test(row, cand, np.ones_like(cand, dtype=bool), True)]
-        return cand
+    def _embeds(self, outer, inner) -> np.ndarray:
+        """Mask over pairs of rows ``outer`` and ``inner`` (either may be one
+        row): whether ``outer``'s monads include all of ``inner``'s, a row
+        never embedding itself.  The envelopes settle every pair whose
+        outer row has one run."""
+        keep = (self._first[outer] <= self._first[inner]) & (self._last[inner] <= self._last[outer]) & (outer != inner)
+        return keep & self._run_test(outer, inner, keep & (self._nruns[outer] > 1), True)
 
-    def _inside_many(
-        self, rows: np.ndarray, firsts: np.ndarray, parents: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``_inside`` for every row of ``parents`` at once: the pairs (i, j)
-        with ``rows[j]`` embedded in ``parents[i]``, ordered by i, then j."""
+    def _meets(self, a, b) -> np.ndarray:
+        """Mask over pairs of rows ``a`` and ``b`` (either may be one row):
+        whether their monads share one.  The envelopes settle every pair of
+        two rows of one run each."""
+        keep = (self._first[a] <= self._last[b]) & (self._first[b] <= self._last[a])
+        return keep & self._run_test(a, b, keep & ((self._nruns[a] > 1) | (self._nruns[b] > 1)), False)
+
+    def _reach(self, otype: str | None, lo, hi) -> tuple:
+        """The slice ``start:stop`` of ``_rows_for_otype(otype)``'s rows
+        that holds every row starting at or before monad ``hi`` and ending
+        at or after monad ``lo``: those that meet lo..hi, or, with the
+        bounds swapped, span it.  Given arrays of bounds, one slice each."""
+        return self._last_runmax(otype).searchsorted(lo), self._rows_for_otype(otype)[1].searchsorted(hi + 1)
+
+    def _inside_many(self, rows: np.ndarray, firsts: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j) with ``rows[j]`` (canonical order, first monads
+        ``firsts``) embedded in ``parents[i]``, ordered by i, then j."""
         i, j = self._pairs(*self._window(firsts, self._first[parents], self._last[parents]))
-        outer, inner = parents[i], rows[j]
-        keep = (self._last[inner] <= self._last[outer]) & (inner != outer)
-        i, j, outer, inner = i[keep], j[keep], outer[keep], inner[keep]
-        keep = self._run_test(outer, inner, self._nruns[outer] > 1, True)
+        keep = self._embeds(parents[i], rows[j])
         return i[keep], j[keep]
-
-    @cached_property
-    def _passages(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Passage rows in canonical order, their first monads, and the
-        widest passage envelope (computed on first use)."""
-        prows, pfirsts = self._rows_for_otype(self.metadata.passage_otype)
-        return prows, pfirsts, int((self._last[prows] - pfirsts).max(initial=0)) + 1
 
     def _meeting(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, passage row) whose monads meet those of ``rows[i]``,
         ordered by i, then by canonical order of the passages."""
-        prows, pfirsts, span = self._passages
-        # A passage meeting a row starts in first-span+1..last of the row:
-        # one window per row, as in passage_of.
-        owner, pos = self._pairs(*self._window(pfirsts, self._first[rows] - span + 1, self._last[rows]))
-        pair_rows, pair_ps = rows[owner], prows[pos]
-        meet = self._last[pair_ps] >= self._first[pair_rows]
-        owner, pair_rows, pair_ps = owner[meet], pair_rows[meet], pair_ps[meet]
-        multi = (self._nruns[pair_ps] > 1) | (self._nruns[pair_rows] > 1)
-        meet = self._run_test(pair_ps, pair_rows, multi, False)
-        return owner[meet], pair_ps[meet]
+        passage = self.metadata.passage_otype
+        owner, pos = self._pairs(*self._reach(passage, self._first[rows], self._last[rows]))
+        ps = self._rows_for_otype(passage)[0][pos]
+        meet = self._meets(ps, rows[owner])
+        return owner[meet], ps[meet]
 
     def _first_passages(self, rows: np.ndarray) -> np.ndarray:
         """``passage_of`` for every row at once: the row of the first passage
@@ -552,20 +551,16 @@ class Corpus:
         """Nodes embedding this one (monad superset, self excluded), in
         canonical order; optionally one otype only."""
         row = self._row(node)
-        rows, firsts = self._typed_rows(otype)
-        # Ancestors start at or before the row, in a prefix of canonical
-        # order, and end at or after it, which the running maximum of last
-        # monads bounds from below.
-        lo = self._last_runmax(otype).searchsorted(self._last[row])
-        cand = rows[lo : self._window(firsts, 1, self._first[row])[1]]
-        cand = cand[(self._last[cand] >= self._last[row]) & (cand != row)]
-        return self._ids[cand[self._run_test(cand, row, self._nruns[cand] > 1, True)]].tolist()
+        cand = self._typed_rows(otype)[0][slice(*self._reach(otype, self._last[row], self._first[row]))]
+        return self._ids[cand[self._embeds(cand, row)]].tolist()
 
     def down(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedded in this one (monad subset, self excluded), in
         canonical order; optionally one otype only."""
         row = self._row(node)
-        return self._ids[self._inside(*self._typed_rows(otype), row)].tolist()
+        rows, firsts = self._typed_rows(otype)
+        cand = rows[slice(*self._window(firsts, self._first[row], self._last[row]))]
+        return self._ids[cand[self._embeds(row, cand)]].tolist()
 
     def text_of(self, node: int) -> str:
         """Primary text covered by the node's monads, in ascending monad
@@ -586,17 +581,13 @@ class Corpus:
     def passage_of(self, node: int) -> int | None:
         """First passage-otype node (canonical order) whose monads intersect
         this node's, or None when no passage touches it."""
-        prows, pfirsts, span = self._passages
-        if not len(prows):
-            return None
-        # Serves single-node browsing: the window and tests of _meeting for
-        # one row, since the batched form costs over twice as much per call.
-        # Match tables take their passages from _first_passages instead.
+        # Serves single-node browsing: _meeting for one row, since the
+        # batched form costs over twice as much per call.  Match tables
+        # take their passages from _first_passages instead.
         row = self._row(node)
-        first, last = self._first[row], self._last[row]
-        cand = prows[slice(*self._window(pfirsts, first - span + 1, last))]
-        cand = cand[self._last[cand] >= first]
-        cand = cand[self._run_test(cand, row, (self._nruns[cand] > 1) | (self._nruns[row] > 1), False)]
+        passage = self.metadata.passage_otype
+        cand = self._rows_for_otype(passage)[0][slice(*self._reach(passage, self._first[row], self._last[row]))]
+        cand = cand[self._meets(cand, row)]
         return int(self._ids[cand[0]]) if len(cand) else None
 
     def slot_region(self, monad: int) -> Region:

@@ -33,10 +33,7 @@ GAP = "gap"
 
 _KEYWORDS = frozenset({"OR", "AND", "NOT", "IN"})
 
-# Blocks and parentheses open at once, at most.  The parser and the
-# evaluator recurse once per level, so a deeper query is refused here
-# rather than left to exhaust Python's recursion limit.
-MAX_NESTING = 100
+MAX_NESTING = 100  # blocks and parentheses open at once; each is a level of recursion
 
 _TOKEN_RE = re.compile(
     r"""
@@ -246,7 +243,11 @@ class _Parser:
         self.text = text
         self.tokens = _lex(text)
         self.pos = 0
-        self.depth = 0  # blocks and parentheses open at the current token
+        depth = 0
+        for tok in self.tokens:
+            depth += (tok.type in ("[", "(")) - (tok.type in ("]", ")"))
+            if depth > MAX_NESTING:
+                raise self.fail(f"query nests deeper than {MAX_NESTING} levels of blocks and parentheses", tok)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -265,13 +266,6 @@ class _Parser:
             got = tok.text or "end of input"
             raise self.fail(f"expected {type_!r}, got {got!r}", tok, expected=(type_,))
         return self.advance()
-
-    def enter(self, token: Token) -> None:
-        """Open one level of nesting at ``token``, a "[" or "(".  The caller
-        closes it once its closing token is read."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.fail(f"query nests deeper than {MAX_NESTING} levels of blocks and parentheses", token)
 
     def parse_query(self) -> Query:
         root = self.parse_blockstring()
@@ -304,7 +298,6 @@ class _Parser:
 
     def parse_block(self) -> Block:
         open_tok = self.expect("[")
-        self.enter(open_tok)
         otype_tok = self.peek()
         if otype_tok.type != "ident":
             raise self.fail("expected an otype name", otype_tok, expected=("otype",))
@@ -318,7 +311,6 @@ class _Parser:
         if self.peek().type == "[":
             children = self.parse_blockstring()
         self.expect("]")
-        self.depth -= 1
         return Block(
             otype=otype_tok.text,
             constraint=constraint,
@@ -348,10 +340,9 @@ class _Parser:
             atom = self.parse_atom()
             return Not(inner=atom)
         if tok.type == "(":
-            self.enter(self.advance())
+            self.advance()
             inner = self.parse_constraints()
             self.expect(")")
-            self.depth -= 1
             return inner
         return self.parse_atom()
 

@@ -16,6 +16,10 @@ test is also checked on hand-built corpora whose phrases and verses are
 arbitrary monad sets.  The evaluator's atom masks and passage join, which
 run on corpus rows, are checked against their id-based forms in
 ``reference``, and posting-led blocks against the brute-force oracle.
+The two relations every join ends in, ``Corpus._embeds`` and ``_meets``,
+are checked against frozenset subset and intersection on every pair of
+rows, and ``up``, ``passage_of`` and the passage join on corpora whose
+first verse spans the whole text, or its first half, ahead of short ones.
 """
 
 from __future__ import annotations
@@ -456,6 +460,43 @@ def with_nodes(logical: LogicalCorpus, *nodes: Node) -> LogicalCorpus:
     return LogicalCorpus.assemble(
         logical.text, logical.slots, logical.nodes + nodes, logical.edges, logical.features, logical.metadata
     )
+
+
+def check_relations(corpus: Corpus, logical: LogicalCorpus) -> None:
+    """``Corpus._embeds`` and ``_meets`` against frozenset subset and
+    intersection: on every ordered pair of rows, disjoint envelopes and
+    each row with itself included, and with either side one row."""
+    m = {n.id: reference.monad_set(n) for n in logical.nodes}
+    rows = np.arange(len(corpus))
+    sets = [m[int(i)] for i in corpus._ids]
+    embeds = np.array([[a != b and sets[b] <= sets[a] for b in rows] for a in rows])
+    meets = np.array([[bool(sets[a] & sets[b]) for b in rows] for a in rows])
+    a, b = np.repeat(rows, len(rows)), np.tile(rows, len(rows))
+    assert np.array_equal(corpus._embeds(a, b), embeds.ravel())
+    assert np.array_equal(corpus._meets(a, b), meets.ravel())
+    for row in rows.tolist():
+        assert np.array_equal(corpus._embeds(row, rows), embeds[row])
+        assert np.array_equal(corpus._embeds(rows, row), embeds[:, row])
+        assert np.array_equal(corpus._meets(row, rows), meets[row])
+        assert np.array_equal(corpus._meets(rows, row), meets[:, row])
+
+
+@settings(max_examples=60, deadline=None)
+@given(multirun_corpora())
+def test_relations_match_set_semantics(logical):
+    # A copy of the last node gives two rows with equal monads.
+    last = logical.nodes[-1]
+    logical = with_nodes(logical, Node(last.id + 1, last.otype, last.monads))
+    check_relations(Corpus.from_bytes(compile_to_bytes(logical)[0]), logical)
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_relations_on_rows_match_set_semantics(case):
+    logical = row_case(case)
+    corpus = rows_corpus(case)
+    sets = [frozenset(corpus.monads(int(i))) for i in corpus._ids]
+    assert len(set(sets)) < len(sets)  # some rows have equal monads
+    check_relations(corpus, logical)
 
 
 @pytest.mark.parametrize("reach", ["whole", "half"])
