@@ -464,7 +464,7 @@ class Corpus:
         run of ``a`` starting at or before the run's first monad, which must
         cover it (embedding), or its last monad, which must overlap it."""
         keep = ~need
-        idx = np.flatnonzero(need)
+        idx = need.nonzero()[0]
         if len(idx):
             a, b = np.broadcast_to(a, need.shape)[idx], np.broadcast_to(b, need.shape)[idx]
             start = self._set_offsets[self._monad_idx[b]].astype(np.int64)
@@ -501,14 +501,16 @@ class Corpus:
         keep = (self._first[a] <= self._last[b]) & (self._first[b] <= self._last[a])
         return keep & self._run_test(a, b, keep & ((self._nruns[a] > 1) | (self._nruns[b] > 1)), False)
 
-    def _reach(self, otype: str | None, lo, hi) -> tuple:
+    def _reach(self, otype: str | None, lo: int | np.ndarray, hi: int | np.ndarray) -> tuple:
         """The slice ``start:stop`` of ``_rows_for_otype(otype)``'s rows
         that holds every row starting at or before monad ``hi`` and ending
         at or after monad ``lo``: those that meet lo..hi, or, with the
         bounds swapped, span it.  Given arrays of bounds, one slice each."""
         return self._last_runmax(otype).searchsorted(lo), self._rows_for_otype(otype)[1].searchsorted(hi + 1)
 
-    def _inside_many(self, rows: np.ndarray, firsts: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _inside_many(
+        self, rows: np.ndarray, firsts: np.ndarray, parents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, j) with ``rows[j]`` (canonical order, first monads
         ``firsts``) embedded in ``parents[i]``, ordered by i, then j."""
         i, j = self._pairs(*self._window(firsts, self._first[parents], self._last[parents]))
