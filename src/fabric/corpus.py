@@ -16,7 +16,9 @@ Other arrays are built on first use and cached per corpus: each feature
 store, decoded (``store``); per (kind, key) store, the row of each target
 (``_target_rows``), checked to be a node (edge) id; per node-feature key,
 the dictionary code at every corpus row, -1 where the row lacks the key
-(``_row_codes``); per otype, its rows in canonical order
+(``_row_codes``); per (node-feature key, otype), the rows carrying the key
+grouped by code, in canonical order within a code (``_postings``, the
+index posting lists are read from); per otype, its rows in canonical order
 (``_rows_for_otype``) and the running maximum of their last monads
 (``_last_runmax``); the pool-wide run keys (``_run_keys``); and the edges
 by id (``_edges_by_id``).
@@ -263,6 +265,7 @@ class Corpus:
         self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
         self._store_rows: dict[tuple[str, str], np.ndarray] = {}
         self._codes: dict[str, np.ndarray] = {}
+        self._posting_index: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self._runmax: dict[str | None, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
@@ -333,25 +336,21 @@ class Corpus:
         order = np.argsort(self._edge_ids, kind="stable")
         return self._edge_ids[order], self._edge_label_code[order]
 
-    def _rows_of_targets(self, targets: np.ndarray, key: str, kind: str = NODE_KIND) -> np.ndarray:
-        """Rows of some ``targets`` of the (kind, key) store: positions in
-        ``_ids`` for a node store, in ``_edges_by_id`` for an edge store.
-        The compiler admits no other target, so one that is no node (edge)
-        id makes the store a bad section."""
-        ids = self._ids if kind == NODE_KIND else self._edges_by_id[0]
-        rows = ids.searchsorted(targets)
-        # A store's targets ascend, and so do their rows: the last bounds all.
-        if len(rows) and (rows[-1] >= len(ids) or np.any(ids[rows] != targets)):
-            section = image.section_name(self._feature_sections[(kind, key)])
-            raise ImageError("BAD_SECTION", f"section {section} has a target the image lacks", section=section)
-        return rows
-
     def _target_rows(self, key: str, kind: str = NODE_KIND) -> np.ndarray:
-        """``_rows_of_targets`` for every target of the store, in the
-        store's order; cached."""
+        """The row of every target of the (kind, key) store, in the store's
+        order: positions in ``_ids`` for a node store, in ``_edges_by_id``
+        for an edge store; cached.  The compiler admits no other target, so
+        one that is no node (edge) id makes the store a bad section."""
         cached = self._store_rows.get((kind, key))
         if cached is None:
-            cached = self._store_rows[(kind, key)] = self._rows_of_targets(self.store(key, kind).targets, key, kind)
+            targets = self.store(key, kind).targets
+            ids = self._ids if kind == NODE_KIND else self._edges_by_id[0]
+            cached = ids.searchsorted(targets)
+            # A store's targets ascend, and so do their rows: the last bounds all.
+            if len(cached) and (cached[-1] >= len(ids) or np.any(ids[cached] != targets)):
+                section = image.section_name(self._feature_sections[(kind, key)])
+                raise ImageError("BAD_SECTION", f"section {section} has a target the image lacks", section=section)
+            self._store_rows[(kind, key)] = cached
         return cached
 
     def _row_codes(self, key: str) -> np.ndarray:
@@ -371,6 +370,25 @@ class Corpus:
         order: a node's otype code, an edge's label code."""
         codes = self._otype_code if kind == NODE_KIND else self._edges_by_id[1]
         return codes[self._target_rows(key, kind)]
+
+    def _postings(self, key: str, otype: str) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``otype`` that carry the node key ``key``, grouped by
+        dictionary code and in canonical order within a code, with the
+        bounds of each code's group: code k's rows are
+        ``rows[offsets[k]:offsets[k + 1]]``; cached.  One value sort of
+        ``code << 32 | canonical position`` orders them, both parts being
+        below 2**32."""
+        cached = self._posting_index.get((key, otype))
+        if cached is None:
+            rows, store = self._target_rows(key), self.store(key)
+            mine = self._otype_code[rows] == self._otype_rank.get(otype, -1)
+            codes = store.codes.compress(mine)
+            # canon_pos is int64 and not negative, so its bits read the same as u64.
+            keys = np.sort(codes.astype(np.uint64) << np.uint64(32) | self._canon_pos[rows.compress(mine)].view(np.uint64))
+            offsets = keys.searchsorted(np.arange(len(store.values) + 1, dtype=np.uint64) << np.uint64(32))
+            pos = (keys & np.uint64(2**32 - 1)).astype(np.intp)
+            cached = self._posting_index[(key, otype)] = (self._canon[pos], offsets)
+        return cached
 
     def _row(self, node: int) -> int:
         i = _find(self._ids, node)
@@ -407,7 +425,7 @@ class Corpus:
         if cached is None:
             rows = self._canon
             if otype is not None:
-                rows = rows[self._otype_code[rows] == self._otype_rank.get(otype, -1)]
+                rows = rows.compress(self._otype_code[rows] == self._otype_rank.get(otype, -1))
             cached = self._otype_rows[otype] = (rows, self._first[rows])
         return cached
 

@@ -22,14 +22,17 @@ dictionary (one entry per dictionary code): a node satisfies the atom iff
 it carries the key and the mask holds at its value's code.  That mask gives
 the atom on any set of corpus rows, in one gather through the key's cached
 per-row code column (``Corpus._row_codes``, -1 on rows without the key,
-which read an appended False); its posting list (the feature entries whose
-code it holds); and that list's exact length.
+which read an appended False); its posting list on an otype; and the
+number of the store's entries whose code it holds, over every otype.
 
 Candidate generation follows rarest-posting-first: a block whose constraint
 conjunctively requires an ``=`` or ``IN`` atom can start from that atom's
-posting list instead of the full otype list when the list is shorter; the
-chosen source is what ``explain`` reports.  A block whose whole constraint
-is that atom keeps the posting list unfiltered.
+posting list instead of the full otype list when the store-wide count is
+shorter; the chosen source is what ``explain`` reports.  The list is read
+from ``Corpus._postings``, the key's per-otype index, built once per corpus,
+which holds each code's rows in canonical order: one code's group, or the
+groups of several merged by one sort of canonical positions.  A block whose
+whole constraint is that atom keeps the posting list unfiltered.
 
 Nested blocks are joined first, in one batched containment semi-join per
 block with children, child blocks first: a block keeps the candidates that
@@ -37,7 +40,10 @@ embed a candidate of every child block, and each child block records, as
 a CSR, which of its candidates each kept node embeds.  The join then emits
 a match table, one column per block in pre-order, grown a block at a time
 (see ``_expand``) in chunks of at most ``_CHUNK`` rows, prefix tables
-included.  It comes out in the oracle's order with no sort; ``iter_matches``
+included.  A row grows by one slice of the block's candidates: at the top
+level the gap's window or all of them, under a parent the parent
+candidate's CSR segment, searched for the gap's window only after a
+previous sibling.  It comes out in the oracle's order with no sort; ``iter_matches``
 streams it chunk by chunk, ``max_matches`` cuts after the chunks it needs,
 and the deadline is checked before the first chunk and at every chunk.
 
@@ -58,7 +64,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..corpus import Corpus
+from ..corpus import Corpus, _heads
 from ..errors import QueryError
 from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Placed, Query, parse
 
@@ -275,11 +281,15 @@ class _Eval:
         return cached
 
     def _posting_rows(self, source: Source) -> np.ndarray:
+        """The rows of the source's otype whose atom holds, in canonical
+        order: one code's group of ``Corpus._postings``, or several merged."""
         assert source.atom is not None
-        store = self.c.store(source.atom.key)
-        assert store is not None
-        targets = store.targets[self._value_mask(source.atom).take(store.codes)]
-        return self.c._rows_of_targets(targets, source.atom.key)
+        rows, offsets = self.c._postings(source.atom.key, source.otype)
+        codes = np.flatnonzero(self._value_mask(source.atom))
+        if len(codes) == 1:
+            return rows[offsets[codes[0]] : offsets[codes[0] + 1]]
+        _, pos = self.c._pairs(offsets[codes], offsets[codes + 1])
+        return self.c._canon[np.sort(self.c._canon_pos[rows[pos]])]
 
     def candidates(self, block: Block) -> tuple[np.ndarray, np.ndarray]:
         """Rows matching this block, in canonical order, with their first
@@ -291,12 +301,7 @@ class _Eval:
         if cached is not None:
             return cached
         source = self.source_for(block)
-        if source.kind == "posting":
-            rows = self._posting_rows(source)
-            rows = rows[self.c._otype_code[rows] == self.c._otype_rank[block.otype]]
-            rows = rows[np.argsort(self.c._canon_pos[rows], kind="stable")]
-        else:
-            rows = self.c._rows_for_otype(block.otype)[0]
+        rows = self._posting_rows(source) if source.kind == "posting" else self.c._rows_for_otype(block.otype)[0]
         # A posting list holds exactly the nodes its atom is true on.
         if block.constraint is not None and block.constraint is not source.atom and len(rows):
             rows = rows[self._expr_mask(block.constraint, rows)]
@@ -312,12 +317,13 @@ class _Eval:
         pairs = [self.c._inside_many(*self.candidates(child), rows) for child in children]
         keep = np.ones(len(rows), dtype=bool)
         for parent, _ in pairs:
-            keep &= np.bincount(parent, minlength=len(rows)) > 0
-        renumber = np.cumsum(keep) - 1
+            has = np.zeros(len(rows), dtype=bool)
+            has[parent] = True
+            keep &= has
         for child, (parent, kids) in zip(children, pairs):
+            # The pairs ascend by parent: each kept row's run of them is its segment.
             sel = keep[parent]
-            counts = np.bincount(renumber[parent[sel]], minlength=int(keep.sum()))
-            self._csr[id(child)] = (np.concatenate(([0], np.cumsum(counts))), kids[sel])
+            self._csr[id(child)] = (np.append(np.flatnonzero(_heads(parent[sel])), np.count_nonzero(sel)), kids[sel])
         return rows[keep]
 
     # -- the match table --------------------------------------------------------
@@ -344,17 +350,14 @@ class _Eval:
             self.stopped = "timeout"
 
     def _step(self, p: Placed) -> tuple:
-        """The expansion step of block ``p``.  Column 0 of the table is a
-        one-row root, one segment holding every top-level candidate; block
-        k is column k + 1."""
+        """The expansion step of block ``p``: a function from the prefix
+        table's columns to the slice ``start:stop`` of the block's
+        candidates that extends each row, and the candidate index at each
+        position of those slices (None where it is the position).  Column 0
+        of the table is a one-row root; block k is column k + 1."""
         firsts = self.candidates(p.block)[1]
         n = len(firsts)
-        if p.parent is None:
-            keys = kids = np.arange(n)
-        else:
-            offsets, kids = self._csr[id(p.block)]
-            keys = np.repeat(np.arange(len(offsets) - 1) * n, np.diff(offsets)) + kids
-        lo, hi = 0, n  # the whole segment
+        lo, hi, prev = np.zeros(1, dtype=np.intp), np.full(1, n), 0  # the root's one row: every candidate
         if p.prev is not None:
             # After the previous sibling's candidate: the block starts in
             # after..after+limit; adjacency is limit 0.  No gap skips more
@@ -363,37 +366,49 @@ class _Eval:
             limit = 0 if p.gap.kind == ADJACENT else p.gap.limit
             limit = self.c.width if limit is None else min(limit, self.c.width)
             after = self.c._last[self.candidates(self.blocks[p.prev].block)[0]] + 1
-            lo, hi = self.c._window(firsts, after, after + limit)
-        parent = 0 if p.parent is None else p.parent + 1
-        return (parent, None if p.prev is None else p.prev + 1, lo, hi, n, keys, kids)
+            lo, hi, prev = *self.c._window(firsts, after, after + limit), p.prev + 1
+        if p.parent is None:
+            return lambda cols: (lo[cols[prev]], hi[cols[prev]]), None
+        offsets, kids = self._csr[id(p.block)]
+        parent = p.parent + 1
+        if p.prev is None:  # the parent candidate's whole CSR segment
+            return lambda cols: (offsets[cols[parent]], offsets[cols[parent] + 1]), kids
+        # Within a segment the window is one search on the key segment * n + candidate.
+        keys = np.repeat(np.arange(len(offsets) - 1) * n, np.diff(offsets)) + kids
+
+        def bounds(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+            seg = cols[parent] * n
+            return keys.searchsorted(seg + lo[cols[prev]]), keys.searchsorted(seg + hi[cols[prev]])
+
+        return bounds, kids
 
     def _expand(self, steps: list[tuple], cols: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
         """Extend each row of the prefix table ``cols`` (candidate indices)
         by the next step's block, at most ``_CHUNK`` rows at a time: by each
         of the block's candidates in the CSR segment of the row's parent
         candidate that lies in the gap's window after the row's previous
-        sibling candidate.  Within a segment the window is one search on the
-        key ``segment * n + candidate``.  Rows keep their order and new
-        candidates ascend within a row, so the table stays sorted."""
+        sibling candidate.  Rows keep their order and new candidates ascend
+        within a row, so the table stays sorted."""
         if len(cols) > len(steps):
             yield cols
             return
-        parent, prev, lo, hi, n, keys, kids = steps[len(cols) - 1]
-        if prev is not None:
-            lo, hi = lo[cols[prev]], hi[cols[prev]]
-        seg = cols[parent] * n
-        start, stop = keys.searchsorted(seg + lo), keys.searchsorted(seg + hi)
+        bounds, kids = steps[len(cols) - 1]
+        start, stop = bounds(cols)
         counts = stop - start
         ends = np.cumsum(counts)
-        for first in range(0, int(ends[-1]) if len(ends) else 0, _CHUNK):
+        total = int(ends[-1]) if len(ends) else 0
+        for first in range(0, total, _CHUNK):
             self._check_deadline()
-            # Rows i..j hold the pairs first..first+_CHUNK: clip their slices.
-            last = first + _CHUNK
-            i, j = ends.searchsorted(first, side="right"), ends.searchsorted(last) + 1
-            skip = np.maximum(first - (ends[i:j] - counts[i:j]), 0)
-            owner, pos = self.c._pairs(start[i:j] + skip, stop[i:j] - np.maximum(ends[i:j] - last, 0))
+            i, lo, hi = 0, start, stop
+            if total > _CHUNK:
+                # Rows i..j hold the pairs first..first+_CHUNK: clip their slices.
+                last = first + _CHUNK
+                i, j = ends.searchsorted(first, side="right"), ends.searchsorted(last) + 1
+                lo = start[i:j] + np.maximum(first - (ends[i:j] - counts[i:j]), 0)
+                hi = stop[i:j] - np.maximum(ends[i:j] - last, 0)
+            owner, pos = self.c._pairs(lo, hi)
             owner += i
-            yield from self._expand(steps, [col[owner] for col in cols] + [kids[pos]])
+            yield from self._expand(steps, [col[owner] for col in cols] + [pos if kids is None else kids[pos]])
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() >= self.deadline:

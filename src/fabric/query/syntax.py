@@ -4,7 +4,7 @@ Grammar (normative):
 
     query        := blockstring ;
     blockstring  := block { gap block } ;
-    gap          := /* empty = ADJACENT */ | ".." | ".." "<=" INTEGER ;
+    gap          := /* empty = ADJACENT */ | ".." | ".." "<=" INTEGER /* >= 0 */ ;
     block        := "[" OTYPE [ constraints ] [ blockstring ] "]" ;
     constraints  := disjunct { "OR" disjunct } ;
     disjunct     := conjunct { "AND" conjunct } ;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..errors import QuerySyntaxError
 
@@ -46,6 +46,7 @@ _TOKEN_RE = re.compile(
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<badstring>"(?:[^"\\\n]|\\.)*)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -54,49 +55,40 @@ _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 _QUOTE_ESCAPES = {value: "\\" + escape for escape, value in _STRING_ESCAPES.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     type: str  # one of: [ ] ( ) , .. op int ident string keyword eof
     text: str
     line: int
     column: int
 
 
+# Token type by regex group; punctuation is its own type, and an ident may be a keyword.
+_TYPES = {"dotdot": "..", "op": "op", "int": "int", "string": "string"}
+
+
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(
-                f"unexpected character {text[pos]!r}", line=line, column=pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group(0)
-        column = pos - line_start + 1
+        value = m.group()
         if kind == "ws" or kind == "comment":
-            pass
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = m.start() + value.rindex("\n") + 1
+            continue
+        column = m.start() - line_start + 1
+        if kind == "ident":
+            tokens.append(Token("keyword" if value in _KEYWORDS else "ident", value, line, column))
         elif kind == "punct":
             tokens.append(Token(value, value, line, column))
-        elif kind == "dotdot":
-            tokens.append(Token("..", value, line, column))
-        elif kind == "op":
-            tokens.append(Token("op", value, line, column))
-        elif kind == "int":
-            tokens.append(Token("int", value, line, column))
-        elif kind == "ident":
-            tokens.append(Token("keyword" if value in _KEYWORDS else "ident", value, line, column))
-        elif kind == "string":
-            tokens.append(Token("string", value, line, column))
+        elif kind in _TYPES:
+            tokens.append(Token(_TYPES[kind], value, line, column))
         elif kind == "badstring":
             raise QuerySyntaxError("unterminated string", line=line, column=column)
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
+        elif kind == "bad":
+            raise QuerySyntaxError(f"unexpected character {value!r}", line=line, column=column)
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -288,7 +280,10 @@ class _Parser:
                 if nxt.type == "op" and nxt.text == "<=":
                     self.advance()
                     limit_tok = self.expect("int")
-                    gaps.append(Gap(GAP, int(limit_tok.text)))
+                    limit = int(limit_tok.text)
+                    if limit < 0:
+                        raise self.fail(f"gap limit {limit} is negative", limit_tok, expected=("integer >= 0",))
+                    gaps.append(Gap(GAP, limit))
                 else:
                     gaps.append(Gap(GAP))
                 blocks.append(self.parse_block())

@@ -8,10 +8,12 @@ hide inside the expectation.  The exceptions are ``atom_mask_by_ids`` and
 steps that now run on corpus rows, kept to check those rows against,
 and ``import_store_bytes``, which fills the package's ``AnnotationStore``
 and ``SavedQuery``, the types the import it checks is compared in.
+``lex`` is the query lexer's earlier form, one ``match`` call per token.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -581,3 +583,58 @@ def _verify_saved_query(corpus, saved) -> None:
         for node in nodes:
             if not frozenset(corpus.monads(verse)) & frozenset(corpus.monads(node)):
                 raise StoreError(f"saved query {saved.id}: node {node} does not intersect verse {verse}")
+
+
+# ---------------------------------------------------------------------------
+# the query lexer, one token at a time
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>//[^\n]*)
+    | (?P<dotdot>\.\.)
+    | (?P<punct>[\[\](),])
+    | (?P<op><=|>=|<>|[=<>~])
+    | (?P<int>-?[0-9]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<badstring>"(?:[^"\\\n]|\\.)*)
+    """,
+    re.VERBOSE,
+)
+
+
+def lex(text: str) -> list[tuple[str, str, int, int]]:
+    """(type, text, line, column) per token, ending with an eof token;
+    raises ``QuerySyntaxError`` as ``fabric.query.syntax._lex`` does."""
+    from fabric.errors import QuerySyntaxError
+
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", line=line, column=pos - line_start + 1)
+        kind = m.lastgroup
+        value = m.group(0)
+        column = pos - line_start + 1
+        if kind == "punct":
+            tokens.append((value, value, line, column))
+        elif kind == "dotdot":
+            tokens.append(("..", value, line, column))
+        elif kind in ("op", "int", "string"):
+            tokens.append((kind, value, line, column))
+        elif kind == "ident":
+            tokens.append(("keyword" if value in ("OR", "AND", "NOT", "IN") else "ident", value, line, column))
+        elif kind == "badstring":
+            raise QuerySyntaxError("unterminated string", line=line, column=column)
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + value.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens

@@ -360,6 +360,11 @@ class TestQuery:
         where = f"at line 1, column {6 * MAX_NESTING + 1}"
         assert err == f"fabric: query nests deeper than {MAX_NESTING} levels of blocks and parentheses {where}\n"
 
+    def test_negative_gap_limit_is_a_syntax_error(self, image, capsys):
+        code, out, err = run(capsys, "query", image, "-q", "[word] .. <= -1 [word]")
+        assert (code, out) == (1, "")
+        assert err == "fabric: gap limit -1 is negative at line 1, column 14 (expected integer >= 0)\n"
+
     def test_syntax_error_reports_position(self, image, capsys):
         code, _, err = run(capsys, "query", image, "-q", "[word][word")
         assert code == 1

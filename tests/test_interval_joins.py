@@ -15,7 +15,8 @@ discontiguous phrases never partly overlap one another, so the run-level
 test is also checked on hand-built corpora whose phrases and verses are
 arbitrary monad sets.  The evaluator's atom masks and passage join, which
 run on corpus rows, are checked against their id-based forms in
-``reference``, and posting-led blocks against the brute-force oracle.
+``reference``, and posting-led blocks against the brute-force oracle, also
+where a key's values are shared by two otypes.
 The two relations every join ends in, ``Corpus._embeds`` and ``_meets``,
 are checked against frozenset subset and intersection on every pair of
 rows, and ``up``, ``passage_of`` and the passage join on corpora whose
@@ -42,7 +43,7 @@ from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.errors import StoreError
 from fabric.ingest import parse_graf
-from fabric.model import CorpusMetadata, LogicalCorpus, MonadSet, Node, Region
+from fabric.model import CorpusMetadata, FeatureAssignment, LogicalCorpus, MonadSet, Node, Region
 from fabric.query import evaluator
 from fabric.query.evaluator import ResultSet, _Eval, evaluate, iter_matches
 from fabric.query.oracle import _expr_true, brute_force_evaluate
@@ -546,3 +547,76 @@ def test_posting_led_blocks_match_oracle(case):
                 conjunction += p.block.constraint is not source.atom
         assert evaluate(corpus, text) == brute_force_evaluate(corpus, text), text
     assert bare and conjunction
+
+
+def shared_key_corpus() -> LogicalCorpus:
+    """Twelve words whose ids descend along the text, and eight phrases,
+    three of them discontiguous.  ``tag`` sits on words and phrases with
+    shared values ("d" on phrases only), ``cat`` on phrases only, and the
+    integer-typed ``n`` stores 7 as "7" and as "07"."""
+    words = [Node(200 - m, "word", MonadSet.from_monads([m])) for m in range(1, 13)]
+    phrases = {
+        101: ("1-3", "a", "k"), 102: ("4-5", "a", None), 103: ("1,5-6", "b", "k"), 104: ("7-8", "d", None),
+        105: ("9-12", "a", None), 106: ("2-3,8", "b", None), 107: ("10-11", "d", "j"), 108: ("12", "d", None),
+    }  # fmt: skip
+    nodes = words + [Node(i, "phrase", MonadSet.parse(m)) for i, (m, _, _) in phrases.items()]
+    nodes += [Node(301, "verse", MonadSet.parse("1-6")), Node(302, "verse", MonadSet.parse("7-12"))]
+    features = [FeatureAssignment("N", w.id, "tag", "abc"[i % 3]) for i, w in enumerate(words)]
+    features += [FeatureAssignment("N", w.id, "n", ("7", "07", "8")[i % 3]) for i, w in enumerate(words)]
+    features += [FeatureAssignment("N", i, "tag", tag) for i, (_, tag, _) in phrases.items()]
+    features += [FeatureAssignment("N", i, "cat", cat) for i, (_, _, cat) in phrases.items() if cat]
+    features.append(FeatureAssignment("N", 105, "n", "7"))
+    return LogicalCorpus.assemble(
+        text="w " * 12,
+        slots=[Region(2 * i, 2 * i + 1) for i in range(12)],
+        nodes=nodes,
+        features=features,
+        metadata=CorpusMetadata(otypes=("verse", "phrase", "word"), int_features=frozenset({"n"})),
+    )
+
+
+# Each query's first block is posting-led.
+SHARED_KEY_QUERIES = (
+    '[word tag = "a"]',
+    '[phrase tag = "a"]',
+    '[word tag = "d"]',  # a value of phrases only
+    '[word cat = "k"]',  # a key of phrases only
+    '[word tag IN ("a", "c")]',
+    '[word tag IN ("c", "no such tag")]',
+    '[word tag IN ("no such tag", "nor this")]',
+    "[word n = 7]",  # two dictionary codes
+    '[phrase tag = "a" [word tag IN ("a", "b")]]',
+    '[phrase tag = "d"] .. [word tag = "a" AND NOT n = 8]',
+    '[word tag = "b"] .. <= 2 [word tag IN ("a", "c")]',
+    '[phrase cat IN ("k", "j") [word n = 7] .. [word tag = "c"]]',
+)
+
+
+@pytest.mark.parametrize("text", SHARED_KEY_QUERIES)
+def test_posting_index_of_a_key_on_two_otypes_matches_oracle(text):
+    scan = Scan(shared_key_corpus())
+    ev = _Eval(scan.corpus, text)
+    assert ev.source_for(ev.blocks[0].block).kind == "posting"
+    for p in ev.blocks:
+        assert scan.corpus._ids[ev.candidates(p.block)[0]].tolist() == scan.joined(p.block)
+    want = brute_force_evaluate(scan.corpus, text)
+    for size in (1, 2, evaluator._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "_CHUNK", size)
+            assert evaluate(scan.corpus, text) == want, size
+
+
+def test_posting_index_is_built_once_per_key_and_otype():
+    corpus = Corpus.from_bytes(compile_to_bytes(row_case("random4"))[0])
+    a, b = (quote_string(v) for v in corpus.store("lex").values[:2])
+    built = []
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    corpus._posting_index = Counted()
+    for text in (f"[word lex = {a}]", f"[word lex = {b}]", f"[word lex IN ({a}, {b})]", f"[phrase [word lex = {b}]]"):
+        assert evaluate(corpus, text) == brute_force_evaluate(corpus, text), text
+    assert built == [("lex", "word")]

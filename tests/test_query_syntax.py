@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from fabric.errors import QuerySyntaxError
 from fabric.query.evaluator import evaluate
 from fabric.query.plan import explain
@@ -12,6 +15,7 @@ from fabric.query.syntax import (
     Gap,
     Not,
     Or,
+    _lex,
     parse,
 )
 
@@ -62,6 +66,16 @@ class TestGaps:
     def test_gap_limit_must_be_an_integer(self):
         with pytest.raises(QuerySyntaxError):
             parse("[word] .. <= lots [word]")
+
+    @pytest.mark.parametrize("limit", ["-1", "-07"])
+    def test_negative_gap_limit_is_rejected_at_its_token(self, limit):
+        # N counts monads; before, a negative N parsed and matched nothing.
+        with pytest.raises(QuerySyntaxError, match=f"gap limit {int(limit)} is negative at line 2, column 7") as exc:
+            parse(f"[word]\n.. <= {limit} [word]")
+        assert (exc.value.line, exc.value.column) == (2, 7)
+
+    def test_minus_zero_gap_limit_is_zero(self):
+        assert parse("[word] .. <= -0 [word]").root.gaps == (Gap(GAP, 0),)
 
 
 class TestOperators:
@@ -161,6 +175,27 @@ class TestStringsAndComments:
     def test_unexpected_character(self):
         with pytest.raises(QuerySyntaxError, match="unexpected character"):
             parse("[word] %")
+
+
+# Pieces of query text, tokens and broken tokens, plus any non-ASCII character.
+LEX_PIECES = (
+    "[", "]", "(", ")", ",", '"', "\\", "//", "..", ".", "<=", "<", ">", "=", "~",
+    "0", "42", "-", "a", "Z", "_", "OR", "IN", "NOT", " ", "\t", "\r", "\n", "%",
+)  # fmt: skip
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(LEX_PIECES), st.characters(min_codepoint=128, blacklist_categories=("Cs",)))))
+def test_lexer_equals_the_one_match_at_a_time_reference(pieces):
+    text = "".join(pieces)
+    try:
+        want = reference.lex(text)
+    except QuerySyntaxError as exc:
+        with pytest.raises(QuerySyntaxError) as got:
+            _lex(text)
+        assert (str(got.value), got.value.line, got.value.column) == (str(exc), exc.line, exc.column)
+    else:
+        assert _lex(text) == want
 
 
 class TestStructureErrors:
