@@ -38,7 +38,7 @@ import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import contains
 from pathlib import Path
 from typing import Callable, Iterator
@@ -64,8 +64,8 @@ _XML_ID = "http://www.w3.org/XML/1998/namespace}id"  # as expat names it, with "
 _PARENT = {"link": "node", "f": "a"}  # the child elements ``parse_graf`` reads, and their parents
 _U32_MAX = 2**32 - 1  # the widest id the image format stores
 
-_ANCHORS_RE = re.compile(r"\s*(-?\d+)\s+(-?\d+)\s*")
-_ID_SUFFIX_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*?(\d+)$|^(\d+)$")
+_ANCHORS_RE = re.compile(r"\s*(-?\d+)\s+(-?\d+)\s*", re.ASCII)
+_ID_SUFFIX_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*?(\d+)|(\d+)", re.ASCII)  # with ``fullmatch``
 
 
 class IngestWarning(UserWarning):
@@ -416,14 +416,45 @@ def _node_table(ids: np.ndarray, otypes: list[str], runs, keep: np.ndarray):
 
 
 def extract_id(token: str) -> int | None:
-    """Numeric identity of an xml:id: its decimal suffix (``n101`` -> 101)."""
-    m = _ID_SUFFIX_RE.match(token)
+    """Numeric identity of an xml:id: its decimal suffix (``n101`` -> 101),
+    ASCII digits at the very end of the token."""
+    m = _ID_SUFFIX_RE.fullmatch(token)
     if m is None:
         return None
     return int(m.group(1) or m.group(2))
 
 
 _REGION, _WORD, _NODE, _EDGE, _ANNO = range(5)  # the tables of ``parse_graf``'s scan
+
+
+class _Fields:
+    """What a scan of the annotation files reads: each element kind's rows
+    as one list per field, in document order, the issues it met, and each
+    table's length at the end of each file."""
+
+    def __init__(self) -> None:
+        self.regions: dict[str, int] = {}  # xid -> row of region_start and region_end
+        self.region_start: list[int] = []
+        self.region_end: list[int] = []
+        self.word_xid: list[str] = []  # nodes that link a region
+        self.word_ref: list[str] = []
+        self.node_xid: list[str] = []  # nodes with monads
+        self.node_otype: list[str] = []
+        self.node_monads: list[str] = []
+        self.edge_xid: list[str] = []
+        self.edge_src: list[str] = []
+        self.edge_dst: list[str] = []
+        self.edge_label: list[str] = []
+        self.anno_ref: list[str] = []  # one row per <f>
+        self.anno_key: list[str] = []
+        self.anno_value: list[str] = []
+        self.issues: list[ValidationIssue] = []
+        self.file_ends: list[list[int]] = [[] for _ in range(5)]
+
+    def end_file(self) -> None:
+        tables = (self.region_start, self.word_xid, self.node_xid, self.edge_xid, self.anno_ref)
+        for ends, table in zip(self.file_ends, tables):
+            ends.append(len(table))
 
 
 @contextmanager
@@ -439,54 +470,150 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@_collector_paused()
-def parse_graf(header_path: str | Path) -> LogicalCorpus:
-    """Parse a header file plus the annotation XML files it references."""
-    header = Path(header_path)
-    entries = _parse_keyvalue(header)
-    base = header.parent
+@contextmanager
+def _expat(fname: str) -> Iterator[expat.XMLParserType]:
+    """An expat parser as both scans use it: a namespaced name reads
+    "uri}name", an undeclared or external entity in content is an
+    ``IngestError``, and so is malformed XML, with its line."""
 
-    def need(key: str) -> str:
-        value = _single(entries, key, header)
-        if value is None:
-            raise IngestError(f"header is missing {key}=", file=str(header))
-        return value
+    def undefined(name: str, parameter: bool = False) -> None:
+        if not parameter:
+            at = (name, parser.CurrentLineNumber, parser.CurrentColumnNumber)
+            raise IngestError("malformed XML: undefined entity &%s;: line %d, column %d" % at, file=fname, line=at[1])
 
-    metadata = _metadata_from_entries(entries, header)
-    text = _read_text_file(base / need("text"))
-    anno_paths = [base / p for p in _LIST_SPLIT_RE.split(need("annotations")) if p]
-    if not anno_paths:
-        raise IngestError("header names no annotation files", file=str(header))
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.SkippedEntityHandler = undefined
+    parser.ExternalEntityRefHandler = lambda context, *_: undefined(context.rsplit("\f", 1)[-1])
+    try:
+        yield parser
+    except expat.ExpatError as exc:
+        raise IngestError(f"malformed XML: {exc}", file=fname, line=exc.lineno) from None
+    finally:  # ``undefined`` refers to the parser: a cycle would keep the scan's lists alive
+        del parser
 
-    issues: list[ValidationIssue] = []
-    soft: list[ValidationIssue] = []  # warnings
-    # The scan keeps each element kind's rows as one list per field.
-    regions: dict[str, int] = {}  # xid -> row of region_start and region_end
-    region_start, region_end = [], []
-    word_xid, word_ref = [], []  # nodes that link a region
-    node_xid, node_otype, node_monads = [], [], []  # nodes with monads
-    edge_xid, edge_src, edge_dst, edge_label = [], [], [], []
-    anno_ref, anno_key, anno_value = [], [], []  # one row per <f>
-    tables = (region_start, word_xid, node_xid, edge_xid, anno_ref)
-    file_ends: list[list[int]] = [[] for _ in tables]  # each table's length at the end of each file
+
+# Stage 2 reads the dialect the writers emit (``synth.write_graf`` and
+# ``write_big_graf``): an optional UTF-8 declaration, a bare <graph> root,
+# and elements of five forms, each attribute double-quoted, in this order,
+# after one space, with no tab, CR or LF in a value.  A value is what expat
+# returns once its references are replaced; targets are plain ASCII.
+_PROLOG_RE = re.compile(rb'(?:<\?xml version="1\.0"(?: encoding="(?i:utf-8)")?\?>\s*)?<graph>')
+_REGION_RE = re.compile(rb'<region xml:id="([^"\t\n\r]*)" anchors="([0-9]+) ([0-9]+)"/>')
+_WORD_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)"><link targets="([!#-%\'-;=-~]+)"/></node>')
+_NODE_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)" otype="([^"\t\n\r]*)" monads="([^"\t\n\r]*)"/>')
+_EDGE_RE = re.compile(rb'<edge xml:id="([^"\t\n\r]*)" from="([^"\t\n\r]*)" to="([^"\t\n\r]*)" label="([^"\t\n\r]*)"/>')
+_ANNO_RE = re.compile(rb'<a ref="([^"\t\n\r]*)">((?:<f name="[^"\t\n\r]*" value="[^"\t\n\r]*"/>)+)</a>')
+_F_RE = re.compile(rb'<f name="([^"\t\n\r]*)" value="([^"\t\n\r]*)"/>')
+_CHUNK = 1 << 20  # bytes read at a time: each chunk's match lists are freed before the next is made
+_REF_RE = re.compile(r"&(?:#x([0-9A-Fa-f]+)|#([0-9]+)|(amp|lt|gt|quot|apos));")
+_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+
+def _entity(m: re.Match[str]) -> str:
+    hexa, decimal, name = m.groups()
+    return _ENTITIES[name] if name else chr(int(hexa, 16) if hexa else int(decimal))
+
+
+def _strings(values: tuple[bytes, ...]) -> list[str]:
+    """A column of attribute values as expat returns them: one join, one
+    UTF-8 decode and one split.  Stage 1 has checked every reference, and
+    expat allows no NUL, so NUL separates the values."""
+    if not values:
+        return []
+    text = b"\0".join(values).decode()
+    if "&" in text:
+        text = _REF_RE.sub(_entity, text)
+    return text.split("\0")
+
+
+def _byte_scan(paths: list[Path]) -> _Fields | None:
+    """Stage 2: the field lists of files in the writers' dialect, read
+    with one compiled regex per element form after one bare expat pass has
+    checked each file.  None, to leave the call to the handler scan, when
+    a file cannot be read or is not well-formed, when any "<" in it lies
+    outside a recognised form (a DOCTYPE, comment, CDATA section or
+    processing instruction, an ``xmlns``, another encoding, attributes in
+    another order or quoting, or an element the scan would report), or
+    when an xml:id repeats."""
+    s = _Fields()
+    for path in paths:
+        try:
+            data = path.read_bytes()
+            with _expat(str(path)) as parser:
+                parser.Parse(data, True)
+        except (OSError, IngestError):
+            return None
+        prolog = _PROLOG_RE.match(data)
+        if prolog is None:
+            return None
+        held = prolog[0].count(b"<") + 1  # the "<" the forms hold, </graph> included
+        # No form holds a LF, so none crosses a chunk boundary.
+        start = prolog.end()
+        while start < len(data):
+            stop = data.find(b"\n<", start + _CHUNK) + 1 or len(data)
+            held += _read_forms(s, data, start, stop)
+            start = stop
+        if held != data.count(b"<"):
+            return None
+        s.end_file()
+    xids = len(s.region_start) + len(s.word_xid) + len(s.node_xid) + len(s.edge_xid)
+    if len(set(chain(s.regions, s.word_xid, s.node_xid, s.edge_xid))) != xids:
+        return None
+    return s
+
+
+def _read_forms(s: _Fields, data: bytes, start: int, stop: int) -> int:
+    """Append the rows of the forms in ``data[start:stop]`` to the field
+    lists; returns the number of "<" they hold."""
+    regions = _REGION_RE.findall(data, start, stop)
+    if regions:
+        xids, starts, ends = zip(*regions)
+        s.regions.update(zip(_strings(xids), range(len(s.region_start), len(s.region_start) + len(xids))))
+        s.region_start += map(int, starts)
+        s.region_end += map(int, ends)
+    held = len(regions)
+    for form, lt, columns in (
+        (_WORD_RE, 3, (s.word_xid, s.word_ref)),
+        (_NODE_RE, 1, (s.node_xid, s.node_otype, s.node_monads)),
+        (_EDGE_RE, 1, (s.edge_xid, s.edge_src, s.edge_dst, s.edge_label)),
+    ):
+        matches = form.findall(data, start, stop)
+        held += lt * len(matches)
+        for column, values in zip(columns, zip(*matches)):
+            column += _strings(values)
+    annos = _ANNO_RE.findall(data, start, stop)
+    refs, inners = zip(*annos) if annos else ((), ())
+    fs = _F_RE.findall(b"".join(inners))
+    s.anno_ref += chain.from_iterable(map(repeat, _strings(refs), map(bytes.count, inners, repeat(b"<"))))
+    for column, values in zip((s.anno_key, s.anno_value), zip(*fs)):
+        column += _strings(values)
+    return held + 2 * len(annos) + len(fs)
+
+
+def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
+    """The field lists of any graph XML files, and the issues met: one
+    expat pass per file whose handlers append attribute values."""
+    s = _Fields()
+    regions, region_start, region_end = s.regions, s.region_start, s.region_end
+    word_xid, word_ref = s.word_xid, s.word_ref
+    node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
+    edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
+    anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
     seen_xids: set[str] = set()
 
     def data_err(code: str, message: str, file: str, where: str | None = None) -> None:
-        issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
+        s.issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
 
-    def file_of(table: int, row: int) -> str:
-        return str(anno_paths[bisect_right(file_ends[table], row)])
-
-    for anno_path in anno_paths:
+    for anno_path in paths:
         fname = str(anno_path)
         if not anno_path.exists():
             raise IngestError("annotation file not found", file=fname)
-        # One expat pass: each start pushes (tag, attributes, kids), handing
-        # a <link> to the <node> and an <f> to the <a> that is its parent,
-        # as ``findall`` on direct children would; each end pops its element
-        # and fills the field lists.  Ids are claimed at end tags, so of two
-        # nested duplicates the inner one counts.  A namespaced tag reads
-        # "uri}tag" and matches nothing.
+        # Each start pushes (tag, attributes, kids), handing a <link> to the
+        # <node> and an <f> to the <a> that is its parent, as ``findall`` on
+        # direct children would; each end pops its element and fills the
+        # field lists.  Ids are claimed at end tags, so of two nested
+        # duplicates the inner one counts.  A namespaced tag reads "uri}tag"
+        # and matches nothing.
         stack: list[tuple[str, dict[str, str], list[dict[str, str]]]] = []
 
         def claim_xid(attrs: dict[str, str], what: str) -> str | None:
@@ -529,7 +656,7 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                             data_err("BAD_LINK", f"node {xid!r} must link exactly one region", fname, where=xid)
                         elif monads is not None:
                             data_err("BAD_LINK", f"node {xid!r} has both a link and monads", fname, where=xid)
-                        elif otype not in (None, metadata.slot_otype):
+                        elif otype not in (None, slot_otype):
                             data_err("BAD_OTYPE", f"linked node {xid!r} cannot have otype {otype!r}", fname, where=xid)
                         else:
                             word_xid.append(xid)
@@ -568,23 +695,55 @@ def parse_graf(header_path: str | Path) -> LogicalCorpus:
                             anno_key.append(name)
                             anno_value.append(value)
 
-        def undefined(name: str, parameter: bool = False) -> None:  # an undeclared or external entity in content
-            if not parameter:
-                at = (name, parser.CurrentLineNumber, parser.CurrentColumnNumber)
-                raise IngestError("malformed XML: undefined entity &%s;: line %d, column %d" % at, file=fname, line=at[1])
+        with _expat(fname) as parser, open(fname, "rb") as source:
+            parser.StartElementHandler, parser.EndElementHandler = start, end
+            parser.ParseFile(source)
+        s.end_file()
+    return s
 
-        parser = expat.ParserCreate(namespace_separator="}")
-        parser.StartElementHandler, parser.EndElementHandler, parser.SkippedEntityHandler = start, end, undefined
-        parser.ExternalEntityRefHandler = lambda context, *_: undefined(context.rsplit("\f", 1)[-1])
-        try:
-            with open(fname, "rb") as source:
-                parser.ParseFile(source)
-        except expat.ExpatError as exc:
-            raise IngestError(f"malformed XML: {exc}", file=fname, line=exc.lineno) from None
-        finally:  # ``undefined`` refers to the parser: a cycle would keep the scan's lists alive
-            del parser
-        for ends, table in zip(file_ends, tables):
-            ends.append(len(table))
+
+def _scan(paths: list[Path], slot_otype: str) -> _Fields:
+    return _byte_scan(paths) or _handler_scan(paths, slot_otype)
+
+
+def parse_graf(header_path: str | Path) -> LogicalCorpus:
+    """Parse a header file plus the annotation XML files it references."""
+    return _parse_graf(header_path, _scan)
+
+
+@_collector_paused()
+def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fields]) -> LogicalCorpus:
+    """``parse_graf`` with the scan that reads the annotation files."""
+    header = Path(header_path)
+    entries = _parse_keyvalue(header)
+    base = header.parent
+
+    def need(key: str) -> str:
+        value = _single(entries, key, header)
+        if value is None:
+            raise IngestError(f"header is missing {key}=", file=str(header))
+        return value
+
+    metadata = _metadata_from_entries(entries, header)
+    text = _read_text_file(base / need("text"))
+    anno_paths = [base / p for p in _LIST_SPLIT_RE.split(need("annotations")) if p]
+    if not anno_paths:
+        raise IngestError("header names no annotation files", file=str(header))
+
+    s = scan(anno_paths, metadata.slot_otype)
+    regions, region_start, region_end = s.regions, s.region_start, s.region_end
+    word_xid, word_ref = s.word_xid, s.word_ref
+    node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
+    edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
+    anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
+    issues = s.issues
+    soft: list[ValidationIssue] = []  # warnings
+
+    def data_err(code: str, message: str, file: str, where: str | None = None) -> None:
+        issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
+
+    def file_of(table: int, row: int) -> str:
+        return str(anno_paths[bisect_right(s.file_ends[table], row)])
 
     def id_of(xids: list[str], table: int, rows: list[int]) -> Callable[[int], int | None]:
         """The per-row id decoder of row ``rows[k]`` of a table."""

@@ -1,17 +1,21 @@
 import dataclasses
 import random
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fabric.compiler import compile_corpus, compile_to_bytes
 from fabric.errors import IngestError, ValidationFailure
 from fabric.ingest import (
     IngestWarning,
+    _byte_scan,
+    _handler_scan,
+    _parse_graf,
     escape_cell,
     extract_id,
     parse_graf,
@@ -28,7 +32,7 @@ from fabric.model import (
     Node,
     Region,
 )
-from fabric.synth import random_corpus, toy4, write_graf, write_tabular
+from fabric.synth import random_corpus, toy4, write_big_graf, write_graf, write_tabular
 import reference
 from strategies import cell_text
 
@@ -874,6 +878,206 @@ class TestGrafParsing:
         assert corpora[0].features[0].value == "café ½"
 
 
+class TestAsciiDigits:
+    """An id's number and a region's anchors are ASCII digits: "\\u0663" is
+    an Arabic-Indic three, which ``int()`` would read, and an id's digits
+    end the id, so a trailing LF is no longer dropped."""
+
+    @pytest.mark.parametrize(
+        "xml_id,shown",
+        [("n3&#10;", "n3\n"), ("n&#x663;", "n\u0663"), ("&#x663;", "\u0663")],
+        ids=["trailing-lf", "arabic-indic-digit", "digit-alone"],
+    )
+    def test_graf_id(self, tmp_path, xml_id, shown):
+        extra = f'<node xml:id="{xml_id}" otype="phrase" monads="1-2"/>'
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(TestGrafParsing().header(tmp_path, TestGrafParsing.BASE.format(extra=extra)))
+        got = [(i.code, i.where, i.message) for i in exc.value.report.errors]
+        assert got == [("BAD_ID", shown, f"xml:id {shown!r} has no positive decimal suffix")]
+
+    @pytest.mark.parametrize("anchors", ["&#x660; &#x662;", "0&#xa0;2", "&#xff10; 2"], ids=["arabic-indic", "nbsp", "fullwidth"])
+    def test_graf_anchors(self, tmp_path, anchors):
+        extra = f'<region xml:id="r3" anchors="{anchors}"/>'
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(TestGrafParsing().header(tmp_path, TestGrafParsing.BASE.format(extra=extra)))
+        got = [(i.code, i.where, i.message) for i in exc.value.report.errors]
+        assert got == [("BAD_ANCHORS", "r3", "region 'r3': anchors must be two integers")]
+
+    @pytest.mark.parametrize("cell", ["n٣", "٣", "e١٢"])
+    def test_tabular_id(self, tmp_path, cell):
+        base = TestTabularParsing().write(tmp_path, **{"nodes.tsv": f"node_id\totype\tmonadset\nn1\tword\t1\n{cell}\tword\t2\n"})
+        with pytest.raises(ValidationFailure) as exc:
+            parse_tabular(base)
+        got = [(i.code, i.line, i.message) for i in exc.value.report.errors]
+        assert got == [("BAD_ID", 3, f"node_id must be a positive id, got {cell!r}")]
+
+
+_GRAF_SNIPPETS = [
+    '<node xml:id="n900" otype="phrase" monads="1"/>',
+    '<node xml:id="n901" otype="phrase" monads="2-1"/>',
+    '<node xml:id="n902"><link targets="r1"/></node>',
+    '<node xml:id="n903"><link targets="r999"/></node>',
+    '<region xml:id="r900" anchors="3 3"/>',
+    '<region xml:id="r901" anchors="0 2" note="x"/>',
+    '<region xml:id="r902" anchors="0\t2"/>',
+    '<region xml:id="r903" anchors="&#x660; &#x662;"/>',
+    '<edge xml:id="e900" from="n1" to="n999" label="x"/>',
+    '<edge xml:id="e901" to="n1" from="n2" label="x"/>',
+    '<a ref="n999"><f name="k" value="v"/></a>',
+    '<a ref="n1"><f name="note" value="a &amp; b&#10;c&#x5d0;&lt;&quot;&#9;&#13;"/></a>',
+    '<a ref="n1"><f name="k" value="a\nb"/></a>',
+    '<a ref="n1"><q><f name="k" value="v"/></q></a>',
+    '<a ref="n1"></a>',
+    '<a ref="n1"><f name="k" value="&undefined;"/></a>',
+    '<a ref="n1"><f name="k" value="&e;"/></a>',
+    '<node xml:id="nx" otype="phrase" monads="1"/>',
+    '<node xml:id="n1&#10;" otype="phrase" monads="1"/>',
+    '<node xml:id="&#110;904" otype="phrase" monads="1"/>',
+    '<node xml:id="n905" otype="phrase"/>',
+    '<node otype="phrase" monads="1"/>',
+    "<node xml:id='n906' otype=\"phrase\" monads=\"1\"/>",
+    '<node xmlns="urn:x" xml:id="n907" otype="phrase" monads="1"/>',
+    '<x:node xmlns:x="urn:x" xml:id="n908" otype="phrase" monads="1"/>',
+    '<!-- <region xml:id="r904" anchors="0 1"/> -->',
+    '<![CDATA[<region xml:id="r905" anchors="0 1"/>]]>',
+    '<?pi <node xml:id="n909" otype="phrase" monads="1"/>?>',
+    "text &amp; &#60; more",
+    "&e;",
+    "<graph/>",
+    "</graph>",
+    "<node",
+]
+_DOCTYPES = ["<!DOCTYPE graph>", '<!DOCTYPE graph [<!ENTITY e "x&#10;y">]>', '<!DOCTYPE graph SYSTEM "g.dtd">']
+_ATTR_VALUES = ["&amp;", "a&#10;b", "&#9;", "&lt;&gt;", "&quot;&apos;", "&#x5d0;", "x&#13;&#10;y", "\t", "&#32;n1", "", "n 1"]
+_ATTR_RE = re.compile(r'="([^"]*)"')
+
+
+@st.composite
+def mutated_grafs(draw):
+    """A ``write_graf`` header and XML of toy4 or a small random corpus,
+    maybe split into two annotation files, with a few lines inserted,
+    deleted or duplicated, attribute values, order or quoting changed, a
+    DOCTYPE or ``xmlns`` added, or another encoding: file names and
+    bytes, and the annotation files in header order."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    corpus = toy4() if seed % 8 == 0 else random_corpus(random.Random(seed), max_words=10)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graf(corpus, Path(tmp), stem="m")
+        header, xml = ((Path(tmp) / f"m.{ext}").read_text(encoding="utf-8") for ext in ("graf", "xml"))
+        text = (Path(tmp) / "m.txt").read_bytes()
+    declaration, root, *elements = xml.split("\n")[:-2]
+    parts = [elements]
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(elements)))
+        parts = [elements[:cut], elements[cut:]]
+    docs = [[declaration, root, *part, "</graph>", ""] for part in parts]
+    for _ in range(draw(st.integers(0, 4))):
+        lines = docs[draw(st.integers(0, len(docs) - 1))]
+        row = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["insert"] * 4 + ["delete", "dup", "value", "value", "order", "quote", "doctype", "xmlns"]))
+        attrs = list(_ATTR_RE.finditer(lines[row]))
+        if op == "insert":
+            lines.insert(row, draw(st.sampled_from(_GRAF_SNIPPETS)))
+        elif op == "delete":
+            del lines[row]
+        elif op == "dup":
+            lines.insert(row, lines[row])
+        elif op == "value" and attrs:
+            a = attrs[draw(st.integers(0, len(attrs) - 1))]
+            lines[row] = lines[row][: a.start(1)] + draw(st.sampled_from(_ATTR_VALUES)) + lines[row][a.end(1) :]
+        elif op == "order":
+            lines[row] = re.sub(r'(<\w+) (\S+="[^"]*") (\S+="[^"]*")', r"\1 \3 \2", lines[row], count=1)
+        elif op == "quote" and attrs:
+            a = attrs[draw(st.integers(0, len(attrs) - 1))]
+            if "'" not in a[1]:
+                lines[row] = lines[row][: a.start()] + f"='{a[1]}'" + lines[row][a.end() :]
+        elif op == "doctype":
+            lines.insert(1, draw(st.sampled_from(_DOCTYPES)))
+        elif op == "xmlns":
+            lines[row] = lines[row].replace(">", draw(st.sampled_from([' xmlns="urn:x">', ' xmlns:x="urn:x">'])), 1)
+    files = {"m.graf": header.encode(), "m.txt": text}
+    names = [f"m{k}.xml" for k in range(len(docs))]
+    files["m.graf"] = header.replace("annotations=m.xml", "annotations=" + " ".join(names)).encode()
+    for name, lines in zip(names, docs):
+        encoding = draw(st.sampled_from(["utf-8"] * 6 + ["ISO-8859-1", "UTF-16", "none"]))
+        doc = "\n".join(lines)
+        if encoding == "none":
+            files[name] = doc.replace(declaration, "", 1).lstrip("\n").encode()
+        else:
+            doc = doc.replace('encoding="utf-8"', f'encoding="{encoding}"', 1)
+            files[name] = doc.encode(encoding, "xmlcharrefreplace")
+    return files, names
+
+
+def _graf_outcome(parse, header):
+    """What a graph XML parser makes of a header: its corpus, its report
+    or its error, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = parse(header)
+        except ValidationFailure as exc:
+            got = exc.report
+        except IngestError as exc:
+            got = (str(exc), exc.file, exc.line)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+class TestGrafStages:
+    """``parse_graf`` reads files in the writers' dialect with one bare
+    expat pass and compiled byte regexes (stage 2), and any other file with
+    the handler scan; both give the same corpus, report and error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_grafs())
+    def test_stage_two_equals_the_handler_scan(self, tmp_path_factory, source):
+        files, names = source
+        base = tmp_path_factory.mktemp("graf")
+        for name, content in files.items():
+            (base / name).write_bytes(content)
+        paths = [base / name for name in names]
+        fields = _byte_scan(paths)
+        event("stage 2" if fields else "handler scan")
+        if fields is not None:
+            assert vars(fields) == vars(_handler_scan(paths, "word"))
+        handlers = lambda header: _parse_graf(header, _handler_scan)
+        assert _graf_outcome(parse_graf, base / "m.graf") == _graf_outcome(handlers, base / "m.graf")
+
+    @staticmethod
+    def assert_stage_two(paths):
+        fields = _byte_scan(paths)
+        assert fields is not None
+        assert vars(fields) == vars(_handler_scan(paths, "word"))
+
+    def test_big_graf_takes_stage_two(self, tmp_path):
+        write_big_graf(tmp_path, words=500, seed=1)
+        self.assert_stage_two([tmp_path / "big.xml"])
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_random_corpora_take_stage_two(self, tmp_path, seed):
+        """These corpora hold tabs, CRs and LFs that ``quoteattr`` writes
+        as character references inside double quotes."""
+        write_graf(random_corpus(random.Random(seed), max_words=10), tmp_path, stem="m")
+        assert "&#" in (tmp_path / "m.xml").read_text(encoding="utf-8")
+        self.assert_stage_two([tmp_path / "m.xml"])
+
+    @pytest.mark.parametrize("value", ["", "a&b<c>d", " \"'<&>\t\r\nא "], ids=["plain", "markup", "both-quotes"])
+    def test_toy4_takes_stage_two(self, tmp_path, toy4_logical, value):
+        c = toy4_logical
+        corpus = LogicalCorpus.assemble(c.text, c.slots, c.nodes, (Edge(7, 1, 2, value),),
+                                        c.features + (FeatureAssignment("N", 101, "note", value),), c.metadata)
+        write_graf(corpus, tmp_path, stem="m")
+        self.assert_stage_two([tmp_path / "m.xml"])
+
+    def test_latin1_and_namespaced_files_take_the_handler_scan(self, tmp_path):
+        graf = TestGrafParsing()
+        namespaced = graf.header(tmp_path, graf.BASE.format(extra='<node xml:id="n4" otype="phrase" monads="1-2" x:monads="1" xmlns:x="urn:x"/>'))
+        latin1 = tmp_path / "latin1.xml"
+        latin1.write_bytes(b'<?xml version="1.0" encoding="ISO-8859-1"?>\n' + graf.BASE.format(extra="").encode("latin-1"))
+        assert _byte_scan([namespaced.parent / "c.xml"]) is None
+        assert _byte_scan([latin1]) is None
+
+
 class TestCellEscaping:
     @given(cell_text)
     def test_round_trip(self, value):
@@ -895,7 +1099,8 @@ class TestCellEscaping:
 class TestExtractId:
     @pytest.mark.parametrize(
         "token,want",
-        [("n101", 101), ("word_12", 12), ("7", 7), ("e4", 4), ("abc", None), ("", None)],
+        [("n101", 101), ("word_12", 12), ("7", 7), ("e4", 4), ("abc", None), ("", None),
+         ("n05", 5), ("n1\n", None), ("n\u0663", None), ("\u0663", None), ("n\uff11", None)],
     )
     def test_examples(self, token, want):
         assert extract_id(token) == want
