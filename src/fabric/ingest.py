@@ -15,15 +15,23 @@ feature object: each fills flat columns (``model.Columns``), sorted into
 objects only when something reads them.
 
 Both decode a column at a time.  ``parse_tabular`` splits each file into
-rows (at "\n" only) and cells with a few passes over its bytes;
-``parse_graf`` scans the XML in one ``pyexpat`` pass whose handlers append
-attribute values to one list per field, building no element tree.
-Column decoders then read whole columns of ids and integers (both front
-ends) and of monad sets (``parse_tabular``) with numpy, and hand only the
-cells they cannot read (anything but plain ASCII numbers and one-run
-sets) to the per-row decoders (``extract_id``, ``int``,
-``MonadSet.parse``), which give every value and report.  ``parse_graf``
-parses each node's monad text with ``MonadSet.parse``.
+rows (at "\n" only) and cells with a few passes over its bytes.
+``parse_graf`` reads the XML in two stages.  Stage 1 checks each file
+with one ``pyexpat`` pass that has no element handlers.  Stage 2 reads
+the dialect the writers emit (five element forms with double-quoted
+attributes in a fixed order, UTF-8, no DOCTYPE, comment, CDATA, processing
+instruction or ``xmlns``) with one compiled byte regex per form, and
+decodes each field column with one join, one UTF-8 decode and one split.
+A call with any other file, or with a repeated xml:id, runs the handler
+scan instead: one ``pyexpat`` pass per file whose handlers append
+attribute values, which gives every report and error.  Either scan fills
+one list per field, building no element tree.  Column decoders then read
+whole columns of ids and integers (both front ends) and of monad sets
+(``parse_tabular``) with numpy, and hand only the cells they cannot read
+(anything but plain ASCII numbers and one-run sets) to the per-row
+decoders (``extract_id``, ``int``, ``MonadSet.parse``), which give every
+value and report.  ``parse_graf`` parses each node's monad text with
+``MonadSet.parse``.
 
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
@@ -504,7 +512,7 @@ _NODE_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)" otype="([^"\t\n\r]*)" mona
 _EDGE_RE = re.compile(rb'<edge xml:id="([^"\t\n\r]*)" from="([^"\t\n\r]*)" to="([^"\t\n\r]*)" label="([^"\t\n\r]*)"/>')
 _ANNO_RE = re.compile(rb'<a ref="([^"\t\n\r]*)">((?:<f name="[^"\t\n\r]*" value="[^"\t\n\r]*"/>)+)</a>')
 _F_RE = re.compile(rb'<f name="([^"\t\n\r]*)" value="([^"\t\n\r]*)"/>')
-_CHUNK = 1 << 20  # bytes read at a time: each chunk's match lists are freed before the next is made
+_CHUNK = 1 << 16  # bytes read at a time, so that no buffer of stage 2 grows with the file
 _REF_RE = re.compile(r"&(?:#x([0-9A-Fa-f]+)|#([0-9]+)|(amp|lt|gt|quot|apos));")
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
@@ -528,9 +536,9 @@ def _strings(values: tuple[bytes, ...]) -> list[str]:
 
 def _byte_scan(paths: list[Path]) -> _Fields | None:
     """Stage 2: the field lists of files in the writers' dialect, read
-    with one compiled regex per element form after one bare expat pass has
-    checked each file.  None, to leave the call to the handler scan, when
-    a file cannot be read or is not well-formed, when any "<" in it lies
+    with one compiled regex per element form, while one bare expat pass
+    checks each file.  None, to leave the call to the handler scan, when a
+    file cannot be read or is not well-formed, when any "<" in it lies
     outside a recognised form (a DOCTYPE, comment, CDATA section or
     processing instruction, an ``xmlns``, another encoding, attributes in
     another order or quoting, or an element the scan would report), or
@@ -538,28 +546,38 @@ def _byte_scan(paths: list[Path]) -> _Fields | None:
     s = _Fields()
     for path in paths:
         try:
-            data = path.read_bytes()
-            with _expat(str(path)) as parser:
-                parser.Parse(data, True)
+            if not _read_file(s, path):
+                return None
         except (OSError, IngestError):
-            return None
-        prolog = _PROLOG_RE.match(data)
-        if prolog is None:
-            return None
-        held = prolog[0].count(b"<") + 1  # the "<" the forms hold, </graph> included
-        # No form holds a LF, so none crosses a chunk boundary.
-        start = prolog.end()
-        while start < len(data):
-            stop = data.find(b"\n<", start + _CHUNK) + 1 or len(data)
-            held += _read_forms(s, data, start, stop)
-            start = stop
-        if held != data.count(b"<"):
             return None
         s.end_file()
     xids = len(s.region_start) + len(s.word_xid) + len(s.node_xid) + len(s.edge_xid)
     if len(set(chain(s.regions, s.word_xid, s.node_xid, s.edge_xid))) != xids:
         return None
     return s
+
+
+def _read_file(s: _Fields, path: Path) -> bool:
+    """Feed a file to expat and append the rows of its forms to the field
+    lists, a chunk at a time; whether every "<" in it lies in a form."""
+    with _expat(str(path)) as parser, open(path, "rb") as source:
+        buf = source.read(_CHUNK)
+        parser.Parse(buf, not buf)
+        prolog = _PROLOG_RE.match(buf)
+        if prolog is None:
+            return False
+        seen = prolog[0].count(b"<")
+        held = seen + 1  # the "<" the forms hold, </graph> included
+        start = prolog.end()
+        while buf:
+            more = source.read(_CHUNK)
+            parser.Parse(more, not more)
+            # No form holds a LF, so none crosses a cut made after one.
+            stop = (buf.rfind(b"\n<", start) + 1 or start) if more else len(buf)
+            held += _read_forms(s, buf, start, stop)
+            seen += buf.count(b"<", start, stop)
+            buf, start = buf[stop:] + more, 0
+    return held == seen
 
 
 def _read_forms(s: _Fields, data: bytes, start: int, stop: int) -> int:
@@ -608,12 +626,12 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
         fname = str(anno_path)
         if not anno_path.exists():
             raise IngestError("annotation file not found", file=fname)
-        # Each start pushes (tag, attributes, kids), handing a <link> to the
-        # <node> and an <f> to the <a> that is its parent, as ``findall`` on
-        # direct children would; each end pops its element and fills the
-        # field lists.  Ids are claimed at end tags, so of two nested
-        # duplicates the inner one counts.  A namespaced tag reads "uri}tag"
-        # and matches nothing.
+        # One expat pass: each start pushes (tag, attributes, kids), handing
+        # a <link> to the <node> and an <f> to the <a> that is its parent,
+        # as ``findall`` on direct children would; each end pops its element
+        # and fills the field lists.  Ids are claimed at end tags, so of two
+        # nested duplicates the inner one counts.  A namespaced tag reads
+        # "uri}tag" and matches nothing.
         stack: list[tuple[str, dict[str, str], list[dict[str, str]]]] = []
 
         def claim_xid(attrs: dict[str, str], what: str) -> str | None:
@@ -703,6 +721,7 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
 
 
 def _scan(paths: list[Path], slot_otype: str) -> _Fields:
+    """Stage 2, or the handler scan where stage 2 declines."""
     return _byte_scan(paths) or _handler_scan(paths, slot_otype)
 
 
