@@ -16,12 +16,13 @@ objects only when something reads them.
 
 Both decode a column at a time.  ``parse_tabular`` splits each file into
 rows (at "\n" only) and cells with a few passes over its bytes.
-``parse_graf`` reads the XML in two stages.  Stage 1 checks each file
-with one ``pyexpat`` pass that has no element handlers.  Stage 2 reads
-the dialect the writers emit (five element forms with double-quoted
-attributes in a fixed order, UTF-8, no DOCTYPE, comment, CDATA, processing
-instruction or ``xmlns``) with one compiled byte regex per form, and
-decodes each field column with one join, one UTF-8 decode and one split.
+``parse_graf`` reads the XML in two stages over the same chunks of each
+file.  Stage 1 checks the file with one ``pyexpat`` pass that has no
+element handlers.  Stage 2 reads the dialect the writers emit (five
+element forms with double-quoted attributes in a fixed order, UTF-8, no
+DOCTYPE, comment, CDATA, processing instruction or ``xmlns``) with one
+compiled byte regex per form, and decodes each field column with one
+join, one UTF-8 decode and one split.
 A call with any other file, or with a repeated xml:id, runs the handler
 scan instead: one ``pyexpat`` pass per file whose handlers append
 attribute values, which gives every report and error.  Either scan fills
@@ -512,7 +513,7 @@ _NODE_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)" otype="([^"\t\n\r]*)" mona
 _EDGE_RE = re.compile(rb'<edge xml:id="([^"\t\n\r]*)" from="([^"\t\n\r]*)" to="([^"\t\n\r]*)" label="([^"\t\n\r]*)"/>')
 _ANNO_RE = re.compile(rb'<a ref="([^"\t\n\r]*)">((?:<f name="[^"\t\n\r]*" value="[^"\t\n\r]*"/>)+)</a>')
 _F_RE = re.compile(rb'<f name="([^"\t\n\r]*)" value="([^"\t\n\r]*)"/>')
-_CHUNK = 1 << 16  # bytes read at a time, so that no buffer of stage 2 grows with the file
+_CHUNK = 1 << 16  # bytes read at a time: stage 2 never holds a whole file, nor a buffer that grows with it
 _REF_RE = re.compile(r"&(?:#x([0-9A-Fa-f]+)|#([0-9]+)|(amp|lt|gt|quot|apos));")
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 

@@ -895,7 +895,9 @@ class TestAsciiDigits:
         got = [(i.code, i.where, i.message) for i in exc.value.report.errors]
         assert got == [("BAD_ID", shown, f"xml:id {shown!r} has no positive decimal suffix")]
 
-    @pytest.mark.parametrize("anchors", ["&#x660; &#x662;", "0&#xa0;2", "&#xff10; 2"], ids=["arabic-indic", "nbsp", "fullwidth"])
+    @pytest.mark.parametrize(
+        "anchors", ["&#x660; &#x662;", "0&#xa0;2", "&#xff10; 2"], ids=["arabic-indic", "nbsp", "fullwidth"]
+    )
     def test_graf_anchors(self, tmp_path, anchors):
         extra = f'<region xml:id="r3" anchors="{anchors}"/>'
         with pytest.raises(ValidationFailure) as exc:
@@ -905,7 +907,8 @@ class TestAsciiDigits:
 
     @pytest.mark.parametrize("cell", ["n٣", "٣", "e١٢"])
     def test_tabular_id(self, tmp_path, cell):
-        base = TestTabularParsing().write(tmp_path, **{"nodes.tsv": f"node_id\totype\tmonadset\nn1\tword\t1\n{cell}\tword\t2\n"})
+        nodes = f"node_id\totype\tmonadset\nn1\tword\t1\n{cell}\tword\t2\n"
+        base = TestTabularParsing().write(tmp_path, **{"nodes.tsv": nodes})
         with pytest.raises(ValidationFailure) as exc:
             parse_tabular(base)
         got = [(i.code, i.line, i.message) for i in exc.value.report.errors]
@@ -948,7 +951,9 @@ _GRAF_SNIPPETS = [
     "<node",
 ]
 _DOCTYPES = ["<!DOCTYPE graph>", '<!DOCTYPE graph [<!ENTITY e "x&#10;y">]>', '<!DOCTYPE graph SYSTEM "g.dtd">']
-_ATTR_VALUES = ["&amp;", "a&#10;b", "&#9;", "&lt;&gt;", "&quot;&apos;", "&#x5d0;", "x&#13;&#10;y", "\t", "&#32;n1", "", "n 1"]
+_ATTR_VALUES = [
+    "&amp;", "a&#10;b", "&#9;", "&lt;&gt;", "&quot;&apos;", "&#x5d0;", "x&#13;&#10;y", "\t", "&#32;n1", "", "n 1",
+]
 _ATTR_RE = re.compile(r'="([^"]*)"')
 
 
@@ -974,7 +979,8 @@ def mutated_grafs(draw):
     for _ in range(draw(st.integers(0, 4))):
         lines = docs[draw(st.integers(0, len(docs) - 1))]
         row = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["insert"] * 4 + ["delete", "dup", "value", "value", "order", "quote", "doctype", "xmlns"]))
+        ops = ["insert"] * 4 + ["delete", "dup", "value", "value", "order", "quote", "doctype", "xmlns"]
+        op = draw(st.sampled_from(ops))
         attrs = list(_ATTR_RE.finditer(lines[row]))
         if op == "insert":
             lines.insert(row, draw(st.sampled_from(_GRAF_SNIPPETS)))
@@ -1070,12 +1076,21 @@ class TestGrafStages:
         self.assert_stage_two([tmp_path / "m.xml"])
 
     def test_latin1_and_namespaced_files_take_the_handler_scan(self, tmp_path):
-        graf = TestGrafParsing()
-        namespaced = graf.header(tmp_path, graf.BASE.format(extra='<node xml:id="n4" otype="phrase" monads="1-2" x:monads="1" xmlns:x="urn:x"/>'))
+        """The inputs of two ``TestGrafParsing`` tests."""
+        base = TestGrafParsing.BASE
+        namespaced = tmp_path / "namespaced.xml"
+        namespaced.write_text(base.format(extra=(
+            '<x:node xmlns:x="urn:x" xml:id="n3" otype="phrase" monads="1-2"/>'
+            '<node xml:id="n4" otype="phrase" monads="1-2" x:monads="1" xmlns:x="urn:x"/>'
+        )), encoding="utf-8")
         latin1 = tmp_path / "latin1.xml"
-        latin1.write_bytes(b'<?xml version="1.0" encoding="ISO-8859-1"?>\n' + graf.BASE.format(extra="").encode("latin-1"))
-        assert _byte_scan([namespaced.parent / "c.xml"]) is None
+        xml = base.format(extra='<a ref="n1"><f name="lex" value="café ½"/></a>')
+        latin1.write_bytes(f'<?xml version="1.0" encoding="ISO-8859-1"?>\n{xml}'.encode("ISO-8859-1"))
+        assert _byte_scan([namespaced]) is None
         assert _byte_scan([latin1]) is None
+        utf8 = tmp_path / "utf8.xml"  # the latin-1 file's twin
+        utf8.write_bytes(f'<?xml version="1.0" encoding="UTF-8"?>\n{xml}'.encode("UTF-8"))
+        self.assert_stage_two([utf8])
 
 
 class TestCellEscaping:
