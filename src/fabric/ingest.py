@@ -460,6 +460,9 @@ class _Fields:
         self.issues: list[ValidationIssue] = []
         self.file_ends: list[list[int]] = [[] for _ in range(5)]
 
+    def error(self, code: str, message: str, file: str, where: str | None = None) -> None:
+        self.issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
+
     def end_file(self) -> None:
         tables = (self.region_start, self.word_xid, self.node_xid, self.edge_xid, self.anno_ref)
         for ends, table in zip(self.file_ends, tables):
@@ -618,10 +621,7 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
     node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
     edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
     anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
-    seen_xids: set[str] = set()
-
-    def data_err(code: str, message: str, file: str, where: str | None = None) -> None:
-        s.issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
+    data_err, seen_xids = s.error, set()
 
     for anno_path in paths:
         fname = str(anno_path)
@@ -756,11 +756,8 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
     node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
     edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
     anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
-    issues = s.issues
+    data_err = s.error
     soft: list[ValidationIssue] = []  # warnings
-
-    def data_err(code: str, message: str, file: str, where: str | None = None) -> None:
-        issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
 
     def file_of(table: int, row: int) -> str:
         return str(anno_paths[bisect_right(s.file_ends[table], row)])
@@ -851,7 +848,7 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
     for i in np.flatnonzero((on_node < 0) & (on_edge < 0)).tolist():
         data_err("DANGLING_REF", f"annotation references unknown id {anno_ref[i]!r}", file_of(_ANNO, i), where=anno_ref[i])
 
-    _check(_report(issues, soft))  # from here on, every ref was found
+    _check(_report(s.issues, soft))  # from here on, every ref was found
     is_node = on_node >= 0
     targets = np.where(is_node, node_id[on_node], np.append(edges[0], 0)[on_edge])
     kinds = np.where(is_node, NODE_KIND, EDGE_KIND).tolist()
