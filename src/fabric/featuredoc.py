@@ -4,13 +4,15 @@ For every (otype, key) pair of a node feature and every (edge label, key)
 pair of an edge feature that actually occurs, a frequency table of the
 values, rendered both machine-readable and human-readable:
 ``<otype>.<key>.{txt,json}`` and ``edge-<label>.<key>.{txt,json}``, plus an
-index (``index.json``, ``index.txt``) tying the set together.  Regenerating
-over the same image produces identical files.
+index (``index.json``, ``index.txt``) tying the set together.  File names
+write "%", ".", "/", "\\" and control characters as "%XX" (see ``_stem``).
+Regenerating over the same image produces identical files.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from .corpus import Corpus
 from .model import EDGE_KIND, NODE_KIND
 
 TRUNCATE_AT = 120
+_UNSAFE_RE = re.compile(r"[%./\\\x00-\x1f\x7f]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +84,17 @@ def _title(table: FrequencyTable) -> str:
     return f"{table.otype}.{table.key}" if table.kind == NODE_KIND else f"edge {table.otype}.{table.key}"
 
 
+def _stem(table: FrequencyTable) -> str:
+    """The table's file name without its suffix.  Each "%", ".", "/", "\\"
+    and control character of the otype (or label) and key becomes "%XX",
+    its code point in hex, and so does the "-" of a node otype that starts
+    "edge-": so every table has its own file, inside the directory."""
+    otype, key = (_UNSAFE_RE.sub(lambda m: f"%{ord(m[0]):02X}", name) for name in (table.otype, table.key))
+    if table.kind == NODE_KIND:
+        return f"{re.sub('^edge-', 'edge%2D', otype)}.{key}"
+    return f"edge-{otype}.{key}"
+
+
 def _render_txt(table: FrequencyTable) -> str:
     lines = [
         _title(table),
@@ -123,8 +137,7 @@ def render_docs(corpus: Corpus, out_dir: str | Path) -> list[str]:
     for kind in (NODE_KIND, EDGE_KIND):
         found = [t for key in corpus.feature_keys(kind) for t in _tables(corpus, key, kind).values()]
         for table in sorted(found, key=lambda t: (t.otype, t.key)):
-            stem = f"{table.otype}.{table.key}" if kind == NODE_KIND else f"edge-{table.otype}.{table.key}"
-            files = [f"{stem}.txt", f"{stem}.json"]
+            files = [f"{_stem(table)}.txt", f"{_stem(table)}.json"]
             (out / files[0]).write_text(_render_txt(table), encoding="utf-8")
             (out / files[1]).write_text(_render_json(table), encoding="utf-8")
             written += files

@@ -17,22 +17,23 @@ objects only when something reads them.
 Both decode a column at a time.  ``parse_tabular`` splits each file into
 rows (at "\n" only) and cells with a few passes over its bytes.
 ``parse_graf`` reads the XML in two stages over the same chunks of each
-file.  Stage 1 checks the file with one ``pyexpat`` pass that has no
-element handlers.  Stage 2 reads the dialect the writers emit (five
-element forms with double-quoted attributes in a fixed order, UTF-8, no
-DOCTYPE, comment, CDATA, processing instruction or ``xmlns``) with one
-compiled byte regex per form, and decodes each field column with one
-join, one UTF-8 decode and one split.
-A call with any other file, or with a repeated xml:id, runs the handler
-scan instead: one ``pyexpat`` pass per file whose handlers append
-attribute values, which gives every report and error.  Either scan fills
-one list per field, building no element tree.  Column decoders then read
-whole columns of ids and integers (both front ends) and of monad sets
-(``parse_tabular``) with numpy, and hand only the cells they cannot read
-(anything but plain ASCII numbers and one-run sets) to the per-row
-decoders (``extract_id``, ``int``, ``MonadSet.parse``), which give every
-value and report.  ``parse_graf`` parses each node's monad text with
-``MonadSet.parse``.
+file.  Stage 1 checks the file with one bare ``pyexpat`` pass (no handlers,
+no namespaces).  Stage 2 reads the dialect the writers emit (five element
+forms with double-quoted attributes in a fixed order, UTF-8, no DOCTYPE,
+comment, CDATA, processing instruction or ``xmlns``) with one compiled
+byte regex per form, and decodes each field column with one join, one
+UTF-8 decode and one split.  A call with any other file, or with a
+repeated xml:id, runs the handler scan instead: one namespaced ``pyexpat``
+pass per file whose handlers append attribute values, which gives every
+report and error.  Either scan only fills one list per field.  Then
+``_parse_graf`` alone resolves xml:ids: links against the regions', edge
+ends and annotation refs against one index of nodes, then edges.  Column
+decoders read whole columns of ids and integers (both front ends) and of
+monad sets (``parse_tabular``) with numpy, and hand only the cells they
+cannot read (anything but plain ASCII numbers and one-run sets) to the
+per-row decoders (``extract_id``, ``int``, ``MonadSet.parse``), which give
+every value and report.  ``parse_graf`` parses each node's monad text
+with ``MonadSet.parse``.
 
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
@@ -405,14 +406,6 @@ def _take(values: list, rows: np.ndarray) -> list:
     return list(map(values.__getitem__, rows.tolist()))
 
 
-def _exact(values: list[int]) -> np.ndarray:
-    """Python ints as int64, or as objects when one does not fit."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array(values, object)
-
-
 def _node_table(ids: np.ndarray, otypes: list[str], runs, keep: np.ndarray):
     """The nodes where ``keep`` is set: ids, otypes and runs."""
     offsets, at = gather(runs[0], np.flatnonzero(keep))
@@ -442,9 +435,9 @@ class _Fields:
     table's length at the end of each file."""
 
     def __init__(self) -> None:
-        self.regions: dict[str, int] = {}  # xid -> row of region_start and region_end
-        self.region_start: list[int] = []
-        self.region_end: list[int] = []
+        self.region_xid: list[str] = []
+        self.region_start: list[str] = []  # anchor texts; ``_parse_graf`` reads them as ints
+        self.region_end: list[str] = []
         self.word_xid: list[str] = []  # nodes that link a region
         self.word_ref: list[str] = []
         self.node_xid: list[str] = []  # nodes with monads
@@ -464,7 +457,7 @@ class _Fields:
         self.issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
 
     def end_file(self) -> None:
-        tables = (self.region_start, self.word_xid, self.node_xid, self.edge_xid, self.anno_ref)
+        tables = (self.region_xid, self.word_xid, self.node_xid, self.edge_xid, self.anno_ref)
         for ends, table in zip(self.file_ends, tables):
             ends.append(len(table))
 
@@ -484,7 +477,7 @@ def _collector_paused() -> Iterator[None]:
 
 @contextmanager
 def _expat(fname: str) -> Iterator[expat.XMLParserType]:
-    """An expat parser as both scans use it: a namespaced name reads
+    """The handler scan's expat parser: a namespaced name reads
     "uri}name", an undeclared or external entity in content is an
     ``IngestError``, and so is malformed XML, with its line."""
 
@@ -509,6 +502,9 @@ def _expat(fname: str) -> Iterator[expat.XMLParserType]:
 # and elements of five forms, each attribute double-quoted, in this order,
 # after one space, with no tab, CR or LF in a value.  A value is what expat
 # returns once its references are replaced; targets are plain ASCII.
+# Stage 1 runs expat without namespace processing: every form's element
+# and attribute names are fixed and ``xml:`` is their only prefix, so a
+# file that holds another namespace construct has a "<" outside the forms.
 _PROLOG_RE = re.compile(rb'(?:<\?xml version="1\.0"(?: encoding="(?i:utf-8)")?\?>\s*)?<graph>')
 _REGION_RE = re.compile(rb'<region xml:id="([^"\t\n\r]*)" anchors="([0-9]+) ([0-9]+)"/>')
 _WORD_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)"><link targets="([!#-%\'-;=-~]+)"/></node>')
@@ -540,31 +536,31 @@ def _strings(values: tuple[bytes, ...]) -> list[str]:
 
 def _byte_scan(paths: list[Path]) -> _Fields | None:
     """Stage 2: the field lists of files in the writers' dialect, read
-    with one compiled regex per element form, while one bare expat pass
-    checks each file.  None, to leave the call to the handler scan, when a
-    file cannot be read or is not well-formed, when any "<" in it lies
-    outside a recognised form (a DOCTYPE, comment, CDATA section or
-    processing instruction, an ``xmlns``, another encoding, attributes in
-    another order or quoting, or an element the scan would report), or
-    when an xml:id repeats."""
+    with one compiled regex per element form, while stage 1, one bare
+    expat pass, checks each file.  None, to leave the call to the handler
+    scan, when a file cannot be read or is not well-formed, when any "<"
+    in it lies outside a recognised form (a DOCTYPE, comment, CDATA
+    section or processing instruction, an ``xmlns``, another encoding,
+    attributes in another order or quoting, or an element the scan would
+    report), or when an xml:id repeats."""
     s = _Fields()
-    for path in paths:
-        try:
-            if not _read_file(s, path):
-                return None
-        except (OSError, IngestError):
+    try:
+        if not all(_read_file(s, path) for path in paths):
             return None
-        s.end_file()
-    xids = len(s.region_start) + len(s.word_xid) + len(s.node_xid) + len(s.edge_xid)
-    if len(set(chain(s.regions, s.word_xid, s.node_xid, s.edge_xid))) != xids:
+    except (OSError, expat.ExpatError):
+        return None
+    xids = len(s.region_xid) + len(s.word_xid) + len(s.node_xid) + len(s.edge_xid)
+    if len(set(chain(s.region_xid, s.word_xid, s.node_xid, s.edge_xid))) != xids:
         return None
     return s
 
 
 def _read_file(s: _Fields, path: Path) -> bool:
-    """Feed a file to expat and append the rows of its forms to the field
-    lists, a chunk at a time; whether every "<" in it lies in a form."""
-    with _expat(str(path)) as parser, open(path, "rb") as source:
+    """Feed a file to a bare expat parser and append the rows of its forms
+    to the field lists, a chunk at a time; whether every "<" in it lies in
+    a form."""
+    parser = expat.ParserCreate()
+    with open(path, "rb") as source:
         buf = source.read(_CHUNK)
         parser.Parse(buf, not buf)
         prolog = _PROLOG_RE.match(buf)
@@ -581,20 +577,16 @@ def _read_file(s: _Fields, path: Path) -> bool:
             held += _read_forms(s, buf, start, stop)
             seen += buf.count(b"<", start, stop)
             buf, start = buf[stop:] + more, 0
+    s.end_file()
     return held == seen
 
 
 def _read_forms(s: _Fields, data: bytes, start: int, stop: int) -> int:
     """Append the rows of the forms in ``data[start:stop]`` to the field
     lists; returns the number of "<" they hold."""
-    regions = _REGION_RE.findall(data, start, stop)
-    if regions:
-        xids, starts, ends = zip(*regions)
-        s.regions.update(zip(_strings(xids), range(len(s.region_start), len(s.region_start) + len(xids))))
-        s.region_start += map(int, starts)
-        s.region_end += map(int, ends)
-    held = len(regions)
+    held = 0
     for form, lt, columns in (
+        (_REGION_RE, 1, (s.region_xid, s.region_start, s.region_end)),
         (_WORD_RE, 3, (s.word_xid, s.word_ref)),
         (_NODE_RE, 1, (s.node_xid, s.node_otype, s.node_monads)),
         (_EDGE_RE, 1, (s.edge_xid, s.edge_src, s.edge_dst, s.edge_label)),
@@ -616,7 +608,7 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
     """The field lists of any graph XML files, and the issues met: one
     expat pass per file whose handlers append attribute values."""
     s = _Fields()
-    regions, region_start, region_end = s.regions, s.region_start, s.region_end
+    region_xid, region_start, region_end = s.region_xid, s.region_start, s.region_end
     word_xid, word_ref = s.word_xid, s.word_ref
     node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
     edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
@@ -662,9 +654,9 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
                     if anchors is None:
                         data_err("BAD_ANCHORS", f"region {xid!r}: anchors must be two integers", fname, where=xid)
                     else:
-                        regions[xid] = len(region_start)
-                        region_start.append(int(anchors[1]))
-                        region_end.append(int(anchors[2]))
+                        region_xid.append(xid)
+                        region_start.append(anchors[1])
+                        region_end.append(anchors[2])
             elif tag == "node":
                 xid = claim_xid(attrs, "node")
                 if xid is not None:
@@ -721,14 +713,10 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
     return s
 
 
-def _scan(paths: list[Path], slot_otype: str) -> _Fields:
-    """Stage 2, or the handler scan where stage 2 declines."""
-    return _byte_scan(paths) or _handler_scan(paths, slot_otype)
-
-
 def parse_graf(header_path: str | Path) -> LogicalCorpus:
-    """Parse a header file plus the annotation XML files it references."""
-    return _parse_graf(header_path, _scan)
+    """Parse a header file plus the annotation XML files it references,
+    with stage 2, or the handler scan where stage 2 declines."""
+    return _parse_graf(header_path, lambda paths, slot_otype: _byte_scan(paths) or _handler_scan(paths, slot_otype))
 
 
 @_collector_paused()
@@ -751,8 +739,7 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         raise IngestError("header names no annotation files", file=str(header))
 
     s = scan(anno_paths, metadata.slot_otype)
-    regions, region_start, region_end = s.regions, s.region_start, s.region_end
-    word_xid, word_ref = s.word_xid, s.word_ref
+    region_xid, word_xid, word_ref = s.region_xid, s.word_xid, s.word_ref
     node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
     edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
     anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
@@ -775,11 +762,15 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
 
         return slow
 
+    def resolve(index: dict[str, int], refs: list[str]) -> np.ndarray:  # the row each ref names, or -1
+        return np.fromiter(map(index.get, refs, repeat(-1)), np.int64, len(refs))
+
     # Slot assembly: word regions sorted by start become slots 1..W.  A word
     # with no region sorts as (0, 0).
-    ref_row = np.fromiter(map(regions.get, word_ref, repeat(-1)), np.int64, len(word_ref))
-    span_start = np.append(_exact(region_start), 0)[ref_row]
-    span_end = np.append(_exact(region_end), 0)[ref_row]
+    ref_row = resolve(dict(zip(region_xid, range(len(region_xid)))), word_ref)
+    span_start, span_end = (
+        np.append(_int_column(t, lambda i: int(t[i]))[0], 0)[ref_row] for t in (s.region_start, s.region_end)
+    )
     order = np.lexsort((span_end, span_start))
     linked = ref_row[order] >= 0
     reused = linked & _repeats(ref_row[order])  # a later word on a region already linked
@@ -796,11 +787,11 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         data_err("BAD_ANCHORS", f"region {word_ref[i]!r}: {region_problem(span_start[i], span_end[i])}",
                  file_of(_WORD, i), where=word_xid[i])
     words, word_ids = rows[ok & ~bad], word_ids[ok & ~bad]
-    used = np.zeros(len(region_start), dtype=bool)
+    used = np.zeros(len(region_xid), dtype=bool)
     used[ref_row[order[linked]]] = True
-    for xid in sorted(compress(regions, (~used).tolist())):
-        soft.append(ValidationIssue("UNUSED_REGION", f"region {xid!r} is not linked by any node",
-                                    file_of(_REGION, regions[xid]), where=xid))
+    for i in np.flatnonzero(~used).tolist():
+        soft.append(ValidationIssue("UNUSED_REGION", f"region {region_xid[i]!r} is not linked by any node",
+                                    file_of(_REGION, i), where=region_xid[i]))
 
     node_ids, ok = _id_column(node_xid, id_of(node_xid, _NODE, list(range(len(node_xid)))))
     rows = np.flatnonzero(ok)
@@ -827,31 +818,26 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         [metadata.slot_otype] * width + otypes,
         (np.concatenate((monad - 1, offsets + width)), np.concatenate((monad, first)), np.concatenate((monad, last))),
     )
-    node_row = dict(zip(_take(word_xid, words) + _take(node_xid, rows[ok]), range(len(nodes[0]))))
+    # Edge ends resolve against the nodes alone; annotation refs also against the edges kept, appended below.
+    index = dict(zip(_take(word_xid, words) + _take(node_xid, rows[ok]), range(len(nodes[0]))))
 
     edge_ids, ok = _id_column(edge_xid, id_of(edge_xid, _EDGE, list(range(len(edge_xid)))))
     rows = np.flatnonzero(ok)
-    src, dst = (
-        np.fromiter(map(node_row.get, _take(refs, rows), repeat(-1)), np.int64, len(rows)) for refs in (edge_src, edge_dst)
-    )
+    src, dst = (resolve(index, _take(refs, rows)) for refs in (edge_src, edge_dst))
     found = (src >= 0) & (dst >= 0)
     for i in rows[~found].tolist():
         data_err("DANGLING_EDGE_REF", f"edge {edge_xid[i]!r} references unknown node", file_of(_EDGE, i), where=edge_xid[i])
     rows = rows[found]
-    node_id = np.append(nodes[0], 0)  # by row; row -1 is no node, and its id is never read
-    edges = (edge_ids[rows], node_id[src[found]], node_id[dst[found]], _take(edge_label, rows))
-    edge_row = dict(zip(_take(edge_xid, rows), range(len(rows))))
+    edges = (edge_ids[rows], nodes[0][src[found]], nodes[0][dst[found]], _take(edge_label, rows))
+    index.update(zip(_take(edge_xid, rows), range(len(nodes[0]), len(nodes[0]) + len(rows))))
 
-    on_node, on_edge = (
-        np.fromiter(map(table.get, anno_ref, repeat(-1)), np.int64, len(anno_ref)) for table in (node_row, edge_row)
-    )
-    for i in np.flatnonzero((on_node < 0) & (on_edge < 0)).tolist():
+    at = resolve(index, anno_ref)
+    for i in np.flatnonzero(at < 0).tolist():
         data_err("DANGLING_REF", f"annotation references unknown id {anno_ref[i]!r}", file_of(_ANNO, i), where=anno_ref[i])
 
     _check(_report(s.issues, soft))  # from here on, every ref was found
-    is_node = on_node >= 0
-    targets = np.where(is_node, node_id[on_node], np.append(edges[0], 0)[on_edge])
-    kinds = np.where(is_node, NODE_KIND, EDGE_KIND).tolist()
+    targets = np.concatenate((nodes[0], edges[0]))[at]
+    kinds = np.where(at < len(nodes[0]), NODE_KIND, EDGE_KIND).tolist()
     slots = (span_start[words], span_end[words])
     return _assembled(text, slots, nodes, edges, (kinds, targets, anno_key, anno_value), metadata)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 from xml.sax.saxutils import quoteattr
@@ -260,6 +261,16 @@ def _metadata_lines(metadata: CorpusMetadata) -> list[str]:
     return lines
 
 
+def _graf_header(base: Path, stem: str, meta: list[str]) -> Path:
+    """Write the header of ``stem``'s text and XML files and metadata lines ``meta``."""
+    header = base / f"{stem}.graf"
+    header.write_text("\n".join([f"text={stem}.txt", f"annotations={stem}.xml", *meta]) + "\n", encoding="utf-8")
+    return header
+
+
+_quoted = partial(quoteattr, entities={'"': "&quot;"})  # always in double quotes, as stage 2 of ``parse_graf`` reads
+
+
 def _joined(items: list[str], offsets: list[int], sep: str) -> Iterator[str]:
     """``sep.join(items[offsets[i]:offsets[i + 1]])`` for each i."""
     return map(sep.join, map(items.__getitem__, map(slice, offsets[:-1], offsets[1:])))
@@ -285,17 +296,17 @@ def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "cor
     regions = map('<region xml:id="r{}" anchors="{} {}"/>'.format,
                   range(1, len(c.slot_start) + 1), c.slot_start.tolist(), c.slot_end.tolist())
     # A slot-type node links the region of its one monad; any other node names its otype and monads.
-    slot, otypes = c.otype.code(corpus.metadata.slot_otype), list(map(quoteattr, c.otype.strings))
+    slot, otypes = c.otype.code(corpus.metadata.slot_otype), list(map(_quoted, c.otype.strings))
     nodes = [
         f'<node xml:id="n{i}"><link targets="r{m}"/></node>' if t == slot
         else f'<node xml:id="n{i}" otype={otypes[t]} monads="{m}"/>'
         for i, t, m in zip(c.node_id.tolist(), c.otype.codes.tolist(), _monad_texts(c))
     ]
-    labels = list(map(quoteattr, c.label.strings))
+    labels = list(map(_quoted, c.label.strings))
     edges = map('<edge xml:id="e{}" from="n{}" to="n{}" label={}/>'.format,
                 c.edge_id.tolist(), c.src.tolist(), c.dst.tolist(), map(labels.__getitem__, c.label.codes.tolist()))
     # Features come sorted by (kind, target, key): one <a> per (kind, target) run.
-    names, values = list(map(quoteattr, c.key.strings)), list(map(quoteattr, c.value.strings))
+    names, values = list(map(_quoted, c.key.strings)), list(map(_quoted, c.value.strings))
     fs = list(map("<f name={} value={}/>".format,
                   map(names.__getitem__, c.key.codes.tolist()), map(values.__getitem__, c.value.codes.tolist())))
     heads = np.flatnonzero((np.diff(c.kind.codes, prepend=-1) != 0) | (np.diff(c.target, prepend=-1) != 0))
@@ -304,11 +315,7 @@ def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "cor
                       c.target[heads].tolist(), _joined(fs, [*heads.tolist(), len(fs)], ""))
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<graph>", *regions, *nodes, *edges, *annotations, "</graph>"]
     (base / f"{stem}.xml").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    header = base / f"{stem}.graf"
-    lines = [f"text={stem}.txt", f"annotations={stem}.xml"] + meta
-    header.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return header
+    return _graf_header(base, stem, meta)
 
 
 _BREAKS_RE = re.compile("[\t\r\n]")
@@ -570,8 +577,8 @@ def write_big_graf(
             xf.write(f'<region xml:id="r{m}" anchors="{start} {pos}"/>\n')
             xf.write(f'<node xml:id="n{m}"><link targets="r{m}"/></node>\n')
             xf.write(
-                f'<a ref="n{m}"><f name="text" value={quoteattr(word)}/>'
-                f'<f name="lex" value={quoteattr(lemma)}/></a>\n'
+                f'<a ref="n{m}"><f name="text" value={_quoted(word)}/>'
+                f'<f name="lex" value={_quoted(lemma)}/></a>\n'
             )
             for li, (otype, sizer) in enumerate(layers):
                 st = state[li]
@@ -590,13 +597,5 @@ def write_big_graf(
                     st[1] = sizer()
         xf.write("</graph>\n")
 
-    header = base / "big.graf"
-    header.write_text(
-        "text=big.txt\n"
-        "annotations=big.xml\n"
-        "otypes=verse,sentence,clause,phrase,chunk,word\n"
-        "slot_otype=word\n"
-        "passage_otype=verse\n",
-        encoding="utf-8",
-    )
-    return header
+    otypes = (*reversed([otype for otype, _ in layers]), "word")
+    return _graf_header(base, "big", _metadata_lines(CorpusMetadata(otypes=otypes)))

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from fabric.cli import main
 from fabric.compiler import compile_corpus, compile_to_bytes
 from fabric.corpus import Corpus
 from fabric.ingest import parse_graf, parse_tabular
+from fabric.model import FeatureAssignment
 from fabric.query import evaluator
 from fabric.query.syntax import MAX_NESTING
 from fabric.synth import random_corpus, random_query, toy4, write_graf, write_tabular
@@ -458,6 +460,15 @@ class TestFeatures:
         assert code == 0
         doc = json.loads(stdout)
         assert "index.json" in doc["files"]
+
+    def test_key_with_a_slash(self, capsys, tmp_path):
+        base = toy4()
+        image = tmp_path / "slash.fab"
+        compile_corpus(replace(base, features=base.features + (FeatureAssignment("N", 301, "a/b", "v"),)), image)
+        code, stdout, _ = run(capsys, "features", str(image), str(tmp_path / "docs"), "--format", "json")
+        assert code == 0
+        assert "verse.a%2Fb.txt" in json.loads(stdout)["files"]
+        assert (tmp_path / "docs" / "verse.a%2Fb.txt").is_file()
 
 
 class TestAnnotate:

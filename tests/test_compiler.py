@@ -4,6 +4,7 @@ import functools
 import random
 import re
 import struct
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -477,8 +478,9 @@ class TestCorruption:
     @given(st.data())
     def test_rewritten_bytes_fail_cleanly(self, data):
         """1-4 bytes of one section rewritten, its CRC recomputed: either the
-        load raises ImageError, or querying (one atom per feature key too)
-        and browsing the image raise nothing but FabricError."""
+        load raises ImageError, or querying (one atom per feature key too),
+        browsing the image and writing its feature docs raise nothing but
+        FabricError, and the docs stay inside their directory."""
         raw = data.draw(st.sampled_from(fuzz_images()))
         entry = data.draw(st.sampled_from([e for e in image.read_directory(raw) if e.length]))
         byte = st.tuples(st.integers(0, entry.length - 1), st.integers(0, 255))
@@ -497,6 +499,9 @@ class TestCorruption:
         for node in corpus.nodes():
             with contextlib.suppress(FabricError):
                 corpus.up(node), corpus.down(node), corpus.text_of(node), corpus.passage_of(node)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.suppress(FabricError):
+            render_docs(corpus, Path(tmp) / "docs")
+            assert {p.parent for p in Path(tmp).rglob("*") if p.is_file()} == {Path(tmp) / "docs"}
 
     def test_int_store_value_that_is_no_integer(self):
         data = compile_to_bytes(random_corpus(random.Random(0)))[0]

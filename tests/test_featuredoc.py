@@ -204,3 +204,54 @@ class TestRendering:
         render_docs(toy4_corpus, tmp_path)
         index = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
         assert sum(r["total"] for r in index["tables"]) == toy4_corpus.stats().features
+
+
+def renamed(otypes, edges=(), features=()):
+    """toy4 with the otypes of some nodes replaced (by node id), declared
+    in the rank list, plus edges and features."""
+    base = toy4()
+    nodes = tuple(replace(n, otype=otypes.get(n.id, n.otype)) for n in base.nodes)
+    metadata = replace(base.metadata, otypes=base.metadata.otypes + tuple(otypes.values()))
+    return load(replace(base, nodes=nodes, edges=edges, features=base.features + features, metadata=metadata))
+
+
+class TestFileNames:
+    """A file name writes "%", ".", "/", "\\" and control characters of an
+    otype, label or key as "%XX": each table gets its own file, inside the
+    output directory, and a plain name is kept as it is."""
+
+    def test_names_stay_inside_the_directory(self, tmp_path):
+        corpus = renamed({301: ""}, features=(FeatureAssignment("N", 301, "/../../escaped", "v"),))
+        out = tmp_path / "a" / "b" / "out"
+        written = render_docs(corpus, out)
+        assert ".%2F%2E%2E%2F%2E%2E%2Fescaped.txt" in written
+        assert sorted(p.relative_to(out).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == sorted(written)
+
+    def test_control_character_in_a_key(self, tmp_path):
+        corpus = renamed({}, features=(FeatureAssignment("N", 301, "k\0e\ty", "v"),))
+        written = render_docs(corpus, tmp_path)
+        assert "verse.k%00e%09y.txt" in written
+        doc = json.loads((tmp_path / "verse.k%00e%09y.json").read_text(encoding="utf-8"))
+        assert (doc["key"], doc["values"]) == ("k\0e\ty", [{"value": "v", "count": 1}])
+
+    def test_names_that_would_share_a_file(self, tmp_path):
+        """Read as another split at a dot, or as an edge label's table, the
+        first four would collide in pairs; a "%" is escaped too, so no name
+        can spell another's escape."""
+        corpus = renamed(
+            {101: "a.b", 102: "a", 201: "edge-dep", 301: "x%2Fy"},
+            edges=(Edge(1, 4, 3, "dep"),),
+            features=(
+                FeatureAssignment("N", 101, "c", "1"),
+                FeatureAssignment("N", 102, "b.c", "2"),
+                FeatureAssignment("N", 201, "role", "3"),
+                FeatureAssignment(EDGE_KIND, 1, "role", "4"),
+                FeatureAssignment("N", 301, "k", "5"),
+            ),
+        )
+        written = render_docs(corpus, tmp_path)
+        names = ["a%2Eb.c", "a.b%2Ec", "edge%2Ddep.role", "edge-dep.role", "x%252Fy.k"]
+        assert {f"{name}.json" for name in names} <= set(written)
+        assert len(set(written)) == len(written) == len(list(tmp_path.iterdir()))
+        index = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+        assert sorted(f for row in index["tables"] for f in row["files"]) == sorted(written[:-2])

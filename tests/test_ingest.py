@@ -877,6 +877,75 @@ class TestGrafParsing:
         assert corpora[0] == corpora[1]
         assert corpora[0].features[0].value == "café ½"
 
+    @pytest.mark.parametrize(
+        "graf,text,name,line,message",
+        [
+            (None, b"ab cd", "c.graf", None, "file not found"),
+            ("text=c.txt\nannotations=c.xml\njunk\n", b"ab cd", "c.graf", 3, "expected key=value, got 'junk'"),
+            ("text=c.txt\ntext=c.txt\nannotations=c.xml\n", b"ab cd", "c.graf", 2, "key 'text' given more than once"),
+            ("text=c.txt\nannotations= ,\n", b"ab cd", "c.graf", None, "header names no annotation files"),
+            ("text=c.txt\nannotations=c.xml d.xml\n", b"ab cd", "d.xml", None, "annotation file not found"),
+            (
+                "text=c.txt\nannotations=c.xml\n", b"ab\xffcd", "c.txt", None,
+                "primary text is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte",
+            ),
+        ],
+        ids=["no-header", "no-equals", "key-twice", "no-annotation-files", "missing-annotation-file", "text-not-utf8"],
+    )
+    def test_unreadable_source(self, tmp_path, graf, text, name, line, message):
+        header = self.header(tmp_path, self.BASE.format(extra=""))
+        (tmp_path / "c.txt").write_bytes(text)
+        if graf is None:
+            header.unlink()
+        else:
+            header.write_text(graf, encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            parse_graf(header)
+        assert (exc.value.file, exc.value.line) == (str(tmp_path / name), line)
+        assert str(exc.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "doctype,content,message",
+        [
+            (
+                '<!DOCTYPE graph SYSTEM "g.dtd">', '<f name="k" value="v"/>&undeclared;',
+                "malformed XML: undefined entity &undeclared;: line 4, column 35",
+            ),
+            ('<!DOCTYPE graph [<!ENTITY e SYSTEM "x.txt">]>', "&e;", "malformed XML: undefined entity &e;: line 4, column 12"),
+        ],
+        ids=["undeclared", "external"],
+    )
+    def test_entity_in_content_that_the_parser_does_not_expand(self, tmp_path, doctype, content, message):
+        """The DOCTYPE sends the file to the handler scan, whose parser
+        refuses an undeclared or external entity where content is read."""
+        xml = self.BASE.format(extra="").replace('<region xml:id="r2" anchors="3 5"/>', f'<a ref="n1">{content}</a>')
+        header = self.header(tmp_path, f"{doctype}\n{xml}")
+        assert _byte_scan([tmp_path / "c.xml"]) is None
+        with pytest.raises(IngestError) as exc:
+            parse_graf(header)
+        assert (exc.value.file, exc.value.line) == (str(tmp_path / "c.xml"), 4)
+        assert str(exc.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "anchors,shown", [("3 3", "3, 3"), ("10 2", "10, 2"), ("2" * 20 + " " + "1" * 20, "2" * 20 + ", " + "1" * 20)]
+    )
+    def test_word_region_that_stage_two_reads_but_is_no_region(self, tmp_path, anchors, shown):
+        xml = self.BASE.format(extra="").replace('anchors="3 5"', f'anchors="{anchors}"')
+        header = self.header(tmp_path, xml)
+        assert _byte_scan([tmp_path / "c.xml"]) is not None
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(header)
+        got = [(i.code, i.file, i.line, i.where, i.message) for i in exc.value.report.errors]
+        assert got == [("BAD_ANCHORS", str(tmp_path / "c.xml"), None, "n2", f"region 'r2': bad region ({shown}): need 0 <= start < end")]
+
+    def test_anchor_past_int64_is_left_to_the_compiler(self, tmp_path):
+        """An anchor is read exactly and the slot column clips it, so the
+        validator reports the region as past the text."""
+        xml = self.BASE.format(extra="").replace('anchors="3 5"', 'anchors="3 99999999999999999999"')
+        corpus = parse_graf(self.header(tmp_path, xml))
+        assert corpus.slots == (Region(0, 2), Region(3, 2**63 - 1))
+        assert [(i.code, i.where) for i in validate(corpus).errors] == [("REGION_BOUNDS", "slot 2")]
+
 
 class TestAsciiDigits:
     """An id's number and a region's anchors are ASCII digits: "\\u0663" is
@@ -1059,13 +1128,18 @@ class TestGrafStages:
         write_big_graf(tmp_path, words=500, seed=1)
         self.assert_stage_two([tmp_path / "big.xml"])
 
-    @pytest.mark.parametrize("seed", [3, 5, 7])
-    def test_random_corpora_take_stage_two(self, tmp_path, seed):
-        """These corpora hold tabs, CRs and LFs that ``quoteattr`` writes
-        as character references inside double quotes."""
+    @pytest.mark.parametrize("seed,reference", [(3, "&#"), (5, "&#"), (7, "&#"), (10, "&quot;"), (16, "&quot;")])
+    def test_random_corpora_take_stage_two(self, tmp_path, seed, reference):
+        """These corpora hold tabs, CRs and LFs, or the value ``quo"te``,
+        which ``write_graf`` writes as references inside double quotes."""
         write_graf(random_corpus(random.Random(seed), max_words=10), tmp_path, stem="m")
-        assert "&#" in (tmp_path / "m.xml").read_text(encoding="utf-8")
+        assert reference in (tmp_path / "m.xml").read_text(encoding="utf-8")
         self.assert_stage_two([tmp_path / "m.xml"])
+
+    def test_every_random_corpus_takes_stage_two(self, tmp_path):
+        for seed in range(200):
+            write_graf(random_corpus(random.Random(seed)), tmp_path, stem=f"m{seed}")
+        assert [seed for seed in range(200) if _byte_scan([tmp_path / f"m{seed}.xml"]) is None] == []
 
     @pytest.mark.parametrize("value", ["", "a&b<c>d", " \"'<&>\t\r\nא "], ids=["plain", "markup", "both-quotes"])
     def test_toy4_takes_stage_two(self, tmp_path, toy4_logical, value):
