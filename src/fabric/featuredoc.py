@@ -90,9 +90,7 @@ def _stem(table: FrequencyTable) -> str:
     its code point in hex, and so does the "-" of a node otype that starts
     "edge-": so every table has its own file, inside the directory."""
     otype, key = (_UNSAFE_RE.sub(lambda m: f"%{ord(m[0]):02X}", name) for name in (table.otype, table.key))
-    if table.kind == NODE_KIND:
-        return f"{re.sub('^edge-', 'edge%2D', otype)}.{key}"
-    return f"edge-{otype}.{key}"
+    return f"{re.sub('^edge-', 'edge%2D', otype)}.{key}" if table.kind == NODE_KIND else f"edge-{otype}.{key}"
 
 
 def _render_txt(table: FrequencyTable) -> str:

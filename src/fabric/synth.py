@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 import re
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -263,12 +262,16 @@ def _metadata_lines(metadata: CorpusMetadata) -> list[str]:
 
 def _graf_header(base: Path, stem: str, meta: list[str]) -> Path:
     """Write the header of ``stem``'s text and XML files and metadata lines ``meta``."""
-    header = base / f"{stem}.graf"
-    header.write_text("\n".join([f"text={stem}.txt", f"annotations={stem}.xml", *meta]) + "\n", encoding="utf-8")
-    return header
+    _write_rows(base / f"{stem}.graf", f"text={stem}.txt\nannotations={stem}.xml", "{}", meta)
+    return base / f"{stem}.graf"
 
 
-_quoted = partial(quoteattr, entities={'"': "&quot;"})  # always in double quotes, as stage 2 of ``parse_graf`` reads
+_ATTR_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
+def _quoted(value: str) -> str:
+    """``quoteattr``'s escaping, always in double quotes: stage 2 of ``parse_graf`` reads no other."""
+    return f'"{escape(value, _ATTR_ENTITIES)}"'
 
 
 def _joined(items: list[str], offsets: list[int], sep: str) -> Iterator[str]:
