@@ -135,7 +135,7 @@ def render_docs(corpus: Corpus, out_dir: str | Path) -> list[str]:
     for kind in (NODE_KIND, EDGE_KIND):
         found = [t for key in corpus.feature_keys(kind) for t in _tables(corpus, key, kind).values()]
         for table in sorted(found, key=lambda t: (t.otype, t.key)):
-            files = [f"{_stem(table)}.txt", f"{_stem(table)}.json"]
+            files = [f"{_stem(table)}.{ext}" for ext in ("txt", "json")]
             (out / files[0]).write_text(_render_txt(table), encoding="utf-8")
             (out / files[1]).write_text(_render_json(table), encoding="utf-8")
             written += files

@@ -911,7 +911,10 @@ class TestGrafParsing:
                 '<!DOCTYPE graph SYSTEM "g.dtd">', '<f name="k" value="v"/>&undeclared;',
                 "malformed XML: undefined entity &undeclared;: line 4, column 35",
             ),
-            ('<!DOCTYPE graph [<!ENTITY e SYSTEM "x.txt">]>', "&e;", "malformed XML: undefined entity &e;: line 4, column 12"),
+            (
+                '<!DOCTYPE graph [<!ENTITY e SYSTEM "x.txt">]>', "&e;",
+                "malformed XML: undefined entity &e;: line 4, column 12",
+            ),
         ],
         ids=["undeclared", "external"],
     )
@@ -936,7 +939,8 @@ class TestGrafParsing:
         with pytest.raises(ValidationFailure) as exc:
             parse_graf(header)
         got = [(i.code, i.file, i.line, i.where, i.message) for i in exc.value.report.errors]
-        assert got == [("BAD_ANCHORS", str(tmp_path / "c.xml"), None, "n2", f"region 'r2': bad region ({shown}): need 0 <= start < end")]
+        message = f"region 'r2': bad region ({shown}): need 0 <= start < end"
+        assert got == [("BAD_ANCHORS", str(tmp_path / "c.xml"), None, "n2", message)]
 
     def test_anchor_past_int64_is_left_to_the_compiler(self, tmp_path):
         """An anchor is read exactly and the slot column clips it, so the
