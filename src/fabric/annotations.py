@@ -26,7 +26,7 @@ import numpy as np
 from .compiler import _write_atomic
 from .corpus import Corpus
 from .errors import StoreError
-from .ingest import _repeats
+from .model import repeats
 from .query.evaluator import ResultSet, evaluate
 
 FORMAT_VERSION = 1
@@ -322,7 +322,7 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StoreError(f"store file is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "store file must hold a JSON object")
     _require(
@@ -413,11 +413,11 @@ def _check_snapshots(
         entry = int(entry_of[pair])
         faults.append((entry, rank, pair, sub, f"saved query {entries[entry].id}: {message}"))
 
-    for i in np.flatnonzero(_repeats(entry_of, id_array[:nv]))[:1].tolist():
+    for i in np.flatnonzero(repeats(entry_of, id_array[:nv]))[:1].tolist():
         fault(i, 0, 0, f"verse {verses[i]} is listed twice")
     for i in np.flatnonzero(sizes == 0)[:1].tolist():
         fault(i, 0, 1, f"verse {verses[i]} lists no matched node")
-    for k in np.flatnonzero(_repeats(owner, id_array[nv:]))[:1].tolist():
+    for k in np.flatnonzero(repeats(owner, id_array[nv:]))[:1].tolist():
         fault(owner[k], 0, 1, f"verse {verses[owner[k]]} lists node {ids[nv + k]} twice")
     if corpus is not None:
         rows = corpus._rows(id_array)

@@ -12,6 +12,7 @@ import argparse
 import fcntl
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -300,11 +301,11 @@ def _open_store(path: str, corpus: Corpus) -> AnnotationStore:
 
 
 def _node_arg(raw: str) -> int:
-    token = raw[1:] if raw.startswith("n") else raw
-    try:
-        return int(token)
-    except ValueError:
-        raise StoreError(f"not a node id: {raw!r}") from None
+    """A node id as given on the command line: ASCII digits, after an
+    optional "n"."""
+    if re.fullmatch("n?[0-9]+", raw) is None:
+        raise StoreError(f"not a node id: {raw!r}")
+    return int(raw.removeprefix("n"))
 
 
 def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import image
 from .ingest import _U32_MAX, _check, validate
-from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, gather, rank_otypes
+from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, gather, heads, rank_otypes
 
 _KIND_CODE = {NODE_KIND: 0, EDGE_KIND: 1}
 
@@ -68,11 +68,7 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
         rest[longer] = [rank[runs] for runs in sets]
     keys = (rest, c.last[head], c.first[head])
     order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
+    new = heads(*(key[order] for key in keys))
     pool_index = np.empty(len(order), np.int64)
     pool_index[order] = np.cumsum(new) - 1
     set_offsets, flat = gather(c.runs, order[new])

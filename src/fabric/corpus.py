@@ -51,6 +51,7 @@ from .model import (
     MonadSet,
     Region,
     gather,
+    heads,
 )
 
 _KINDS = (NODE_KIND, EDGE_KIND)
@@ -61,8 +62,18 @@ class UnknownOtypeWarning(UserWarning):
 
 
 # What decoding a malformed section raises: counts past the payload's end,
-# codes past a table, bad UTF-8 or JSON, metadata of the wrong shape.
-_DECODE_ERRORS = (ValueError, IndexError, KeyError, TypeError)
+# codes past a table, bad UTF-8 or JSON, JSON nested too deeply for the
+# decoder, metadata of the wrong shape.
+_DECODE_ERRORS = (ValueError, IndexError, KeyError, TypeError, RecursionError)
+
+
+def _meta_field(meta: dict, key: str, many: bool = False):
+    """A METADATA field as the compiler writes it: a string, or with
+    ``many`` a list of strings."""
+    value = meta[key]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value) if many else isinstance(value, str)):
+        raise TypeError(f"metadata {key!r} is not {'a list of strings' if many else 'a string'}")
+    return value
 
 
 def _bad_section(name: str, exc: Exception) -> ImageError:
@@ -90,13 +101,6 @@ def _find_all(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     hit = inside & (pos < len(arr))
     hit[hit] = arr[pos[hit]] == keys[hit]
     return np.where(hit, pos, -1)
-
-
-def _heads(arr: np.ndarray) -> np.ndarray:
-    """Where each run of equal neighbours in ``arr`` starts, as a mask."""
-    head = np.ones(len(arr), dtype=bool)
-    head[1:] = arr[1:] != arr[:-1]
-    return head
 
 
 class FeatureStore:
@@ -186,11 +190,11 @@ class Corpus:
 
             meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
             self.metadata = CorpusMetadata(
-                otypes=tuple(meta["otypes"]),
-                slot_otype=meta["slot_otype"],
-                int_features=frozenset(meta["int_features"]),
-                passage_otype=meta["passage_otype"],
-                provenance=tuple(meta["provenance"]),
+                otypes=tuple(_meta_field(meta, "otypes", many=True)),
+                slot_otype=_meta_field(meta, "slot_otype"),
+                int_features=frozenset(_meta_field(meta, "int_features", many=True)),
+                passage_otype=_meta_field(meta, "passage_otype"),
+                provenance=tuple(_meta_field(meta, "provenance", many=True)),
             )
 
             nodes = need(image.NODES)
@@ -548,7 +552,7 @@ class Corpus:
         """``passage_of`` for every row at once: the row of the first passage
         meeting each row, -1 where none does."""
         owner, ps = self._meeting(rows)
-        head = _heads(owner)
+        head = heads(owner)
         first = np.full(len(rows), -1, dtype=np.int64)
         first[owner[head]] = ps[head]
         return first
@@ -558,14 +562,14 @@ class Corpus:
         repeats allowed), and the ids of the rows meeting each: passage k's
         are ``met[bounds[k]:bounds[k + 1]]``.  Both are in canonical order."""
         pos = np.sort(self._canon_pos[rows])
-        rows = self._canon[pos[_heads(pos)]]
+        rows = self._canon[pos[heads(pos)]]
         owner, ps = self._meeting(rows)
         # Group the pairs by passage; a stable sort keeps each group's nodes
         # in canonical order.
         order = np.argsort(self._canon_pos[ps], kind="stable")
         ps, met = ps[order], self._ids[rows[owner[order]]]
-        heads = np.flatnonzero(_heads(ps))
-        return self._ids[ps[heads]], met, np.append(heads, len(met))
+        starts = np.flatnonzero(heads(ps))
+        return self._ids[ps[starts]], met, np.append(starts, len(met))
 
     def up(self, node: int, otype: str | None = None) -> list[int]:
         """Nodes embedding this one (monad superset, self excluded), in

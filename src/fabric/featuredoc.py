@@ -5,12 +5,15 @@ pair of an edge feature that actually occurs, a frequency table of the
 values, rendered both machine-readable and human-readable:
 ``<otype>.<key>.{txt,json}`` and ``edge-<label>.<key>.{txt,json}``, plus an
 index (``index.json``, ``index.txt``) tying the set together.  File names
-write "%", ".", "/", "\\" and control characters as "%XX" (see ``_stem``).
-Regenerating over the same image produces identical files.
+write "%", ".", "/", "\\", "~" and control characters as "%XX" (see
+``_stem``), and a name past 255 UTF-8 bytes is cut short and ends in "~"
+and a hash (see ``_file_name``).  Regenerating over the same image
+produces identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -22,7 +25,8 @@ from .corpus import Corpus
 from .model import EDGE_KIND, NODE_KIND
 
 TRUNCATE_AT = 120
-_UNSAFE_RE = re.compile(r"[%./\\\x00-\x1f\x7f]")
+_UNSAFE_RE = re.compile(r"[%./\\~\x00-\x1f\x7f]")
+_NAME_MAX = 255  # the longest file name, in bytes, most file systems allow
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,12 +89,24 @@ def _title(table: FrequencyTable) -> str:
 
 
 def _stem(table: FrequencyTable) -> str:
-    """The table's file name without its suffix.  Each "%", ".", "/", "\\"
-    and control character of the otype (or label) and key becomes "%XX",
+    """The table's file name without its suffix.  Each "%", ".", "/", "\\",
+    "~" and control character of the otype (or label) and key becomes "%XX",
     its code point in hex, and so does the "-" of a node otype that starts
     "edge-": so every table has its own file, inside the directory."""
     otype, key = (_UNSAFE_RE.sub(lambda m: f"%{ord(m[0]):02X}", name) for name in (table.otype, table.key))
     return f"{re.sub('^edge-', 'edge%2D', otype)}.{key}" if table.kind == NODE_KIND else f"edge-{otype}.{key}"
+
+
+def _file_name(stem: str, ext: str) -> str:
+    """``stem.ext``; where that passes ``_NAME_MAX`` UTF-8 bytes, a prefix
+    of the stem cut at a character boundary, "~" and 16 hex digits of the
+    SHA-256 of the whole stem.  ``_stem`` writes no "~", so a shortened
+    name never equals a name kept whole."""
+    name = f"{stem}.{ext}"
+    if len(name.encode()) <= _NAME_MAX:
+        return name
+    tail = f"~{hashlib.sha256(stem.encode()).hexdigest()[:16]}.{ext}"
+    return stem.encode()[: _NAME_MAX - len(tail)].decode("utf-8", "ignore") + tail
 
 
 def _render_txt(table: FrequencyTable) -> str:
@@ -135,7 +151,7 @@ def render_docs(corpus: Corpus, out_dir: str | Path) -> list[str]:
     for kind in (NODE_KIND, EDGE_KIND):
         found = [t for key in corpus.feature_keys(kind) for t in _tables(corpus, key, kind).values()]
         for table in sorted(found, key=lambda t: (t.otype, t.key)):
-            files = [f"{_stem(table)}.{ext}" for ext in ("txt", "json")]
+            files = [_file_name(_stem(table), ext) for ext in ("txt", "json")]
             (out / files[0]).write_text(_render_txt(table), encoding="utf-8")
             (out / files[1]).write_text(_render_json(table), encoding="utf-8")
             written += files

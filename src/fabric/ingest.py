@@ -25,9 +25,10 @@ byte regex per form, and decodes each field column with one join, one
 UTF-8 decode and one split.  A call with any other file, or with a
 repeated xml:id, runs the handler scan instead: one namespaced ``pyexpat``
 pass per file whose handlers append attribute values, which gives every
-report and error.  Either scan only fills one list per field.  Then
-``_parse_graf`` alone resolves xml:ids: links against the regions', edge
-ends and annotation refs against one index of nodes, then edges.  Column
+report and error.  Either scan only fills one table per element form
+(``_Fields``).  Then ``_parse_graf`` alone resolves xml:ids: links against
+the regions', edge ends and annotation refs against one index of nodes,
+then edges, and it files each report through one locator.  Column
 decoders read whole columns of ids and integers (both front ends) and of
 monad sets (``parse_tabular``) with numpy, and hand only the cells they
 cannot read (anything but plain ASCII numbers and one-run sets) to the
@@ -67,7 +68,9 @@ from .model import (
     MonadSet,
     flat_runs,
     gather,
+    heads,
     region_problem,
+    repeats,
 )
 
 _XML_ID = "http://www.w3.org/XML/1998/namespace}id"  # as expat names it, with "}" between namespace and name
@@ -106,18 +109,6 @@ def _report(errors: list[ValidationIssue], warns: list[ValidationIssue]) -> Vali
     return ValidationReport(errors=tuple(sorted(errors, key=key)), warnings=tuple(sorted(warns, key=key)))
 
 
-def _repeats(*columns: np.ndarray) -> np.ndarray:
-    """Which rows repeat the values of an earlier row in every column."""
-    order = np.lexsort(columns[::-1])
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for col in columns:
-        ordered = col[order]
-        same &= ordered[1:] == ordered[:-1]
-    out = np.zeros(len(order), dtype=bool)
-    out[order[1:]] = same
-    return out
-
-
 def _is_int64(value: str) -> bool:
     """Whether ``value`` is an integer text whose value fits in int64, the
     width queries compare integer-typed values at."""
@@ -150,7 +141,7 @@ def validate(corpus: LogicalCorpus) -> ValidationReport:
 
     ids = c.node_id
     node_at = lambda i: f"node {ids[i]}"
-    dup = _repeats(ids)
+    dup = repeats(ids)
     err("DUPLICATE_NODE_ID", np.flatnonzero(dup), node_at, lambda i: "node id is not unique")
     err("ID_RANGE", np.flatnonzero(~dup & ((ids < 0) | (ids > _U32_MAX))), node_at,
         lambda i: f"node id {ids[i]} exceeds the 32-bit image format limit")
@@ -168,7 +159,7 @@ def validate(corpus: LogicalCorpus) -> ValidationReport:
     err("SLOT_ARITY", np.flatnonzero(slot & (size != 1)), node_at,
         lambda i: "slot-type node must own exactly one monad")
     owners = np.flatnonzero(slot & (size == 1))
-    later = _repeats(lo[owners])
+    later = repeats(lo[owners])
     owner_of = dict(zip(lo[owners[~later]].tolist(), ids[owners[~later]].tolist()))
     err("DUPLICATE_SLOT_NODE", owners[later], node_at,
         lambda i: f"monad {lo[i]} already owned by node {owner_of[int(lo[i])]}")
@@ -186,7 +177,7 @@ def validate(corpus: LogicalCorpus) -> ValidationReport:
     ]
 
     edge_at = lambda i: f"edge {c.edge_id[i]}"
-    edup = _repeats(c.edge_id)
+    edup = repeats(c.edge_id)
     err("DUPLICATE_EDGE_ID", np.flatnonzero(edup), edge_at, lambda i: "edge id is not unique")
     err("ID_RANGE", np.flatnonzero(~edup & ((c.edge_id < 0) | (c.edge_id > _U32_MAX))), edge_at,
         lambda i: f"edge id {c.edge_id[i]} exceeds the 32-bit image format limit")
@@ -205,7 +196,7 @@ def validate(corpus: LogicalCorpus) -> ValidationReport:
     err("DANGLING_TARGET", np.flatnonzero((on_node & ~np.isin(c.target, ids)) | (on_edge & ~np.isin(c.target, c.edge_id))),
         feature_at, lambda i: f"feature targets unknown {'node' if kind(i) == NODE_KIND else 'edge'} {c.target[i]}")
     rows = np.flatnonzero(good)
-    err("DUPLICATE_FEATURE", rows[_repeats(c.kind.codes[rows], c.target[rows], c.key.codes[rows])], feature_at,
+    err("DUPLICATE_FEATURE", rows[repeats(c.kind.codes[rows], c.target[rows], c.key.codes[rows])], feature_at,
         lambda i: "more than one value for this target and key")
     int_rows = good & np.isin(c.key.codes, [i for i, key in enumerate(c.key.strings) if key in meta.int_features])
     not_ints = [v for v in np.unique(c.value.codes[int_rows]).tolist() if not _is_int64(c.value.strings[v])]
@@ -430,36 +421,29 @@ _REGION, _WORD, _NODE, _EDGE, _ANNO = range(5)  # the tables of ``parse_graf``'s
 
 
 class _Fields:
-    """What a scan of the annotation files reads: each element kind's rows
-    as one list per field, in document order, the issues it met, and each
-    table's length at the end of each file."""
+    """What a scan of the annotation files reads: one table per element
+    form, each a list of field columns in document order, the issues it
+    met, and each table's length at the end of each file.  Column 0 is
+    the row's xml:id, or an annotation's ref:
+
+    * ``_REGION``: xml:id, start and end anchor texts (``_parse_graf``
+      reads them as ints);
+    * ``_WORD``, the nodes that link a region: xml:id, region ref;
+    * ``_NODE``, the nodes with monads: xml:id, otype, monad text;
+    * ``_EDGE``: xml:id, from, to, label;
+    * ``_ANNO``, one row per <f>: ref, name, value."""
 
     def __init__(self) -> None:
-        self.region_xid: list[str] = []
-        self.region_start: list[str] = []  # anchor texts; ``_parse_graf`` reads them as ints
-        self.region_end: list[str] = []
-        self.word_xid: list[str] = []  # nodes that link a region
-        self.word_ref: list[str] = []
-        self.node_xid: list[str] = []  # nodes with monads
-        self.node_otype: list[str] = []
-        self.node_monads: list[str] = []
-        self.edge_xid: list[str] = []
-        self.edge_src: list[str] = []
-        self.edge_dst: list[str] = []
-        self.edge_label: list[str] = []
-        self.anno_ref: list[str] = []  # one row per <f>
-        self.anno_key: list[str] = []
-        self.anno_value: list[str] = []
+        self.tables: list[list[list[str]]] = [[[] for _ in range(width)] for width in (3, 2, 3, 4, 3)]
         self.issues: list[ValidationIssue] = []
-        self.file_ends: list[list[int]] = [[] for _ in range(5)]
+        self.file_ends: list[list[int]] = [[] for _ in self.tables]
 
     def error(self, code: str, message: str, file: str, where: str | None = None) -> None:
         self.issues.append(ValidationIssue(code=code, message=message, file=file, where=where))
 
     def end_file(self) -> None:
-        tables = (self.region_xid, self.word_xid, self.node_xid, self.edge_xid, self.anno_ref)
-        for ends, table in zip(self.file_ends, tables):
-            ends.append(len(table))
+        for ends, table in zip(self.file_ends, self.tables):
+            ends.append(len(table[0]))
 
 
 @contextmanager
@@ -549,8 +533,8 @@ def _byte_scan(paths: list[Path]) -> _Fields | None:
             return None
     except (OSError, expat.ExpatError):
         return None
-    xids = len(s.region_xid) + len(s.word_xid) + len(s.node_xid) + len(s.edge_xid)
-    if len(set(chain(s.region_xid, s.word_xid, s.node_xid, s.edge_xid))) != xids:
+    xids = [table[0] for table in s.tables[:_ANNO]]
+    if len(set(chain.from_iterable(xids))) != sum(map(len, xids)):
         return None
     return s
 
@@ -585,21 +569,17 @@ def _read_forms(s: _Fields, data: bytes, start: int, stop: int) -> int:
     """Append the rows of the forms in ``data[start:stop]`` to the field
     lists; returns the number of "<" they hold."""
     held = 0
-    for form, lt, columns in (
-        (_REGION_RE, 1, (s.region_xid, s.region_start, s.region_end)),
-        (_WORD_RE, 3, (s.word_xid, s.word_ref)),
-        (_NODE_RE, 1, (s.node_xid, s.node_otype, s.node_monads)),
-        (_EDGE_RE, 1, (s.edge_xid, s.edge_src, s.edge_dst, s.edge_label)),
-    ):
+    for form, lt, table in zip((_REGION_RE, _WORD_RE, _NODE_RE, _EDGE_RE), (1, 3, 1, 1), s.tables):
         matches = form.findall(data, start, stop)
         held += lt * len(matches)
-        for column, values in zip(columns, zip(*matches)):
+        for column, values in zip(table, zip(*matches)):
             column += _strings(values)
     annos = _ANNO_RE.findall(data, start, stop)
     refs, inners = zip(*annos) if annos else ((), ())
     fs = _F_RE.findall(b"".join(inners))
-    s.anno_ref += chain.from_iterable(map(repeat, _strings(refs), map(bytes.count, inners, repeat(b"<"))))
-    for column, values in zip((s.anno_key, s.anno_value), zip(*fs)):
+    anno_ref, *anno_fields = s.tables[_ANNO]
+    anno_ref += chain.from_iterable(map(repeat, _strings(refs), map(bytes.count, inners, repeat(b"<"))))
+    for column, values in zip(anno_fields, zip(*fs)):
         column += _strings(values)
     return held + 2 * len(annos) + len(fs)
 
@@ -608,12 +588,11 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
     """The field lists of any graph XML files, and the issues met: one
     expat pass per file whose handlers append attribute values."""
     s = _Fields()
-    region_xid, region_start, region_end = s.region_xid, s.region_start, s.region_end
-    word_xid, word_ref = s.word_xid, s.word_ref
-    node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
-    edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
-    anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
     data_err, seen_xids = s.error, set()
+
+    def add(table: int, *row: str) -> None:
+        for column, value in zip(s.tables[table], row):
+            column.append(value)
 
     for anno_path in paths:
         fname = str(anno_path)
@@ -654,9 +633,7 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
                     if anchors is None:
                         data_err("BAD_ANCHORS", f"region {xid!r}: anchors must be two integers", fname, where=xid)
                     else:
-                        region_xid.append(xid)
-                        region_start.append(anchors[1])
-                        region_end.append(anchors[2])
+                        add(_REGION, xid, anchors[1], anchors[2])
             elif tag == "node":
                 xid = claim_xid(attrs, "node")
                 if xid is not None:
@@ -670,15 +647,12 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
                         elif otype not in (None, slot_otype):
                             data_err("BAD_OTYPE", f"linked node {xid!r} cannot have otype {otype!r}", fname, where=xid)
                         else:
-                            word_xid.append(xid)
-                            word_ref.append(targets[0])
+                            add(_WORD, xid, targets[0])
                     elif monads is not None:
                         if otype is None:
                             data_err("MISSING_OTYPE", f"node {xid!r} has no otype", fname, where=xid)
                         else:
-                            node_xid.append(xid)
-                            node_otype.append(otype)
-                            node_monads.append(monads)
+                            add(_NODE, xid, otype, monads)
                     else:
                         data_err("UNANCHORED_NODE", f"node {xid!r} has neither a link nor monads", fname, where=xid)
             elif tag == "edge":
@@ -688,10 +662,7 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
                     if src is None or dst is None:
                         data_err("BAD_EDGE", f"edge {xid!r} needs from and to", fname, where=xid)
                     else:
-                        edge_xid.append(xid)
-                        edge_src.append(src)
-                        edge_dst.append(dst)
-                        edge_label.append(attrs.get("label") or "")
+                        add(_EDGE, xid, src, dst, attrs.get("label") or "")
             elif tag == "a":
                 ref = attrs.get("ref")
                 if ref is None:
@@ -702,9 +673,7 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
                         if name is None or value is None:
                             data_err("BAD_FEATURE", f"<f> under {ref!r} needs name and value", fname, where=ref)
                         else:
-                            anno_ref.append(ref)
-                            anno_key.append(name)
-                            anno_value.append(value)
+                            add(_ANNO, ref, name, value)
 
         with _expat(fname) as parser, open(fname, "rb") as source:
             parser.StartElementHandler, parser.EndElementHandler = start, end
@@ -739,28 +708,25 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         raise IngestError("header names no annotation files", file=str(header))
 
     s = scan(anno_paths, metadata.slot_otype)
-    region_xid, word_xid, word_ref = s.region_xid, s.word_xid, s.word_ref
-    node_xid, node_otype, node_monads = s.node_xid, s.node_otype, s.node_monads
-    edge_xid, edge_src, edge_dst, edge_label = s.edge_xid, s.edge_src, s.edge_dst, s.edge_label
-    anno_ref, anno_key, anno_value = s.anno_ref, s.anno_key, s.anno_value
-    data_err = s.error
-    soft: list[ValidationIssue] = []  # warnings
+    [(region_xid, region_start, region_end), (word_xid, word_ref), (node_xid, node_otype, node_monads),
+     (edge_xid, edge_src, edge_dst, edge_label), (anno_ref, anno_key, anno_value)] = s.tables
+    warns: list[ValidationIssue] = []
 
-    def file_of(table: int, row: int) -> str:
-        return str(anno_paths[bisect_right(s.file_ends[table], row)])
+    def report(code: str, table: int, rows: np.ndarray, message: Callable[[int], str],
+               into: list[ValidationIssue] = s.issues) -> None:
+        """File an issue on each of some rows of a table, in the row's file
+        and with its column 0 as ``where``."""
+        where, ends = s.tables[table][0], s.file_ends[table]
+        into.extend(ValidationIssue(code, message(i), str(anno_paths[bisect_right(ends, i)]), where=where[i])
+                    for i in rows.tolist())
 
-    def id_of(xids: list[str], table: int, rows: list[int]) -> Callable[[int], int | None]:
-        """The per-row id decoder of row ``rows[k]`` of a table."""
-
-        def slow(k: int) -> int | None:
-            xid = xids[rows[k]]
-            nid = extract_id(xid)
-            if nid is None or nid < 1:
-                data_err("BAD_ID", f"xml:id {xid!r} has no positive decimal suffix", file_of(table, rows[k]), where=xid)
-                return None
-            return nid
-
-        return slow
+    def id_column(table: int, rows: np.ndarray, cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of some rows of a table, given their xml:ids ``cells``,
+        and which rows have one; the others are reported."""
+        values, ok = _id_column(cells, lambda k: extract_id(cells[k]) or None)
+        xids = s.tables[table][0]
+        report("BAD_ID", table, rows[~ok], lambda i: f"xml:id {xids[i]!r} has no positive decimal suffix")
+        return values, ok
 
     def resolve(index: dict[str, int], refs: list[str]) -> np.ndarray:  # the row each ref names, or -1
         return np.fromiter(map(index.get, refs, repeat(-1)), np.int64, len(refs))
@@ -769,39 +735,32 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
     # with no region sorts as (0, 0).
     ref_row = resolve(dict(zip(region_xid, range(len(region_xid)))), word_ref)
     span_start, span_end = (
-        np.append(_int_column(t, lambda i: int(t[i]))[0], 0)[ref_row] for t in (s.region_start, s.region_end)
+        np.append(_int_column(t, lambda i: int(t[i]))[0], 0)[ref_row] for t in (region_start, region_end)
     )
     order = np.lexsort((span_end, span_start))
     linked = ref_row[order] >= 0
-    reused = linked & _repeats(ref_row[order])  # a later word on a region already linked
-    for code, rows, message in (
-        ("DANGLING_LINK", order[~linked], lambda i: f"node {word_xid[i]!r} links unknown region {word_ref[i]!r}"),
-        ("REGION_REUSED", order[reused], lambda i: f"region {word_ref[i]!r} linked by more than one node"),
-    ):
-        for i in rows.tolist():
-            data_err(code, message(i), file_of(_WORD, i), where=word_xid[i])
+    reused = linked & repeats(ref_row[order])  # a later word on a region already linked
+    report("DANGLING_LINK", _WORD, order[~linked], lambda i: f"node {word_xid[i]!r} links unknown region {word_ref[i]!r}")
+    report("REGION_REUSED", _WORD, order[reused], lambda i: f"region {word_ref[i]!r} linked by more than one node")
     rows = order[linked & ~reused]
-    word_ids, ok = _id_column(_take(word_xid, rows), id_of(word_xid, _WORD, rows.tolist()))
+    word_ids, ok = id_column(_WORD, rows, _take(word_xid, rows))
     bad = ok & ~((span_start[rows] >= 0) & (span_start[rows] < span_end[rows]))
-    for i in rows[bad].tolist():
-        data_err("BAD_ANCHORS", f"region {word_ref[i]!r}: {region_problem(span_start[i], span_end[i])}",
-                 file_of(_WORD, i), where=word_xid[i])
+    report("BAD_ANCHORS", _WORD, rows[bad],
+           lambda i: f"region {word_ref[i]!r}: {region_problem(span_start[i], span_end[i])}")
     words, word_ids = rows[ok & ~bad], word_ids[ok & ~bad]
     used = np.zeros(len(region_xid), dtype=bool)
     used[ref_row[order[linked]]] = True
-    for i in np.flatnonzero(~used).tolist():
-        soft.append(ValidationIssue("UNUSED_REGION", f"region {region_xid[i]!r} is not linked by any node",
-                                    file_of(_REGION, i), where=region_xid[i]))
+    report("UNUSED_REGION", _REGION, np.flatnonzero(~used),
+           lambda i: f"region {region_xid[i]!r} is not linked by any node", into=warns)
 
-    node_ids, ok = _id_column(node_xid, id_of(node_xid, _NODE, list(range(len(node_xid)))))
+    node_ids, ok = id_column(_NODE, np.arange(len(node_xid)), node_xid)
     rows = np.flatnonzero(ok)
 
     def runs_of(k: int) -> tuple[tuple[int, int], ...] | None:
-        i = rows[k]
         try:
-            return MonadSet.parse(node_monads[i]).runs
+            return MonadSet.parse(node_monads[rows[k]]).runs
         except ValueError as exc:
-            data_err("BAD_MONADS", f"node {node_xid[i]!r}: {exc}", file_of(_NODE, i), where=node_xid[i])
+            report("BAD_MONADS", _NODE, rows[k : k + 1], lambda i: f"node {node_xid[i]!r}: {exc}")
             return None
 
     # Monad texts go through ``MonadSet.parse`` one node at a time, not
@@ -821,21 +780,19 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
     # Edge ends resolve against the nodes alone; annotation refs also against the edges kept, appended below.
     index = dict(zip(_take(word_xid, words) + _take(node_xid, rows[ok]), range(len(nodes[0]))))
 
-    edge_ids, ok = _id_column(edge_xid, id_of(edge_xid, _EDGE, list(range(len(edge_xid)))))
+    edge_ids, ok = id_column(_EDGE, np.arange(len(edge_xid)), edge_xid)
     rows = np.flatnonzero(ok)
     src, dst = (resolve(index, _take(refs, rows)) for refs in (edge_src, edge_dst))
     found = (src >= 0) & (dst >= 0)
-    for i in rows[~found].tolist():
-        data_err("DANGLING_EDGE_REF", f"edge {edge_xid[i]!r} references unknown node", file_of(_EDGE, i), where=edge_xid[i])
+    report("DANGLING_EDGE_REF", _EDGE, rows[~found], lambda i: f"edge {edge_xid[i]!r} references unknown node")
     rows = rows[found]
     edges = (edge_ids[rows], nodes[0][src[found]], nodes[0][dst[found]], _take(edge_label, rows))
     index.update(zip(_take(edge_xid, rows), range(len(nodes[0]), len(nodes[0]) + len(rows))))
 
     at = resolve(index, anno_ref)
-    for i in np.flatnonzero(at < 0).tolist():
-        data_err("DANGLING_REF", f"annotation references unknown id {anno_ref[i]!r}", file_of(_ANNO, i), where=anno_ref[i])
+    report("DANGLING_REF", _ANNO, np.flatnonzero(at < 0), lambda i: f"annotation references unknown id {anno_ref[i]!r}")
 
-    _check(_report(s.issues, soft))  # from here on, every ref was found
+    _check(_report(s.issues, warns))  # from here on, every ref was found
     targets = np.concatenate((nodes[0], edges[0]))[at]
     kinds = np.where(at < len(nodes[0]), NODE_KIND, EDGE_KIND).tolist()
     slots = (span_start[words], span_end[words])
@@ -973,10 +930,8 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
     # slot, which a row with a bad region does not.
     order = np.argsort(idx, kind="stable")
     took = np.cumsum(fine[order]) - fine[order]  # slots taken before each row, in index order
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = idx[order][1:] != idx[order][:-1]
     again = np.empty(len(order), dtype=bool)
-    again[order] = took > took[np.maximum.accumulate(np.where(head, np.arange(len(order)), 0))]
+    again[order] = took > took[np.maximum.accumulate(np.where(heads(idx[order]), np.arange(len(order)), 0))]
     for i in np.flatnonzero(again).tolist():
         row_err(slots_path, linenos[rows[i]], "DUPLICATE_SLOT", f"slot {idx[i]} defined twice")
     for i in np.flatnonzero(~again & ~fine).tolist():

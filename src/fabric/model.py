@@ -242,6 +242,24 @@ def gather(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out, np.repeat(starts - out[:-1], sizes) + np.arange(out[-1])
 
 
+def heads(*columns: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows starts, as a mask: the first row, and
+    every row that differs from the one before it in some column."""
+    head = np.zeros(len(columns[0]), dtype=bool)
+    head[:1] = True
+    for col in columns:
+        head[1:] |= col[1:] != col[:-1]
+    return head
+
+
+def repeats(*columns: np.ndarray) -> np.ndarray:
+    """Which rows repeat the values of an earlier row in every column."""
+    order = np.lexsort(columns[::-1])
+    out = np.empty(len(order), dtype=bool)
+    out[order] = ~heads(*(col[order] for col in columns))
+    return out
+
+
 def flat_runs(runs: Sequence[tuple[tuple[int, int], ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monad sets given as run tuples, as ``Columns`` holds them: the
     offsets of each set's runs, and the first and last monad of each run."""

@@ -64,8 +64,9 @@ from typing import Iterator
 
 import numpy as np
 
-from ..corpus import Corpus, _heads
+from ..corpus import Corpus
 from ..errors import QueryError
+from ..model import heads
 from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Placed, Query, parse
 
 
@@ -323,7 +324,7 @@ class _Eval:
         for child, (parent, kids) in zip(children, pairs):
             # The pairs ascend by parent: each kept row's run of them is its segment.
             sel = keep[parent]
-            self._csr[id(child)] = (np.append(np.flatnonzero(_heads(parent[sel])), np.count_nonzero(sel)), kids[sel])
+            self._csr[id(child)] = (np.append(np.flatnonzero(heads(parent[sel])), np.count_nonzero(sel)), kids[sel])
         return rows[keep]
 
     # -- the match table --------------------------------------------------------

@@ -33,6 +33,7 @@ from .model import (
     MonadSet,
     Node,
     Region,
+    heads,
 )
 from .query.syntax import quote_string
 
@@ -312,10 +313,10 @@ def write_graf(corpus: LogicalCorpus, directory: str | Path, *, stem: str = "cor
     names, values = list(map(_quoted, c.key.strings)), list(map(_quoted, c.value.strings))
     fs = list(map("<f name={} value={}/>".format,
                   map(names.__getitem__, c.key.codes.tolist()), map(values.__getitem__, c.value.codes.tolist())))
-    heads = np.flatnonzero((np.diff(c.kind.codes, prepend=-1) != 0) | (np.diff(c.target, prepend=-1) != 0))
+    starts = np.flatnonzero(heads(c.kind.codes, c.target))
     prefix = ["n" if kind == NODE_KIND else "e" for kind in c.kind.strings]
-    annotations = map('<a ref="{}{}">{}</a>'.format, map(prefix.__getitem__, c.kind.codes[heads].tolist()),
-                      c.target[heads].tolist(), _joined(fs, [*heads.tolist(), len(fs)], ""))
+    annotations = map('<a ref="{}{}">{}</a>'.format, map(prefix.__getitem__, c.kind.codes[starts].tolist()),
+                      c.target[starts].tolist(), _joined(fs, [*starts.tolist(), len(fs)], ""))
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<graph>", *regions, *nodes, *edges, *annotations, "</graph>"]
     (base / f"{stem}.xml").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return _graf_header(base, stem, meta)

@@ -415,6 +415,10 @@ class TestImportValidation:
         with pytest.raises(StoreError, match="not valid JSON"):
             import_bytes(b"{nope")
 
+    def test_rejects_json_nested_too_deeply(self):
+        with pytest.raises(StoreError, match="not valid JSON"):
+            import_bytes(b"[" * 200_000 + b"]" * 200_000)
+
     def test_rejects_wrong_version(self, toy4_corpus):
         doc = self.doc(toy4_corpus, format_version=9)
         with pytest.raises(StoreError, match="format_version"):

@@ -470,6 +470,24 @@ class TestFeatures:
         assert "verse.a%2Fb.txt" in json.loads(stdout)["files"]
         assert (tmp_path / "docs" / "verse.a%2Fb.txt").is_file()
 
+    def test_keys_too_long_for_a_file_name(self, capsys, tmp_path):
+        """Two 300-character keys that share their first 280 characters."""
+        base = toy4()
+        keys = ["k" * 280 + "a" * 20, "k" * 280 + "b" * 20]
+        image = tmp_path / "long.fab"
+        features = base.features + tuple(FeatureAssignment("N", 301, key, "v") for key in keys)
+        compile_corpus(replace(base, features=features), image)
+        out = tmp_path / "docs"
+        code, stdout, _ = run(capsys, "features", str(image), str(out), "--format", "json")
+        assert code == 0
+        files = json.loads(stdout)["files"]
+        assert max(len(name.encode()) for name in files) <= 255
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        index = json.loads((out / "index.json").read_text(encoding="utf-8"))
+        assert sorted(name for row in index["tables"] for name in row["files"]) == sorted(files[:-2])
+        long = [name for row in index["tables"] if row["key"] in keys for name in row["files"]]
+        assert len(set(long)) == 4
+
 
 class TestAnnotate:
     def test_save_list_margin_page(self, image, capsys, tmp_path):
@@ -576,6 +594,22 @@ class TestAnnotate:
         )
         assert code == 1
         assert "not a verse" in err
+
+    @pytest.mark.parametrize("raw", ["n\u0663\u0660\u0661", "\u0663\u0660\u0661", "n\uff13\uff10\uff11", "n301\n", "+301"])
+    def test_margin_takes_ascii_ids_only(self, image, capsys, tmp_path, raw):
+        """Each of these reads as 301 under ``int``."""
+        store = str(tmp_path / "store.json")
+        code, stdout, err = run(capsys, "annotate", image, store, "margin", "--passage", raw)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [f"fabric: not a node id: {raw!r}"]
+
+    def test_store_nested_too_deeply(self, image, capsys, tmp_path):
+        store = tmp_path / "store.json"
+        store.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        code, stdout, err = run(capsys, "annotate", image, str(store), "list")
+        assert (code, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fabric: store file is not valid JSON: ")
 
     def test_page_unknown_id(self, image, capsys, tmp_path):
         store = str(tmp_path / "store.json")

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import json
 import random
 import re
 import struct
@@ -42,6 +43,14 @@ def rewrite_section(data: bytes, name: str, at: int, new: bytes) -> bytes:
     crc_at = HEADER.size + 32 * i + 24  # the CRC field of directory entry i
     struct.pack_into("<I", out, crc_at, zlib.crc32(out[e.offset : e.offset + e.length]))
     return bytes(out)
+
+
+def replace_section(data: bytes, name: str, payload: bytes) -> bytes:
+    """The image with one section's payload replaced by one of any length,
+    every CRC recomputed."""
+    view = memoryview(data)
+    sections = [(e.id, bytes(view[e.offset : e.offset + e.length])) for e in image.read_directory(data)]
+    return image.build_image([(sid, payload if image.section_name(sid) == name else old) for sid, old in sections])
 
 
 def bad_otype_code(data: bytes) -> bytes:
@@ -369,6 +378,29 @@ class TestCorruption:
         with pytest.raises(ImageError) as exc:
             Corpus.from_bytes(rewrite_section(toy4_bytes, name, at, new))
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+
+    def test_deeply_nested_metadata_is_an_image_error(self, toy4_bytes, tmp_path, capsys):
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(replace_section(toy4_bytes, "metadata", b"[" * 100_000 + b"]" * 100_000))
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_file(bad)
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "metadata")
+        assert main(["info", str(bad)]) == 2
+        assert "section metadata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("passage_otype", ["verse"]), ("int_features", "lex"), ("otypes", ["word", 3])]
+    )
+    def test_metadata_of_the_wrong_shape_is_an_image_error(self, toy4_bytes, tmp_path, capsys, field, value):
+        entry = next(e for e in image.read_directory(toy4_bytes) if e.name == "metadata")
+        meta = json.loads(toy4_bytes[entry.offset : entry.offset + entry.length])
+        bad = tmp_path / "bad.fab"
+        bad.write_bytes(replace_section(toy4_bytes, "metadata", json.dumps({**meta, field: value}).encode()))
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_file(bad)
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "metadata")
+        assert main(["query", str(bad), "-q", '[word lex="fox"]']) == 2
+        assert "section metadata" in capsys.readouterr().err
 
     def test_malformed_feature_store_is_an_image_error(self, toy4_bytes):
         store = next(e.name for e in image.read_directory(toy4_bytes) if e.id >= image.FEATURE_BASE)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -233,6 +234,20 @@ class TestFileNames:
         assert "verse.k%00e%09y.txt" in written
         doc = json.loads((tmp_path / "verse.k%00e%09y.json").read_text(encoding="utf-8"))
         assert (doc["key"], doc["values"]) == ("k\0e\ty", [{"value": "v", "count": 1}])
+
+    def test_long_names_are_cut_at_a_character(self, tmp_path):
+        """A name past 255 bytes keeps a prefix that ends on a whole
+        character, then "~" and a hash; a key's own "~" is escaped, so no
+        name kept whole holds one."""
+        long_key, tilde = FeatureAssignment("N", 301, "\u00e9" * 150, "v"), FeatureAssignment("N", 301, "a~b", "w")
+        corpus = renamed({}, features=(long_key, tilde))
+        written = render_docs(corpus, tmp_path)
+        assert "verse.a%7Eb.txt" in written
+        long = [name for name in written if "\u00e9" in name]
+        assert len(long) == 2
+        for name in long:
+            assert re.fullmatch("verse\\.\u00e9+~[0-9a-f]{16}\\.(txt|json)", name)
+            assert len(name.encode()) <= 255
 
     def test_names_that_would_share_a_file(self, tmp_path):
         """Read as another split at a dot, or as an edge label's table, the

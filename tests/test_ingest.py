@@ -753,6 +753,41 @@ class TestGrafParsing:
         with pytest.warns(IngestWarning, match="UNUSED_REGION"):
             parse_graf(self.header(tmp_path, xml))
 
+    @pytest.mark.parametrize("scan", ["stage 2", "handler scan"])
+    def test_reports_name_the_file_of_their_row(self, tmp_path, scan):
+        """With two annotation files, each report made after the scan names
+        the file that holds its row."""
+        (tmp_path / "c.txt").write_text("ab cd", encoding="utf-8")
+        (tmp_path / "a.xml").write_text("""<graph>
+<region xml:id="r1" anchors="0 2"/>
+<region xml:id="r3" anchors="3 5"/>
+<node xml:id="n1"><link targets="r1"/></node>
+<node xml:id="n4" otype="phrase" monads="2-1"/>
+<edge xml:id="e1" from="n1" to="n7" label="dep"/>
+</graph>
+""", encoding="utf-8")
+        (tmp_path / "b.xml").write_text("""<graph>
+<region xml:id="r2" anchors="3 5"/>
+<node xml:id="n2"><link targets="r2"/></node>
+<node xml:id="n3"><link targets="r9"/></node>
+<node xml:id="x" otype="phrase" monads="1"/>
+<a ref="n8"><f name="k" value="v"/></a>
+</graph>
+""", encoding="utf-8")
+        (tmp_path / "c.graf").write_text("text=c.txt\nannotations=a.xml b.xml\n", encoding="utf-8")
+        assert _byte_scan([tmp_path / "a.xml", tmp_path / "b.xml"]) is not None  # stage 2 reads these files
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(tmp_path / "c.graf") if scan == "stage 2" else _parse_graf(tmp_path / "c.graf", _handler_scan)
+        report = exc.value.report
+        assert [(i.code, Path(i.file).name, i.where) for i in report.errors] == [
+            ("BAD_MONADS", "a.xml", "n4"),
+            ("DANGLING_EDGE_REF", "a.xml", "e1"),
+            ("BAD_ID", "b.xml", "x"),
+            ("DANGLING_LINK", "b.xml", "n3"),
+            ("DANGLING_REF", "b.xml", "n8"),
+        ]
+        assert [(i.code, Path(i.file).name, i.where) for i in report.warnings] == [("UNUSED_REGION", "a.xml", "r3")]
+
     def test_not_xml(self, tmp_path):
         with pytest.raises(IngestError):
             parse_graf(self.header(tmp_path, "not xml at all"))
