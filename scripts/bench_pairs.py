@@ -12,7 +12,10 @@ quartiles, the change's median over the parent's, and the pairs the
 change won and lost (ties count for neither; "better" is read from the
 change's ``BENCHMARK.json``).  A metric is marked as a gain when the
 change won at least nine tenths of the pairs and its median is better by
-more than the distance between the parent's quartiles.
+more than the distance between the parent's quartiles, and as WORSE when
+the change's median is worse than the parent's by more than the metric's
+``bound`` there (a ``lower`` metric above the parent's median times
+1 + bound, a ``higher`` one below it times 1 - bound).
 
 The two result digests of each seed must be equal.  The runs and the
 summary are written under the workload's name into ``--out``, the
@@ -82,9 +85,10 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per metric both sides report in every pair: each side's median and
-    quartiles, and the pairs the change won and lost."""
+    quartiles, the pairs the change won and lost, whether it is a gain, and
+    whether it is worse than its bound (a metric with no bound never is)."""
     names = set.intersection(*(set(pair[side]["metrics"]) for pair in pairs for side in SIDES))
     out = {}
     for name in sorted(names):
@@ -94,7 +98,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         parent, change = _spread(values["parent"]), _spread(values["change"])
         wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
         gain = wins >= 0.9 * len(pairs) and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
-        out[name] = {"parent": parent, "change": change, "wins": wins, "losses": losses, "gain": gain}
+        bound = (bounds or {}).get(name)
+        # The parent's median moved by the bound in the worse direction.
+        worse = bound is not None and sign * (change["median"] - parent["median"] * (1 - sign * bound)) < 0
+        out[name] = {"parent": parent, "change": change, "wins": wins, "losses": losses, "gain": gain, "worse": worse}
     return out
 
 
@@ -102,6 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     pairs, bad = [], False
     for k, seed in enumerate(args.seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -113,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         bad |= not (same and pair["parent"]["ok"] and pair["change"]["ok"])
         pairs.append(pair)
         print(f"seed {seed}: {order[0]} first, digests {'equal' if same else 'DIFFER'}", flush=True)
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     print(f"-- {args.workload}: {len(pairs)} pairs, {args.seconds:g} s runs --")
     print(f"{'metric':26s} {'parent median [q1, q3]':>31s} {'change median [q1, q3]':>32s}   ratio  won lost")
     for name, s in summary.items():
@@ -122,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name:26s} {p['median']:12.5g} [{p['q1']:.5g}, {p['q3']:.5g}]".ljust(58)
             + f"{c['median']:12.5g} [{c['q1']:.5g}, {c['q3']:.5g}]".ljust(33)
-            + f"{ratio:7.3f} {s['wins']:4d} {s['losses']:4d}{'  gain' if s['gain'] else ''}"
+            + f"{ratio:7.3f} {s['wins']:4d} {s['losses']:4d}{'  gain' if s['gain'] else ''}{'  WORSE' if s['worse'] else ''}"
         )
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     record[args.workload] = {

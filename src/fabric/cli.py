@@ -261,11 +261,8 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
                     print(f"error: {exc}", file=sys.stderr)
                 continue
             if cmd == ":limit":
-                if rest == "off":
-                    limit = None
-                    continue
                 try:
-                    limit = int(rest)
+                    limit = None if rest == "off" else _integer(rest)
                 except ValueError:
                     print("usage: :limit N | :limit off", file=sys.stderr)
                 continue
@@ -298,6 +295,22 @@ def _open_store(path: str, corpus: Corpus) -> AnnotationStore:
     if Path(path).exists():
         return import_store(path, corpus)
     return AnnotationStore.for_corpus(corpus)
+
+
+def _ascii_number(pattern: str, convert):
+    """An argparse type: ``convert`` of a value that ``pattern``, an ASCII
+    pattern, matches whole; any other value is a ``ValueError``."""
+
+    def parse(raw: str):
+        if re.fullmatch(pattern, raw) is None:
+            raise ValueError(raw)
+        return convert(raw)
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+_integer, _seconds = _ascii_number("-?[0-9]+", int), _ascii_number(r"[0-9]+(?:\.[0-9]+)?", float)
 
 
 def _node_arg(raw: str) -> int:
@@ -474,14 +487,14 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("-q", "--query", help="query text")
     g.add_argument("-f", "--query-file", help="file containing the query")
-    p.add_argument("--limit", type=int, help="stop after N matches")
-    p.add_argument("--timeout", type=float, metavar="SECONDS", help="stop after SECONDS of wall time")
+    p.add_argument("--limit", type=_integer, help="stop after N matches")
+    p.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="stop after SECONDS of wall time")
     add_format(p)
 
     p = sub.add_parser("repl", help="interactive query loop")
     p.add_argument("image")
-    p.add_argument("--limit", type=int, help="default match limit")
-    p.add_argument("--timeout", type=float, metavar="SECONDS", help="time limit of each query")
+    p.add_argument("--limit", type=_integer, help="default match limit")
+    p.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="time limit of each query")
     add_format(p)
 
     p = sub.add_parser("features", help="generate feature frequency documentation")
@@ -512,9 +525,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(pm)
 
     pp = asub.add_parser("page", help="one page of a saved query's verses")
-    pp.add_argument("--id", type=int, required=True)
-    pp.add_argument("--page", type=int, default=1)
-    pp.add_argument("--page-size", type=int, default=25)
+    pp.add_argument("--id", type=_integer, required=True)
+    pp.add_argument("--page", type=_integer, default=1)
+    pp.add_argument("--page-size", type=_integer, default=25)
     add_format(pp)
 
     return parser

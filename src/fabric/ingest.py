@@ -31,10 +31,11 @@ the regions', edge ends and annotation refs against one index of nodes,
 then edges, and it files each report through one locator.  Column
 decoders read whole columns of ids and integers (both front ends) and of
 monad sets (``parse_tabular``) with numpy, and hand only the cells they
-cannot read (anything but plain ASCII numbers and one-run sets) to the
-per-row decoders (``extract_id``, ``int``, ``MonadSet.parse``), which give
-every value and report.  ``parse_graf`` parses each node's monad text
-with ``MonadSet.parse``.
+cannot read (anything but plain ASCII numbers and one-run sets) to one
+per-row fallback, whose decoders (``extract_id``, ``int``,
+``MonadSet.parse``) only decode; each front end reports a column's
+rejected rows once the column is done.  ``parse_graf`` hands every node's
+monad text to that fallback, so ``MonadSet.parse`` reads each one.
 
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
@@ -107,15 +108,6 @@ class ValidationReport:
 def _report(errors: list[ValidationIssue], warns: list[ValidationIssue]) -> ValidationReport:
     key = lambda i: (i.file or "", i.line or 0, i.code, i.where or "", i.message)
     return ValidationReport(errors=tuple(sorted(errors, key=key)), warnings=tuple(sorted(warns, key=key)))
-
-
-def _is_int64(value: str) -> bool:
-    """Whether ``value`` is an integer text whose value fits in int64, the
-    width queries compare integer-typed values at."""
-    try:
-        return -(2**63) <= int(value) < 2**63
-    except ValueError:
-        return False
 
 
 def validate(corpus: LogicalCorpus) -> ValidationReport:
@@ -199,8 +191,11 @@ def validate(corpus: LogicalCorpus) -> ValidationReport:
     err("DUPLICATE_FEATURE", rows[repeats(c.kind.codes[rows], c.target[rows], c.key.codes[rows])], feature_at,
         lambda i: "more than one value for this target and key")
     int_rows = good & np.isin(c.key.codes, [i for i, key in enumerate(c.key.strings) if key in meta.int_features])
-    not_ints = [v for v in np.unique(c.value.codes[int_rows]).tolist() if not _is_int64(c.value.strings[v])]
-    err("INT_VALUE", np.flatnonzero(int_rows & np.isin(c.value.codes, not_ints)), feature_at,
+    # A value must be an integer that fits in int64, the width queries compare integer-typed values at.
+    codes = np.unique(c.value.codes[int_rows])
+    values, ok = _int_column(_take(c.value.strings, codes))
+    ok &= np.fromiter((-(2**63) <= v < 2**63 for v in values.tolist()), bool, len(codes))
+    err("INT_VALUE", np.flatnonzero(int_rows & np.isin(c.value.codes, codes[~ok])), feature_at,
         lambda i: f"key {c.key.strings[c.key.codes[i]]!r} is integer-typed but value is "
         f"{c.value.strings[c.value.codes[i]]!r}")
 
@@ -283,14 +278,14 @@ def _read_text_file(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# column decoders (ids and integers in both front ends, monad sets in tables)
+# column decoders (ids and integers in both front ends and ``validate``, monad sets in tables)
 # ---------------------------------------------------------------------------
 #
 # Each decodes a whole column of source text with a few numpy passes and
-# hands only the rows it cannot take to ``slow``, the per-row decoder,
-# which returns the row's value, or None after reporting why it rejects it.
-# The bulk pass takes a subset of what the per-row decoder accepts, so
-# values and reports are the per-row decoder's.
+# hands only the cells it cannot take to ``_fallback``, which runs the
+# per-row decoder.  The bulk pass takes a subset of what the per-row
+# decoder accepts, so values are the per-row decoder's.  No decoder files
+# a report: the caller reports the rows a column rejects.
 
 
 def _digits(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,19 +330,37 @@ def _numbers(cells: list[str], head: bool = False, dash: bool = False) -> tuple[
     return first, np.where(one, first, last), ok & (one | ok_last)
 
 
-def _fallback(ok: np.ndarray, slow: Callable[[int], object]) -> tuple[list[int], list, np.ndarray]:
-    """Run ``slow`` on each row the bulk pass left (``ok`` false): the rows
-    it decodes, their values, and which rows are decoded now."""
-    rows = np.flatnonzero(~ok).tolist()
-    got = list(map(slow, rows))
-    kept = [value is not None for value in got]
+def _positive_id(cell: str) -> int:
+    """A cell's id as ``extract_id`` reads it, when that is at least 1."""
+    nid = extract_id(cell)
+    if not nid:
+        raise ValueError(f"no positive id in {cell!r}")
+    return nid
+
+
+def _runs(text: str) -> tuple[tuple[int, int], ...]:
+    return MonadSet.parse(text).runs  # looked up at each call: the traced bench swaps it
+
+
+def _fallback(ok: np.ndarray, cells: list[str], slow: Callable[[str], object]) -> tuple[np.ndarray, list, np.ndarray, dict]:
+    """The one place that runs a per-row decoder: hand each cell where ``ok``
+    is false to ``slow``, which returns its value or raises ``ValueError``.
+    The rows it decodes, their values, which rows are decoded now, and the
+    error text of each row it rejects."""
+    rows, got, why = [], [], {}
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            got.append(slow(cells[i]))
+            rows.append(i)
+        except ValueError as exc:
+            why[i] = str(exc)
     ok = ok.copy()
-    ok[rows] = kept
-    return list(compress(rows, kept)), list(compress(got, kept)), ok
+    ok[rows] = True
+    return np.array(rows, np.int64), got, ok, why
 
 
-def _column(values: np.ndarray, ok: np.ndarray, slow: Callable[[int], int | None]) -> tuple[np.ndarray, np.ndarray]:
-    rows, got, ok = _fallback(ok, slow)
+def _column(values: np.ndarray, ok: np.ndarray, cells: list[str], slow: Callable[[str], int]) -> tuple[np.ndarray, np.ndarray]:
+    rows, got, ok, _ = _fallback(ok, cells, slow)
     try:
         values[rows] = got
     except OverflowError:  # exact Python ints; ``Columns`` clips them
@@ -356,38 +369,36 @@ def _column(values: np.ndarray, ok: np.ndarray, slow: Callable[[int], int | None
     return values, ok
 
 
-def _int_column(cells: list[str], slow: Callable[[int], int | None]) -> tuple[np.ndarray, np.ndarray]:
+def _int_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """An integer column, as ``int()`` reads it: values and which rows
     decoded."""
     values, _, ok = _numbers(cells)
-    return _column(values, ok, slow)
+    return _column(values, ok, cells, int)
 
 
-def _id_column(cells: list[str], slow: Callable[[int], int | None]) -> tuple[np.ndarray, np.ndarray]:
+def _id_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """An id column, as ``extract_id`` reads ids, each at least 1: values
     and which rows decoded."""
     values, _, ok = _numbers(cells, head=True)
-    return _column(values, ok & (values >= 1), slow)
+    return _column(values, ok & (values >= 1), cells, _positive_id)
 
 
-def _monad_column(
-    cells: list[str], slow: Callable[[int], tuple[tuple[int, int], ...] | None]
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """A monad set column: its runs as ``Columns`` holds them, and which
-    rows decoded.  One-run text goes straight into the run arrays; only
-    the rest is parsed into run tuples, by ``slow``."""
+def _monad_column(cells: list[str]) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, dict[int, str]]:
+    """A monad set column: its runs as ``Columns`` holds them, which rows
+    decoded, and why each other row did not.  One-run text goes straight
+    into the run arrays; only the rest is parsed into run tuples."""
     lo, hi, one = _numbers(cells, dash=True)
     one &= (lo >= 1) & (lo <= hi)
-    rows, got, ok = _fallback(one, slow)
+    rows, got, ok, why = _fallback(one, cells, _runs)
     size = one.astype(np.int64)
     size[rows] = list(map(len, got))
     offsets = np.zeros(len(cells) + 1, np.int64)
     np.cumsum(size, out=offsets[1:])
     first, last = np.empty(offsets[-1], np.int64), np.empty(offsets[-1], np.int64)
     first[offsets[:-1][one]], last[offsets[:-1][one]] = lo[one], hi[one]
-    at = gather(offsets, np.array(rows, np.int64))[1]
+    at = gather(offsets, rows)[1]
     first[at], last[at] = flat_runs(got)[1:]
-    return (offsets, first, last), ok
+    return (offsets, first, last), ok, why
 
 
 def _take(values: list, rows: np.ndarray) -> list:
@@ -395,12 +406,6 @@ def _take(values: list, rows: np.ndarray) -> list:
     if rows.dtype == bool:
         return list(compress(values, rows.tolist()))
     return list(map(values.__getitem__, rows.tolist()))
-
-
-def _node_table(ids: np.ndarray, otypes: list[str], runs, keep: np.ndarray):
-    """The nodes where ``keep`` is set: ids, otypes and runs."""
-    offsets, at = gather(runs[0], np.flatnonzero(keep))
-    return ids[keep], _take(otypes, keep), (offsets, runs[1][at], runs[2][at])
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +728,7 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
     def id_column(table: int, rows: np.ndarray, cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """The ids of some rows of a table, given their xml:ids ``cells``,
         and which rows have one; the others are reported."""
-        values, ok = _id_column(cells, lambda k: extract_id(cells[k]) or None)
+        values, ok = _id_column(cells)
         xids = s.tables[table][0]
         report("BAD_ID", table, rows[~ok], lambda i: f"xml:id {xids[i]!r} has no positive decimal suffix")
         return values, ok
@@ -732,11 +737,11 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         return np.fromiter(map(index.get, refs, repeat(-1)), np.int64, len(refs))
 
     # Slot assembly: word regions sorted by start become slots 1..W.  A word
-    # with no region sorts as (0, 0).
-    ref_row = resolve(dict(zip(region_xid, range(len(region_xid)))), word_ref)
-    span_start, span_end = (
-        np.append(_int_column(t, lambda i: int(t[i]))[0], 0)[ref_row] for t in (region_start, region_end)
-    )
+    # with no region, or one whose anchors int() refuses, sorts as (0, 0).
+    (starts, a), (ends, b) = _int_column(region_start), _int_column(region_end)
+    report("BAD_ANCHORS", _REGION, np.flatnonzero(~(a & b)), lambda i: f"region {region_xid[i]!r}: anchors must be two integers")
+    ref_row = resolve(dict(zip(_take(region_xid, a & b), np.flatnonzero(a & b).tolist())), word_ref)
+    span_start, span_end = np.append(starts, 0)[ref_row], np.append(ends, 0)[ref_row]
     order = np.lexsort((span_end, span_start))
     linked = ref_row[order] >= 0
     reused = linked & repeats(ref_row[order])  # a later word on a region already linked
@@ -754,22 +759,14 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
            lambda i: f"region {region_xid[i]!r} is not linked by any node", into=warns)
 
     node_ids, ok = id_column(_NODE, np.arange(len(node_xid)), node_xid)
-    rows = np.flatnonzero(ok)
-
-    def runs_of(k: int) -> tuple[tuple[int, int], ...] | None:
-        try:
-            return MonadSet.parse(node_monads[rows[k]]).runs
-        except ValueError as exc:
-            report("BAD_MONADS", _NODE, rows[k : k + 1], lambda i: f"node {node_xid[i]!r}: {exc}")
-            return None
-
-    # Monad texts go through ``MonadSet.parse`` one node at a time, not
-    # ``_monad_column``: the traced bench times these calls
-    # (``model.monadset_parse_s``) and requires them on every XML build.
-    got = list(map(runs_of, range(len(rows))))
-    ok = np.fromiter((r is not None for r in got), bool, len(got))
-    runs = flat_runs([r or () for r in got])
-    ids, otypes, (offsets, first, last) = _node_table(node_ids[rows], _take(node_otype, rows), runs, ok)
+    # The monad text of each node with an id goes to ``MonadSet.parse``, one
+    # node at a time, with no bulk pass (``_monad_column``): the traced
+    # bench times these calls (``model.monadset_parse_s``) and requires them
+    # on every XML build.  A node without an id counts as decoded.
+    rows, got, parsed, why = _fallback(~ok, node_monads, _runs)
+    report("BAD_MONADS", _NODE, np.flatnonzero(~parsed), lambda i: f"node {node_xid[i]!r}: {why[i]}")
+    ids, otypes, (offsets, first, last) = node_ids[rows], _take(node_otype, rows), flat_runs(got)
+    del got
     width = len(words)
     monad = np.arange(1, width + 1, dtype=np.int64)  # slot k owns monad k
     nodes = (
@@ -778,7 +775,7 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         (np.concatenate((monad - 1, offsets + width)), np.concatenate((monad, first)), np.concatenate((monad, last))),
     )
     # Edge ends resolve against the nodes alone; annotation refs also against the edges kept, appended below.
-    index = dict(zip(_take(word_xid, words) + _take(node_xid, rows[ok]), range(len(nodes[0]))))
+    index = dict(zip(_take(word_xid, words) + _take(node_xid, rows), range(len(nodes[0]))))
 
     edge_ids, ok = id_column(_EDGE, np.arange(len(edge_xid)), edge_xid)
     rows = np.flatnonzero(ok)
@@ -896,35 +893,26 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
 
     issues: list[ValidationIssue] = []
 
-    def row_err(path: Path, lineno: int, code: str, message: str) -> None:
-        issues.append(ValidationIssue(code=code, message=message, file=str(path), line=lineno))
+    def report(path: Path, lines: list[int], code: str, rows: np.ndarray, message: Callable[[int], str]) -> None:
+        """File an issue on each of some rows of a table, at its line."""
+        issues.extend(ValidationIssue(code, message(i), str(path), lines[i]) for i in rows.tolist())
 
-    def parse_int(path: Path, lineno: int, cell: str, what: str) -> int | None:
-        try:
-            return int(cell)
-        except ValueError:
-            row_err(path, lineno, "BAD_INT", f"{what} must be an integer, got {cell!r}")
-            return None
+    def ints(path: Path, lines: list[int], cells: list[str], what: str) -> tuple[np.ndarray, np.ndarray]:
+        values, ok = _int_column(cells)
+        report(path, lines, "BAD_INT", np.flatnonzero(~ok), lambda i: f"{what} must be an integer, got {cells[i]!r}")
+        return values, ok
 
-    def parse_id(path: Path, lineno: int, cell: str, what: str) -> int | None:
+    def ids(path: Path, lines: list[int], cells: list[str], what: str) -> tuple[np.ndarray, np.ndarray]:
         # Bare integer, or an XML-style token with a decimal suffix ("n9").
-        nid = extract_id(cell)
-        if nid is None or nid < 1:
-            row_err(path, lineno, "BAD_ID", f"{what} must be a positive id, got {cell!r}")
-            return None
-        return nid
-
-    def ints(path: Path, linenos: list[int], cells: list[str], what: str) -> tuple[np.ndarray, np.ndarray]:
-        return _int_column(cells, lambda i: parse_int(path, linenos[i], cells[i], what))
-
-    def ids(path: Path, linenos: list[int], cells: list[str], what: str) -> tuple[np.ndarray, np.ndarray]:
-        return _id_column(cells, lambda i: parse_id(path, linenos[i], cells[i], what))
+        values, ok = _id_column(cells)
+        report(path, lines, "BAD_ID", np.flatnonzero(~ok), lambda i: f"{what} must be a positive id, got {cells[i]!r}")
+        return values, ok
 
     slots_path = base / "slots.tsv"
     linenos, cells = _table(slots_path, issues)
     (idx, a), (start, b), (end, c) = (ints(slots_path, linenos, *col) for col in zip(cells, _TSV_HEADERS[slots_path.name]))
     rows = np.flatnonzero(a & b & c)
-    idx, start, end = idx[rows], start[rows], end[rows]
+    idx, start, end, linenos = idx[rows], start[rows], end[rows], _take(linenos, rows)
     fine = (start >= 0) & (start < end)
     # A row repeats a slot when an earlier row with its index took the
     # slot, which a row with a bad region does not.
@@ -932,37 +920,31 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
     took = np.cumsum(fine[order]) - fine[order]  # slots taken before each row, in index order
     again = np.empty(len(order), dtype=bool)
     again[order] = took > took[np.maximum.accumulate(np.where(heads(idx[order]), np.arange(len(order)), 0))]
-    for i in np.flatnonzero(again).tolist():
-        row_err(slots_path, linenos[rows[i]], "DUPLICATE_SLOT", f"slot {idx[i]} defined twice")
-    for i in np.flatnonzero(~again & ~fine).tolist():
-        row_err(slots_path, linenos[rows[i]], "BAD_REGION", region_problem(start[i], end[i]))
+    report(slots_path, linenos, "DUPLICATE_SLOT", np.flatnonzero(again), lambda i: f"slot {idx[i]} defined twice")
+    report(slots_path, linenos, "BAD_REGION", np.flatnonzero(~again & ~fine), lambda i: region_problem(start[i], end[i]))
     taken = np.flatnonzero(fine & ~again)
     taken = taken[np.argsort(idx[taken], kind="stable")]
     if len(taken) and not np.array_equal(idx[taken], np.arange(1, len(taken) + 1)):
-        row_err(slots_path, 0, "SLOT_NUMBERING", "slot indices must be dense 1..W")
+        issues.append(ValidationIssue("SLOT_NUMBERING", "slot indices must be dense 1..W", str(slots_path), 0))
 
     nodes_path = base / "nodes.tsv"
     linenos, (id_cells, otypes, monad_cells) = _table(nodes_path, issues)
     node_ids, a = ids(nodes_path, linenos, id_cells, "node_id")
-
-    def runs_of(i: int) -> tuple[tuple[int, int], ...] | None:
-        try:
-            return MonadSet.parse(monad_cells[i]).runs
-        except ValueError as exc:
-            row_err(nodes_path, linenos[i], "BAD_MONADS", str(exc))
-            return None
-
-    runs, b = _monad_column(monad_cells, runs_of)
+    (offsets, first, last), b, why = _monad_column(monad_cells)
+    report(nodes_path, linenos, "BAD_MONADS", np.flatnonzero(~b), why.__getitem__)
+    keep = a & b
+    offsets, at = gather(offsets, np.flatnonzero(keep))
+    nodes = (node_ids[keep], _take(otypes, keep), (offsets, first[at], last[at]))
 
     features_path = base / "features.tsv"
     linenos, (kinds, target_cells, keys, values) = _table(features_path, issues)
     targets, ok = ids(features_path, linenos, target_cells, "target_id")
-    for i in np.flatnonzero(ok & np.fromiter(map(contains, values, repeat("\\")), bool, len(values))).tolist():
-        try:
-            values[i] = unescape_cell(values[i])
-        except ValueError as exc:
-            row_err(features_path, linenos[i], "BAD_ESCAPE", str(exc))
-            ok[i] = False
+    escaped = ok & np.fromiter(map(contains, values, repeat("\\")), bool, len(values))
+    rows, got, done, why = _fallback(~escaped, values, unescape_cell)
+    for i, value in zip(rows.tolist(), got):
+        values[i] = value
+    report(features_path, linenos, "BAD_ESCAPE", np.flatnonzero(~done), why.__getitem__)
+    ok &= done
     features = (_take(kinds, ok), targets[ok], _take(keys, ok), _take(values, ok))
 
     edges_path = base / "edges.tsv"
@@ -974,5 +956,4 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
         edges = (eids[ok], src[ok], dst[ok], _take(cells[3], ok))
 
     _check(_report(issues, []))
-    nodes = _node_table(node_ids, otypes, runs, a & b)
     return _assembled(text, (start[taken], end[taken]), nodes, edges, features, metadata)

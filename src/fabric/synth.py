@@ -35,6 +35,7 @@ from .model import (
     Region,
     heads,
 )
+from .query.oracle import GUARD_LIMIT
 from .query.syntax import quote_string
 
 _LEMMAS = [
@@ -382,6 +383,8 @@ def write_tabular(corpus: LogicalCorpus, directory: str | Path) -> Path:
 class _QueryGen:
     """Corpus-aware random query synthesis that stays within the oracle guard."""
 
+    TRIES = 60  # block strings drawn before ``generate`` falls back to one block
+
     def __init__(self, rng: random.Random, corpus: Corpus) -> None:
         self.rng = rng
         self.corpus = corpus
@@ -509,8 +512,8 @@ class _QueryGen:
             out += self._gap() + t
         return out, otypes
 
-    def generate(self, *, guard: int = 10_000, max_tries: int = 60) -> str:
-        for _ in range(max_tries):
+    def generate(self) -> str:
+        for _ in range(self.TRIES):
             budget = [4]
             made = self._blockstring(budget, 0)
             if made is None:
@@ -519,18 +522,18 @@ class _QueryGen:
             product = 1
             for t in otypes:
                 product *= self.counts.get(t, 0)
-                if product > guard:
+                if product > GUARD_LIMIT:
                     break
-            if product <= guard:
+            if product <= GUARD_LIMIT:
                 return text
         # fall back to something that always fits
-        return "[word]" if self.counts.get("word", 0) <= guard else "[verse]"
+        return "[word]" if self.counts.get("word", 0) <= GUARD_LIMIT else "[verse]"
 
 
-def random_query(rng: random.Random, corpus: Corpus, *, guard: int = 10_000) -> str:
+def random_query(rng: random.Random, corpus: Corpus) -> str:
     """A syntactically valid random query whose unfiltered candidate product
     stays at or below the brute-force guard."""
-    return _QueryGen(rng, corpus).generate(guard=guard)
+    return _QueryGen(rng, corpus).generate()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the pair summary that decides a claimed gain."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,45 @@ class TestSummarize:
         runs = pairs(self.PARENT, [p + 0.1 for p in self.PARENT], "queries_per_s")
         assert bench_pairs.summarize(runs, {"queries_per_s": "higher"})["queries_per_s"]["gain"] is True
         assert bench_pairs.summarize(runs, {"queries_per_s": "lower"})["queries_per_s"]["gain"] is False
+
+    @pytest.mark.parametrize(
+        "better,change,worse",
+        [
+            ("lower", [1.26, 1.26, 1.26], True),  # above 1.0 * (1 + 0.25)
+            ("lower", [1.24, 1.24, 1.24], False),
+            ("lower", [0.5, 0.5, 0.5], False),
+            ("higher", [0.74, 0.74, 0.74], True),  # below 1.0 * (1 - 0.25)
+            ("higher", [0.76, 0.76, 0.76], False),
+            ("higher", [2.0, 2.0, 2.0], False),
+        ],
+    )
+    def test_worse_than_the_bound(self, better, change, worse):
+        s = bench_pairs.summarize(pairs([1.0, 1.0, 1.0], change), {"build_s": better}, {"build_s": 0.25})
+        assert s["build_s"]["worse"] is worse
+
+    def test_worse_reads_the_medians(self):
+        # Two of three pairs past the bound: the median is, so the metric is worse.
+        s = bench_pairs.summarize(pairs([1.0, 1.0, 1.0], [1.3, 1.3, 0.5]), {"build_s": "lower"}, {"build_s": 0.25})
+        assert s["build_s"]["worse"] is True
+        s = bench_pairs.summarize(pairs([1.0, 1.0, 1.0], [1.3, 0.5, 0.5]), {"build_s": "lower"}, {"build_s": 0.25})
+        assert s["build_s"]["worse"] is False
+
+    def test_a_metric_with_no_bound_is_never_worse(self):
+        s = bench_pairs.summarize(pairs([1.0, 1.0], [9.0, 9.0]), {"build_s": "lower"})
+        assert s["build_s"]["worse"] is False
+
+    def test_main_prints_worse(self, tmp_path, capsys, monkeypatch):
+        spec = {"end_to_end": [{"name": "build_s", "better": "lower", "bound": 0.25}]}
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        monkeypatch.setattr(
+            bench_pairs, "run_once",
+            lambda checkout, *_: {"ok": True, "digest": "d", "metrics": {"build_s": 1.0 if checkout.name == "parent" else 2.0}},
+        )
+        argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "build", "--seeds", "1-2",
+                "--out", str(tmp_path / "out.json")]
+        assert bench_pairs.main(argv) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("build_s"))
+        assert row.endswith("  WORSE")
+        assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["build"]["summary"]["build_s"]["worse"] is True

@@ -326,6 +326,29 @@ class TestQuery:
         assert code == 0 and stdout == ""
         assert json.loads(err) == {"error": "timeout after 0.0s, 0 match(es) shown", "exit": 0}
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--limit", "\u0662"), ("--limit", " 2_0 "), ("--limit", "2_0"), ("--limit", "+2"), ("--limit", "2\n"),
+         ("--limit", "\uff12"), ("--limit", "-\u0662"), ("--timeout", "nan"), ("--timeout", "\u0661"),
+         ("--timeout", "inf"), ("--timeout", "1e3"), ("--timeout", "-1"), ("--timeout", " 1"), ("--timeout", ".5")],
+    )
+    def test_numbers_are_ascii_only(self, image, capsys, flag, value):
+        """``int`` or ``float`` reads each of these as a number."""
+        code, stdout, err = run(capsys, "query", image, "-q", "[word]", flag, value)
+        assert (code, stdout) == (1, "")
+        kind = "int" if flag == "--limit" else "float"
+        assert err.splitlines()[-1] == f"fabric query: error: argument {flag}: invalid {kind} value: {value!r}"
+
+    @pytest.mark.parametrize(
+        "argv,last",
+        [(("--limit", "-1"), "0 match(es) (limit reached)"), (("--limit", "3"), "3 match(es) (limit reached)"),
+         (("--timeout", "0.0"), "0 match(es) (timeout)"), (("--timeout", "60.25"), "4 match(es)")],
+    )
+    def test_ascii_numbers(self, image, capsys, argv, last):
+        code, stdout, _ = run(capsys, "query", image, "-q", "[word]", *argv)
+        assert code == 0
+        assert stdout.splitlines()[-1] == last
+
     def test_generous_timeout_changes_nothing(self, image, capsys):
         plain = run(capsys, "query", image, "-q", "[verse [clause [phrase]]]")
         assert run(capsys, "query", image, "-q", "[verse [clause [phrase]]]", "--timeout", "60") == plain
@@ -418,6 +441,18 @@ class TestRepl:
         assert code == 0
         assert "2 match(es) (limit reached)" in stdout
         assert "4 match(es)" in stdout
+
+    def test_limit_takes_ascii_numbers_only(self, image, capsys, monkeypatch):
+        self.feed(monkeypatch, [":limit \u0662", ":limit 2_0", "[word]", ":limit -1", "[word]", ":quit"])
+        code, stdout, err = run(capsys, "repl", image)
+        assert code == 0
+        assert err.count("usage: :limit N | :limit off") == 2
+        assert stdout.splitlines()[-1] == "0 match(es) (limit reached)"
+        assert "4 match(es)" in stdout
+
+    @pytest.mark.parametrize("flag,value", [("--limit", "\u0662"), ("--timeout", "nan")])
+    def test_options_take_ascii_numbers_only(self, image, capsys, flag, value):
+        assert run(capsys, "repl", image, flag, value)[:2] == (1, "")
 
     def test_timeout_default(self, image, capsys, monkeypatch):
         self.feed(monkeypatch, ["[word]", ":quit"])
@@ -624,6 +659,16 @@ class TestAnnotate:
         code, stdout, err = run(capsys, "annotate", image, store, "page", "--id", "1", "--page-size", size)
         assert (code, stdout) == (1, "")
         assert err.splitlines() == [f"fabric: --page-size must be at least 1, not {size}"]
+
+    @pytest.mark.parametrize("flag", ["--id", "--page", "--page-size"])
+    @pytest.mark.parametrize("value", ["\u0661", "\uff11", " 1", "1_0", "+1"])
+    def test_page_takes_ascii_numbers_only(self, image, capsys, tmp_path, flag, value):
+        store = str(tmp_path / "store.json")
+        run(capsys, "annotate", image, store, "save", "-q", "[word]", "--name", "w", "--author", "ada")
+        argv = {"--id": "1", "--page": "1", "--page-size": "1", flag: value}
+        code, stdout, err = run(capsys, "annotate", image, store, "page", *[a for kv in argv.items() for a in kv])
+        assert (code, stdout) == (1, "")
+        assert err.splitlines()[-1].endswith(f" error: argument {flag}: invalid int value: {value!r}")
 
     def test_page_json(self, image, capsys, tmp_path):
         store = str(tmp_path / "store.json")

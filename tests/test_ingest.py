@@ -1206,6 +1206,68 @@ class TestGrafStages:
         self.assert_stage_two([utf8])
 
 
+class TestPerRowFallback:
+    """Which cells reach ``MonadSet.parse``, the per-row decoder of monad
+    texts, and what becomes of a number ``int()`` refuses for its length."""
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """The texts ``MonadSet.parse`` is called on, in call order."""
+        texts, parse = [], MonadSet.parse.__func__
+        monkeypatch.setattr(MonadSet, "parse", classmethod(lambda cls, text: texts.append(text) or parse(cls, text)))
+        return texts
+
+    @pytest.mark.parametrize("scan", ["stage 2", "handler scan"])
+    def test_graf_parses_each_node_once(self, tmp_path, parsed, scan):
+        header = write_big_graf(tmp_path, words=2000, seed=1)
+        monads = re.findall(r'<node [^>]*monads="([^"]*)"', (tmp_path / "big.xml").read_text(encoding="utf-8"))
+        parse_graf(header) if scan == "stage 2" else _parse_graf(header, _handler_scan)
+        assert len(monads) > 2000
+        assert parsed == monads
+
+    def test_tables_parse_only_sets_of_more_than_one_run(self, tmp_path, parsed):
+        want = []
+        for seed in range(20):
+            base = write_tabular(random_corpus(random.Random(seed)), tmp_path / str(seed))
+            rows = (base / "nodes.tsv").read_text(encoding="utf-8").splitlines()[1:]
+            want.append([cell for cell in (row.split("\t")[2] for row in rows) if "," in cell])
+        got = []
+        for seed in range(20):
+            parsed.clear()
+            parse_tabular(tmp_path / str(seed))
+            got.append(list(parsed))
+        assert sum(map(len, want)) > 0
+        assert got == want
+
+    HUGE = "9" * 5000  # past the digits ``int()`` converts
+
+    @pytest.mark.parametrize("name,column,code", [
+        ("nodes.tsv", 0, "BAD_ID"), ("features.tsv", 1, "BAD_ID"), ("slots.tsv", 0, "BAD_INT"),
+    ])
+    def test_table_number_past_the_digit_limit_is_reported(self, tmp_path, name, column, code):
+        base = write_tabular(toy4(), tmp_path)
+        lines = (base / name).read_text(encoding="utf-8").split("\n")
+        cells = lines[1].split("\t")
+        cells[column] = self.HUGE
+        lines[1] = "\t".join(cells)
+        (base / name).write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValidationFailure) as exc:
+            parse_tabular(base)
+        assert [(i.file, i.line) for i in exc.value.report.errors if i.code == code] == [(str(base / name), 2)]
+
+    @pytest.mark.parametrize("scan", ["stage 2", "handler scan"])
+    @pytest.mark.parametrize("old,new,code,where", [
+        ('xml:id="n1"><link', f'xml:id="n{HUGE}"><link', "BAD_ID", f"n{HUGE}"),
+        ('anchors="0 ', f'anchors="{HUGE} ', "BAD_ANCHORS", "r1"),
+    ], ids=["id", "anchor"])
+    def test_graf_number_past_the_digit_limit_is_reported(self, tmp_path, scan, old, new, code, where):
+        xml = TestGrafParsing.BASE.format(extra="").replace(old, new)
+        header = TestGrafParsing().header(tmp_path, xml)
+        with pytest.raises(ValidationFailure) as exc:
+            parse_graf(header) if scan == "stage 2" else _parse_graf(header, _handler_scan)
+        assert [i.where for i in exc.value.report.errors if i.code == code] == [where]
+
+
 class TestCellEscaping:
     @given(cell_text)
     def test_round_trip(self, value):
