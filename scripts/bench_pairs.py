@@ -99,7 +99,7 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
         wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
         gain = wins >= 0.9 * len(pairs) and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
         bound = (bounds or {}).get(name)
-        # The parent's median moved by the bound in the worse direction.
+        # Past the parent's median moved by the bound in the worse direction.
         worse = bound is not None and sign * (change["median"] - parent["median"] * (1 - sign * bound)) < 0
         out[name] = {"parent": parent, "change": change, "wins": wins, "losses": losses, "gain": gain, "worse": worse}
     return out
