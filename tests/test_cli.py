@@ -782,3 +782,77 @@ class TestEdgeCorpus:
         assert run(capsys, *save)[0] == 0
         code, stdout, _ = run(capsys, "annotate", image, store, "list")
         assert code == 0 and stdout.startswith("1\tw\tada\tpublic")
+
+
+# Every call of the transcript, run once per format with "--format FMT"
+# appended.  ROOT holds toy4 as graph XML, tables and an image, and a bad
+# tabular source; each format saves into a store of its own.
+TRANSCRIPT_CALLS = [
+    ["compile", "ROOT/tabular", "ROOT/out-FMT.fab"],
+    ["compile", "ROOT/bad", "ROOT/bad-FMT.fab"],
+    ["info", "ROOT/toy4.fab"],
+    ["info", "ROOT/absent.fab"],
+    ["query", "ROOT/toy4.fab", "-q", "[verse [clause [phrase]]]"],
+    ["query", "ROOT/toy4.fab", "-q", "[nope]"],
+    ["query", "ROOT/toy4.fab", "-q", "[word][word"],
+    ["query", "ROOT/toy4.fab", "-q", "[word]", "--limit", "2"],
+    ["features", "ROOT/toy4.fab", "ROOT/docs-FMT"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "list"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "save", "-q", '[word lex="fox"]', "--name", "fox",
+     "--author", "ada", "--description", "the fox"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "save", "-q", "[word]", "--name", "words",
+     "--author", "bob", "--private"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "save", "-q", "[phrase]", "--name", "fox",
+     "--author", "ada"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "list"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "margin", "--passage", "n301"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "margin", "--passage", "301", "--public-only"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "margin", "--passage", "n3"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "page", "--id", "2"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "page", "--id", "2", "--page", "9", "--page-size", "1"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "page", "--id", "9"],
+    ["annotate", "ROOT/toy4.fab", "ROOT/store-FMT.json", "page", "--id", "1", "--page-size", "0"],
+]
+
+
+def cli_transcript(root: Path) -> list[dict]:
+    """Each transcript call in each format, run in-process in order: its
+    argv, exit code, stdout and stderr, with ``root`` written ROOT and
+    compile's elapsed time masked."""
+    import contextlib
+    import io
+
+    logical = toy4()
+    for name in ("graf", "tabular", "bad"):
+        (root / name).mkdir()
+    write_graf(logical, root / "graf", stem="toy4")
+    write_tabular(logical, root / "tabular")
+    compile_corpus(logical, root / "toy4.fab")
+    (root / "bad" / "text.txt").write_text("ab cd", encoding="utf-8")
+    (root / "bad" / "slots.tsv").write_text("slot_index\tstart\tend\n1\t0\t2\n2\t3\t9\n", encoding="utf-8")
+    (root / "bad" / "nodes.tsv").write_text("node_id\totype\tmonadset\nn1\tword\t1\n", encoding="utf-8")
+    (root / "bad" / "features.tsv").write_text("kind\ttarget_id\tkey\tvalue\n", encoding="utf-8")
+
+    def mask(text: str) -> str:
+        text = re.sub(r"\(\d+\.\d\ds\)$", "(S.SSs)", text.replace(str(root), "ROOT"), flags=re.M)
+        return re.sub(r'"seconds": [0-9.e-]+', '"seconds": "S"', text)
+
+    calls = []
+    for fmt in ("text", "json", "tsv"):
+        for call in TRANSCRIPT_CALLS:
+            argv = [arg.replace("FMT", fmt) for arg in call] + ["--format", fmt]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.replace("ROOT", str(root)) for arg in argv])
+            calls.append({"argv": argv, "exit": code, "stdout": mask(out.getvalue()), "stderr": mask(err.getvalue())})
+    return calls
+
+
+def test_transcript_of_every_subcommand_in_every_format(tmp_path, golden):
+    """stdout, stderr and the exit code of every subcommand but ``repl``,
+    in each format, on toy4 and on its error paths."""
+    want = golden("toy4_cli_transcript.json")["calls"]
+    got = cli_transcript(tmp_path)
+    assert [c["argv"] for c in got] == [c["argv"] for c in want]
+    for call, expected in zip(got, want):
+        assert call == expected
