@@ -15,7 +15,6 @@ snapshots stay readable but are no longer claimed to be reproducible.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -25,7 +24,7 @@ import numpy as np
 
 from .compiler import _write_atomic
 from .corpus import Corpus
-from .errors import StoreError
+from .errors import StoreError, warn
 from .model import repeats
 from .query.evaluator import ResultSet, evaluate
 
@@ -336,11 +335,7 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
 
     stale = corpus is not None and corpus.fingerprint != fingerprint
     if stale:
-        warnings.warn(
-            "store was written for a different corpus image; snapshots marked stale",
-            StaleStoreWarning,
-            stacklevel=2,
-        )
+        warn("store was written for a different corpus image; snapshots marked stale", StaleStoreWarning)
 
     store = AnnotationStore(fingerprint)
     seen_names: set[tuple[str, str]] = set()

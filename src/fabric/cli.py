@@ -2,8 +2,18 @@
 
 Exit codes: 0 success, 1 user error (bad paths, bad queries, validation
 failures), 2 data corruption (unreadable or checksum-failing image).
-Structured output honors ``--format`` (text, json, tsv); query results
-stream as they are produced instead of buffering the whole result set.
+
+Every subcommand takes ``--format text|tsv|json``, and ``CliConfig.emit``
+prints each result in it: one JSON document, or its text.  Only ``info``
+and ``query`` have tsv lines of their own; the other subcommands print
+their text under tsv.  Query results stream as they are produced instead
+of buffering the whole result set, one JSON document per match.  Errors,
+validation failures and warnings go to stderr, in text and tsv one line
+each (``fabric: <message>``, ``fabric: <file>:<line>: <code>: <message>
+[<where>]``, ``fabric: warning: <message>``), in json one document each
+(``{"error": <message>, "exit": <code>}``, ``{"error": "validation
+failed", "issues": [{"code", "message", "file", "line", "where"}, ...]}``,
+``{"warning": <message>}``).  The repl's prompts and messages are text.
 """
 
 from __future__ import annotations
@@ -15,7 +25,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +52,7 @@ from .errors import (
 )
 from .featuredoc import render_docs
 from .ingest import parse_graf, parse_tabular
-from .model import LogicalCorpus
+from .model import CorpusStats, LogicalCorpus
 from .query import explain
 from .query.evaluator import _Eval
 
@@ -58,12 +69,21 @@ class CliConfig:
     limit: int | None = None
     timeout: float | None = None
 
-    def fail(self, message: str, code: int = EXIT_USER) -> int:
+    def emit(self, doc: object, text: str = "", tsv: str | None = None, code: int = EXIT_OK, err: bool = False) -> int:
+        """Print a result in the chosen format: ``doc`` as one JSON
+        document, ``tsv`` where the subcommand has tsv lines, else
+        ``text`` (an empty text prints nothing).  Writes to stderr when
+        ``err``, else to stdout, and returns ``code``, the exit code."""
         if self.format == "json":
-            print(json.dumps({"error": message, "exit": code}), file=sys.stderr)
-        else:
-            print(f"fabric: {message}", file=sys.stderr)
+            text = json.dumps(doc)
+        elif self.format == "tsv" and tsv is not None:
+            text = tsv
+        if text:
+            print(text, file=sys.stderr if err else sys.stdout)
         return code
+
+    def fail(self, message: str, code: int = EXIT_USER) -> int:
+        return self.emit({"error": message, "exit": code}, f"fabric: {message}", code=code, err=True)
 
 
 def _load_corpus(path: str) -> Corpus:
@@ -79,9 +99,11 @@ def _ingest(src: str) -> LogicalCorpus:
     return parse_graf(p)
 
 
-def _verse_labels(corpus: Corpus, verses: np.ndarray) -> list[str]:
-    """Label of each passage node id: its ``ref`` feature, else ``n<id>``;
-    ``-`` for -1 (no passage)."""
+def _passage_labels(corpus: Corpus, rows: np.ndarray) -> list[str]:
+    """The label of the first passage meeting each row (``passage_of``):
+    its ``ref`` feature, else ``n<id>``; ``-`` where no passage meets it."""
+    first = corpus._first_passages(rows)
+    verses = np.where(first < 0, -1, corpus._ids[first].astype(np.int64))
     store = corpus.store("ref")
     codes = np.full(len(verses), -1, dtype=np.int64)
     if store is not None:
@@ -93,10 +115,13 @@ def _verse_labels(corpus: Corpus, verses: np.ndarray) -> list[str]:
     ]
 
 
-def _passage_labels(corpus: Corpus, rows: np.ndarray) -> list[str]:
-    """The label of the first passage meeting each row (``passage_of``)."""
-    first = corpus._first_passages(rows)
-    return _verse_labels(corpus, np.where(first < 0, -1, corpus._ids[first].astype(np.int64)))
+def _reason(exc: Exception) -> str:
+    """An error's message; a failed file operation's as "<path>: <reason>"."""
+    return f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else str(exc)
+
+
+def _counts(stats: CorpusStats) -> dict[str, int]:
+    return {"words": stats.words, "nodes": stats.nodes, "edges": stats.edges, "features": stats.features}
 
 
 # ---------------------------------------------------------------------------
@@ -109,62 +134,26 @@ def cmd_compile(args: argparse.Namespace, cfg: CliConfig) -> int:
     started = time.perf_counter()
     summary = compile_corpus(corpus, args.out)
     elapsed = time.perf_counter() - started
-    if cfg.format == "json":
-        print(
-            json.dumps(
-                {
-                    "out": args.out,
-                    "bytes": summary.total_bytes,
-                    "seconds": round(elapsed, 3),
-                    "stats": {
-                        "words": summary.stats.words,
-                        "nodes": summary.stats.nodes,
-                        "edges": summary.stats.edges,
-                        "features": summary.stats.features,
-                    },
-                }
-            )
-        )
-    else:
-        s = summary.stats
-        print(
-            f"compiled {args.out}: {summary.total_bytes} bytes, "
-            f"{s.words} words, {s.nodes} nodes, {s.edges} edges, "
-            f"{s.features} features ({elapsed:.2f}s)"
-        )
-    return EXIT_OK
+    s = summary.stats
+    return cfg.emit(
+        {"out": args.out, "bytes": summary.total_bytes, "seconds": round(elapsed, 3), "stats": _counts(s)},
+        f"compiled {args.out}: {summary.total_bytes} bytes, {s.words} words, {s.nodes} nodes, "
+        f"{s.edges} edges, {s.features} features ({elapsed:.2f}s)",
+    )
 
 
 def cmd_info(args: argparse.Namespace, cfg: CliConfig) -> int:
     corpus = _load_corpus(args.image)
-    stats = corpus.stats()
-    doc = {
-        "words": stats.words,
-        "nodes": stats.nodes,
-        "edges": stats.edges,
-        "features": stats.features,
-        "otypes": list(corpus.otypes()),
-        "slot_otype": corpus.metadata.slot_otype,
-        "passage_otype": corpus.metadata.passage_otype,
-        "feature_keys": list(corpus.feature_keys()),
-        "edge_feature_keys": list(corpus.feature_keys("E")),
-        "fingerprint": corpus.fingerprint,
-    }
-    if cfg.format == "json":
-        print(json.dumps(doc))
-    elif cfg.format == "tsv":
-        for key in ("words", "nodes", "edges", "features"):
-            print(f"{key}\t{doc[key]}")
-    else:
-        print(f"words:        {stats.words}")
-        print(f"nodes:        {stats.nodes}")
-        print(f"edges:        {stats.edges}")
-        print(f"features:     {stats.features}")
-        print(f"otypes:       {', '.join(doc['otypes'])}")
-        print(f"passage:      {doc['passage_otype']}")
-        print(f"feature keys: {', '.join(doc['feature_keys']) or '-'}")
-        print(f"fingerprint:  {corpus.fingerprint[:16]}...")
-    return EXIT_OK
+    counts, meta = _counts(corpus.stats()), corpus.metadata
+    otypes, keys = list(corpus.otypes()), list(corpus.feature_keys())
+    shown = {**counts, "otypes": ", ".join(otypes), "passage": meta.passage_otype,
+             "feature keys": ", ".join(keys) or "-", "fingerprint": f"{corpus.fingerprint[:16]}..."}
+    return cfg.emit(
+        {**counts, "otypes": otypes, "slot_otype": meta.slot_otype, "passage_otype": meta.passage_otype,
+         "feature_keys": keys, "edge_feature_keys": list(corpus.feature_keys("E")), "fingerprint": corpus.fingerprint},
+        "\n".join(f"{label + ':':<13} {value}" for label, value in shown.items()),
+        "\n".join(f"{key}\t{n}" for key, n in counts.items()),
+    )
 
 
 def _slot_texts(corpus: Corpus, rows: np.ndarray) -> dict[int, str]:
@@ -257,8 +246,8 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
                 try:
                     corpus = _load_corpus(rest)
                     print(f"loaded {rest}: {corpus.stats().nodes} nodes", file=sys.stderr)
-                except FabricError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
+                except (FabricError, OSError) as exc:
+                    print(f"error: {_reason(exc)}", file=sys.stderr)
                 continue
             if cmd == ":limit":
                 try:
@@ -274,9 +263,8 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
                 continue
             print(f"unknown command {cmd}", file=sys.stderr)
             continue
-        sub = CliConfig(format=cfg.format, limit=limit, timeout=cfg.timeout)
         try:
-            _stream_matches(corpus, line, sub)
+            _stream_matches(corpus, line, replace(cfg, limit=limit))
         except (QuerySyntaxError, QueryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
 
@@ -284,11 +272,7 @@ def cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
 def cmd_features(args: argparse.Namespace, cfg: CliConfig) -> int:
     corpus = _load_corpus(args.image)
     written = render_docs(corpus, args.out_dir)
-    if cfg.format == "json":
-        print(json.dumps({"out_dir": args.out_dir, "files": written}))
-    else:
-        print(f"wrote {len(written)} files to {args.out_dir}")
-    return EXIT_OK
+    return cfg.emit({"out_dir": args.out_dir, "files": written}, f"wrote {len(written)} files to {args.out_dir}")
 
 
 def _open_store(path: str, corpus: Corpus) -> AnnotationStore:
@@ -321,135 +305,73 @@ def _node_arg(raw: str) -> int:
     return int(raw.removeprefix("n"))
 
 
-def cmd_annotate(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_save(args: argparse.Namespace, cfg: CliConfig) -> int:
     corpus = _load_corpus(args.image)
-    store_path = args.store
-    action = args.action
-
-    if action == "save":
-        # Locked from read to replace, so two concurrent saves both land.
-        try:
-            lock = open(f"{store_path}.lock", "a")
-        except OSError as exc:  # name the store, not its lock file
-            raise OSError(exc.errno, exc.strerror, store_path) from None
-        with lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            store = _open_store(store_path, corpus)
-            saved = save_query(
-                store,
-                corpus,
-                args.query,
-                name=args.name,
-                author=args.author,
-                description=args.description or "",
-                is_public=not args.private,
-            )
-            export_store(store, store_path)
-        if cfg.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "id": saved.id,
-                        "name": saved.name,
-                        "matches": saved.match_count,
-                        "verses": saved.verse_count,
-                    }
-                )
-            )
-        else:
-            print(
-                f"saved query {saved.id} {saved.name!r}: "
-                f"{saved.match_count} match(es) in {saved.verse_count} verse(s)"
-            )
-        return EXIT_OK
-
-    if action == "list":
-        store = _open_store(store_path, corpus)
-        entries = sorted(store.queries.values(), key=lambda s: s.id)
-        if cfg.format == "json":
-            print(
-                json.dumps(
-                    [
-                        {
-                            "id": s.id,
-                            "name": s.name,
-                            "author": s.author,
-                            "public": s.is_public,
-                            "matches": s.match_count,
-                            "verses": s.verse_count,
-                            "stale": s.stale,
-                        }
-                        for s in entries
-                    ]
-                )
-            )
-        else:
-            for s in entries:
-                vis = "public" if s.is_public else "private"
-                stale = " (stale)" if s.stale else ""
-                print(
-                    f"{s.id}\t{s.name}\t{s.author}\t{vis}\t"
-                    f"{s.match_count} match(es), {s.verse_count} verse(s){stale}"
-                )
-        return EXIT_OK
-
-    if action == "margin":
-        store = _open_store(store_path, corpus)
-        passage = _node_arg(args.passage)
-        entries = margin(
-            store, corpus, passage, author=args.author, public_only=args.public_only
+    # Locked from read to replace, so two concurrent saves both land.
+    try:
+        lock = open(f"{args.store}.lock", "a")
+    except OSError as exc:  # name the store, not its lock file
+        raise OSError(exc.errno, exc.strerror, args.store) from None
+    with lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        store = _open_store(args.store, corpus)
+        saved = save_query(
+            store,
+            corpus,
+            args.query,
+            name=args.name,
+            author=args.author,
+            description=args.description or "",
+            is_public=not args.private,
         )
-        if cfg.format == "json":
-            print(
-                json.dumps(
-                    [
-                        {
-                            "id": s.id,
-                            "name": s.name,
-                            "author": s.author,
-                            "nodes": list(nodes),
-                        }
-                        for s, nodes in entries
-                    ]
-                )
-            )
-        else:
-            for s, nodes in entries:
-                shown = ", ".join(f"n{n}" for n in nodes)
-                print(f"{s.author}/{s.name} (query {s.id}): {shown}")
-        return EXIT_OK
+        export_store(store, args.store)
+    return cfg.emit(
+        {"id": saved.id, "name": saved.name, "matches": saved.match_count, "verses": saved.verse_count},
+        f"saved query {saved.id} {saved.name!r}: {saved.match_count} match(es) in {saved.verse_count} verse(s)",
+    )
 
-    if action == "page":
-        store = _open_store(store_path, corpus)
-        saved = store.queries.get(args.id)
-        if saved is None:
-            return cfg.fail(f"no saved query with id {args.id}")
-        if args.page_size < 1:
-            return cfg.fail(f"--page-size must be at least 1, not {args.page_size}")
-        page = result_page(saved, args.page, args.page_size)
-        if cfg.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "page": page.page,
-                        "total_pages": page.total_pages,
-                        "clamped": page.clamped,
-                        "entries": [
-                            {"verse": verse, "nodes": list(nodes)}
-                            for verse, nodes in page.entries
-                        ],
-                    }
-                )
-            )
-        else:
-            print(f"page {page.page}/{page.total_pages}" + (" (clamped)" if page.clamped else ""))
-            verses = np.array([verse for verse, _ in page.entries], dtype=np.int64)
-            for label, (_, nodes) in zip(_verse_labels(corpus, verses), page.entries):
-                shown = ", ".join(f"n{n}" for n in nodes)
-                print(f"{label}: {shown}")
-        return EXIT_OK
 
-    return cfg.fail(f"unknown annotate action {action!r}")
+def cmd_list(args: argparse.Namespace, cfg: CliConfig) -> int:
+    corpus = _load_corpus(args.image)
+    entries = sorted(_open_store(args.store, corpus).queries.values(), key=lambda s: s.id)
+    return cfg.emit(
+        [{"id": s.id, "name": s.name, "author": s.author, "public": s.is_public, "matches": s.match_count,
+          "verses": s.verse_count, "stale": s.stale} for s in entries],
+        "\n".join(
+            f"{s.id}\t{s.name}\t{s.author}\t{'public' if s.is_public else 'private'}\t"
+            f"{s.match_count} match(es), {s.verse_count} verse(s)" + (" (stale)" if s.stale else "")
+            for s in entries
+        ),
+    )
+
+
+def cmd_margin(args: argparse.Namespace, cfg: CliConfig) -> int:
+    corpus = _load_corpus(args.image)
+    store = _open_store(args.store, corpus)
+    entries = margin(store, corpus, _node_arg(args.passage), author=args.author, public_only=args.public_only)
+    return cfg.emit(
+        [{"id": s.id, "name": s.name, "author": s.author, "nodes": list(nodes)} for s, nodes in entries],
+        "\n".join(f"{s.author}/{s.name} (query {s.id}): " + ", ".join(f"n{n}" for n in nodes) for s, nodes in entries),
+    )
+
+
+def cmd_page(args: argparse.Namespace, cfg: CliConfig) -> int:
+    corpus = _load_corpus(args.image)
+    saved = _open_store(args.store, corpus).queries.get(args.id)
+    if saved is None:
+        return cfg.fail(f"no saved query with id {args.id}")
+    if args.page_size < 1:
+        return cfg.fail(f"--page-size must be at least 1, not {args.page_size}")
+    page = result_page(saved, args.page, args.page_size)
+    lines = [f"page {page.page}/{page.total_pages}" + (" (clamped)" if page.clamped else "")]
+    for verse, nodes in page.entries:  # each verse by its ref feature, else n<id>
+        label = corpus.feature(verse, "ref")
+        lines.append(f"{f'n{verse}' if label is None else label}: " + ", ".join(f"n{n}" for n in nodes))
+    return cfg.emit(
+        {"page": page.page, "total_pages": page.total_pages, "clamped": page.clamped,
+         "entries": [{"verse": verse, "nodes": list(nodes)} for verse, nodes in page.entries]},
+        "\n".join(lines),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +461,11 @@ _COMMANDS = {
     "query": cmd_query,
     "repl": cmd_repl,
     "features": cmd_features,
-    "annotate": cmd_annotate,
+    # annotate's actions, by action name
+    "save": cmd_save,
+    "list": cmd_list,
+    "margin": cmd_margin,
+    "page": cmd_page,
 }
 
 
@@ -555,43 +481,30 @@ def main(argv: list[str] | None = None) -> int:
         limit=getattr(args, "limit", None),
         timeout=getattr(args, "timeout", None),
     )
-    try:
-        return _COMMANDS[args.subcommand](args, cfg)
-    except ValidationFailure as exc:
-        report = exc.report
-        if cfg.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "error": "validation failed",
-                        "issues": [
-                            {
-                                "code": i.code,
-                                "message": i.message,
-                                "file": i.file,
-                                "line": i.line,
-                                "where": i.where,
-                            }
-                            for i in report.errors
-                        ],
-                    }
+    with warnings.catch_warnings():  # which restores showwarning
+        warnings.showwarning = lambda message, *_: cfg.emit(
+            {"warning": str(message)}, f"fabric: warning: {message}", err=True
+        )
+        try:
+            return _COMMANDS[getattr(args, "action", args.subcommand)](args, cfg)
+        except ValidationFailure as exc:
+            issues = exc.report.errors
+            return cfg.emit(
+                {"error": "validation failed", "issues": [asdict(i) for i in issues]},
+                "\n".join(
+                    f"fabric: {f'{i.file}:{i.line}: ' if i.file else ''}{i.code}: {i.message}"
+                    + (f" [{i.where}]" if i.where else "")
+                    for i in issues
                 ),
-                file=sys.stderr,
+                code=EXIT_USER,
+                err=True,
             )
-        else:
-            for issue in report.errors:
-                place = f"{issue.file}:{issue.line}: " if issue.file else ""
-                where = f" [{issue.where}]" if issue.where else ""
-                print(f"fabric: {place}{issue.code}: {issue.message}{where}", file=sys.stderr)
-        return EXIT_USER
-    except (QuerySyntaxError, QueryError, IngestError, StoreError) as exc:
-        return cfg.fail(str(exc))
-    except ImageError as exc:
-        return cfg.fail(f"corrupt image: {exc}", EXIT_CORRUPT)
-    except BrokenPipeError:
-        return EXIT_OK
-    except OSError as exc:  # a path that cannot be read or written
-        return cfg.fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
+        except ImageError as exc:
+            return cfg.fail(f"corrupt image: {exc}", EXIT_CORRUPT)
+        except BrokenPipeError:
+            return EXIT_OK
+        except (QuerySyntaxError, QueryError, IngestError, StoreError, OSError) as exc:  # OSError: an unusable path
+            return cfg.fail(_reason(exc))
 
 
 if __name__ == "__main__":

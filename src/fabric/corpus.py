@@ -31,7 +31,6 @@ Every monad join is a slice of canonical order (``_window`` or
 from __future__ import annotations
 
 import json
-import warnings
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator
@@ -39,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from . import image
-from .errors import ImageError
+from .errors import ImageError, warn
 from .model import (
     EDGE_KIND,
     NODE_KIND,
@@ -445,7 +444,7 @@ class Corpus:
     def _typed_rows(self, otype: str | None) -> tuple[np.ndarray, np.ndarray]:
         """``_rows_for_otype``, warning about an otype the corpus lacks."""
         if otype is not None and otype not in self._otype_rank:
-            warnings.warn(f"unknown otype {otype!r}", UnknownOtypeWarning, stacklevel=3)
+            warn(f"unknown otype {otype!r}", UnknownOtypeWarning)
         return self._rows_for_otype(otype)
 
     def nodes(self, otype: str | None = None) -> Iterator[int]:

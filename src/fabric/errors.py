@@ -1,6 +1,20 @@
-"""Exception hierarchy shared across the engine."""
+"""Exception hierarchy shared across the engine, and how it warns."""
 
 from __future__ import annotations
+
+import sys
+import warnings
+
+
+def warn(message: str, category: type[Warning]) -> None:
+    """``warnings.warn``, naming the first line outside this package that
+    led to the warning (past the ``contextlib`` frames of its decorators
+    too): the caller's line, however deep inside fabric the warning
+    arose."""
+    frame, level = sys._getframe(1), 2  # stacklevel 2 is the frame that called ``warn``
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] in ("fabric", "contextlib"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class FabricError(Exception):

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import gc
 import re
-import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ from xml.parsers import expat
 
 import numpy as np
 
-from .errors import IngestError, ValidationFailure
+from .errors import IngestError, ValidationFailure, warn
 from .model import (
     EDGE_KIND,
     NODE_KIND,
@@ -207,7 +206,7 @@ def _check(report: ValidationReport) -> None:
     if not report.ok:
         raise ValidationFailure(report)
     for w in report.warnings:
-        warnings.warn(f"{w.code}: {w.message}", IngestWarning, stacklevel=3)
+        warn(f"{w.code}: {w.message}", IngestWarning)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def _column(values: np.ndarray, ok: np.ndarray, cells: list[str], slow: Callable
     rows, got, ok, _ = _fallback(ok, cells, slow)
     try:
         values[rows] = got
-    except OverflowError:  # exact Python ints; ``Columns`` clips them
+    except OverflowError:  # exact Python ints
         values = values.astype(object)
         values[rows] = got
     return values, ok

@@ -219,17 +219,28 @@ class CorpusMetadata:
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
-def _ints(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Python ints (or an array that casts safely to int64) as int64.  One
-    past that range is clipped to it, and fails validation all the same: as
-    an id past 32 bits, a monad past the slots, or a reference to no node
-    or edge but such an id."""
+def _ids(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Python ints (or an array that casts safely to int64) as int64; when
+    one is past that range, all as exact Python ints (an object array), so
+    that validation compares and names each id as given.  Such an id fails
+    validation as past 32 bits, or as a reference to no node or edge but
+    one with such an id."""
     if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
         return values.astype(np.int64, copy=False)
     try:
         return np.fromiter(values, np.int64, len(values))
     except OverflowError:
-        return np.fromiter((min(max(v, _I64_MIN), _I64_MAX) for v in values), np.int64, len(values))
+        return np.array(list(values), dtype=object)
+
+
+def _ints(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``_ids`` as int64, with a value past that range clipped to it: it
+    fails validation all the same, as a monad past the slots or a region
+    past the text."""
+    values = _ids(values)
+    if values.dtype == object:
+        return np.fromiter((min(max(v, _I64_MIN), _I64_MAX) for v in values.tolist()), np.int64, len(values))
+    return values
 
 
 def gather(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +311,8 @@ class Columns:
     Slot k is ``slot_start[k-1]``..``slot_end[k-1]``.  Node i owns the
     monad runs ``first[j]``..``last[j]`` for j in ``runs[i]:runs[i + 1]``.
     Edges are (``edge_id``, ``src``, ``dst``, ``label``) rows; features are
-    (``kind``, ``target``, ``key``, ``value``) rows.
+    (``kind``, ``target``, ``key``, ``value``) rows.  An id column with an
+    id past int64 holds Python ints instead (``_ids``).
     """
 
     slot_start: np.ndarray
@@ -335,9 +347,9 @@ class Columns:
             kinds, targets, keys, values,
         ) = (slots, nodes, edges, features)
         return cls(
-            _ints(starts), _ints(ends), _ints(ids), Coded.of(otypes), _ints(offsets), _ints(first), _ints(last),
-            _ints(eids), _ints(srcs), _ints(dsts), Coded.of(labels),
-            Coded.of(kinds), _ints(targets), Coded.of(keys), Coded.of(values),
+            _ints(starts), _ints(ends), _ids(ids), Coded.of(otypes), _ints(offsets), _ints(first), _ints(last),
+            _ids(eids), _ids(srcs), _ids(dsts), Coded.of(labels),
+            Coded.of(kinds), _ids(targets), Coded.of(keys), Coded.of(values),
         )
 
     def assembled(self) -> "Columns":

@@ -620,6 +620,14 @@ class TestStaleness:
         imported = import_bytes(export_bytes(store), toy4_corpus)
         assert not any(q.stale for q in imported.queries.values())
 
+    def test_warning_names_the_callers_line(self, toy4_corpus, tmp_path):
+        store, _ = fox_store(toy4_corpus)
+        (tmp_path / "s.json").write_bytes(export_bytes(store))
+        for load in (lambda c: import_bytes(export_bytes(store), c), lambda c: import_store(tmp_path / "s.json", c)):
+            with pytest.warns(StaleStoreWarning) as records:
+                load(self.other_corpus())
+            assert [r.filename for r in records] == [__file__]
+
     def test_stale_is_ignored_by_equality(self, toy4_corpus):
         store, _ = fox_store(toy4_corpus)
         with pytest.warns(StaleStoreWarning):

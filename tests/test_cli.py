@@ -223,6 +223,36 @@ class TestCompile:
         assert any(i["code"] == "NO_SLOTS" for i in doc["issues"])
 
 
+class TestWarnings:
+    """A warning is one line on stderr in the chosen format, beside the
+    command's own output."""
+
+    @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+    def test_unused_region(self, capsys, tmp_path, fmt):
+        (tmp_path / "c.txt").write_text("ab", encoding="utf-8")
+        (tmp_path / "c.xml").write_text(
+            '<graph><region xml:id="r1" anchors="0 2"/><region xml:id="r9" anchors="0 1"/>'
+            '<node xml:id="n1"><link targets="r1"/></node></graph>',
+            encoding="utf-8",
+        )
+        (tmp_path / "c.graf").write_text("text=c.txt\nannotations=c.xml\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "compile", str(tmp_path / "c.graf"), str(tmp_path / "c.fab"), "--format", fmt)
+        assert code == 0 and stdout.count("\n") == 1 and (tmp_path / "c.fab").exists()
+        message = "UNUSED_REGION: region 'r9' is not linked by any node"
+        assert err == (json.dumps({"warning": message}) if fmt == "json" else f"fabric: warning: {message}") + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+    def test_stale_store(self, image, capsys, tmp_path, fmt):
+        store = tmp_path / "store.json"
+        run(capsys, "annotate", image, str(store), "save", "-q", "[word]", "--name", "w", "--author", "ada")
+        doc = json.loads(store.read_text(encoding="utf-8"))
+        store.write_text(json.dumps({**doc, "corpus_fingerprint": "0" * 64}), encoding="utf-8")
+        code, stdout, err = run(capsys, "annotate", image, str(store), "list", "--format", fmt)
+        assert code == 0 and "stale" in stdout
+        message = "store was written for a different corpus image; snapshots marked stale"
+        assert err == (json.dumps({"warning": message}) if fmt == "json" else f"fabric: warning: {message}") + "\n"
+
+
 class TestInfo:
     def test_text(self, image, capsys):
         code, stdout, _ = run(capsys, "info", image)
@@ -473,6 +503,22 @@ class TestRepl:
         assert err.count("loaded") == 2
         assert "match 1" in stdout
 
+    @pytest.mark.parametrize("case", ["directory", "missing", "corrupt"])
+    def test_failed_load_keeps_the_corpus(self, image, capsys, monkeypatch, tmp_path, case):
+        target = tmp_path / "x.fab"
+        if case == "directory":
+            target.mkdir()
+        elif case == "corrupt":
+            target.write_bytes(Path(image).read_bytes()[:-9])
+        self.feed(monkeypatch, [f":load {target}", '[word lex="fox"]', ":quit"])
+        code, stdout, err = run(capsys, "repl", image)
+        assert code == 0
+        assert stdout.splitlines() == ["match 1 @ n301: [1] n3=word 'fox'", "1 match(es)"]
+        failed = err.splitlines()[2]
+        assert failed == {"directory": f"error: {target}: Is a directory",
+                          "missing": f"error: {target}: image file not found"}.get(case, failed)
+        assert failed.startswith("error: ") and err.count("loaded") == 1
+
     def test_unknown_command(self, image, capsys, monkeypatch):
         self.feed(monkeypatch, [":bogus", ":quit"])
         code, _, err = run(capsys, "repl", image)
@@ -669,6 +715,18 @@ class TestAnnotate:
         code, stdout, err = run(capsys, "annotate", image, store, "page", *[a for kv in argv.items() for a in kv])
         assert (code, stdout) == (1, "")
         assert err.splitlines()[-1].endswith(f" error: argument {flag}: invalid int value: {value!r}")
+
+    def test_page_of_a_stale_verse_past_int64(self, image, capsys, tmp_path):
+        store = tmp_path / "store.json"
+        run(capsys, "annotate", image, str(store), "save", "-q", "[word]", "--name", "w", "--author", "ada")
+        doc = json.loads(store.read_text(encoding="utf-8"))
+        doc["corpus_fingerprint"] = "0" * 64
+        doc["queries"][0]["snapshot"] = [[2**70, [1]]]
+        store.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, _ = run(capsys, "annotate", image, str(store), "page", "--id", "1")
+        assert (code, stdout) == (0, f"page 1/1\nn{2**70}: n1\n")
+        code, stdout, _ = run(capsys, "annotate", image, str(store), "page", "--id", "1", "--format", "json")
+        assert (code, json.loads(stdout)["entries"]) == (0, [{"verse": 2**70, "nodes": [1]}])
 
     def test_page_json(self, image, capsys, tmp_path):
         store = str(tmp_path / "store.json")

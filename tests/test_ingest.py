@@ -209,6 +209,20 @@ class TestValidate:
         report = validate(tiny(nodes=words + (Node(nid, "phrase", MonadSet.from_monads([1, 2])),)))
         assert [(i.code, "32-bit" in i.message) for i in report.errors] == [("ID_RANGE", True)]
 
+    def test_ids_past_int64_are_reported_as_given(self):
+        """Two different ids past int64 are no duplicate; each report names
+        its own id, as do the references to no node past int64."""
+        words = (Node(1, "word", MonadSet.from_monads([1])), Node(2, "word", MonadSet.from_monads([2])))
+        phrases = (Node(2**71, "phrase", MonadSet.from_monads([1, 2])), Node(2**70, "phrase", MonadSet.from_monads([2])))
+        report = validate(tiny(nodes=words + phrases, edges=(Edge(3, 1, 2**72, "dep"),),
+                               features=(FeatureAssignment("N", 2**73, "k", "v"),)))
+        assert [(i.code, i.where, i.message) for i in report.errors] == [
+            ("DANGLING_EDGE", "edge 3", f"to references unknown node {2**72}"),
+            ("DANGLING_TARGET", f"feature N:{2**73}:k", f"feature targets unknown node {2**73}"),
+            ("ID_RANGE", f"node {2**70}", f"node id {2**70} exceeds the 32-bit image format limit"),
+            ("ID_RANGE", f"node {2**71}", f"node id {2**71} exceeds the 32-bit image format limit"),
+        ]
+
     def test_widest_ids_the_image_format_stores(self):
         words = (Node(1, "word", MonadSet.from_monads([1])), Node(2, "word", MonadSet.from_monads([2])))
         top = 2**32 - 1
@@ -682,6 +696,61 @@ class TestTabularAgainstReference:
         for name, content in files.items():
             (base / name).write_bytes(content.encode("utf-8"))
         assert _outcome(parse_tabular, base) == _outcome(reference.parse_tabular, base)
+
+
+class TestIdsPastInt64:
+    """Ids past int64 read from a source are reported as the source gives
+    them: one ID_RANGE each, and no DUPLICATE_NODE_ID between two of them."""
+
+    WANT = [(code, f"node {nid}") for code, nid in (("ID_RANGE", 88888888888888888888), ("ID_RANGE", 99999999999999999999))]
+
+    def test_tables(self, tmp_path):
+        write_tabular(toy4(), tmp_path)
+        with open(tmp_path / "nodes.tsv", "a", encoding="utf-8") as nodes:
+            nodes.write("n99999999999999999999\tphrase\t1\nn88888888888888888888\tphrase\t2\n")
+        assert [(i.code, i.where) for i in validate(parse_tabular(tmp_path)).errors] == self.WANT
+
+    @pytest.mark.parametrize("scan", ["stage 2", "handler scan"])
+    def test_graph_xml_ids(self, tmp_path, scan):
+        (tmp_path / "c.txt").write_text("ab", encoding="utf-8")
+        (tmp_path / "c.xml").write_text(
+            '<graph><region xml:id="r1" anchors="0 2"/><node xml:id="n1"><link targets="r1"/></node>'
+            '<node xml:id="n99999999999999999999" otype="phrase" monads="1"/>'
+            '<node xml:id="x88888888888888888888" otype="phrase" monads="1"/></graph>',
+            encoding="utf-8",
+        )
+        (tmp_path / "c.graf").write_text("text=c.txt\nannotations=c.xml\n", encoding="utf-8")
+        corpus = parse_graf(tmp_path / "c.graf") if scan == "stage 2" else _parse_graf(tmp_path / "c.graf", _handler_scan)
+        assert [(i.code, i.where) for i in validate(corpus).errors] == self.WANT
+
+
+class TestWarningsNameTheCaller:
+    """A warning names the line that called into fabric, not a frame of
+    fabric or of ``contextlib``.  ``parse_tabular`` files no warning."""
+
+    def graf(self, tmp_path):
+        (tmp_path / "c.txt").write_text("ab", encoding="utf-8")
+        (tmp_path / "c.xml").write_text(
+            '<graph><region xml:id="r1" anchors="0 2"/><region xml:id="r9" anchors="0 1"/>'
+            '<node xml:id="n1"><link targets="r1"/></node></graph>',
+            encoding="utf-8",
+        )
+        (tmp_path / "c.graf").write_text("text=c.txt\nannotations=c.xml\n", encoding="utf-8")
+        return tmp_path / "c.graf"
+
+    @pytest.mark.parametrize("scan", ["stage 2", "handler scan"])
+    def test_parse_graf(self, tmp_path, scan):
+        with pytest.warns(IngestWarning, match="UNUSED_REGION") as records:
+            parse_graf(self.graf(tmp_path)) if scan == "stage 2" else _parse_graf(self.graf(tmp_path), _handler_scan)
+        assert [r.filename for r in records] == [__file__]
+
+    def test_compile(self, tmp_path):
+        corpus = tiny(nodes=(Node(1, "word", MonadSet.from_monads([1])), Node(2, "word", MonadSet.from_monads([2])),
+                             Node(3, "para", MonadSet.from_monads([1, 2]))))
+        for build in (lambda: compile_to_bytes(corpus), lambda: compile_corpus(corpus, tmp_path / "c.fab")):
+            with pytest.warns(IngestWarning, match="UNDECLARED_OTYPE") as records:
+                build()
+            assert [r.filename for r in records] == [__file__]
 
 
 class TestGrafParsing:
