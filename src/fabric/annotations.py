@@ -25,7 +25,7 @@ import numpy as np
 from .compiler import _write_atomic
 from .corpus import Corpus
 from .errors import StoreError, warn
-from .model import repeats
+from .model import _ids, repeats
 from .query.evaluator import ResultSet, evaluate
 
 FORMAT_VERSION = 1
@@ -397,10 +397,7 @@ def _check_snapshots(
     sizes = np.fromiter(counts, dtype=np.intp, count=len(counts))
     owner = np.repeat(np.arange(len(verses)), sizes)  # the pair of each node
     ids = verses + nodes
-    try:
-        id_array = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    except OverflowError:  # an id past int64, compared as a Python int
-        id_array = np.array(ids, dtype=object)
+    id_array = _ids(ids)  # an id past int64 is compared as a Python int
     nv = len(verses)
     faults = []  # (entry, rank within the entry, pair, verse 0 or node 1, message)
 

@@ -13,7 +13,9 @@ each (``fabric: <message>``, ``fabric: <file>:<line>: <code>: <message>
 [<where>]``, ``fabric: warning: <message>``), in json one document each
 (``{"error": <message>, "exit": <code>}``, ``{"error": "validation
 failed", "issues": [{"code", "message", "file", "line", "where"}, ...]}``,
-``{"warning": <message>}``).  The repl's prompts and messages are text.
+``{"warning": <message>}``).  A warning that the warning filters raise
+as an error (``python -W error``) is reported as an error, exit 1.  The
+repl's prompts and messages are text.
 """
 
 from __future__ import annotations
@@ -503,7 +505,8 @@ def main(argv: list[str] | None = None) -> int:
             return cfg.fail(f"corrupt image: {exc}", EXIT_CORRUPT)
         except BrokenPipeError:
             return EXIT_OK
-        except (QuerySyntaxError, QueryError, IngestError, StoreError, OSError) as exc:  # OSError: an unusable path
+        # OSError: an unusable path; Warning: a warning the filters raise as an error
+        except (QuerySyntaxError, QueryError, IngestError, StoreError, OSError, Warning) as exc:
             return cfg.fail(_reason(exc))
 
 

@@ -216,13 +216,16 @@ def _check(report: ValidationReport) -> None:
 _LIST_SPLIT_RE = re.compile(r"[,\s]+")
 
 
-def _text(path: Path) -> str:
+def _text(path: Path, what: str = "") -> str:
+    """The file's UTF-8 text; ``what`` ("primary text") names the file in
+    the messages."""
     try:
         return path.read_bytes().decode("utf-8")
     except FileNotFoundError:
-        raise IngestError("file not found", file=str(path)) from None
+        raise IngestError(f"{what} file not found".lstrip(), file=str(path)) from None
     except UnicodeDecodeError as exc:
-        raise IngestError(f"not valid UTF-8: {exc}", file=str(path)) from None
+        message = f"{what} is not valid UTF-8" if what else "not valid UTF-8"
+        raise IngestError(f"{message}: {exc}", file=str(path)) from None
 
 
 def _parse_keyvalue(path: Path) -> dict[str, list[tuple[int, str]]]:
@@ -263,17 +266,6 @@ def _metadata_from_entries(entries: dict[str, list[tuple[int, str]]], path: Path
         passage_otype=_single(entries, "passage_otype", path) or "verse",
         provenance=provenance,
     )
-
-
-def _read_text_file(path: Path) -> str:
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise IngestError("primary text file not found", file=str(path)) from None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"primary text is not valid UTF-8: {exc}", file=str(path)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +698,7 @@ def _parse_graf(header_path: str | Path, scan: Callable[[list[Path], str], _Fiel
         return value
 
     metadata = _metadata_from_entries(entries, header)
-    text = _read_text_file(base / need("text"))
+    text = _text(base / need("text"), "primary text")
     anno_paths = [base / p for p in _LIST_SPLIT_RE.split(need("annotations")) if p]
     if not anno_paths:
         raise IngestError("header names no annotation files", file=str(header))
@@ -888,7 +880,7 @@ def parse_tabular(directory: str | Path) -> LogicalCorpus:
         metadata = _metadata_from_entries(_parse_keyvalue(meta_path), meta_path)
     else:
         metadata = CorpusMetadata()
-    text = _read_text_file(base / "text.txt")
+    text = _text(base / "text.txt", "primary text")
 
     issues: list[ValidationIssue] = []
 

@@ -34,12 +34,14 @@ which holds each code's rows in canonical order: one code's group, or the
 groups of several merged by one sort of canonical positions.  A block whose
 whole constraint is that atom keeps the posting list unfiltered.
 
-Nested blocks are joined first, in one batched containment semi-join per
-block with children, child blocks first: a block keeps the candidates that
-embed a candidate of every child block, and each child block records, as
-a CSR, which of its candidates each kept node embeds.  The join then emits
-a match table, one column per block in pre-order, grown a block at a time
-(see ``_expand``) in chunks of at most ``_CHUNK`` rows, prefix tables
+Nested blocks are joined first, in one pass over the blocks in reverse
+pre-order (``_Eval.join``), children before parents: a block keeps the
+candidates that embed a candidate of every child block, and each child
+block gets, as a CSR, which of its candidates each kept node embeds.  All
+per-block state is indexed by the block's ``Query.placed()`` number, not
+by the ``Block`` object, so a hand-built query may reuse one ``Block``.
+The join then emits a match table, one column per block in pre-order,
+grown a block at a time (see ``_expand``) in chunks of at most ``_CHUNK`` rows, prefix tables
 included.  A row grows by one slice of the block's candidates: at the top
 level the gap's window or all of them, under a parent the parent
 candidate's CSR segment, searched for the gap's window only after a
@@ -67,7 +69,7 @@ import numpy as np
 from ..corpus import Corpus
 from ..errors import QueryError
 from ..model import heads
-from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Placed, Query, parse
+from .syntax import ADJACENT, And, Atom, Block, BlockString, Expr, Not, Query, parse
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,9 +198,6 @@ class _Eval:
         self.blocks = self.q.placed()
         self.stopped: str | None = None  # why table() ended early: "limit" or "timeout"
         self._masks: dict[Atom, np.ndarray] = {}
-        self._cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._sources: dict[int, Source] = {}
         # Resolve in the oracle's order, so errors come before any matching
         # work and the first one reported is the oracle's.
         for block in (p.block for p in self.blocks):
@@ -206,6 +205,7 @@ class _Eval:
                 raise QueryError(f"unknown otype {block.otype!r}")
             for atom in _atoms(block.constraint):
                 self._value_mask(atom)
+        self.sources = [self._source(p.block) for p in self.blocks]
 
     # -- atoms ------------------------------------------------------------------
 
@@ -267,19 +267,15 @@ class _Eval:
 
     # -- candidate generation -------------------------------------------------
 
-    def source_for(self, block: Block) -> Source:
-        cached = self._sources.get(id(block))
-        if cached is None:
-            otype_count = len(self.c._rows_for_otype(block.otype)[0])
-            cached = Source(kind="otype", otype=block.otype, estimate=otype_count)
-            for atom in _conjunctive_spine(block.constraint):
-                if atom.op in ("=", "IN"):
-                    counts = self.c.store(atom.key).value_counts()  # type: ignore[union-attr]
-                    estimate = int(counts[self._value_mask(atom)].sum())
-                    if estimate < cached.estimate:
-                        cached = Source(kind="posting", otype=block.otype, estimate=estimate, atom=atom)
-            self._sources[id(block)] = cached
-        return cached
+    def _source(self, block: Block) -> Source:
+        source = Source(kind="otype", otype=block.otype, estimate=len(self.c._rows_for_otype(block.otype)[0]))
+        for atom in _conjunctive_spine(block.constraint):
+            if atom.op in ("=", "IN"):
+                counts = self.c.store(atom.key).value_counts()  # type: ignore[union-attr]
+                estimate = int(counts[self._value_mask(atom)].sum())
+                if estimate < source.estimate:
+                    source = Source(kind="posting", otype=block.otype, estimate=estimate, atom=atom)
+        return source
 
     def _posting_rows(self, source: Source) -> np.ndarray:
         """The rows of the source's otype whose atom holds, in canonical
@@ -292,40 +288,40 @@ class _Eval:
         _, pos = self.c._pairs(offsets[codes], offsets[codes + 1])
         return self.c._canon[np.sort(self.c._canon_pos[rows[pos]])]
 
-    def candidates(self, block: Block) -> tuple[np.ndarray, np.ndarray]:
-        """Rows matching this block, in canonical order, with their first
-        monads.  A block with children keeps only the rows that embed a
-        candidate of every child block (a semi-join, run bottom-up), and
-        records for each child block which of its candidates every kept row
-        embeds."""
-        cached = self._cands.get(id(block))
-        if cached is not None:
-            return cached
-        source = self.source_for(block)
-        rows = self._posting_rows(source) if source.kind == "posting" else self.c._rows_for_otype(block.otype)[0]
-        # A posting list holds exactly the nodes its atom is true on.
-        if block.constraint is not None and block.constraint is not source.atom and len(rows):
-            rows = rows[self._expr_mask(block.constraint, rows)]
-        if block.children is not None:
-            rows = self._semi_join(rows, block.children.blocks)
-        cached = self._cands[id(block)] = (rows, self.c._first[rows])
-        return cached
-
-    def _semi_join(self, rows: np.ndarray, children: tuple[Block, ...]) -> np.ndarray:
-        """The parent ``rows`` that embed a candidate of every child block.
-        Caches, per child block, a CSR over the kept rows: row k embeds the
-        child candidates ``kids[offsets[k]:offsets[k + 1]]``, ascending."""
-        pairs = [self.c._inside_many(*self.candidates(child), rows) for child in children]
-        keep = np.ones(len(rows), dtype=bool)
-        for parent, _ in pairs:
-            has = np.zeros(len(rows), dtype=bool)
-            has[parent] = True
-            keep &= has
-        for child, (parent, kids) in zip(children, pairs):
-            # The pairs ascend by parent: each kept row's run of them is its segment.
-            sel = keep[parent]
-            self._csr[id(child)] = (np.append(np.flatnonzero(heads(parent[sel])), np.count_nonzero(sel)), kids[sel])
-        return rows[keep]
+    def join(self) -> tuple[list, list]:
+        """Each block's candidates, by block number: its rows in canonical
+        order with their first monads.  A block with children keeps only
+        the rows that embed a candidate of every child block, so the blocks
+        are joined in reverse pre-order, children first.  The second list
+        holds, per child block, a CSR over its parent's kept rows: parent
+        row k embeds the child candidates ``kids[offsets[k]:offsets[k + 1]]``,
+        ascending (None for a top-level block)."""
+        cands: list = [None] * len(self.blocks)
+        csr: list = [None] * len(self.blocks)
+        children: list[list[int]] = [[] for _ in self.blocks]
+        for j, p in enumerate(self.blocks):
+            if p.parent is not None:
+                children[p.parent].append(j)
+        for k in reversed(range(len(self.blocks))):
+            block, source = self.blocks[k].block, self.sources[k]
+            rows = self._posting_rows(source) if source.kind == "posting" else self.c._rows_for_otype(block.otype)[0]
+            # A posting list holds exactly the nodes its atom is true on.
+            if block.constraint is not None and block.constraint is not source.atom and len(rows):
+                rows = rows[self._expr_mask(block.constraint, rows)]
+            if children[k]:
+                pairs = [self.c._inside_many(*cands[j], rows) for j in children[k]]
+                keep = np.ones(len(rows), dtype=bool)
+                for parent, _ in pairs:
+                    has = np.zeros(len(rows), dtype=bool)
+                    has[parent] = True
+                    keep &= has
+                for j, (parent, kids) in zip(children[k], pairs):
+                    # The pairs ascend by parent: each kept row's run of them is its segment.
+                    sel = keep[parent]
+                    csr[j] = (np.append(np.flatnonzero(heads(parent[sel])), np.count_nonzero(sel)), kids[sel])
+                rows = rows[keep]
+            cands[k] = (rows, self.c._first[rows])
+        return cands, csr
 
     # -- the match table --------------------------------------------------------
 
@@ -338,25 +334,26 @@ class _Eval:
         kept = 0
         try:
             self._check_deadline()
-            steps = [self._step(p) for p in self.blocks]
-            rows = [self.candidates(p.block)[0] for p in self.blocks]
+            cands, csr = self.join()
+            steps = [self._step(k, cands, csr) for k in range(len(self.blocks))]
             for cols in self._expand(steps, [np.zeros(1, dtype=np.int64)]):
                 if limit is not None and kept + len(cols[0]) > limit:
                     cols, self.stopped = [col[: max(limit - kept, 0)] for col in cols], "limit"
                 kept += len(cols[0])
-                yield [r[col] for r, col in zip(rows, cols[1:])]
+                yield [rows[col] for (rows, _), col in zip(cands, cols[1:])]
                 if self.stopped:
                     return
         except TimeoutError:
             self.stopped = "timeout"
 
-    def _step(self, p: Placed) -> tuple:
-        """The expansion step of block ``p``: a function from the prefix
-        table's columns to the slice ``start:stop`` of the block's
-        candidates that extends each row, and the candidate index at each
-        position of those slices (None where it is the position).  Column 0
-        of the table is a one-row root; block k is column k + 1."""
-        firsts = self.candidates(p.block)[1]
+    def _step(self, k: int, cands: list, csr: list) -> tuple:
+        """The expansion step of block ``k``, given ``join()``'s lists: a
+        function from the prefix table's columns to the slice
+        ``start:stop`` of the block's candidates that extends each row, and
+        the candidate index at each position of those slices (None where it
+        is the position).  Column 0 of the table is a one-row root; block k
+        is column k + 1."""
+        p, firsts = self.blocks[k], cands[k][1]
         n = len(firsts)
         lo, hi, prev = np.zeros(1, dtype=np.intp), np.full(1, n), 0  # the root's one row: every candidate
         if p.prev is not None:
@@ -366,11 +363,11 @@ class _Eval:
             # for any larger one.
             limit = 0 if p.gap.kind == ADJACENT else p.gap.limit
             limit = self.c.width if limit is None else min(limit, self.c.width)
-            after = self.c._last[self.candidates(self.blocks[p.prev].block)[0]] + 1
+            after = self.c._last[cands[p.prev][0]] + 1
             lo, hi, prev = *self.c._window(firsts, after, after + limit), p.prev + 1
         if p.parent is None:
             return lambda cols: (lo[cols[prev]], hi[cols[prev]]), None
-        offsets, kids = self._csr[id(p.block)]
+        offsets, kids = csr[k]
         parent = p.parent + 1
         if p.prev is None:  # the parent candidate's whole CSR segment
             return lambda cols: (offsets[cols[parent]], offsets[cols[parent] + 1]), kids

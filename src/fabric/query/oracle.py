@@ -6,7 +6,8 @@ matching logic is written independently, against the public Corpus API
 (nodes / feature / monads), as a direct transcription of the semantics:
 enumerate every assignment of nodes to blocks, keep those where all block
 constraints, parent embeddings, and gap relations hold, then sort by the
-canonical positions of the assigned nodes in query pre-order.
+canonical positions of the assigned nodes in query pre-order.  Block k is
+the k-th record of ``Query.placed()`` and position k of an assignment.
 
 A size guard refuses corpora where the candidate-tuple space (product of
 per-block otype counts) exceeds 10,000: beyond that, exhaustive enumeration
@@ -21,7 +22,7 @@ from ..corpus import Corpus
 from ..errors import OracleGuardError, QueryError
 from ..model import MonadSet
 from .evaluator import Match, MatchTree, ResultSet
-from .syntax import ADJACENT, And, Atom, BlockString, Expr, Gap, Not, Or, Query, parse
+from .syntax import ADJACENT, And, Atom, Expr, Gap, Not, Or, Query, parse
 
 GUARD_LIMIT = 10_000
 
@@ -124,8 +125,8 @@ def brute_force_evaluate(corpus: Corpus, query: Query | str) -> ResultSet:
     """Evaluate by exhaustive enumeration; identical output to evaluate."""
     q = parse(query) if isinstance(query, str) else query
     _check_resolvable(corpus, q)
-    pre_blocks = q.blocks_preorder()
-    index_of = {id(b): i for i, b in enumerate(pre_blocks)}
+    placed = q.placed()
+    pre_blocks = [p.block for p in placed]
 
     by_otype: dict[str, list[int]] = {}
     for block in pre_blocks:
@@ -159,34 +160,33 @@ def brute_force_evaluate(corpus: Corpus, query: Query | str) -> ResultSet:
             monads[node] = ms
         return ms
 
-    def structure_ok(bs: BlockString, parent: int | None, assign: tuple[int, ...]) -> bool:
-        prev_node: int | None = None
-        for j, block in enumerate(bs.blocks):
-            node = assign[index_of[id(block)]]
-            if parent is not None:
-                if node == parent or not monads_of(node).issubset(monads_of(parent)):
+    def structure_ok(assign: tuple[int, ...]) -> bool:
+        """Block k's node (assign[k]) is embedded in its parent's and
+        satisfies the gap after its previous sibling's."""
+        for node, p in zip(assign, placed):
+            if p.parent is not None:
+                up = assign[p.parent]
+                if node == up or not monads_of(node).issubset(monads_of(up)):
                     return False
-            if j and not _gap_holds(bs.gaps[j - 1], monads_of(prev_node), monads_of(node)):
+            if p.prev is not None and not _gap_holds(p.gap, monads_of(assign[p.prev]), monads_of(node)):
                 return False
-            if block.children is not None and not structure_ok(block.children, node, assign):
-                return False
-            prev_node = node
         return True
 
-    def build(bs: BlockString, assign: tuple[int, ...]) -> Match:
-        trees = []
-        for block in bs.blocks:
-            node = assign[index_of[id(block)]]
-            kids = build(block.children, assign) if block.children is not None else ()
-            trees.append(MatchTree(node=node, children=kids))
-        return tuple(trees)
+    def build(assign: tuple[int, ...]) -> Match:
+        """The match of ``assign``, built from the last block back, so that
+        each block's subtrees exist before its own tree."""
+        kids: list[list[MatchTree]] = [[] for _ in range(len(placed) + 1)]  # the last list holds the top level
+        for k in reversed(range(len(placed))):
+            tree = MatchTree(node=assign[k], children=tuple(reversed(kids[k])))
+            kids[-1 if placed[k].parent is None else placed[k].parent].append(tree)
+        return tuple(reversed(kids[-1]))
 
     canon_pos = {node: i for i, node in enumerate(corpus.nodes())}
     found: list[tuple[tuple[int, ...], Match]] = []
     for assign in itertools.product(*candidates):
-        if structure_ok(q.root, None, assign):
+        if structure_ok(assign):
             key = tuple(canon_pos[n] for n in assign)
-            found.append((key, build(q.root, assign)))
+            found.append((key, build(assign)))
     found.sort(key=lambda pair: pair[0])
     matches = tuple(m for _, m in found)
 

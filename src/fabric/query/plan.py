@@ -54,8 +54,7 @@ def explain(corpus: Corpus, query: Query | str) -> QueryPlan:
     per block, in the match table's column order."""
     ev = _Eval(corpus, query)
     steps = []
-    for p in ev.blocks:
-        source = ev.source_for(p.block)
+    for p, source in zip(ev.blocks, ev.sources):
         if source.kind == "posting":
             description = f"dictionary lookup {source.atom.key}→{_fmt_value(source.atom.operand)}"
         else:

@@ -241,6 +241,22 @@ class TestWarnings:
         message = "UNUSED_REGION: region 'r9' is not linked by any node"
         assert err == (json.dumps({"warning": message}) if fmt == "json" else f"fabric: warning: {message}") + "\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+    def test_unused_region_raised_as_error(self, capsys, tmp_path, fmt):
+        # As under ``python -W error``: one error line, exit 1, no image.
+        (tmp_path / "c.txt").write_text("ab", encoding="utf-8")
+        (tmp_path / "c.xml").write_text(
+            '<graph><region xml:id="r1" anchors="0 2"/><region xml:id="r9" anchors="0 1"/>'
+            '<node xml:id="n1"><link targets="r1"/></node></graph>',
+            encoding="utf-8",
+        )
+        (tmp_path / "c.graf").write_text("text=c.txt\nannotations=c.xml\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "compile", str(tmp_path / "c.graf"), str(tmp_path / "c.fab"), "--format", fmt)
+        assert code == 1 and stdout == "" and not (tmp_path / "c.fab").exists()
+        message = "UNUSED_REGION: region 'r9' is not linked by any node"
+        assert err == (json.dumps({"error": message, "exit": 1}) if fmt == "json" else f"fabric: {message}") + "\n"
+
     @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
     def test_stale_store(self, image, capsys, tmp_path, fmt):
         store = tmp_path / "store.json"

@@ -21,6 +21,8 @@ The two relations every join ends in, ``Corpus._embeds`` and ``_meets``,
 are checked against frozenset subset and intersection on every pair of
 rows, and ``up``, ``passage_of`` and the passage join on corpora whose
 first verse spans the whole text, or its first half, ahead of short ones.
+Hand-built queries that reuse one ``Block`` object for equal blocks
+evaluate, stream, explain and brute-force as their parsed text does.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from fabric.corpus import Corpus
 from fabric.errors import StoreError
 from fabric.ingest import parse_graf
 from fabric.model import CorpusMetadata, FeatureAssignment, LogicalCorpus, MonadSet, Node, Region
-from fabric.query import evaluator
+from fabric.query import evaluator, explain
 from fabric.query.evaluator import ResultSet, _Eval, evaluate, iter_matches
 from fabric.query.oracle import _expr_true, brute_force_evaluate
-from fabric.query.syntax import Not, parse
+from fabric.query.syntax import BlockString, Not, Query, parse
 from fabric.synth import quote_string, random_corpus, toy4, write_big_graf
 from strategies import monad_sets
 
@@ -133,14 +135,13 @@ class Scan:
         if any(block.otype not in self.by_otype for block in query.blocks_preorder()):
             return
         ev = _Eval(self.corpus, query)
-        for block in query.blocks_preorder():
-            assert self.corpus._ids[ev.candidates(block)[0]].tolist() == self.joined(block), text
+        for p, (rows, _), source in zip(ev.blocks, ev.join()[0], ev.sources):
+            assert self.corpus._ids[rows].tolist() == self.joined(p.block), text
             # A source's estimate is exact: the posting list's length, or the otype's node count.
-            source = ev.source_for(block)
             if source.kind == "posting":
                 assert source.estimate == len(ev._posting_rows(source)), text
             else:
-                assert source.estimate == len(self.by_otype[block.otype]), text
+                assert source.estimate == len(self.by_otype[p.block.otype]), text
         streamed = list(iter_matches(self.corpus, query))
         rows = [reference.flatten_match(match) for match in streamed]
         assert rows == reference.scan_matches(query.root, self.candidates, self.monads), text
@@ -539,9 +540,8 @@ def test_posting_led_blocks_match_oracle(case):
     bare = conjunction = 0
     for text in queries:
         ev = _Eval(corpus, text)
-        for p in ev.blocks:
+        for p, source in zip(ev.blocks, ev.sources):
             if p.block.otype == "word":
-                source = ev.source_for(p.block)
                 assert source.kind == "posting", text
                 bare += p.block.constraint is source.atom
                 conjunction += p.block.constraint is not source.atom
@@ -596,9 +596,9 @@ SHARED_KEY_QUERIES = (
 def test_posting_index_of_a_key_on_two_otypes_matches_oracle(text):
     scan = Scan(shared_key_corpus())
     ev = _Eval(scan.corpus, text)
-    assert ev.source_for(ev.blocks[0].block).kind == "posting"
-    for p in ev.blocks:
-        assert scan.corpus._ids[ev.candidates(p.block)[0]].tolist() == scan.joined(p.block)
+    assert ev.sources[0].kind == "posting"
+    for p, (rows, _) in zip(ev.blocks, ev.join()[0]):
+        assert scan.corpus._ids[rows].tolist() == scan.joined(p.block)
     want = brute_force_evaluate(scan.corpus, text)
     for size in (1, 2, evaluator._CHUNK):
         with pytest.MonkeyPatch.context() as mp:
@@ -620,3 +620,38 @@ def test_posting_index_is_built_once_per_key_and_otype():
     for text in (f"[word lex = {a}]", f"[word lex = {b}]", f"[word lex IN ({a}, {b})]", f"[phrase [word lex = {b}]]"):
         assert evaluate(corpus, text) == brute_force_evaluate(corpus, text), text
     assert built == [("lex", "word")]
+
+
+def shared_blocks(bs: BlockString, pool: dict) -> BlockString:
+    """``bs`` rebuilt bottom-up with each set of equal blocks as one object."""
+    rebuilt = (b if b.children is None else replace(b, children=shared_blocks(b.children, pool)) for b in bs.blocks)
+    return BlockString(tuple(pool.setdefault(b, b) for b in rebuilt), bs.gaps)
+
+
+# A block reused at two places of the query: two children of one parent
+# (evaluated wrongly, by block identity, before blocks were keyed by their
+# place), and two top-level blocks.
+SHARED_TOY4 = ('[clause [phrase typ="NP" [word]] [phrase typ="VP" [word]]]', "[word][word]")
+
+
+@pytest.mark.parametrize("case", ["toy4", "random1", "random2", "random3"])
+def test_shared_block_objects_evaluate_as_parsed_text(case):
+    logical = toy4() if case == "toy4" else random_corpus(random.Random(int(case[6:])), max_words=12)
+    scan = Scan(logical)
+    # Each shape as drawn, and with b = a and u = t, which makes equal blocks.
+    twins = tuple(shape.replace("{b}", "{a}").replace("{u}", "{t}") for shape in SHAPES + NESTED_SHAPES)
+    texts = scan.queries(random.Random(case), SHAPES + NESTED_SHAPES + twins)
+    texts += SHARED_TOY4 if case == "toy4" else ()
+    reused = 0
+    for text in texts:
+        parsed = parse(text)
+        query = Query(shared_blocks(parsed.root, {}), text)
+        assert query == parsed, text
+        reused += len({id(p.block) for p in query.placed()}) < len(query.placed())
+        assert brute_force_evaluate(scan.corpus, query) == brute_force_evaluate(scan.corpus, parsed), text
+        for size in (1, 2, evaluator._CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluator, "_CHUNK", size)
+                for run in (evaluate, lambda c, q: list(iter_matches(c, q)), lambda c, q: explain(c, q).render()):
+                    assert run(scan.corpus, query) == run(scan.corpus, parsed), (text, size)
+    assert reused >= len(NESTED_SHAPES)
