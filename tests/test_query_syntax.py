@@ -159,6 +159,16 @@ class TestStringsAndComments:
         with pytest.raises(QuerySyntaxError, match="bad string escape"):
             parse('[word text="a\\qb"]')
 
+    @pytest.mark.parametrize("query,message", [
+        ('[word text="a\\qb"]', "bad string escape \\q at line 1, column 14"),
+        ('[word text="\\\\\\n\\"\\x"]', "bad string escape \\x at line 1, column 19"),
+        ('[word]\n  [word text IN ("a", "b\\tc\\é")]', "bad string escape \\é at line 2, column 28"),
+    ])
+    def test_bad_escape_names_the_backslash(self, query, message):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse(query)
+        assert str(exc.value) == message
+
     def test_unterminated_string(self):
         with pytest.raises(QuerySyntaxError, match="unterminated string"):
             parse('[word text="abc]')
