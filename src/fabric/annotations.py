@@ -324,10 +324,8 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StoreError(f"store file is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "store file must hold a JSON object")
-    _require(
-        doc.get("format_version") == FORMAT_VERSION,
-        f"unsupported store format_version {doc.get('format_version')!r}",
-    )
+    version = doc.get("format_version")
+    _require(type(version) is int and version == FORMAT_VERSION, f"unsupported store format_version {version!r}")
     fingerprint = doc.get("corpus_fingerprint")
     _require(isinstance(fingerprint, str), "corpus_fingerprint must be a string")
     queries = doc.get("queries")

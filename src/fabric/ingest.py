@@ -23,9 +23,10 @@ forms with double-quoted attributes in a fixed order, UTF-8, no DOCTYPE,
 comment, CDATA, processing instruction or ``xmlns``) with one compiled
 byte regex per form, and decodes each field column with one join, one
 UTF-8 decode and one split.  A call with any other file, or with a
-repeated xml:id, runs the handler scan instead: one namespaced ``pyexpat``
-pass per file whose handlers append attribute values, which gives every
-report and error.  Either scan only fills one table per element form
+repeated xml:id, runs the handler scan instead: one pass of ElementTree's
+parser per file whose target appends attribute values, which gives every
+report and error (an encoding the parser cannot read is an
+``IngestError``).  Either scan only fills one table per element form
 (``_Fields``).  Then ``_parse_graf`` alone resolves xml:ids: links against
 the regions', edge ends and annotation refs against one index of nodes,
 then edges, and it files each report through one locator.  Column
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import contains
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator
 from xml.parsers import expat
 
@@ -73,7 +75,7 @@ from .model import (
     repeats,
 )
 
-_XML_ID = "http://www.w3.org/XML/1998/namespace}id"  # as expat names it, with "}" between namespace and name
+_XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
 _PARENT = {"link": "node", "f": "a"}  # the child elements ``parse_graf`` reads, and their parents
 _U32_MAX = 2**32 - 1  # the widest id the image format stores
 
@@ -230,9 +232,9 @@ def _text(path: Path, what: str = "") -> str:
 
 def _parse_keyvalue(path: Path) -> dict[str, list[tuple[int, str]]]:
     r"""Key=value lines, split at "\n" only (stripping each line drops a
-    "\r" before it)."""
+    "\r" before it), after one leading byte order mark."""
     entries: dict[str, list[tuple[int, str]]] = {}
-    for lineno, raw in enumerate(_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(_text(path).removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -455,28 +457,6 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@contextmanager
-def _expat(fname: str) -> Iterator[expat.XMLParserType]:
-    """The handler scan's expat parser: a namespaced name reads
-    "uri}name", an undeclared or external entity in content is an
-    ``IngestError``, and so is malformed XML, with its line."""
-
-    def undefined(name: str, parameter: bool = False) -> None:
-        if not parameter:
-            at = (name, parser.CurrentLineNumber, parser.CurrentColumnNumber)
-            raise IngestError("malformed XML: undefined entity &%s;: line %d, column %d" % at, file=fname, line=at[1])
-
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.SkippedEntityHandler = undefined
-    parser.ExternalEntityRefHandler = lambda context, *_: undefined(context.rsplit("\f", 1)[-1])
-    try:
-        yield parser
-    except expat.ExpatError as exc:
-        raise IngestError(f"malformed XML: {exc}", file=fname, line=exc.lineno) from None
-    finally:  # ``undefined`` refers to the parser: a cycle would keep the scan's lists alive
-        del parser
-
-
 # Stage 2 reads the dialect the writers emit (``synth.write_graf`` and
 # ``write_big_graf``): an optional UTF-8 declaration, a bare <graph> root,
 # and elements of five forms, each attribute double-quoted, in this order,
@@ -542,10 +522,10 @@ def _read_file(s: _Fields, path: Path) -> bool:
     parser = expat.ParserCreate()
     with open(path, "rb") as source:
         buf = source.read(_CHUNK)
-        parser.Parse(buf, not buf)
         prolog = _PROLOG_RE.match(buf)
-        if prolog is None:
+        if prolog is None:  # before expat reads the declaration, whose encoding it may not know
             return False
+        parser.Parse(buf, not buf)
         seen = prolog[0].count(b"<")
         held = seen + 1  # the "<" the forms hold, </graph> included
         start = prolog.end()
@@ -582,7 +562,10 @@ def _read_forms(s: _Fields, data: bytes, start: int, stop: int) -> int:
 
 def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
     """The field lists of any graph XML files, and the issues met: one
-    expat pass per file whose handlers append attribute values."""
+    pass of ElementTree's parser per file whose target appends attribute
+    values."""
+    import xml.etree.ElementTree as ET  # here, not at module level: only a file stage 2 declines needs it
+
     s = _Fields()
     data_err, seen_xids = s.error, set()
 
@@ -594,12 +577,12 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
         fname = str(anno_path)
         if not anno_path.exists():
             raise IngestError("annotation file not found", file=fname)
-        # One expat pass: each start pushes (tag, attributes, kids), handing
+        # One parser pass: each start pushes (tag, attributes, kids), handing
         # a <link> to the <node> and an <f> to the <a> that is its parent,
         # as ``findall`` on direct children would; each end pops its element
         # and fills the field lists.  Ids are claimed at end tags, so of two
         # nested duplicates the inner one counts.  A namespaced tag reads
-        # "uri}tag" and matches nothing.
+        # "{uri}tag" and matches nothing.
         stack: list[tuple[str, dict[str, str], list[dict[str, str]]]] = []
 
         def claim_xid(attrs: dict[str, str], what: str) -> str | None:
@@ -614,8 +597,8 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
             return xid
 
         def start(tag: str, attrs: dict[str, str]) -> None:
-            if not stack and tag != "graph":  # a namespaced root is named "{uri}tag"
-                raise IngestError(f"root element must be <graph>, got <{'{' if '}' in tag else ''}{tag}>", file=fname)
+            if not stack and tag != "graph":
+                raise IngestError(f"root element must be <graph>, got <{tag}>", file=fname)
             if stack and stack[-1][0] == _PARENT.get(tag):
                 stack[-1][2].append(attrs)
             stack.append((tag, attrs, []))
@@ -671,9 +654,18 @@ def _handler_scan(paths: list[Path], slot_otype: str) -> _Fields:
                         else:
                             add(_ANNO, ref, name, value)
 
-        with _expat(fname) as parser, open(fname, "rb") as source:
-            parser.StartElementHandler, parser.EndElementHandler = start, end
-            parser.ParseFile(source)
+        parser = ET.XMLParser(target=SimpleNamespace(start=start, end=end))
+        with open(fname, "rb") as source:
+            try:
+                while chunk := source.read(_CHUNK):
+                    parser.feed(chunk)
+                parser.close()
+            except ET.ParseError as exc:
+                raise IngestError(f"malformed XML: {exc}", file=fname, line=exc.position[0]) from None
+            except (LookupError, ValueError) as exc:
+                if stack:  # a handler's: the parser reads the declared encoding before the root starts
+                    raise
+                raise IngestError(f"unsupported XML encoding: {exc}", file=fname, line=1) from None
         s.end_file()
     return s
 

@@ -53,6 +53,7 @@ _TOKEN_RE = re.compile(
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 _QUOTE_ESCAPES = {value: "\\" + escape for escape, value in _STRING_ESCAPES.items()}
+_STRING_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 class Token(NamedTuple):
@@ -94,22 +95,15 @@ def _lex(text: str) -> list[Token]:
 
 
 def _unescape_string(token: Token) -> str:
-    body = token.text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in _STRING_ESCAPES:
-                raise QuerySyntaxError(
-                    f"bad string escape \\{body[i + 1:i + 2]}", line=token.line, column=token.column + i + 1
-                )
-            out.append(_STRING_ESCAPES[body[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """A STRING token's value; the lexer puts a character after every
+    backslash."""
+
+    def sub(m: re.Match[str]) -> str:
+        if m[1] not in _STRING_ESCAPES:
+            raise QuerySyntaxError(f"bad string escape {m[0]}", line=token.line, column=token.column + 1 + m.start())
+        return _STRING_ESCAPES[m[1]]
+
+    return _STRING_ESCAPE_RE.sub(sub, token.text[1:-1])
 
 
 def quote_string(value: str) -> str:

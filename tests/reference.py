@@ -504,10 +504,8 @@ def import_store_bytes(data: bytes, corpus=None):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreError(f"store file is not valid JSON: {exc}") from None
     require(isinstance(doc, dict), "store file must hold a JSON object")
-    require(
-        doc.get("format_version") == FORMAT_VERSION,
-        f"unsupported store format_version {doc.get('format_version')!r}",
-    )
+    version = doc.get("format_version")
+    require(type(version) is int and version == FORMAT_VERSION, f"unsupported store format_version {version!r}")
     fingerprint = doc.get("corpus_fingerprint")
     require(isinstance(fingerprint, str), "corpus_fingerprint must be a string")
     queries = doc.get("queries")

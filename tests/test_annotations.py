@@ -424,6 +424,14 @@ class TestImportValidation:
         with pytest.raises(StoreError, match="format_version"):
             import_bytes(self.dump(doc))
 
+    @pytest.mark.parametrize("load", [import_bytes, reference.import_store_bytes], ids=["package", "reference"])
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_integer_one(self, toy4_corpus, load, version):
+        doc = self.doc(toy4_corpus, format_version=version)
+        with pytest.raises(StoreError) as exc:
+            load(self.dump(doc))
+        assert str(exc.value) == f"unsupported store format_version {version!r}"
+
     def test_rejects_duplicate_ids(self, toy4_corpus):
         doc = self.doc(toy4_corpus)
         doc["queries"] = doc["queries"] * 2

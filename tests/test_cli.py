@@ -207,6 +207,16 @@ class TestCompile:
         assert (code, stdout) == (1, "")
         assert err.count("fabric:") == 1 and "ID_RANGE" in err and "32-bit" in err
 
+    @pytest.mark.parametrize("encoding,reason", [
+        ("shift_jis", "multi-byte encodings are not supported"), ("bogus", "unknown encoding: bogus"),
+    ])
+    def test_xml_encoding_the_parser_cannot_read_is_one_line(self, capsys, tmp_path, encoding, reason):
+        header = write_graf(toy4(), tmp_path, stem="c")
+        xml = tmp_path / "c.xml"
+        xml.write_bytes(xml.read_bytes().replace(b'encoding="utf-8"', f'encoding="{encoding}"'.encode(), 1))
+        code, stdout, err = run(capsys, "compile", str(header), str(tmp_path / "x.fab"))
+        assert (code, stdout, err) == (1, "", f"fabric: {xml}:1: unsupported XML encoding: {reason}\n")
+
     def test_validation_failures_as_json(self, capsys, tmp_path):
         src = tmp_path / "bad"
         src.mkdir()

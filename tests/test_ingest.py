@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import re
 import tempfile
@@ -68,6 +69,15 @@ class TestToy4Ingest:
         from_graf = parse_graf(toy4_tree / "graf" / "toy4.graf")
         from_tabular = parse_tabular(toy4_tree / "tabular")
         assert compile_to_bytes(from_graf)[0] == compile_to_bytes(from_tabular)[0]
+
+    @pytest.mark.parametrize("key_values", ["graf/c.graf", "tabular/meta.txt"])
+    def test_byte_order_mark_before_key_values_is_dropped(self, tmp_path, toy4_logical, key_values):
+        write_graf(toy4_logical, tmp_path / "graf", stem="c")
+        write_tabular(toy4_logical, tmp_path / "tabular")
+        path = tmp_path / key_values
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert parse_graf(tmp_path / "graf" / "c.graf") == toy4_logical
+        assert parse_tabular(tmp_path / "tabular") == toy4_logical
 
     def test_builder_corpus_is_valid(self, toy4_logical):
         report = validate(toy4_logical)
@@ -981,6 +991,27 @@ class TestGrafParsing:
         assert corpora[0] == corpora[1]
         assert corpora[0].features[0].value == "café ½"
 
+    @pytest.mark.parametrize("encoding,reason", [
+        ("shift_jis", "multi-byte encodings are not supported"), ("bogus", "unknown encoding: bogus"),
+    ])
+    def test_encoding_the_parser_cannot_read(self, tmp_path, encoding, reason):
+        header = self.header(tmp_path, f'<?xml version="1.0" encoding="{encoding}"?>\n' + self.BASE.format(extra=""))
+        assert _byte_scan([tmp_path / "c.xml"]) is None
+        with pytest.raises(IngestError) as exc:
+            parse_graf(header)
+        assert (exc.value.file, exc.value.line) == (str(tmp_path / "c.xml"), 1)
+        assert str(exc.value).endswith(f"unsupported XML encoding: {reason}")
+
+    def test_a_handler_fault_is_not_an_encoding_error(self, tmp_path, monkeypatch):
+        class Faulty:
+            def fullmatch(self, text):
+                raise ValueError("a fault in a handler")
+
+        header = self.header(tmp_path, "<!-- to the handler scan -->\n" + self.BASE.format(extra=""))
+        monkeypatch.setattr("fabric.ingest._ANCHORS_RE", Faulty())
+        with pytest.raises(ValueError, match="a fault in a handler"):
+            parse_graf(header)
+
     @pytest.mark.parametrize(
         "graf,text,name,line,message",
         [
@@ -1256,6 +1287,23 @@ class TestGrafStages:
                                         c.features + (FeatureAssignment("N", 101, "note", value),), c.metadata)
         write_graf(corpus, tmp_path, stem="m")
         self.assert_stage_two([tmp_path / "m.xml"])
+
+    def test_handler_scan_leaves_no_cycle(self, tmp_path):
+        """With the collector off, a fallback parse leaves nothing that
+        only a collection would free."""
+        header = write_graf(toy4(), tmp_path, stem="m")
+        xml = tmp_path / "m.xml"
+        xml.write_bytes(xml.read_bytes().replace(b"<graph>", b"<graph><!-- to the handler scan -->", 1))
+        assert _byte_scan([xml]) is None
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            _parse_graf(header, _handler_scan)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_latin1_and_namespaced_files_take_the_handler_scan(self, tmp_path):
         """The inputs of two ``TestGrafParsing`` tests."""
