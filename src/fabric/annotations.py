@@ -321,7 +321,7 @@ def import_bytes(data: bytes, corpus: Corpus | None = None) -> AnnotationStore:
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or a number longer than ``int`` reads
         raise StoreError(f"store file is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "store file must hold a JSON object")
     version = doc.get("format_version")

@@ -16,27 +16,30 @@ objects only when something reads them.
 
 Both decode a column at a time.  ``parse_tabular`` splits each file into
 rows (at "\n" only) and cells with a few passes over its bytes.
-``parse_graf`` reads the XML in two stages over the same chunks of each
-file.  Stage 1 checks the file with one bare ``pyexpat`` pass (no handlers,
-no namespaces).  Stage 2 reads the dialect the writers emit (five element
-forms with double-quoted attributes in a fixed order, UTF-8, no DOCTYPE,
-comment, CDATA, processing instruction or ``xmlns``) with one compiled
-byte regex per form, and decodes each field column with one join, one
-UTF-8 decode and one split.  A call with any other file, or with a
-repeated xml:id, runs the handler scan instead: one pass of ElementTree's
-parser per file whose target appends attribute values, which gives every
-report and error (an encoding the parser cannot read is an
-``IngestError``).  Either scan only fills one table per element form
-(``_Fields``).  Then ``_parse_graf`` alone resolves xml:ids: links against
-the regions', edge ends and annotation refs against one index of nodes,
-then edges, and it files each report through one locator.  Column
-decoders read whole columns of ids and integers (both front ends) and of
-monad sets (``parse_tabular``) with numpy, and hand only the cells they
-cannot read (anything but plain ASCII numbers and one-run sets) to one
-per-row fallback, whose decoders (``extract_id``, ``int``,
-``MonadSet.parse``) only decode; each front end reports a column's
-rejected rows once the column is done.  ``parse_graf`` hands every node's
-monad text to that fallback, so ``MonadSet.parse`` reads each one.
+``parse_graf`` reads the dialect the writers emit (five element forms
+with double-quoted attributes in a fixed order, UTF-8 after an optional
+byte order mark, no DOCTYPE, comment, CDATA, processing instruction or
+``xmlns``) with stage 2, the byte scan: one compiled byte regex per form
+over each chunk of a file, and one join, one UTF-8 decode and one split
+per field column.  It runs no XML parser.  It proves that every "<" but
+the closing </graph> lies in a form, and checks the rest of what XML 1.0
+asks of such a file on the same slices (``_plain``: characters, UTF-8 and
+references), declining whatever it is not sure of.  A call with any
+other file, or with a repeated xml:id, runs the handler scan instead: one
+pass of ElementTree's parser per file whose target appends attribute
+values, which gives every report and error (an encoding the parser
+cannot read is an ``IngestError``).  Either scan only fills one table
+per element form (``_Fields``).  Then ``_parse_graf`` alone resolves
+xml:ids: links against the regions', edge ends and annotation refs
+against one index of nodes, then edges, and it files each report through
+one locator.  Column decoders read whole columns of ids and integers
+(both front ends) and of monad sets (``parse_tabular``) with numpy, and
+hand only the cells they cannot read (anything but plain ASCII numbers
+and one-run sets) to one per-row fallback, whose decoders
+(``extract_id``, ``int``, ``MonadSet.parse``) only decode; each front end
+reports a column's rejected rows once the column is done.  ``parse_graf``
+hands every node's monad text to that fallback, so ``MonadSet.parse``
+reads each one.
 
 Structural invariants of the corpus itself are checked once, by
 ``validate`` at compile time (``compiler.compile_to_bytes``): numpy passes
@@ -55,7 +58,6 @@ from operator import contains
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator
-from xml.parsers import expat
 
 import numpy as np
 
@@ -458,22 +460,28 @@ def _collector_paused() -> Iterator[None]:
 
 
 # Stage 2 reads the dialect the writers emit (``synth.write_graf`` and
-# ``write_big_graf``): an optional UTF-8 declaration, a bare <graph> root,
-# and elements of five forms, each attribute double-quoted, in this order,
-# after one space, with no tab, CR or LF in a value.  A value is what expat
-# returns once its references are replaced; targets are plain ASCII.
-# Stage 1 runs expat without namespace processing: every form's element
-# and attribute names are fixed and ``xml:`` is their only prefix, so a
-# file that holds another namespace construct has a "<" outside the forms.
-_PROLOG_RE = re.compile(rb'(?:<\?xml version="1\.0"(?: encoding="(?i:utf-8)")?\?>\s*)?<graph>')
-_REGION_RE = re.compile(rb'<region xml:id="([^"\t\n\r]*)" anchors="([0-9]+) ([0-9]+)"/>')
-_WORD_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)"><link targets="([!#-%\'-;=-~]+)"/></node>')
-_NODE_RE = re.compile(rb'<node xml:id="([^"\t\n\r]*)" otype="([^"\t\n\r]*)" monads="([^"\t\n\r]*)"/>')
-_EDGE_RE = re.compile(rb'<edge xml:id="([^"\t\n\r]*)" from="([^"\t\n\r]*)" to="([^"\t\n\r]*)" label="([^"\t\n\r]*)"/>')
-_ANNO_RE = re.compile(rb'<a ref="([^"\t\n\r]*)">((?:<f name="[^"\t\n\r]*" value="[^"\t\n\r]*"/>)+)</a>')
-_F_RE = re.compile(rb'<f name="([^"\t\n\r]*)" value="([^"\t\n\r]*)"/>')
+# ``write_big_graf``): UTF-8 after an optional byte order mark, an optional
+# declaration, a bare <graph> root, and elements of five forms, each
+# attribute double-quoted, in this order, after one space, with no "<", tab,
+# CR or LF in a value.  With no "<" in a value, no two forms overlap, so
+# each "<" is counted once.  A value is what an XML parser returns once its
+# references are replaced; targets are plain ASCII.  Every form's element
+# and attribute names are fixed and ``xml:`` is their only prefix, which
+# needs no declaration, so a file that holds another namespace construct
+# has a "<" outside the forms.
+_PROLOG_RE = re.compile(rb'(?:\xef\xbb\xbf)?(?:<\?xml version="1\.0"(?: encoding="(?i:utf-8)")?\?>\s*)?<graph>')
+_REGION_RE = re.compile(rb'<region xml:id="([^"<\t\n\r]*)" anchors="([0-9]+) ([0-9]+)"/>')
+_WORD_RE = re.compile(rb'<node xml:id="([^"<\t\n\r]*)"><link targets="([!#-%\'-;=-~]+)"/></node>')
+_NODE_RE = re.compile(rb'<node xml:id="([^"<\t\n\r]*)" otype="([^"<\t\n\r]*)" monads="([^"<\t\n\r]*)"/>')
+_EDGE_RE = re.compile(rb'<edge xml:id="([^"<\t\n\r]*)" from="([^"<\t\n\r]*)" to="([^"<\t\n\r]*)" label="([^"<\t\n\r]*)"/>')
+_ANNO_RE = re.compile(rb'<a ref="([^"<\t\n\r]*)">((?:<f name="[^"<\t\n\r]*" value="[^"<\t\n\r]*"/>)+)</a>')
+_F_RE = re.compile(rb'<f name="([^"<\t\n\r]*)" value="([^"<\t\n\r]*)"/>')
+_END_RE = re.compile(rb"</graph[ \t\n\r]*>[ \t\n\r]*")  # with ``fullmatch`` from the last "<"
 _CHUNK = 1 << 16  # bytes read at a time: stage 2 never holds a whole file, nor a buffer that grows with it
-_REF_RE = re.compile(r"&(?:#x([0-9A-Fa-f]+)|#([0-9]+)|(amp|lt|gt|quot|apos));")
+_TEXT_BYTES = bytes(range(0x20, 0x100)) + b"\t\n\r"  # all but the C0 controls XML 1.0 forbids
+# The digits are bounded, so ``int`` never meets a number past its limit.
+_REF = r"&(?:#x([0-9A-Fa-f]{1,6})|#([0-9]{1,7})|(amp|lt|gt|quot|apos));"
+_REF_RE, _BYTE_REF_RE = re.compile(_REF), re.compile(_REF.encode())
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 
@@ -483,9 +491,9 @@ def _entity(m: re.Match[str]) -> str:
 
 
 def _strings(values: tuple[bytes, ...]) -> list[str]:
-    """A column of attribute values as expat returns them: one join, one
-    UTF-8 decode and one split.  Stage 1 has checked every reference, and
-    expat allows no NUL, so NUL separates the values."""
+    """A column of attribute values as an XML parser returns them: one
+    join, one UTF-8 decode and one split.  ``_plain`` has checked every
+    reference and allows no NUL, so NUL separates the values."""
     if not values:
         return []
     text = b"\0".join(values).decode()
@@ -494,20 +502,43 @@ def _strings(values: tuple[bytes, ...]) -> list[str]:
     return text.split("\0")
 
 
+def _plain(part: bytes) -> bool:
+    """Whether XML 1.0 allows each character and reference of a slice of a
+    file: strict UTF-8 with no C0 control but tab, LF and CR, and no U+FFFE
+    or U+FFFF; each "&" starting a predefined entity or a reference to an
+    allowed character.  A "]]>" fails too, though a value may hold one."""
+    if part.translate(None, _TEXT_BYTES) or b"]]>" in part:
+        return False
+    if not part.isascii():
+        try:
+            part.decode()
+        except UnicodeDecodeError:
+            return False
+        if b"\xef\xbf\xbe" in part or b"\xef\xbf\xbf" in part:
+            return False
+    if b"&" not in part:
+        return True
+    refs = _BYTE_REF_RE.findall(part)
+    codes = {int(hexa, 16) if hexa else int(decimal) for hexa, decimal, name in set(refs) if not name}
+    return len(refs) == part.count(b"&") and all(
+        c in (9, 10, 13) or 0x20 <= c <= 0xD7FF or 0xE000 <= c <= 0xFFFD or 0x10000 <= c <= 0x10FFFF for c in codes
+    )
+
+
 def _byte_scan(paths: list[Path]) -> _Fields | None:
-    """Stage 2: the field lists of files in the writers' dialect, read
-    with one compiled regex per element form, while stage 1, one bare
-    expat pass, checks each file.  None, to leave the call to the handler
-    scan, when a file cannot be read or is not well-formed, when any "<"
-    in it lies outside a recognised form (a DOCTYPE, comment, CDATA
-    section or processing instruction, an ``xmlns``, another encoding,
-    attributes in another order or quoting, or an element the scan would
-    report), or when an xml:id repeats."""
+    """Stage 2: the field lists of well-formed files in the writers'
+    dialect, read with one compiled regex per element form.  None, to leave
+    the call to the handler scan, when a file cannot be read, when any "<"
+    in it but the </graph> that ends it lies outside a recognised form (a
+    DOCTYPE, comment, CDATA section or processing instruction, an
+    ``xmlns``, another encoding, attributes in another order or quoting,
+    or an element the scan would report), when a character or reference
+    is one ``_plain`` declines, or when an xml:id repeats."""
     s = _Fields()
     try:
         if not all(_read_file(s, path) for path in paths):
             return None
-    except (OSError, expat.ExpatError):
+    except OSError:
         return None
     xids = [table[0] for table in s.tables[:_ANNO]]
     if len(set(chain.from_iterable(xids))) != sum(map(len, xids)):
@@ -516,29 +547,30 @@ def _byte_scan(paths: list[Path]) -> _Fields | None:
 
 
 def _read_file(s: _Fields, path: Path) -> bool:
-    """Feed a file to a bare expat parser and append the rows of its forms
-    to the field lists, a chunk at a time; whether every "<" in it lies in
-    a form."""
-    parser = expat.ParserCreate()
+    """Append the rows of a file's forms to the field lists, a chunk at a
+    time; whether the file is in the dialect: its prolog matches, every
+    slice is ``_plain``, every "<" lies in a form but the last, and that
+    one starts a </graph> followed by nothing but whitespace."""
     with open(path, "rb") as source:
         buf = source.read(_CHUNK)
         prolog = _PROLOG_RE.match(buf)
-        if prolog is None:  # before expat reads the declaration, whose encoding it may not know
+        if prolog is None:
             return False
-        parser.Parse(buf, not buf)
         seen = prolog[0].count(b"<")
         held = seen + 1  # the "<" the forms hold, </graph> included
         start = prolog.end()
         while buf:
             more = source.read(_CHUNK)
-            parser.Parse(more, not more)
             # No form holds a LF, so none crosses a cut made after one.
             stop = (buf.rfind(b"\n<", start) + 1 or start) if more else len(buf)
-            held += _read_forms(s, buf, start, stop)
-            seen += buf.count(b"<", start, stop)
+            part = buf[:stop]  # the first holds the prolog too
+            if not _plain(part):
+                return False
+            held += _read_forms(s, part, start, stop)
+            seen += part.count(b"<", start)
             buf, start = buf[stop:] + more, 0
     s.end_file()
-    return held == seen
+    return held == seen and _END_RE.fullmatch(part, part.rfind(b"<")) is not None
 
 
 def _read_forms(s: _Fields, data: bytes, start: int, stop: int) -> int:

@@ -23,6 +23,7 @@ use search semantics: unanchored unless ``^``/``$`` are written.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -246,6 +247,14 @@ class _Parser:
     def fail(self, message: str, token: Token, expected: tuple[str, ...] = ()) -> QuerySyntaxError:
         return QuerySyntaxError(message, line=token.line, column=token.column, expected=expected)
 
+    def integer(self, token: Token) -> int:
+        """An INTEGER token's value; one longer than ``int`` reads is an error."""
+        try:
+            return int(token.text)
+        except ValueError:
+            digits = len(token.text.lstrip("-"))
+            raise self.fail(f"integer has {digits} digits, more than {sys.get_int_max_str_digits()}", token) from None
+
     def expect(self, type_: str) -> Token:
         tok = self.peek()
         if tok.type != type_:
@@ -274,7 +283,7 @@ class _Parser:
                 if nxt.type == "op" and nxt.text == "<=":
                     self.advance()
                     limit_tok = self.expect("int")
-                    limit = int(limit_tok.text)
+                    limit = self.integer(limit_tok)
                     if limit < 0:
                         raise self.fail(f"gap limit {limit} is negative", limit_tok, expected=("integer >= 0",))
                     gaps.append(Gap(GAP, limit))
@@ -372,7 +381,7 @@ class _Parser:
             operand: str | int = _unescape_string(val_tok)
         elif val_tok.type == "int":
             self.advance()
-            operand = int(val_tok.text)
+            operand = self.integer(val_tok)
         else:
             raise self.fail(
                 f"expected a string or integer operand, got {val_tok.text or 'end of input'!r}",

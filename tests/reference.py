@@ -501,7 +501,7 @@ def import_store_bytes(data: bytes, corpus=None):
 
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or a number longer than ``int`` reads
         raise StoreError(f"store file is not valid JSON: {exc}") from None
     require(isinstance(doc, dict), "store file must hold a JSON object")
     version = doc.get("format_version")

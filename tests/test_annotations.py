@@ -419,6 +419,12 @@ class TestImportValidation:
         with pytest.raises(StoreError, match="not valid JSON"):
             import_bytes(b"[" * 200_000 + b"]" * 200_000)
 
+    @pytest.mark.parametrize("load", [import_bytes, reference.import_store_bytes], ids=["package", "reference"])
+    def test_rejects_a_number_longer_than_int_reads(self, toy4_corpus, load):
+        data = self.dump(self.doc(toy4_corpus)).replace(b'"format_version": 1', b'"format_version": ' + b"9" * 5000)
+        with pytest.raises(StoreError, match="^store file is not valid JSON: "):
+            load(data)
+
     def test_rejects_wrong_version(self, toy4_corpus):
         doc = self.doc(toy4_corpus, format_version=9)
         with pytest.raises(StoreError, match="format_version"):

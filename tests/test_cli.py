@@ -131,6 +131,14 @@ class TestExitCodes:
         assert [code for code, _, _ in together] == [1, 0, 0]
 
 
+def test_import_loads_no_xml_parser():
+    """Only a graph XML file that stage 2 declines needs one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fabric.cli; print(sorted(m for m in sys.modules if 'expat' in m or m.startswith('xml')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 class TestSampleScript:
     def test_make_sample_writes_toy4_in_every_form(self, tmp_path):
         """``scripts/make_sample.py`` writes graph XML, tables and an image,
@@ -446,6 +454,12 @@ class TestQuery:
         assert (code, out) == (1, "")
         assert err == "fabric: gap limit -1 is negative at line 1, column 14 (expected integer >= 0)\n"
 
+    def test_integer_longer_than_int_reads_is_a_syntax_error(self, image, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "query", image, "-q", "[word lex = " + "9" * (limit + 1) + "]")
+        assert (code, out) == (1, "")
+        assert err == f"fabric: integer has {limit + 1} digits, more than {limit} at line 1, column 13\n"
+
     def test_syntax_error_reports_position(self, image, capsys):
         code, _, err = run(capsys, "query", image, "-q", "[word][word")
         assert code == 1
@@ -713,6 +727,14 @@ class TestAnnotate:
     def test_store_nested_too_deeply(self, image, capsys, tmp_path):
         store = tmp_path / "store.json"
         store.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        code, stdout, err = run(capsys, "annotate", image, str(store), "list")
+        assert (code, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fabric: store file is not valid JSON: ")
+
+    def test_store_number_longer_than_int_reads(self, image, capsys, tmp_path):
+        store = tmp_path / "store.json"
+        store.write_text('{"format_version": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
         code, stdout, err = run(capsys, "annotate", image, str(store), "list")
         assert (code, stdout) == (1, "")
         assert len(err.splitlines()) == 1

@@ -5,6 +5,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from xml.parsers import expat
 
 import pytest
 from hypothesis import event, given, settings
@@ -1237,10 +1238,66 @@ def _graf_outcome(parse, header):
     return got, [(w.category, str(w.message)) for w in caught]
 
 
+_FAULTS = [  # bytes that break XML 1.0 wherever they go, or only in some places, or nowhere
+    b"&#0;", b"&#xFFFE;", b"&#xD800;", b"&#x110000;", b"&foo;", b"&", b"&#" + b"9" * 40 + b";", b"&#65;",
+    b"&#x10FFFF;", b"&amp;", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", "\ufffe".encode(), "\uffff".encode(),
+    "\ufdd0".encode(), b"\xef\xbb\xbf", b"\x00", b"\x01", b"\x0c", b"\x7f", b"]]>", b"]]", b"<", b">", b'"',
+    b"</graph>", b"x", b"\n",
+]
+
+
+@st.composite
+def faulty_grafs(draw):
+    """A ``mutated_grafs`` source with a few of ``_FAULTS`` inserted into
+    its annotation files: in a value, at the start of a line, or anywhere."""
+    files, names = draw(mutated_grafs())
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(names))
+        data = files[name]
+        spots = [m.end() for m in re.finditer(rb'="|\n', data)]
+        at = draw(st.sampled_from(spots)) if spots and draw(st.booleans()) else draw(st.integers(0, len(data)))
+        files[name] = data[:at] + draw(st.sampled_from(_FAULTS)) + data[at:]
+    return files, names
+
+
+def _expat_accepts(data: bytes) -> bool:
+    try:
+        expat.ParserCreate().Parse(data, True)
+    except expat.ExpatError:
+        return False
+    return True
+
+
+# Edits of toy4's annotation file, each (old, new) replacing the first ``old``.
+_MUTANTS = {
+    "nul-reference": [(b'value="the"', b'value="a&#0;b"')],
+    "fffe-reference": [(b'value="the"', b'value="&#xFFFE;"')],
+    "surrogate-reference": [(b'value="the"', b'value="&#xD800;"')],
+    "undefined-entity": [(b'value="the"', b'value="&foo;"')],
+    "bare-ampersand": [(b'value="the"', b'value="a & b"')],
+    "reference-past-the-digit-limit": [(b'value="the"', b'value="&#' + b"9" * 5000 + b';"')],
+    "lone-continuation-byte": [(b'value="the"', b'value="a\x80b"')],
+    "literal-fffe": [(b'value="the"', 'value="a\ufffeb"'.encode())],
+    "literal-fdd0": [(b'value="the"', 'value="a\ufdd0b"'.encode())],
+    "control-byte": [(b'value="the"', b'value="a\x01b"')],
+    "form-feed-in-prolog": [(b"?>\n<graph>", b"?>\f<graph>")],
+    "text-after-the-end": [(b"</graph>\n", b"</graph>\nx\n")],
+    "no-end-tag": [(b"</graph>\n", b"")],
+    "lt-in-a-value-and-no-end-tag": [(b'value="the"', b'value="a<b"'), (b"</graph>\n", b"")],
+    "cdata-end-between-forms": [(b"\n<node", b"\n]]>\n<node")],
+    "end-tag-with-a-space": [(b"</graph>", b"</graph >")],
+    "two-end-tags": [(b"</graph>\n", b"</graph>\n</graph>\n")],
+    # Were "<" allowed in a value, a node form would start inside the edge's
+    # from and end inside the <a>'s ref, and the "<" counts would agree.
+    "overlapping-forms": [(b"</graph>", b'<edge xml:id="e1" from="x<node xml:id=" to=" otype=" label=" '
+                                       b'monads="/><a ref="/>n1"><f name="k" value="v"/></a>\n</graph>')],
+}
+
+
 class TestGrafStages:
-    """``parse_graf`` reads files in the writers' dialect with one bare
-    expat pass and compiled byte regexes (stage 2), and any other file with
-    the handler scan; both give the same corpus, report and error."""
+    """``parse_graf`` reads files in the writers' dialect with compiled
+    byte regexes and no XML parser (stage 2), and any other file with the
+    handler scan; both give the same corpus, report and error."""
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_grafs())
@@ -1256,6 +1313,53 @@ class TestGrafStages:
             assert vars(fields) == vars(_handler_scan(paths, "word"))
         handlers = lambda header: _parse_graf(header, _handler_scan)
         assert _graf_outcome(parse_graf, base / "m.graf") == _graf_outcome(handlers, base / "m.graf")
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_grafs())
+    def test_stage_two_accepts_only_well_formed_files(self, tmp_path_factory, source):
+        """Stage 2 runs no XML parser, yet expat accepts each file it
+        accepts, and it reads the handler scan's fields."""
+        files, names = source
+        base = tmp_path_factory.mktemp("graf")
+        for name, content in files.items():
+            (base / name).write_bytes(content)
+        paths = [base / name for name in names]
+        for name, path in zip(names, paths):
+            if _byte_scan([path]) is not None:
+                assert _expat_accepts(files[name])
+        fields = _byte_scan(paths)
+        event("stage 2" if fields else "handler scan")
+        if fields is not None:
+            assert vars(fields) == vars(_handler_scan(paths, "word"))
+        handlers = lambda header: _parse_graf(header, _handler_scan)
+        assert _graf_outcome(parse_graf, base / "m.graf") == _graf_outcome(handlers, base / "m.graf")
+
+    @pytest.mark.parametrize("mutant", _MUTANTS)
+    def test_targeted_mutant(self, tmp_path, mutant):
+        """Stage 2 declines each file that expat rejects, and the handler
+        scan gives the outcome; the two files XML allows stay in stage 2."""
+        header = write_graf(toy4(), tmp_path, stem="m")
+        xml = tmp_path / "m.xml"
+        data = xml.read_bytes()
+        for old, new in _MUTANTS[mutant]:
+            assert old in data
+            data = data.replace(old, new, 1)
+        xml.write_bytes(data)
+        accepted = _byte_scan([xml]) is not None
+        assert accepted == _expat_accepts(data) == (mutant in ("literal-fdd0", "end-tag-with-a-space"))
+        handlers = lambda header: _parse_graf(header, _handler_scan)
+        assert _graf_outcome(parse_graf, header) == _graf_outcome(handlers, header)
+
+    @pytest.mark.parametrize("declared", [True, False], ids=["declaration", "no-declaration"])
+    def test_byte_order_mark_keeps_a_file_in_stage_two(self, tmp_path, toy4_logical, declared):
+        header = write_graf(toy4(), tmp_path, stem="m")
+        xml = tmp_path / "m.xml"
+        data = xml.read_bytes()
+        xml.write_bytes(b"\xef\xbb\xbf" + (data if declared else data.split(b"\n", 1)[1]))
+        self.assert_stage_two([xml])
+        assert parse_graf(header) == toy4_logical
+        handlers = lambda header: _parse_graf(header, _handler_scan)
+        assert _graf_outcome(parse_graf, header) == _graf_outcome(handlers, header)
 
     @staticmethod
     def assert_stage_two(paths):

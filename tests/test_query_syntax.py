@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,12 @@ class TestGaps:
     def test_minus_zero_gap_limit_is_zero(self):
         assert parse("[word] .. <= -0 [word]").root.gaps == (Gap(GAP, 0),)
 
+    def test_gap_limit_longer_than_int_reads_is_rejected_at_its_token(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse("[word]\n.. <= " + "9" * (limit + 1) + " [word]")
+        assert str(exc.value) == f"integer has {limit + 1} digits, more than {limit} at line 2, column 7"
+
 
 class TestOperators:
     def test_string_equality(self):
@@ -87,6 +95,17 @@ class TestOperators:
         atom = parse("[word freq=3]").root.blocks[0].constraint
         assert atom == Atom("freq", "=", 3)
         assert isinstance(atom.operand, int)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_operand_longer_than_int_reads_is_rejected_at_its_token(self, toy4_corpus, sign):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(QuerySyntaxError) as exc:
+            evaluate(toy4_corpus, "[word lex = " + sign + "9" * (limit + 1) + "]")
+        assert str(exc.value) == f"integer has {limit + 1} digits, more than {limit} at line 1, column 13"
+
+    def test_operand_of_as_many_digits_as_int_reads(self):
+        digits = "9" * sys.get_int_max_str_digits()
+        assert parse(f"[word freq={digits}]").root.blocks[0].constraint == Atom("freq", "=", int(digits))
 
     def test_quoted_integer_stays_a_string(self):
         atom = parse('[word freq="3"]').root.blocks[0].constraint
