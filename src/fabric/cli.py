@@ -108,8 +108,8 @@ def _passage_labels(corpus: Corpus, rows: np.ndarray) -> list[str]:
     verses = np.where(first < 0, -1, corpus._ids[first].astype(np.int64))
     store = corpus.store("ref")
     codes = np.full(len(verses), -1, dtype=np.int64)
-    if store is not None:
-        pos = _find_all(store.targets, verses)
+    if store is not None:  # keyed by row
+        pos = _find_all(store.targets, first)
         codes[pos >= 0] = store.codes[pos[pos >= 0]]
     return [
         "-" if verse < 0 else f"n{verse}" if code < 0 else store.values[code]  # type: ignore[union-attr]

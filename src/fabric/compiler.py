@@ -8,8 +8,9 @@ built by hand or was read back from an image.  Both the validator and
 never its node, edge or feature objects.
 
 Compilation is deterministic: the same corpus always produces the same
-bytes.  Everything variable is given a fixed order: nodes by id, edges by
-id, feature stores by (kind, key), value dictionaries by descending
+bytes.  Everything variable is given a fixed order: nodes in canonical
+order (node feature stores name them by row), edges by (label, source,
+id), feature stores by (kind, key), value dictionaries by descending
 frequency with lexicographic tie-break, the monad-set pool by its run
 tuples, edge labels lexicographically.
 """
@@ -76,11 +77,10 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
         (image.MONADPOOL, image.pack(len(set_offsets) - 1, set_offsets, c.first[flat], c.last[flat], extra=len(flat)))
     )
 
-    by_id = np.argsort(c.node_id, kind="stable")
-    rank_of = np.array([ranked.index(t) for t in c.otype.strings], dtype=np.int64)
-    sections.append(
-        (image.NODES, image.pack(len(by_id), c.node_id[by_id], rank_of[c.otype.codes[by_id]], pool_index[by_id]))
-    )
+    # Nodes in canonical order, so that a row is a canonical position.
+    otype_rank = np.array([ranked.index(t) for t in c.otype.strings], dtype=np.int64)[c.otype.codes]
+    canon = np.lexsort((c.node_id, otype_rank, -c.last[c.runs[1:] - 1], c.first[head]))
+    sections.append((image.NODES, image.pack(len(canon), c.node_id[canon], otype_rank[canon], pool_index[canon])))
 
     labels = list(c.label.strings)
     sections.append((image.EDGELABELS, image.pack(len(labels), strings=labels)))
@@ -111,12 +111,16 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     )
 
     # One store per (kind, key), N before E, keys in lexicographic order;
-    # each sorted by target.  Value codes follow value order, so a stable
-    # sort on descending count orders each dictionary by frequency, ties
-    # broken lexicographically.
+    # each sorted by target: a node's row, an edge's id.  Value codes follow
+    # value order, so a stable sort on descending count orders each
+    # dictionary by frequency, ties broken lexicographically.
     nkeys = len(c.key.strings)
-    store = (c.kind.codes == c.kind.code(EDGE_KIND)) * nkeys + c.key.codes
-    rows = np.lexsort((c.value.codes, c.target, store))
+    on_node = c.kind.codes == c.kind.code(NODE_KIND)
+    store = ~on_node * nkeys + c.key.codes
+    target, ids = c.target.copy(), c.node_id[canon]
+    by_id = np.argsort(ids)
+    target[on_node] = by_id[ids[by_id].searchsorted(target[on_node])]
+    rows = np.lexsort((c.value.codes, target, store))
     stores, starts = np.unique(store[rows], return_index=True)
     bounds = [*starts.tolist(), len(rows)]
     dict_sizes: list[tuple[str, int]] = []
@@ -130,7 +134,7 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
         recode[by_count] = np.arange(len(by_count))
         values = list(map(c.value.strings.__getitem__, codes[by_count].tolist()))
         dict_sizes.append((f"{kind}:{key}", len(values)))
-        store_payload = image.pack(len(r), c.target[r], recode[inverse], extra=len(values))
+        store_payload = image.pack(len(r), target[r], recode[inverse], extra=len(values))
         sections.append((image.FEATURE_BASE + n, store_payload + image.pack(len(values), strings=values)))
         index_ids.append(image.FEATURE_BASE + n)
         kinds.append(_KIND_CODE[kind])

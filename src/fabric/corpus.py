@@ -2,26 +2,25 @@
 
 ``Corpus.from_file`` reads the image into memory and maps its sections
 onto numpy views without copying the node tables; opening a corpus costs
-integrity checks plus one sort, not a parse.  All arrays are read-only
-views of the image bytes.
+integrity checks, not a parse or a sort.  All arrays are read-only views
+of the image bytes.
 
-Node identity in this API is the integer node id.  Canonical order is
-(first monad asc, last monad desc, otype rank asc, id asc).  The load sorts
-into it with two stable passes: a radix sort on the otype rank (rows are
-stored by id, so ties keep id order), then a sort on one u64 key,
-first * (width + 1) + (width - last), which the checked bounds
-1 <= first, last <= width < 2**32 keep from overflowing.
+Node identity in this API is the integer node id; inside, a node is its
+row.  The compiler writes the rows in canonical order (first monad asc,
+last monad desc, otype rank asc, id asc), and node feature stores name
+their targets by row, so the load only checks that order.  It reads
+(first, last) as one u64 key, first * (width + 1) - last, which the
+checked bounds 1 <= first, last <= width < 2**32 keep in 1..2**64-1.
 
-Other arrays are built on first use and cached per corpus: each feature
-store, decoded (``store``); per (kind, key) store, the row of each target
-(``_target_rows``), checked to be a node (edge) id; per node-feature key,
-the dictionary code at every corpus row, -1 where the row lacks the key
-(``_row_codes``); per (node-feature key, otype), the rows carrying the key
-grouped by code, in canonical order within a code (``_postings``, the
-index posting lists are read from); per otype, its rows in canonical order
-(``_rows_for_otype``) and the running maximum of their last monads
-(``_last_runmax``); the pool-wide run keys (``_run_keys``); and the edges
-by id (``_edges_by_id``).
+Other arrays are built on first use and cached per corpus: the map from
+an id to its row (``_by_id``); each feature store, decoded and checked
+(``store``); per node-feature key, the dictionary code at every corpus
+row, -1 where the row lacks the key (``_row_codes``); per (node-feature
+key, otype), the rows carrying the key grouped by code, in canonical order
+within a code (``_postings``, the index posting lists are read from); per
+otype, its rows in canonical order (``_rows_for_otype``) and the running
+maximum of their last monads (``_last_runmax``); the pool-wide run keys
+(``_run_keys``); and the edges by id (``_edges_by_id``).
 
 Every monad join is a slice of canonical order (``_window`` or
 ``_reach``), its pairs (``_pairs``) and one relation on them all:
@@ -79,6 +78,10 @@ def _bad_section(name: str, exc: Exception) -> ImageError:
     return ImageError("BAD_SECTION", f"section {name} cannot be decoded: {exc}", section=name)
 
 
+def _lacks_target(name: str) -> ImageError:
+    return ImageError("BAD_SECTION", f"section {name} has a target the image lacks", section=name)
+
+
 def _find(arr: np.ndarray, value: int) -> int:
     """Position of ``value`` in the sorted u32 array ``arr``, or -1.  The
     search key is a u32 scalar, so numpy does not copy ``arr`` to a wider
@@ -103,7 +106,8 @@ def _find_all(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class FeatureStore:
-    """One (kind, key) feature table: sorted targets, dictionary codes."""
+    """One (kind, key) feature table: sorted targets (rows in a node
+    store, edge ids in an edge store), dictionary codes."""
 
     __slots__ = ("targets", "codes", "values", "ints", "counts")
 
@@ -201,13 +205,14 @@ class Corpus:
             self._ids, self._otype_code, self._monad_idx, _ = image.unpack(nodes, n, n, n)
             if n and int(self._otype_code.max()) >= len(self._otypes):
                 raise ValueError(f"otype code past the {len(self._otypes)}-entry otype table")
-            if np.any(self._ids[1:] <= self._ids[:-1]):
-                raise ValueError("node ids are not strictly ascending")
+            ids = np.sort(self._ids)
+            if (ids[1:] == ids[:-1]).any():
+                raise ValueError("node ids are not unique")
 
             # Per-node monad envelope, derived from the pool in one gather.
             sets = self._monad_idx.astype(np.int64)
-            self._first = self._run_first[self._set_offsets[sets]].astype(np.int64)
-            self._last = self._run_last[self._set_offsets[sets + 1] - 1].astype(np.int64)
+            self._first = self._run_first[offsets[sets]].astype(np.int64)
+            self._last = self._run_last[offsets[sets + 1] - 1].astype(np.int64)
             self._nruns = sizes[sets]
             # The compiler's slot rules: each slot-type node owns one monad
             # (first == last: the runs of a set have gaps between them), and
@@ -221,14 +226,15 @@ class Corpus:
             if len(owned) != width or not seen[1:].all():
                 raise ValueError(f"slot-type nodes do not own the monads 1..{width} once each")
 
-            # Canonical permutation in two stable passes: a radix sort on otype
-            # rank (ties keep id order), then (first asc, last desc) as one key.
-            by_type = np.argsort(self._otype_code.astype(np.min_scalar_type(len(self._otypes) - 1)), kind="stable")
-            # first <= width < 2**32 and last >= 1 are checked above, so the key stays below 2**64.
-            key = self._first.astype(np.uint64) * np.uint64(width + 1) + (width - self._last).astype(np.uint64)
-            self._canon = by_type[np.argsort(key[by_type], kind="stable")]
-            self._canon_pos = np.empty(n, dtype=np.int64)
-            self._canon_pos[self._canon] = np.arange(n)
+            # Rows are in canonical order: the u64 key of (first asc, last
+            # desc) ascends, and (otype rank, id) where two rows tie on it.
+            key = self._first.view(np.uint64) * np.uint64(width + 1) - self._last.view(np.uint64)
+            down = key[1:] <= key[:-1]
+            if down.any():
+                tie = down.nonzero()[0]
+                a, b = (self._otype_code[i] * np.uint64(2**32) + self._ids[i] for i in (tie, tie + 1))
+                if (key[tie + 1] != key[tie]).any() or (b <= a).any():
+                    raise ValueError("node rows are not in canonical order")
 
             self._edge_labels, _ = image.unpack(need(image.EDGELABELS), strings=True)
             edges = need(image.EDGES)
@@ -238,7 +244,7 @@ class Corpus:
             )
             if e and int(self._edge_label_code.max()) >= len(self._edge_labels):
                 raise ValueError(f"edge label code past the {len(self._edge_labels)}-entry label table")
-            if e and np.any(_find_all(self._ids, np.concatenate((self._edge_src, self._edge_dst))) < 0):
+            if e and np.any(_find_all(ids, np.concatenate((self._edge_src, self._edge_dst))) < 0):
                 raise ValueError("an edge endpoint is not a node id")
             ids = np.sort(self._edge_ids)
             if np.any(ids[1:] == ids[:-1]):
@@ -266,7 +272,6 @@ class Corpus:
         self._payloads = payloads
         self._stores: dict[tuple[str, str], FeatureStore] = {}
         self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
-        self._store_rows: dict[tuple[str, str], np.ndarray] = {}
         self._codes: dict[str, np.ndarray] = {}
         self._posting_index: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self._runmax: dict[str | None, np.ndarray] = {}
@@ -316,6 +321,9 @@ class Corpus:
                 cached = FeatureStore(self._payloads[sid])
             except _DECODE_ERRORS as exc:
                 raise _bad_section(image.section_name(sid), exc) from None
+            # A node store's targets are rows; they ascend, so the last bounds all.
+            if kind == NODE_KIND and len(cached) and int(cached.targets[-1]) >= len(self._ids):
+                raise _lacks_target(image.section_name(sid))
             self._stores[(kind, key)] = cached
         return cached
 
@@ -339,74 +347,75 @@ class Corpus:
         order = np.argsort(self._edge_ids, kind="stable")
         return self._edge_ids[order], self._edge_label_code[order]
 
-    def _target_rows(self, key: str, kind: str = NODE_KIND) -> np.ndarray:
-        """The row of every target of the (kind, key) store, in the store's
-        order: positions in ``_ids`` for a node store, in ``_edges_by_id``
-        for an edge store; cached.  The compiler admits no other target, so
-        one that is no node (edge) id makes the store a bad section."""
-        cached = self._store_rows.get((kind, key))
-        if cached is None:
-            targets = self.store(key, kind).targets
-            ids = self._ids if kind == NODE_KIND else self._edges_by_id[0]
-            cached = ids.searchsorted(targets)
-            # A store's targets ascend, and so do their rows: the last bounds all.
-            if len(cached) and (cached[-1] >= len(ids) or np.any(ids[cached] != targets)):
-                section = image.section_name(self._feature_sections[(kind, key)])
-                raise ImageError("BAD_SECTION", f"section {section} has a target the image lacks", section=section)
-            self._store_rows[(kind, key)] = cached
-        return cached
-
     def _row_codes(self, key: str) -> np.ndarray:
         """The dictionary code of the node store ``key`` at every corpus
         row, -1 where the row's node lacks the key; cached.  The codes are
         numpy's index type, which a gather through them need not convert."""
         cached = self._codes.get(key)
         if cached is None:
-            rows = self._target_rows(key)  # checked before anything is cached
-            cached = np.full(len(self._ids), -1, dtype=np.intp)
-            cached[rows] = self.store(key).codes
-            self._codes[key] = cached
+            store = self.store(key)
+            cached = self._codes[key] = np.full(len(self._ids), -1, dtype=np.intp)
+            cached[store.targets] = store.codes
         return cached
 
     def _group_codes(self, key: str, kind: str) -> np.ndarray:
         """The group of each target of the (kind, key) store, in the store's
-        order: a node's otype code, an edge's label code."""
-        codes = self._otype_code if kind == NODE_KIND else self._edges_by_id[1]
-        return codes[self._target_rows(key, kind)]
+        order: a node's otype code, an edge's label code.  The compiler
+        admits no edge target but an edge id, so another makes the store a
+        bad section."""
+        targets = self.store(key, kind).targets
+        if kind == NODE_KIND:
+            return self._otype_code[targets]
+        ids, labels = self._edges_by_id
+        rows = ids.searchsorted(targets)
+        # A store's targets ascend, and so do their rows: the last bounds all.
+        if len(rows) and (rows[-1] >= len(ids) or np.any(ids[rows] != targets)):
+            raise _lacks_target(image.section_name(self._feature_sections[(kind, key)]))
+        return labels[rows]
 
     def _postings(self, key: str, otype: str) -> tuple[np.ndarray, np.ndarray]:
         """The rows of ``otype`` that carry the node key ``key``, grouped by
         dictionary code and in canonical order within a code, with the
         bounds of each code's group: code k's rows are
         ``rows[offsets[k]:offsets[k + 1]]``; cached.  One value sort of
-        ``code << 32 | canonical position`` orders them, both parts being
-        below 2**32."""
+        ``code << 32 | row`` orders them, both parts being below 2**32."""
         cached = self._posting_index.get((key, otype))
         if cached is None:
-            rows, store = self._target_rows(key), self.store(key)
-            mine = self._otype_code[rows] == self._otype_rank.get(otype, -1)
-            codes = store.codes.compress(mine)
-            # canon_pos is int64 and not negative, so its bits read the same as u64.
-            keys = np.sort(codes.astype(np.uint64) << np.uint64(32) | self._canon_pos[rows.compress(mine)].view(np.uint64))
+            store = self.store(key)
+            mine = self._otype_code[store.targets] == self._otype_rank.get(otype, -1)
+            keys = np.sort(store.codes.compress(mine).astype(np.uint64) << np.uint64(32) | store.targets.compress(mine))
             offsets = keys.searchsorted(np.arange(len(store.values) + 1, dtype=np.uint64) << np.uint64(32))
-            pos = (keys & np.uint64(2**32 - 1)).astype(np.intp)
-            cached = self._posting_index[(key, otype)] = (self._canon[pos], offsets)
+            cached = self._posting_index[(key, otype)] = ((keys & np.uint64(2**32 - 1)).astype(np.intp), offsets)
         return cached
 
+    @cached_property
+    def _by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node ids ascending, and the row of each followed by -1, the row
+        at the position ``_find`` gives for an id the corpus lacks: the map
+        from an id to its row, built on the first lookup by id."""
+        rows = np.argsort(self._ids)
+        return self._ids[rows], np.append(rows, -1)
+
+    def _find_row(self, node: int) -> int:
+        """The row of node id ``node``, or -1."""
+        ids, rows = self._by_id
+        return int(rows[_find(ids, node)])
+
     def _row(self, node: int) -> int:
-        i = _find(self._ids, node)
-        if i < 0:
+        row = self._find_row(node)
+        if row < 0:
             raise KeyError(f"no node with id {node}")
-        return i
+        return row
 
     def _rows(self, nodes: list[int] | np.ndarray) -> np.ndarray:
         """Rows of the given node ids, -1 for an id the corpus lacks; ids
         of any size are accepted."""
         try:
-            ids = np.asarray(nodes, dtype=np.int64)
+            wanted = np.asarray(nodes, dtype=np.int64)
         except OverflowError:  # an id past int64, which no node has
-            ids = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
-        return _find_all(self._ids, ids)
+            wanted = np.fromiter((n if 0 <= n < 2**32 else -1 for n in nodes), dtype=np.int64, count=len(nodes))
+        ids, rows = self._by_id
+        return rows[_find_all(ids, wanted)]
 
     def _monad_set(self, row: int) -> MonadSet:
         s = self._monad_idx[row]
@@ -426,9 +435,10 @@ class Corpus:
         lacks) in canonical order, with their first monads; cached."""
         cached = self._otype_rows.get(otype)
         if cached is None:
-            rows = self._canon
-            if otype is not None:
-                rows = rows.compress(self._otype_code[rows] == self._otype_rank.get(otype, -1))
+            if otype is None:
+                rows = np.arange(len(self._ids))
+            else:
+                rows = np.flatnonzero(self._otype_code == self._otype_rank.get(otype, -1))
             cached = self._otype_rows[otype] = (rows, self._first[rows])
         return cached
 
@@ -453,12 +463,12 @@ class Corpus:
         An unknown otype yields nothing but warns immediately, since it is
         more often a typo than an intentionally empty selection.
         """
-        return (int(self._ids[row]) for row in self._typed_rows(otype)[0])
+        return iter(self._ids[self._typed_rows(otype)[0]].tolist())
 
     def feature(self, target: int, key: str, kind: str = NODE_KIND) -> str | None:
         """Value of a feature, or None when the target has no value for it."""
         store = self.store(key, kind)
-        return None if store is None else store.get(target)
+        return None if store is None else store.get(self._find_row(target) if kind == NODE_KIND else target)
 
     @staticmethod
     def _window(firsts: np.ndarray, lo: int | np.ndarray, hi: int | np.ndarray) -> tuple:
@@ -560,12 +570,12 @@ class Corpus:
         """The passage nodes meeting any of the given rows (in any order,
         repeats allowed), and the ids of the rows meeting each: passage k's
         are ``met[bounds[k]:bounds[k + 1]]``.  Both are in canonical order."""
-        pos = np.sort(self._canon_pos[rows])
-        rows = self._canon[pos[heads(pos)]]
+        rows = np.sort(rows)
+        rows = rows[heads(rows)]
         owner, ps = self._meeting(rows)
         # Group the pairs by passage; a stable sort keeps each group's nodes
         # in canonical order.
-        order = np.argsort(self._canon_pos[ps], kind="stable")
+        order = np.argsort(ps, kind="stable")
         ps, met = ps[order], self._ids[rows[owner[order]]]
         starts = np.flatnonzero(heads(ps))
         return self._ids[ps[starts]], met, np.append(starts, len(met))
@@ -640,7 +650,7 @@ class Corpus:
         for kind, key in self._feature_sections:
             store = self.store(key, kind)
             kinds += [kind] * len(store)
-            targets += store.targets.tolist()
+            targets += (self._ids[store.targets] if kind == NODE_KIND else store.targets).tolist()
             keys += [key] * len(store)
             values += map(store.values.__getitem__, store.codes.tolist())
         columns = Columns.build(

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ImageError
 
 MAGIC = b"FABRIC01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<8sHHI")
 _DIRENT = struct.Struct("<IIQQII")

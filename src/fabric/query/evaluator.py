@@ -286,7 +286,7 @@ class _Eval:
         if len(codes) == 1:
             return rows[offsets[codes[0]] : offsets[codes[0] + 1]]
         _, pos = self.c._pairs(offsets[codes], offsets[codes + 1])
-        return self.c._canon[np.sort(self.c._canon_pos[rows[pos]])]
+        return np.sort(rows[pos])
 
     def join(self) -> tuple[list, list]:
         """Each block's candidates, by block number: its rows in canonical

@@ -395,9 +395,8 @@ class _QueryGen:
         for key in corpus.feature_keys():
             store = corpus.store(key)
             self.values[key] = list(store.values)
-            seen = {corpus.otype(int(t)) for t in store.targets}
-            for t in seen:
-                self.keys_by_otype[t].append(key)
+            for code in np.unique(corpus._group_codes(key, NODE_KIND)).tolist():
+                self.keys_by_otype[corpus.otypes()[code]].append(key)
 
     def _pick_otype(self) -> str:
         rng = self.rng

@@ -55,11 +55,12 @@ def canonical_permutation(ids, otype_code, first, last) -> np.ndarray:
 
 def atom_mask_by_ids(corpus, key: str, value_mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Whether each node id carries ``key`` with a value whose dictionary
-    code ``value_mask`` holds: one search of the ids in the key's store."""
+    code ``value_mask`` holds: one search of the ids' rows in the key's
+    store, whose targets are rows."""
     from fabric.corpus import _find_all
 
     store = corpus.store(key)
-    pos = _find_all(store.targets, ids)
+    pos = _find_all(store.targets, corpus._rows(ids))
     hit = pos >= 0
     hit[hit] = value_mask[store.codes[pos[hit]]]
     return hit
@@ -68,13 +69,12 @@ def atom_mask_by_ids(corpus, key: str, value_mask: np.ndarray, ids: np.ndarray) 
 def passages_meeting_by_ids(corpus, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The passage ids meeting any of the (existing) node ids, the ids
     meeting each and the group bounds, as ``Corpus._passages_meeting``
-    gives them: found through the ids, deduplicated with ``np.unique``."""
-    from fabric.corpus import _find_all
-
-    rows = _find_all(corpus._ids, np.unique(nodes))
-    rows = rows[np.argsort(corpus._canon_pos[rows])]
+    gives them: found through the ids, deduplicated with ``np.unique``;
+    rows are canonical positions, so sorting them puts them in canonical
+    order."""
+    rows = np.sort(corpus._rows(np.unique(nodes)))
     owner, ps = corpus._meeting(rows)
-    order = np.argsort(corpus._canon_pos[ps], kind="stable")
+    order = np.argsort(ps, kind="stable")
     ps, met = ps[order], corpus._ids[rows[owner[order]]]
     heads = np.flatnonzero(np.diff(ps, prepend=-1))
     return corpus._ids[ps[heads]], met, np.append(heads, len(met))

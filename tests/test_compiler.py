@@ -60,9 +60,33 @@ def bad_otype_code(data: bytes) -> bytes:
     return rewrite_section(data, "nodes", 8 + 4 * len(corpus), struct.pack("<I", len(corpus.otypes())))
 
 
-def swapped_node_ids(data: bytes) -> bytes:
-    """The image with the ids of node rows 0 and 1 (1 and 2) swapped."""
-    return rewrite_section(data, "nodes", 8, struct.pack("<II", 2, 1))
+def swapped_node_rows(data: bytes, a: int, b: int) -> bytes:
+    """The image with NODES rows ``a`` and ``b`` swapped in all three
+    columns, so the rows leave canonical order."""
+    corpus = Corpus.from_bytes(data)
+    for col, column in enumerate((corpus._ids, corpus._otype_code, corpus._monad_idx)):
+        for row, value in ((a, column[b]), (b, column[a])):
+            data = rewrite_section(data, "nodes", 8 + 4 * (col * len(corpus) + row), struct.pack("<I", int(value)))
+    return data
+
+
+def swapped_tied_rows(data: bytes) -> bytes:
+    """TOY4 with rows 0 and 1 (sentence 301 and clause 201, both on monads
+    1-4) swapped: out of rank order."""
+    return swapped_node_rows(data, 0, 1)
+
+
+def swapped_word_rows(data: bytes) -> bytes:
+    """TOY4 with rows 3 and 4 (words 1 and 2) swapped: out of first-monad
+    order."""
+    return swapped_node_rows(data, 3, 4)
+
+
+def repeated_node_id(data: bytes) -> bytes:
+    """The image with the last NODES row's id set to row 0's; the rows stay
+    in canonical order."""
+    corpus = Corpus.from_bytes(data)
+    return rewrite_section(data, "nodes", 8 + 4 * (len(corpus) - 1), struct.pack("<I", int(corpus._ids[0])))
 
 
 def run_past_the_text(data: bytes) -> bytes:
@@ -169,16 +193,16 @@ def repeated_lex_target(data: bytes) -> bytes:
     return rewrite_section(data, name, 12, struct.pack("<I", targets[0]))
 
 
-def lex_target_not_a_node(data: bytes) -> bytes:
-    """The image with the first lex target set to 0, which is no node's id;
-    the targets still ascend."""
-    name, _ = lex_store(data)
-    return rewrite_section(data, name, 8, struct.pack("<I", 0))
+def lex_target_past_the_rows(data: bytes) -> bytes:
+    """The image with the last lex target set to the node count, one past
+    the last row; the targets still ascend."""
+    name, targets = lex_store(data)
+    return rewrite_section(data, name, 4 + 4 * len(targets), struct.pack("<I", len(Corpus.from_bytes(data))))
 
 
 def monad_set_of(data: bytes, node: int, donor: int) -> bytes:
-    """The image with the NODES monad set index of ``node`` set to that of
-    ``donor``."""
+    """The image with the NODES monad set index of ``node``'s row set to
+    that of ``donor``'s."""
     corpus = Corpus.from_bytes(data)
     at = 8 + 4 * (2 * len(corpus) + corpus._row(node))
     return rewrite_section(data, "nodes", at, struct.pack("<I", int(corpus._monad_idx[corpus._row(donor)])))
@@ -251,7 +275,9 @@ def fuzz_images() -> tuple[bytes, ...]:
 
 # (section, rewrite): sections that decode but contradict the image.
 CONTRADICTORY = [
-    ("nodes", swapped_node_ids),
+    ("nodes", swapped_tied_rows),
+    ("nodes", swapped_word_rows),
+    ("nodes", repeated_node_id),
     ("nodes", wide_word),
     ("nodes", twice_owned_monad),
     ("monadpool", run_past_the_text),
@@ -454,17 +480,31 @@ class TestCorruption:
         assert main(["query", str(bad), "-q", '[word lex="fox"]']) == 2
         assert f"section {name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rewrite,message",
+        [
+            (swapped_tied_rows, "node rows are not in canonical order"),
+            (swapped_word_rows, "node rows are not in canonical order"),
+            (repeated_node_id, "node ids are not unique"),
+        ],
+        ids=["tied", "words", "repeated-id"],
+    )
+    def test_node_rows_in_canonical_order_with_unique_ids(self, toy4_bytes, rewrite, message):
+        with pytest.raises(ImageError, match=message) as exc:
+            Corpus.from_bytes(rewrite(toy4_bytes))
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "nodes")
+
     def test_feature_target_the_image_lacks(self, toy4_bytes, tmp_path, capsys):
         name, _ = lex_store(toy4_bytes)
         bad = tmp_path / "bad.fab"
-        bad.write_bytes(lex_target_not_a_node(toy4_bytes))
+        bad.write_bytes(lex_target_past_the_rows(toy4_bytes))
         with pytest.raises(ImageError) as exc:
             render_docs(Corpus.from_file(bad), tmp_path / "docs")
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
         assert main(["features", str(bad), str(tmp_path / "docs")]) == 2
         assert f"section {name}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", [150, 10**6])
+    @pytest.mark.parametrize("target", [8, 150, 10**6])  # toy4 has 8 rows
     # The posting index checks every target of the key's store, so a
     # posting query on another value of the key fails too.
     @pytest.mark.parametrize(
@@ -474,7 +514,7 @@ class TestCorruption:
     )
     def test_query_on_a_target_the_image_lacks(self, toy4_bytes, tmp_path, capsys, target, query):
         name, targets = lex_store(toy4_bytes)
-        assert targets[3] == 4  # "jump", at payload offset 20; the targets still ascend
+        assert targets[3] == Corpus.from_bytes(toy4_bytes)._row(4)  # "jump", at payload offset 20; the targets still ascend
         bad = tmp_path / "bad.fab"
         bad.write_bytes(rewrite_section(toy4_bytes, name, 20, struct.pack("<I", target)))
         corpus = Corpus.from_file(bad)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from fabric.cli import CliConfig, _stream_matches
 from fabric.compiler import compile_to_bytes
 from fabric.corpus import Corpus, UnknownOtypeWarning
 from fabric.model import (
@@ -18,6 +19,7 @@ from fabric.model import (
     Node,
     Region,
 )
+from fabric.query import evaluate
 from fabric.synth import random_corpus, toy4
 
 
@@ -113,9 +115,22 @@ class TestLookups:
 
     def test_unknown_otype_warns_and_yields_nothing(self, toy4_corpus):
         with pytest.warns(UnknownOtypeWarning):
-            assert list(toy4_corpus.nodes("typo")) == []
+            nodes = toy4_corpus.nodes("typo")  # at the call, not on the first step
+        assert list(nodes) == []
         with pytest.warns(UnknownOtypeWarning):
             assert toy4_corpus.up(3, "typo") == []
+
+    def test_queries_work_on_rows_alone(self, toy4_bytes, capsys):
+        """A query and its streamed output never look a node up by id, so
+        they never build the id-to-row map; the first lookup by id does."""
+        corpus = Corpus.from_bytes(toy4_bytes)
+        evaluate(corpus, '[clause [phrase typ="NP" [word]]]')
+        for fmt in ("tsv", "text"):
+            assert _stream_matches(corpus, '[phrase typ="NP" [word lex="fox"]]', CliConfig(format=fmt)) == 0
+        assert "n301" in capsys.readouterr().out
+        assert "_by_id" not in vars(corpus)
+        assert corpus.feature(3, "lex") == "fox"
+        assert "_by_id" in vars(corpus)
 
     def test_passage_of(self, toy4_corpus):
         assert toy4_corpus.passage_of(3) == 301
@@ -260,13 +275,16 @@ def wide_corpus() -> LogicalCorpus:
 
 
 class TestCanonicalPermutation:
-    """The load's two stable sorts against the four-key lexsort."""
+    """The compiled row order against the four-key lexsort and the
+    reference canonical sort."""
 
     @staticmethod
-    def check(corpus: Corpus) -> None:
+    def check(logical: LogicalCorpus) -> Corpus:
+        corpus = load(logical)
         want = reference.canonical_permutation(corpus._ids, corpus._otype_code, corpus._first, corpus._last)
-        assert corpus._canon.tolist() == want.tolist()
-        assert list(corpus.nodes()) == corpus._ids[want].tolist()
+        assert want.tolist() == list(range(len(corpus)))
+        assert list(corpus.nodes()) == reference.canonical_sorted(logical.nodes, logical.metadata)
+        return corpus
 
     def test_random_corpora(self):
         multi = duplicates = 0
@@ -274,15 +292,13 @@ class TestCanonicalPermutation:
             logical = random_corpus(random.Random(seed), max_words=40)
             multi += sum(len(n.monads.runs) > 1 for n in logical.nodes)
             duplicates += len(logical.nodes) - len({(n.otype, n.monads) for n in logical.nodes})
-            self.check(load(logical))
+            self.check(logical)
         assert multi and duplicates
 
     def test_more_than_256_otypes_tied_spans(self):
-        corpus = load(tied_otypes_corpus())
+        corpus = self.check(tied_otypes_corpus())
         assert len(corpus.otypes()) > 256
-        self.check(corpus)
 
     def test_key_past_32_bits(self):
-        corpus = load(wide_corpus())
+        corpus = self.check(wide_corpus())
         assert int(corpus._first.max()) * (corpus.width + 1) > 2**32
-        self.check(corpus)

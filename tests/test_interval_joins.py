@@ -346,6 +346,22 @@ def multirun_corpora(draw):
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(multirun_corpora())
+def test_multirun_reconstruction_recompiles_to_the_same_bytes(logical):
+    # A feature on every node, whose store names rows where the corpus
+    # names ids; ids do not follow canonical order here.
+    logical = LogicalCorpus.assemble(
+        logical.text, logical.slots, logical.nodes,
+        features=[FeatureAssignment("N", n.id, "n", str(n.id)) for n in logical.nodes],
+        metadata=logical.metadata,
+    )
+    data, _ = compile_to_bytes(logical)
+    rebuilt = Corpus.from_bytes(data).as_logical_corpus()
+    assert rebuilt == logical
+    assert compile_to_bytes(rebuilt)[0] == data
+
+
 @settings(max_examples=80, deadline=None)
 @given(multirun_corpora(), st.randoms(use_true_random=False))
 def test_multirun_nodes_match_set_semantics(logical, rng):

@@ -1,10 +1,12 @@
 import contextlib
 import io
+import random
 import time
 from itertools import groupby, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference
 from fabric.cli import main
@@ -23,6 +25,7 @@ from fabric.query.evaluator import evaluate, iter_matches
 from fabric.query.oracle import brute_force_evaluate
 from fabric.query.plan import explain
 from fabric.query.syntax import parse, quote_string
+from fabric.synth import _QueryGen, random_corpus
 from strategies import corpus_and_query
 
 
@@ -296,6 +299,18 @@ class TestRandomEquivalence:
         assert reference.result_rows(fast) == reference.result_rows(slow), query
         assert fast.verses == slow.verses, query
         assert fast.total == slow.total
+
+
+class TestQueryMaker:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_keys_by_otype_follow_the_features(self, seed):
+        corpus = Corpus.from_bytes(compile_to_bytes(random_corpus(random.Random(seed)))[0])
+        want = {
+            otype: [key for key in corpus.feature_keys() if any(corpus.feature(n, key) is not None for n in corpus.nodes(otype))]
+            for otype in corpus.otypes()
+        }
+        assert _QueryGen(random.Random(0), corpus).keys_by_otype == want
 
 
 class TestBlockNumbering:
