@@ -77,9 +77,14 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
         (image.MONADPOOL, image.pack(len(set_offsets) - 1, set_offsets, c.first[flat], c.last[flat], extra=len(flat)))
     )
 
-    # Nodes in canonical order, so that a row is a canonical position.
+    # Nodes in canonical order, so that a row is a canonical position: by
+    # (first asc, last desc) as one u64 key, first * (width + 1) - last,
+    # then by otype rank, then by id (the sort is stable, and by_id puts the
+    # nodes in id order).
     otype_rank = np.array([ranked.index(t) for t in c.otype.strings], dtype=np.int64)[c.otype.codes]
-    canon = np.lexsort((c.node_id, otype_rank, -c.last[c.runs[1:] - 1], c.first[head]))
+    by_id = np.argsort(c.node_id, kind="stable")
+    span = c.first[head].view(np.uint64) * np.uint64(len(c.slot_start) + 1) - c.last[c.runs[1:] - 1].view(np.uint64)
+    canon = by_id[np.lexsort((otype_rank[by_id], span[by_id]))]
     sections.append((image.NODES, image.pack(len(canon), c.node_id[canon], otype_rank[canon], pool_index[canon])))
 
     labels = list(c.label.strings)
@@ -111,16 +116,19 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     )
 
     # One store per (kind, key), N before E, keys in lexicographic order;
-    # each sorted by target: a node's row, an edge's id.  Value codes follow
-    # value order, so a stable sort on descending count orders each
-    # dictionary by frequency, ties broken lexicographically.
+    # each sorted by target: a node's row, an edge's id.  The validator
+    # refuses a repeated (kind, target, key), so one sort of store << 32 |
+    # target orders them.  Value codes follow value order, so a stable sort
+    # on descending count orders each dictionary by frequency, ties broken
+    # lexicographically.
     nkeys = len(c.key.strings)
     on_node = c.kind.codes == c.kind.code(NODE_KIND)
     store = ~on_node * nkeys + c.key.codes
-    target, ids = c.target.copy(), c.node_id[canon]
-    by_id = np.argsort(ids)
-    target[on_node] = by_id[ids[by_id].searchsorted(target[on_node])]
-    rows = np.lexsort((c.value.codes, target, store))
+    row = np.empty(len(canon), np.int64)
+    row[canon] = np.arange(len(canon))
+    target = c.target.copy()
+    target[on_node] = row[by_id[c.node_id[by_id].searchsorted(target[on_node])]]
+    rows = np.argsort(store << 32 | target)
     stores, starts = np.unique(store[rows], return_index=True)
     bounds = [*starts.tolist(), len(rows)]
     dict_sizes: list[tuple[str, int]] = []
