@@ -122,8 +122,8 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     # on descending count orders each dictionary by frequency, ties broken
     # lexicographically.
     nkeys = len(c.key.strings)
-    on_node = c.kind.codes == c.kind.code(NODE_KIND)
-    store = ~on_node * nkeys + c.key.codes
+    store = (c.kind.codes == c.kind.code(EDGE_KIND)) * nkeys + c.key.codes
+    on_node = store < nkeys
     row = np.empty(len(canon), np.int64)
     row[canon] = np.arange(len(canon))
     target = c.target.copy()
