@@ -1,9 +1,13 @@
 """Read-only corpus API over a compiled image.
 
 ``Corpus.from_file`` reads the image into memory and maps its sections
-onto numpy views without copying the node tables; opening a corpus costs
-integrity checks, not a parse or a sort.  All arrays are read-only views
-of the image bytes.
+onto read-only numpy views of the image bytes.  Opening a corpus costs
+integrity checks, whole-array passes over the node and pool tables, and
+one sort: of the u32 node ids, which finds a repeated id and looks up the
+edge endpoints.  Besides the views, the load keeps the pool's set offsets
+and each row's set index as int64, the type every gather through them
+wants, and each row's first and last monad and run count
+(``load_profile`` has the time of each phase).
 
 Node identity in this API is the integer node id; inside, a node is its
 row.  The compiler writes the rows in canonical order (first monad asc,
@@ -30,8 +34,10 @@ Every monad join is a slice of canonical order (``_window`` or
 from __future__ import annotations
 
 import json
+import struct
 from functools import cached_property
 from pathlib import Path
+from time import perf_counter
 from typing import Iterator
 
 import numpy as np
@@ -61,8 +67,9 @@ class UnknownOtypeWarning(UserWarning):
 
 # What decoding a malformed section raises: counts past the payload's end,
 # codes past a table, bad UTF-8 or JSON, JSON nested too deeply for the
-# decoder, metadata of the wrong shape.
-_DECODE_ERRORS = (ValueError, IndexError, KeyError, TypeError, RecursionError)
+# decoder, metadata of the wrong shape, a payload shorter than its head.
+_DECODE_ERRORS = (ValueError, IndexError, KeyError, TypeError, RecursionError, struct.error)
+_STATS = struct.Struct("<4Q")
 
 
 def _meta_field(meta: dict, key: str, many: bool = False):
@@ -142,22 +149,32 @@ class FeatureStore:
 
 
 class Corpus:
-    """A loaded image: verified once, then served from read-only views."""
+    """A loaded image: verified once, then served from read-only views.
+
+    ``load_profile`` holds the seconds each phase of the load took: the
+    file read (``from_file`` only), the directory, the CRC-32s, the NODES
+    checks (``nodes``: its gathers, the slot rule, canonical order and the
+    id sort), the decoding and checks of every other section (``decode``),
+    and the ``total``, of which the phases are parts."""
 
     def __init__(self, data: bytes):
+        start = perf_counter()
         self._data = data
         entries = image.read_directory(data)
+        listed = perf_counter()
         image.verify_sections(data, entries)
+        checked = perf_counter()
         view = memoryview(data)
         payloads = {e.id: view[e.offset : e.offset + e.length] for e in entries}
 
-        section = ""  # the section being decoded, for the error
+        section = 0  # the id of the section being decoded, named for the error
 
         def need(sid: int) -> memoryview:
             nonlocal section
-            section = image.section_name(sid)
+            section = sid
             if sid not in payloads:
-                raise ImageError("BAD_DIRECTORY", f"image is missing section {section}", section=section)
+                name = image.section_name(sid)
+                raise ImageError("BAD_DIRECTORY", f"image is missing section {name}", section=name)
             return payloads[sid]
 
         # A section whose CRC holds can still be malformed (a count past its
@@ -174,14 +191,16 @@ class Corpus:
 
             pool = need(image.MONADPOOL)
             sets, runs = image.head(pool)
-            self._set_offsets, self._run_first, self._run_last, _ = image.unpack(pool, sets + 1, runs, runs)
-            offsets = self._set_offsets.astype(np.int64)
+            offsets, self._run_first, self._run_last, _ = image.unpack(pool, sets + 1, runs, runs)
+            # The set offsets, and below each row's set index, are kept as
+            # int64, the index type, for every gather through them.
+            self._set_offsets = offsets = offsets.astype(np.int64)
             sizes = np.diff(offsets)
             if offsets[0] != 0 or offsets[-1] != runs or sizes.min(initial=1) <= 0:
                 raise ValueError(f"set offsets do not ascend strictly from 0 to the run count {runs}")
             if runs and (int(self._run_first.min()) < 1 or int(self._run_last.max()) > width):
                 raise ValueError(f"a monad run lies outside 1..{width}")
-            if np.any(self._run_first > self._run_last):
+            if (self._run_first > self._run_last).any():
                 raise ValueError("a run's first monad is past its last")
             if runs > sets:  # some set has more than one run
                 # Each run after the first of its set starts past the one
@@ -200,27 +219,31 @@ class Corpus:
                 provenance=tuple(_meta_field(meta, "provenance", many=True)),
             )
 
+            nodes_from = perf_counter()
             nodes = need(image.NODES)
             n, _ = image.head(nodes)
-            self._ids, self._otype_code, self._monad_idx, _ = image.unpack(nodes, n, n, n)
+            self._ids, self._otype_code, sets, _ = image.unpack(nodes, n, n, n)
             if n and int(self._otype_code.max()) >= len(self._otypes):
                 raise ValueError(f"otype code past the {len(self._otypes)}-entry otype table")
             ids = np.sort(self._ids)
             if (ids[1:] == ids[:-1]).any():
                 raise ValueError("node ids are not unique")
 
-            # Per-node monad envelope, derived from the pool in one gather.
-            sets = self._monad_idx.astype(np.int64)
-            self._first = self._run_first[offsets[sets]].astype(np.int64)
-            self._last = self._run_last[offsets[sets + 1] - 1].astype(np.int64)
+            # Per-node monad envelope: the first run of each row's set, and
+            # the last, which lies its run count further on.
+            self._monad_idx = sets = sets.astype(np.int64)
+            first_run = offsets[sets]
+            self._first = self._run_first[first_run].astype(np.int64)
             self._nruns = sizes[sets]
+            self._last = self._run_last[first_run + self._nruns - 1].astype(np.int64)
             # The compiler's slot rules: each slot-type node owns one monad
             # (first == last: the runs of a set have gaps between them), and
-            # these cover 1..width once each.
+            # these cover 1..width once each.  Elementwise passes and one
+            # compress: indexing by the interleaved slot mask costs more.
             slot = self._otype_code == self._otype_rank.get(self.metadata.slot_otype, -1)
-            owned = self._first[slot]
-            if np.any(self._last[slot] != owned):
+            if (slot & (self._last != self._first)).any():
                 raise ValueError("a slot-type node does not own exactly one monad")
+            owned = self._first.compress(slot)
             seen = np.zeros(width + 1, dtype=bool)
             seen[owned] = True
             if len(owned) != width or not seen[1:].all():
@@ -229,12 +252,12 @@ class Corpus:
             # Rows are in canonical order: the u64 key of (first asc, last
             # desc) ascends, and (otype rank, id) where two rows tie on it.
             key = self._first.view(np.uint64) * np.uint64(width + 1) - self._last.view(np.uint64)
-            down = key[1:] <= key[:-1]
-            if down.any():
-                tie = down.nonzero()[0]
+            tie = np.flatnonzero(key[1:] <= key[:-1])
+            if len(tie):
                 a, b = (self._otype_code[i] * np.uint64(2**32) + self._ids[i] for i in (tie, tie + 1))
                 if (key[tie + 1] != key[tie]).any() or (b <= a).any():
                     raise ValueError("node rows are not in canonical order")
+            nodes_to = perf_counter()
 
             self._edge_labels, _ = image.unpack(need(image.EDGELABELS), strings=True)
             edges = need(image.EDGES)
@@ -244,18 +267,16 @@ class Corpus:
             )
             if e and int(self._edge_label_code.max()) >= len(self._edge_labels):
                 raise ValueError(f"edge label code past the {len(self._edge_labels)}-entry label table")
-            if e and np.any(_find_all(ids, np.concatenate((self._edge_src, self._edge_dst))) < 0):
+            if e and (_find_all(ids, np.concatenate((self._edge_src, self._edge_dst))) < 0).any():
                 raise ValueError("an edge endpoint is not a node id")
             ids = np.sort(self._edge_ids)
-            if np.any(ids[1:] == ids[:-1]):
+            if (ids[1:] == ids[:-1]).any():
                 raise ValueError("edge ids are not unique")
 
-            stats = np.frombuffer(need(image.STATS), dtype="<u8", count=4)
-            self._stats = CorpusStats(
-                words=int(stats[0]), nodes=int(stats[1]), features=int(stats[2]), edges=int(stats[3])
-            )
+            stats = _STATS.unpack_from(need(image.STATS))
+            self._stats = CorpusStats(*stats)
             # The feature count would need every store's head, and stores decode lazily.
-            for what, said, has in zip(("words", "nodes", "edges"), stats[[0, 1, 3]].tolist(), (width, n, e)):
+            for what, said, has in zip(("words", "nodes", "edges"), stats[:2] + stats[3:], (width, n, e)):
                 if said != has:
                     raise ValueError(f"counts {said} {what}, the image has {has}")
 
@@ -268,13 +289,22 @@ class Corpus:
             for sid in self._feature_sections.values():
                 need(sid)  # stores decode lazily, but must exist now
         except _DECODE_ERRORS as exc:
-            raise _bad_section(section, exc) from None
+            raise _bad_section(image.section_name(section), exc) from None
+        decoded = perf_counter()
         self._payloads = payloads
         self._stores: dict[tuple[str, str], FeatureStore] = {}
         self._otype_rows: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
         self._codes: dict[str, np.ndarray] = {}
         self._posting_index: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self._runmax: dict[str | None, np.ndarray] = {}
+        node_checks = nodes_to - nodes_from
+        self.load_profile: dict[str, float] = {
+            "directory": listed - start,
+            "crc": checked - listed,
+            "decode": decoded - checked - node_checks,
+            "nodes": node_checks,
+        }
+        self.load_profile["total"] = perf_counter() - start
 
     # -- construction -------------------------------------------------------
 
@@ -284,7 +314,13 @@ class Corpus:
 
     @classmethod
     def from_file(cls, path: str | Path) -> Corpus:
-        return cls(Path(path).read_bytes())
+        start = perf_counter()
+        data = Path(path).read_bytes()
+        read = perf_counter() - start
+        corpus = cls(data)
+        profile = corpus.load_profile
+        corpus.load_profile = {"read": read, **profile, "total": read + profile["total"]}
+        return corpus
 
     @cached_property
     def fingerprint(self) -> str:
@@ -350,12 +386,14 @@ class Corpus:
     def _row_codes(self, key: str) -> np.ndarray:
         """The dictionary code of the node store ``key`` at every corpus
         row, -1 where the row's node lacks the key; cached.  The codes are
-        numpy's index type, which a gather through them need not convert."""
+        numpy's index type, which a gather through them need not convert;
+        the scatter goes through the targets as that type too, which costs
+        less than through u32."""
         cached = self._codes.get(key)
         if cached is None:
             store = self.store(key)
             cached = self._codes[key] = np.full(len(self._ids), -1, dtype=np.intp)
-            cached[store.targets] = store.codes
+            cached[store.targets.astype(np.intp)] = store.codes
         return cached
 
     def _group_codes(self, key: str, kind: str) -> np.ndarray:
@@ -365,7 +403,7 @@ class Corpus:
         bad section."""
         targets = self.store(key, kind).targets
         if kind == NODE_KIND:
-            return self._otype_code[targets]
+            return self._otype_code[targets.astype(np.intp)]
         ids, labels = self._edges_by_id
         rows = ids.searchsorted(targets)
         # A store's targets ascend, and so do their rows: the last bounds all.
@@ -382,7 +420,7 @@ class Corpus:
         cached = self._posting_index.get((key, otype))
         if cached is None:
             store = self.store(key)
-            mine = self._otype_code[store.targets] == self._otype_rank.get(otype, -1)
+            mine = self._otype_code[store.targets.astype(np.intp)] == self._otype_rank.get(otype, -1)
             keys = np.sort(store.codes.compress(mine).astype(np.uint64) << np.uint64(32) | store.targets.compress(mine))
             offsets = keys.searchsorted(np.arange(len(store.values) + 1, dtype=np.uint64) << np.uint64(32))
             cached = self._posting_index[(key, otype)] = ((keys & np.uint64(2**32 - 1)).astype(np.intp), offsets)
@@ -418,8 +456,8 @@ class Corpus:
         return rows[_find_all(ids, wanted)]
 
     def _monad_set(self, row: int) -> MonadSet:
-        s = self._monad_idx[row]
-        runs = slice(self._set_offsets[s], self._set_offsets[s + 1])
+        s = self._monad_idx.item(row)
+        runs = slice(self._set_offsets.item(s), self._set_offsets.item(s + 1))
         return MonadSet(tuple(zip(self._run_first[runs].tolist(), self._run_last[runs].tolist())))
 
     def monads(self, node: int) -> MonadSet:
@@ -498,11 +536,11 @@ class Corpus:
         idx = need.nonzero()[0]
         if len(idx):
             a, b = np.broadcast_to(a, need.shape)[idx], np.broadcast_to(b, need.shape)[idx]
-            start = self._set_offsets[self._monad_idx[b]].astype(np.int64)
+            start = self._set_offsets[self._monad_idx[b]]
             owner, run = self._pairs(start, start + self._nruns[b])
             first, last = self._run_first[run], self._run_last[run]
             probe, reach = (first, last) if embed else (last, first)
-            sa = self._monad_idx[a][owner].astype(np.int64)
+            sa = self._monad_idx[a][owner]
             j = self._run_keys.searchsorted(sa * (self.width + 1) + probe, side="right") - 1
             hit = (j >= self._set_offsets[sa]) & (self._run_last[j] >= reach)
             placed = np.bincount(owner[hit], minlength=len(idx))

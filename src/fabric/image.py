@@ -25,6 +25,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<8sHHI")
 _DIRENT = struct.Struct("<IIQQII")
+_HEAD = struct.Struct("<II")
 
 # Fixed section ids; per-feature stores are assigned ids from FEATURE_BASE up.
 TEXT = 1
@@ -87,9 +89,9 @@ def pack(count: int, *columns, extra: int = 0, strings: list[str] | None = None)
 
 
 def head(payload: memoryview) -> tuple[int, int]:
-    """The head words (count, extra) of a table section."""
-    count, extra = np.frombuffer(payload, dtype="<u4", count=2).tolist()
-    return count, extra
+    """The head words (count, extra) of a table section.  Raises
+    struct.error when the payload is shorter than them."""
+    return _HEAD.unpack_from(payload)
 
 
 def unpack(payload: memoryview, *lengths: int, strings: bool = False) -> tuple:
@@ -139,12 +141,15 @@ def build_image(sections: list[tuple[int, bytes]]) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True, slots=True)
-class SectionEntry:
+class SectionEntry(NamedTuple):
+    """One directory entry, field for field as stored."""
+
     id: int
+    reserved: int
     offset: int
     length: int
     crc: int
+    pad: int
 
     @property
     def name(self) -> str:
@@ -168,20 +173,17 @@ def read_directory(data: bytes | memoryview) -> tuple[SectionEntry, ...]:
     dir_end = _HEADER.size + count * _DIRENT.size
     if len(view) < dir_end:
         raise ImageError("TRUNCATED", "directory extends past end of file")
-    entries = []
+    entries = tuple(map(SectionEntry._make, _DIRENT.iter_unpack(view[_HEADER.size : dir_end])))
     prev_id = -1
-    for i in range(count):
-        sid, _res, offset, length, crc, _pad = _DIRENT.unpack_from(view, _HEADER.size + i * _DIRENT.size)
-        if sid <= prev_id:
+    for e in entries:
+        if e.id <= prev_id:
             raise ImageError("BAD_DIRECTORY", "section ids must be unique and ascending")
-        prev_id = sid
-        name = section_name(sid)
-        if offset < dir_end or offset % 8:
-            raise ImageError("BAD_DIRECTORY", f"section {name} has a bad offset", section=name)
-        if offset + length > len(view):
-            raise ImageError("TRUNCATED", f"section {name} extends past end of file", section=name)
-        entries.append(SectionEntry(id=sid, offset=offset, length=length, crc=crc))
-    return tuple(entries)
+        prev_id = e.id
+        if e.offset < dir_end or e.offset % 8:
+            raise ImageError("BAD_DIRECTORY", f"section {e.name} has a bad offset", section=e.name)
+        if e.offset + e.length > len(view):
+            raise ImageError("TRUNCATED", f"section {e.name} extends past end of file", section=e.name)
+    return entries
 
 
 def _crc_ok(view: memoryview, e: SectionEntry) -> bool:

@@ -219,6 +219,20 @@ def twice_owned_monad(data: bytes) -> bytes:
     return monad_set_of(data, 3, 2)
 
 
+def wide_word_leaving_a_gap(data: bytes) -> bytes:
+    """TOY4 with word 4 given phrase 101's monads 1-3: word 4 owns three
+    monads, and monad 4 has no slot node."""
+    return monad_set_of(data, 4, 101)
+
+
+def word_made_a_phrase(data: bytes) -> bytes:
+    """TOY4 with word 4's otype code set to phrase's: three slot nodes
+    for the four monads."""
+    corpus = Corpus.from_bytes(data)
+    at = 8 + 4 * (len(corpus) + corpus._row(4))
+    return rewrite_section(data, "nodes", at, struct.pack("<I", corpus.otypes().index("phrase")))
+
+
 def edge_label_past_the_table(data: bytes) -> bytes:
     """The image with edge row 0's label code set to the first code past
     the edge label table."""
@@ -280,6 +294,8 @@ CONTRADICTORY = [
     ("nodes", repeated_node_id),
     ("nodes", wide_word),
     ("nodes", twice_owned_monad),
+    ("nodes", wide_word_leaving_a_gap),
+    ("nodes", word_made_a_phrase),
     ("monadpool", run_past_the_text),
     ("monadpool", set_offsets_from_one),
     ("monadpool", set_offsets_decreasing),
@@ -405,6 +421,12 @@ class TestCorruption:
             Corpus.from_bytes(rewrite_section(toy4_bytes, name, at, new))
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
 
+    @pytest.mark.parametrize("name", ["slots", "nodes", "stats"])
+    def test_payload_shorter_than_its_head_is_an_image_error(self, toy4_bytes, name):
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_bytes(replace_section(toy4_bytes, name, b"\0\0\0\0"))
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
+
     def test_deeply_nested_metadata_is_an_image_error(self, toy4_bytes, tmp_path, capsys):
         bad = tmp_path / "bad.fab"
         bad.write_bytes(replace_section(toy4_bytes, "metadata", b"[" * 100_000 + b"]" * 100_000))
@@ -480,19 +502,27 @@ class TestCorruption:
         assert main(["query", str(bad), "-q", '[word lex="fox"]']) == 2
         assert f"section {name}" in capsys.readouterr().err
 
+    # Every NODES case of CONTRADICTORY.  The slot rule's one-monad check
+    # comes before its coverage of 1..W, so a wide slot node that also
+    # leaves a monad uncovered fails the former.
     @pytest.mark.parametrize(
         "rewrite,message",
         [
             (swapped_tied_rows, "node rows are not in canonical order"),
             (swapped_word_rows, "node rows are not in canonical order"),
             (repeated_node_id, "node ids are not unique"),
+            (wide_word, "a slot-type node does not own exactly one monad"),
+            (wide_word_leaving_a_gap, "a slot-type node does not own exactly one monad"),
+            (twice_owned_monad, "slot-type nodes do not own the monads 1..4 once each"),
+            (word_made_a_phrase, "slot-type nodes do not own the monads 1..4 once each"),
         ],
-        ids=["tied", "words", "repeated-id"],
+        ids=["tied", "words", "repeated-id", "wide", "wide-and-gap", "twice-owned", "three-slot-nodes"],
     )
     def test_node_rows_in_canonical_order_with_unique_ids(self, toy4_bytes, rewrite, message):
-        with pytest.raises(ImageError, match=message) as exc:
+        with pytest.raises(ImageError) as exc:
             Corpus.from_bytes(rewrite(toy4_bytes))
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "nodes")
+        assert str(exc.value) == f"section nodes cannot be decoded: {message}"
 
     def test_feature_target_the_image_lacks(self, toy4_bytes, tmp_path, capsys):
         name, _ = lex_store(toy4_bytes)

@@ -91,6 +91,23 @@ class TestToy4Goldens:
         assert toy4_corpus.feature_keys(EDGE_KIND) == ()
 
 
+class TestLoadProfile:
+    PHASES = ("directory", "crc", "decode", "nodes")
+
+    def test_from_file_times_every_phase_within_the_total(self, toy4_bytes, tmp_path):
+        path = tmp_path / "toy4.fab"
+        path.write_bytes(toy4_bytes)
+        profile = Corpus.from_file(path).load_profile
+        assert list(profile) == ["read", *self.PHASES, "total"]
+        assert all(seconds >= 0 for seconds in profile.values())
+        assert sum(profile[phase] for phase in ("read", *self.PHASES)) <= profile["total"]
+
+    def test_from_bytes_has_no_read(self, toy4_bytes):
+        profile = Corpus.from_bytes(toy4_bytes).load_profile
+        assert list(profile) == [*self.PHASES, "total"]
+        assert sum(profile[phase] for phase in self.PHASES) <= profile["total"]
+
+
 class TestLookups:
     def test_slot_region(self, toy4_corpus):
         assert toy4_corpus.slot_region(1) == Region(0, 3)
