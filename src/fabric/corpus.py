@@ -318,8 +318,8 @@ class Corpus:
         data = Path(path).read_bytes()
         read = perf_counter() - start
         corpus = cls(data)
-        profile = corpus.load_profile
-        corpus.load_profile = {"read": read, **profile, "total": read + profile["total"]}
+        corpus.load_profile = {"read": read, **corpus.load_profile}
+        corpus.load_profile["total"] += read
         return corpus
 
     @cached_property
