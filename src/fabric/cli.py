@@ -161,8 +161,9 @@ def cmd_info(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _slot_texts(corpus: Corpus, rows: np.ndarray) -> dict[int, str]:
     """``text_of`` of each slot-type node among ``rows``, by id.  The load
     checks that each slot node owns one monad, so its text is one slice,
-    found with one gather of the slot bounds for all of them."""
-    rows = np.unique(rows[corpus._otype_code[rows] == corpus._otype_rank.get(corpus.metadata.slot_otype, -1)])
+    found with one gather of the slot bounds for all of them.  A row that
+    repeats writes its id's entry again."""
+    rows = rows[corpus._otype_code[rows] == corpus._otype_rank.get(corpus.metadata.slot_otype, -1)]
     first = corpus._first[rows] - 1
     starts, ends = corpus._slot_starts[first].tolist(), corpus._slot_ends[first].tolist()
     text = corpus.text

@@ -11,8 +11,8 @@ Compilation is deterministic: the same corpus always produces the same
 bytes.  Everything variable is given a fixed order: nodes in canonical
 order (node feature stores name them by row), edges by (label, source,
 id), feature stores by (kind, key), value dictionaries by descending
-frequency with lexicographic tie-break, the monad-set pool by its run
-tuples, edge labels lexicographically.
+frequency with lexicographic tie-break, the rows of several monad runs
+ascending, edge labels lexicographically.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import image
 from .ingest import _U32_MAX, _check, validate
-from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, gather, heads, rank_otypes
+from .model import EDGE_KIND, NODE_KIND, CorpusStats, LogicalCorpus, gather, rank_otypes
 
 _KIND_CODE = {NODE_KIND: 0, EDGE_KIND: 1}
 
@@ -57,35 +57,21 @@ def build_sections(corpus: LogicalCorpus) -> tuple[list[tuple[int, bytes]], list
     ranked = list(rank_otypes(meta, c.otype.strings))
     sections.append((image.OTYPES, image.pack(len(ranked), strings=ranked)))
 
-    # Monad-set pool: distinct run tuples in lexicographic order.  That is
-    # the order of (first run, rank of the rest), where a set of one run
-    # has rest 0 and sorts before every longer set with its first run.
-    head = c.runs[:-1]
-    rest = np.zeros(len(head), np.int64)
-    longer = np.flatnonzero(np.diff(c.runs) > 1).tolist()
-    if longer:
-        sets = [c.monad_set(i).runs for i in longer]
-        rank = {runs: r for r, runs in enumerate(sorted(set(sets)), start=1)}
-        rest[longer] = [rank[runs] for runs in sets]
-    keys = (rest, c.last[head], c.first[head])
-    order = np.lexsort(keys)
-    new = heads(*(key[order] for key in keys))
-    pool_index = np.empty(len(order), np.int64)
-    pool_index[order] = np.cumsum(new) - 1
-    set_offsets, flat = gather(c.runs, order[new])
-    sections.append(
-        (image.MONADPOOL, image.pack(len(set_offsets) - 1, set_offsets, c.first[flat], c.last[flat], extra=len(flat)))
-    )
-
     # Nodes in canonical order, so that a row is a canonical position: by
     # (first asc, last desc) as one u64 key, first * (width + 1) - last,
     # then by otype rank, then by id (the sort is stable, and by_id puts the
-    # nodes in id order).
+    # nodes in id order).  A row holds its node's first and last monad.
     otype_rank = np.array([ranked.index(t) for t in c.otype.strings], dtype=np.int64)[c.otype.codes]
     by_id = np.argsort(c.node_id, kind="stable")
-    span = c.first[head].view(np.uint64) * np.uint64(len(c.slot_start) + 1) - c.last[c.runs[1:] - 1].view(np.uint64)
+    first, last = c.first[c.runs[:-1]], c.last[c.runs[1:] - 1]
+    span = first.view(np.uint64) * np.uint64(len(c.slot_start) + 1) - last.view(np.uint64)
     canon = by_id[np.lexsort((otype_rank[by_id], span[by_id]))]
-    sections.append((image.NODES, image.pack(len(canon), c.node_id[canon], otype_rank[canon], pool_index[canon])))
+    sections.append((image.NODES, image.pack(len(canon), c.node_id[canon], otype_rank[canon], first[canon], last[canon])))
+
+    # The rows of more than one run, ascending, each with its own runs.
+    multi = np.flatnonzero(np.diff(c.runs)[canon] > 1)
+    offsets, flat = gather(c.runs, canon[multi])
+    sections.append((image.MULTIRUN, image.pack(len(multi), multi, offsets, c.first[flat], c.last[flat], extra=len(flat))))
 
     labels = list(c.label.strings)
     sections.append((image.EDGELABELS, image.pack(len(labels), strings=labels)))

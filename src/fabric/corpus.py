@@ -2,12 +2,13 @@
 
 ``Corpus.from_file`` reads the image into memory and maps its sections
 onto read-only numpy views of the image bytes.  Opening a corpus costs
-integrity checks, whole-array passes over the node and pool tables, and
-one sort: of the u32 node ids, which finds a repeated id and looks up the
-edge endpoints.  Besides the views, the load keeps the pool's set offsets
-and each row's set index as int64, the type every gather through them
-wants, and each row's first and last monad and run count
-(``load_profile`` has the time of each phase).
+integrity checks, whole-array passes over the NODES and MULTIRUN tables,
+and one sort: of the u32 node ids, which finds a repeated id and looks up
+the edge endpoints.  Besides the views, the load keeps each row's first
+and last monad, read from NODES as columns, and its run count as int64
+(``load_profile`` has the time of each phase).  A row of one run is its
+envelope; only the rows of several runs are listed in MULTIRUN, whose
+rows and run offsets the load keeps as int64 too.
 
 Node identity in this API is the integer node id; inside, a node is its
 row.  The compiler writes the rows in canonical order (first monad asc,
@@ -23,8 +24,8 @@ row, -1 where the row lacks the key (``_row_codes``); per (node-feature
 key, otype), the rows carrying the key grouped by code, in canonical order
 within a code (``_postings``, the index posting lists are read from); per
 otype, its rows in canonical order (``_rows_for_otype``) and the running
-maximum of their last monads (``_last_runmax``); the pool-wide run keys
-(``_run_keys``); and the edges by id (``_edges_by_id``).
+maximum of their last monads (``_last_runmax``); the keys of MULTIRUN's
+runs (``_run_keys``); and the edges by id (``_edges_by_id``).
 
 Every monad join is a slice of canonical order (``_window`` or
 ``_reach``), its pairs (``_pairs``) and one relation on them all:
@@ -54,7 +55,6 @@ from .model import (
     LogicalCorpus,
     MonadSet,
     Region,
-    gather,
     heads,
 )
 
@@ -70,6 +70,7 @@ class UnknownOtypeWarning(UserWarning):
 # decoder, metadata of the wrong shape, a payload shorter than its head.
 _DECODE_ERRORS = (ValueError, IndexError, KeyError, TypeError, RecursionError, struct.error)
 _STATS = struct.Struct("<4Q")
+_RUN_OFFSETS = "the run offsets do not ascend from 0 to the run count {}, two runs a row or more"
 
 
 def _meta_field(meta: dict, key: str, many: bool = False):
@@ -153,8 +154,9 @@ class Corpus:
 
     ``load_profile`` holds the seconds each phase of the load took: the
     file read (``from_file`` only), the directory, the CRC-32s, the NODES
-    checks (``nodes``: its gathers, the slot rule, canonical order and the
-    id sort), the decoding and checks of every other section (``decode``),
+    checks (``nodes``: its monad bounds, the id sort, the int64 casts, the
+    slot rule and canonical order), the decoding and checks of every other
+    section, MULTIRUN's included (``decode``),
     and the ``total``, of which the phases are parts."""
 
     def __init__(self, data: bytes):
@@ -189,27 +191,6 @@ class Corpus:
             self._otypes, _ = image.unpack(need(image.OTYPES), strings=True)
             self._otype_rank = {name: i for i, name in enumerate(self._otypes)}
 
-            pool = need(image.MONADPOOL)
-            sets, runs = image.head(pool)
-            offsets, self._run_first, self._run_last, _ = image.unpack(pool, sets + 1, runs, runs)
-            # The set offsets, and below each row's set index, are kept as
-            # int64, the index type, for every gather through them.
-            self._set_offsets = offsets = offsets.astype(np.int64)
-            sizes = np.diff(offsets)
-            if offsets[0] != 0 or offsets[-1] != runs or sizes.min(initial=1) <= 0:
-                raise ValueError(f"set offsets do not ascend strictly from 0 to the run count {runs}")
-            if runs and (int(self._run_first.min()) < 1 or int(self._run_last.max()) > width):
-                raise ValueError(f"a monad run lies outside 1..{width}")
-            if (self._run_first > self._run_last).any():
-                raise ValueError("a run's first monad is past its last")
-            if runs > sets:  # some set has more than one run
-                # Each run after the first of its set starts past the one
-                # before it, with a gap.
-                multi = np.flatnonzero(sizes > 1)
-                _, later = self._pairs(offsets[multi] + 1, offsets[multi + 1])
-                if np.any(self._run_first[later] <= self._run_last[later - 1].astype(np.int64) + 1):
-                    raise ValueError("the runs of a set do not ascend with a gap between them")
-
             meta = json.loads(bytes(need(image.METADATA)).decode("utf-8"))
             self.metadata = CorpusMetadata(
                 otypes=tuple(_meta_field(meta, "otypes", many=True)),
@@ -222,22 +203,22 @@ class Corpus:
             nodes_from = perf_counter()
             nodes = need(image.NODES)
             n, _ = image.head(nodes)
-            self._ids, self._otype_code, sets, _ = image.unpack(nodes, n, n, n)
+            self._ids, self._otype_code, first, last, _ = image.unpack(nodes, n, n, n, n)
             if n and int(self._otype_code.max()) >= len(self._otypes):
                 raise ValueError(f"otype code past the {len(self._otypes)}-entry otype table")
+            if (first > last).any():
+                raise ValueError("a node's first monad is past its last")
+            if n and (int(first.min()) < 1 or int(last.max()) > width):
+                raise ValueError(f"a node's monads lie outside 1..{width}")
             ids = np.sort(self._ids)
             if (ids[1:] == ids[:-1]).any():
                 raise ValueError("node ids are not unique")
 
-            # Per-node monad envelope: the first run of each row's set, and
-            # the last, which lies its run count further on.
-            self._monad_idx = sets = sets.astype(np.int64)
-            first_run = offsets[sets]
-            self._first = self._run_first[first_run].astype(np.int64)
-            self._nruns = sizes[sets]
-            self._last = self._run_last[first_run + self._nruns - 1].astype(np.int64)
+            # Each row's first and last monad, as int64: the type of every
+            # key and bound computed from them.
+            self._first, self._last = first.astype(np.int64), last.astype(np.int64)
             # The compiler's slot rules: each slot-type node owns one monad
-            # (first == last: the runs of a set have gaps between them), and
+            # (first == last: the runs of a row have gaps between them), and
             # these cover 1..width once each.  Elementwise passes and one
             # compress: indexing by the interleaved slot mask costs more.
             slot = self._otype_code == self._otype_rank.get(self.metadata.slot_otype, -1)
@@ -258,6 +239,38 @@ class Corpus:
                 if (key[tie + 1] != key[tie]).any() or (b <= a).any():
                     raise ValueError("node rows are not in canonical order")
             nodes_to = perf_counter()
+
+            # The rows of several runs, each with the offset of its runs.
+            # Every other row is the one run its envelope spans.
+            multirun = need(image.MULTIRUN)
+            m, r = image.head(multirun)
+            rows, offsets, self._run_first, self._run_last, _ = image.unpack(multirun, m, m + 1, r, r)
+            self._multi_rows, self._multi_offsets = rows.astype(np.int64), offsets.astype(np.int64)
+            self._nruns = np.ones(n, np.int64)
+            if offsets[0] != 0 or offsets[-1] != r:
+                raise ValueError(_RUN_OFFSETS.format(r))
+            if m:  # else there is no run, and nothing more to check
+                if (rows[1:] <= rows[:-1]).any() or rows[-1] >= n:
+                    raise ValueError(f"the rows do not ascend strictly below the node count {n}")
+                offsets = self._multi_offsets
+                self._nruns[rows] = sizes = np.diff(offsets)
+                if sizes.min() < 2:
+                    raise ValueError(_RUN_OFFSETS.format(r))
+                if int(self._run_first.min()) < 1 or int(self._run_last.max()) > width:
+                    raise ValueError(f"a monad run lies outside 1..{width}")
+                run_first, run_last = self._run_first.astype(np.int64), self._run_last.astype(np.int64)
+                if (run_first > run_last).any():
+                    raise ValueError("a run's first monad is past its last")
+                # Each run after the first of its row starts past the one
+                # before it, with a gap.
+                gap = run_first[1:] > run_last[:-1] + 1
+                gap[offsets[1:-1] - 1] = True
+                if not gap.all():
+                    raise ValueError("the runs of a row do not ascend with a gap between them")
+                if (run_first[offsets[:-1]] != self._first[rows]).any() or (
+                    run_last[offsets[1:] - 1] != self._last[rows]
+                ).any():
+                    raise ValueError("a row's runs do not start at its first monad and end at its last")
 
             self._edge_labels, _ = image.unpack(need(image.EDGELABELS), strings=True)
             edges = need(image.EDGES)
@@ -456,8 +469,10 @@ class Corpus:
         return rows[_find_all(ids, wanted)]
 
     def _monad_set(self, row: int) -> MonadSet:
-        s = self._monad_idx.item(row)
-        runs = slice(self._set_offsets.item(s), self._set_offsets.item(s + 1))
+        if self._nruns.item(row) == 1:
+            return MonadSet(((self._first.item(row), self._last.item(row)),))
+        entry = int(self._multi_rows.searchsorted(row))
+        runs = slice(self._multi_offsets.item(entry), self._multi_offsets.item(entry + 1))
         return MonadSet(tuple(zip(self._run_first[runs].tolist(), self._run_last[runs].tolist())))
 
     def monads(self, node: int) -> MonadSet:
@@ -518,31 +533,48 @@ class Corpus:
 
     @cached_property
     def _run_keys(self) -> np.ndarray:
-        """Every run's key for ``_run_test``, set index * (width + 1) + first
-        monad; it ascends, since sets are stored in order and so are the
-        runs within a set."""
-        sizes = np.diff(self._set_offsets)
-        return np.repeat(np.arange(len(sizes), dtype=np.int64) * (self.width + 1), sizes) + self._run_first
+        """Every MULTIRUN run's key for ``_run_test``, the row's entry *
+        (width + 1) + first monad; it ascends, since the rows are stored in
+        order and so are the runs within a row."""
+        entries = np.arange(len(self._multi_rows), dtype=np.int64) * (self.width + 1)
+        return np.repeat(entries, np.diff(self._multi_offsets)) + self._run_first
+
+    def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every run of each of ``rows``: the position in ``rows`` of its
+        row, and its first and last monad; grouped by position, ascending
+        within a group.  A row of one run is its envelope; one of several
+        is found in MULTIRUN by one search on its rows."""
+        counts = self._nruns[rows]
+        multi = counts > 1
+        start = np.zeros(len(rows), np.int64)
+        start[multi] = self._multi_offsets[self._multi_rows.searchsorted(rows[multi])]
+        owner, run = self._pairs(start, start + counts)
+        first, last = self._first[rows[owner]], self._last[rows[owner]]
+        listed = multi[owner]
+        first[listed], last[listed] = self._run_first[run[listed]], self._run_last[run[listed]]
+        return owner, first, last
 
     def _run_test(self, a, b, need: np.ndarray, embed: bool) -> np.ndarray:
         """Mask over pairs of rows ``a`` and ``b`` (either may be one row)
         that passed an envelope test: where ``need`` is set, whether ``a``'s
-        monads include all of ``b``'s (``embed``) or share one with them;
-        True elsewhere, where the envelope test is exact.  One search on
-        ``_run_keys`` finds, for each run of ``b`` in every pair, the last
-        run of ``a`` starting at or before the run's first monad, which must
-        cover it (embedding), or its last monad, which must overlap it."""
+        monads include all of ``b``'s (``embed``, where ``a`` has several
+        runs) or share one with them (where either has); True elsewhere,
+        where the envelope test is exact.  One search on ``_run_keys``
+        finds, for each run of ``b`` in every pair, the last run of ``a``
+        starting at or before the run's first monad, which must cover it
+        (embedding), or its last monad, which must overlap it."""
         keep = ~need
         idx = need.nonzero()[0]
         if len(idx):
             a, b = np.broadcast_to(a, need.shape)[idx], np.broadcast_to(b, need.shape)[idx]
-            start = self._set_offsets[self._monad_idx[b]]
-            owner, run = self._pairs(start, start + self._nruns[b])
-            first, last = self._run_first[run], self._run_last[run]
+            if not embed:  # meeting is symmetric: put the row of several runs on a's side
+                several = self._nruns[a] > 1
+                a, b = np.where(several, a, b), np.where(several, b, a)
+            owner, first, last = self._runs(b)
             probe, reach = (first, last) if embed else (last, first)
-            sa = self._monad_idx[a][owner]
-            j = self._run_keys.searchsorted(sa * (self.width + 1) + probe, side="right") - 1
-            hit = (j >= self._set_offsets[sa]) & (self._run_last[j] >= reach)
+            entry = self._multi_rows.searchsorted(a)[owner]
+            j = self._run_keys.searchsorted(entry * (self.width + 1) + probe, side="right") - 1
+            hit = (j >= self._multi_offsets[entry]) & (self._run_last[j] >= reach)
             placed = np.bincount(owner[hit], minlength=len(idx))
             keep[idx] = placed == self._nruns[b] if embed else placed > 0
         return keep
@@ -682,8 +714,10 @@ class Corpus:
 
     def as_logical_corpus(self) -> LogicalCorpus:
         """Rebuild the logical corpus this image was compiled from, as
-        columns gathered from the image's arrays."""
-        offsets, runs = gather(self._set_offsets, self._monad_idx)
+        columns gathered from the image's arrays: each row's runs are its
+        envelope or its MULTIRUN entry."""
+        _, first, last = self._runs(np.arange(len(self._ids)))
+        offsets = np.append(0, np.cumsum(self._nruns))
         kinds, targets, keys, values = [], [], [], []
         for kind, key in self._feature_sections:
             store = self.store(key, kind)
@@ -694,7 +728,7 @@ class Corpus:
         columns = Columns.build(
             (self._slot_starts, self._slot_ends),
             (self._ids, list(map(self._otypes.__getitem__, self._otype_code.tolist())),
-             (offsets, self._run_first[runs], self._run_last[runs])),
+             (offsets, first, last)),
             (self._edge_ids, self._edge_src, self._edge_dst,
              list(map(self._edge_labels.__getitem__, self._edge_label_code.tolist()))),
             (kinds, targets, keys, values),

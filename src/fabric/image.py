@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ImageError
 
 MAGIC = b"FABRIC01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<8sHHI")
 _DIRENT = struct.Struct("<IIQQII")
@@ -43,7 +43,7 @@ TEXT = 1
 SLOTS = 2
 OTYPES = 3
 NODES = 4
-MONADPOOL = 5
+MULTIRUN = 5
 EDGELABELS = 6
 EDGES = 7
 METADATA = 8
@@ -56,7 +56,7 @@ SECTION_NAMES = {
     SLOTS: "slots",
     OTYPES: "otypes",
     NODES: "nodes",
-    MONADPOOL: "monadpool",
+    MULTIRUN: "multirun",
     EDGELABELS: "edgelabels",
     EDGES: "edges",
     METADATA: "metadata",

@@ -139,6 +139,20 @@ def test_import_loads_no_xml_parser():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_text_query_loads_no_masked_arrays(image):
+    """``np.unique`` imports ``numpy.ma`` on first use; a text-format query
+    streams its slot texts without it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from fabric.cli import main; "
+        f"code = main(['query', {image!r}, '-q', '[phrase [word]]', '--format', 'text']); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "'the'" in done.stdout and done.stdout.splitlines()[-1] == "0 False"
+
+
 class TestSampleScript:
     def test_make_sample_writes_toy4_in_every_form(self, tmp_path):
         """``scripts/make_sample.py`` writes graph XML, tables and an image,

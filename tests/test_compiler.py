@@ -61,10 +61,10 @@ def bad_otype_code(data: bytes) -> bytes:
 
 
 def swapped_node_rows(data: bytes, a: int, b: int) -> bytes:
-    """The image with NODES rows ``a`` and ``b`` swapped in all three
+    """The image with NODES rows ``a`` and ``b`` swapped in all four
     columns, so the rows leave canonical order."""
     corpus = Corpus.from_bytes(data)
-    for col, column in enumerate((corpus._ids, corpus._otype_code, corpus._monad_idx)):
+    for col, column in enumerate((corpus._ids, corpus._otype_code, corpus._first, corpus._last)):
         for row, value in ((a, column[b]), (b, column[a])):
             data = rewrite_section(data, "nodes", 8 + 4 * (col * len(corpus) + row), struct.pack("<I", int(value)))
     return data
@@ -89,43 +89,115 @@ def repeated_node_id(data: bytes) -> bytes:
     return rewrite_section(data, "nodes", 8 + 4 * (len(corpus) - 1), struct.pack("<I", int(corpus._ids[0])))
 
 
+def node_monads(data: bytes, row: int, first: int, last: int) -> bytes:
+    """The image with NODES row ``row``'s first and last monad rewritten;
+    the two columns start at payload bytes 8 + 8N and 8 + 12N."""
+    n = len(Corpus.from_bytes(data))
+    out = rewrite_section(data, "nodes", 8 + 4 * (2 * n + row), struct.pack("<I", first))
+    return rewrite_section(out, "nodes", 8 + 4 * (3 * n + row), struct.pack("<I", last))
+
+
+def node_first_past_last(data: bytes) -> bytes:
+    """TOY4 with word 1 (row 3, monad 1) given first monad 2, last 1."""
+    return node_monads(data, 3, 2, 1)
+
+
+def node_first_below_one(data: bytes) -> bytes:
+    """TOY4 with verse 301 (row 0, monads 1-4) given monads 0-4."""
+    return node_monads(data, 0, 0, 4)
+
+
+def node_last_past_the_text(data: bytes) -> bytes:
+    """TOY4 with verse 301 (row 0) given monads 1-5, past its 4 slots."""
+    return node_monads(data, 0, 1, 5)
+
+
+def with_multirun_rows(data: bytes) -> bytes:
+    """The image recompiled with two nodes of several runs added: phrase
+    401 on monads 1 and 3-4, and clause 402 on 1 and 3.  In TOY4 they are
+    rows 2 and 3, and MULTIRUN holds rows [2, 3], run offsets [0, 2, 4],
+    run firsts [1, 3, 1, 3] and run lasts [1, 4, 1, 3]."""
+    c = Corpus.from_bytes(data).as_logical_corpus()
+    nodes = (Node(401, "phrase", MonadSet.parse("1,3-4")), Node(402, "clause", MonadSet.parse("1,3")))
+    return compile_to_bytes(LogicalCorpus.assemble(c.text, c.slots, c.nodes + nodes, c.edges, c.features, c.metadata))[0]
+
+
+def multirun_layout(data: bytes) -> tuple[int, int]:
+    """The row and run counts of MULTIRUN: its rows start at payload byte
+    8, run offsets at 8 + 4 * rows, run firsts at 8 + 4 * (2 * rows + 1),
+    run lasts after those."""
+    entry = next(e for e in image.read_directory(data) if e.name == "multirun")
+    return image.head(memoryview(data)[entry.offset : entry.offset + entry.length])
+
+
+def multirun_rewrite(data: bytes, column: str, at: int, *values: int) -> bytes:
+    """``with_multirun_rows(data)`` with the MULTIRUN ``column`` (rows,
+    offsets, firsts or lasts) rewritten from its entry ``at`` on."""
+    data = with_multirun_rows(data)
+    m, r = multirun_layout(data)
+    start = {"rows": 0, "offsets": m, "firsts": 2 * m + 1, "lasts": 2 * m + 1 + r}[column]
+    return rewrite_section(data, "multirun", 8 + 4 * (start + at), struct.pack(f"<{len(values)}I", *values))
+
+
 def run_past_the_text(data: bytes) -> bytes:
-    """The image with the pool's last run ending 5 monads past the text."""
-    corpus = Corpus.from_bytes(data)
-    pool = next(e for e in image.read_directory(data) if e.name == "monadpool")
-    sets, runs = image.head(memoryview(data)[pool.offset : pool.offset + pool.length])
-    last_run_last = 8 + 4 * (sets + 1 + 2 * runs - 1)
-    return rewrite_section(data, "monadpool", last_run_last, struct.pack("<I", corpus.width + 5))
+    """The image with the last run of MULTIRUN ending 5 monads past the
+    text."""
+    _, r = multirun_layout(with_multirun_rows(data))
+    return multirun_rewrite(data, "lasts", r - 1, Corpus.from_bytes(data).width + 5)
 
 
-def pool_layout(data: bytes) -> tuple[int, int]:
-    """The set and run counts of the monad pool: its set offsets start at
-    payload byte 8, run firsts at 8 + 4 * (sets + 1), run lasts after those."""
-    pool = next(e for e in image.read_directory(data) if e.name == "monadpool")
-    return image.head(memoryview(data)[pool.offset : pool.offset + pool.length])
+def run_offsets_from_one(data: bytes) -> bytes:
+    """MULTIRUN with its first run offset 1, not 0."""
+    return multirun_rewrite(data, "offsets", 0, 1)
 
 
-def set_offsets_from_one(data: bytes) -> bytes:
-    """The image with the pool's first set offset 1, not 0."""
-    return rewrite_section(data, "monadpool", 8, struct.pack("<I", 1))
+def run_offsets_decreasing(data: bytes) -> bytes:
+    """MULTIRUN with run offsets [0, 5, 4]."""
+    return multirun_rewrite(data, "offsets", 1, 5)
 
 
-def set_offsets_decreasing(data: bytes) -> bytes:
-    """The image with the pool's second and third set offsets (1 and 2)
-    swapped."""
-    return rewrite_section(data, "monadpool", 12, struct.pack("<II", 2, 1))
+def run_offsets_past_the_runs(data: bytes) -> bytes:
+    """MULTIRUN with its last run offset one past the run count."""
+    _, r = multirun_layout(with_multirun_rows(data))
+    return multirun_rewrite(data, "offsets", 2, r + 1)
 
 
-def set_offsets_past_the_runs(data: bytes) -> bytes:
-    """The image with the pool's last set offset one past the run count."""
-    sets, runs = pool_layout(data)
-    return rewrite_section(data, "monadpool", 8 + 4 * sets, struct.pack("<I", runs + 1))
+def multirun_row_of_one_run(data: bytes) -> bytes:
+    """MULTIRUN with run offsets [0, 1, 4]: row 2 listed with one run."""
+    return multirun_rewrite(data, "offsets", 1, 1)
 
 
 def run_first_past_last(data: bytes) -> bytes:
-    """The image with the pool's first run (1..1) starting at monad 2."""
-    sets, _ = pool_layout(data)
-    return rewrite_section(data, "monadpool", 8 + 4 * (sets + 1), struct.pack("<I", 2))
+    """MULTIRUN with its first run (1..1) starting at monad 2."""
+    return multirun_rewrite(data, "firsts", 0, 2)
+
+
+def multirun_rows_descending(data: bytes) -> bytes:
+    """MULTIRUN with rows [3, 2]."""
+    return multirun_rewrite(data, "rows", 0, 3, 2)
+
+
+def multirun_row_repeated(data: bytes) -> bytes:
+    """MULTIRUN with rows [2, 2]."""
+    return multirun_rewrite(data, "rows", 1, 2)
+
+
+def multirun_row_past_the_nodes(data: bytes) -> bytes:
+    """MULTIRUN with its last row the node count, one past the last row;
+    the rows still ascend."""
+    return multirun_rewrite(data, "rows", 1, len(Corpus.from_bytes(with_multirun_rows(data))))
+
+
+def multirun_first_off_the_envelope(data: bytes) -> bytes:
+    """MULTIRUN with rows [2, 7]: word 3 (row 7, monad 3) is given runs
+    1 and 3, whose first run starts before its first monad."""
+    return multirun_rewrite(data, "rows", 1, 7)
+
+
+def multirun_last_off_the_envelope(data: bytes) -> bytes:
+    """MULTIRUN with phrase 401's last run (3..4) ending at monad 3, before
+    the row's last monad."""
+    return multirun_rewrite(data, "lasts", 1, 3)
 
 
 def string_offsets_decreasing(data: bytes) -> bytes:
@@ -142,29 +214,29 @@ def string_offsets_past_the_end(data: bytes) -> bytes:
     return rewrite_section(data, "otypes", 8 + 4 * len(otypes), struct.pack("<I", end + 1))
 
 
-def two_run_set(data: bytes) -> tuple[int, list[int], list[int]]:
-    """The payload offset of the first run of the pool's first two-run set,
-    and the firsts and lasts of its runs."""
+def two_run_row(data: bytes) -> tuple[int, list[int], list[int]]:
+    """The payload offset of the first run of MULTIRUN's first row of two
+    runs, and the firsts and lasts of its runs."""
     corpus = Corpus.from_bytes(data)
-    offsets = corpus._set_offsets.tolist()
+    offsets = corpus._multi_offsets.tolist()
     at = next(a for a, b in zip(offsets, offsets[1:]) if b - a == 2)
-    sets, _ = pool_layout(data)
-    return 8 + 4 * (sets + 1 + at), corpus._run_first[at : at + 2].tolist(), corpus._run_last[at : at + 2].tolist()
+    m, _ = multirun_layout(data)
+    return 8 + 4 * (2 * m + 1 + at), corpus._run_first[at : at + 2].tolist(), corpus._run_last[at : at + 2].tolist()
 
 
 def swapped_runs(data: bytes) -> bytes:
-    """The image with the two runs of a two-run set swapped."""
-    at, firsts, lasts = two_run_set(data)
-    _, runs = pool_layout(data)
-    out = rewrite_section(data, "monadpool", at, struct.pack("<II", *firsts[::-1]))
-    return rewrite_section(out, "monadpool", at + 4 * runs, struct.pack("<II", *lasts[::-1]))
+    """The image with the two runs of a row of two runs swapped."""
+    at, firsts, lasts = two_run_row(data)
+    _, runs = multirun_layout(data)
+    out = rewrite_section(data, "multirun", at, struct.pack("<II", *firsts[::-1]))
+    return rewrite_section(out, "multirun", at + 4 * runs, struct.pack("<II", *lasts[::-1]))
 
 
 def adjacent_runs(data: bytes) -> bytes:
-    """The image with the second run of a two-run set starting right after
-    the first ends."""
-    at, _, lasts = two_run_set(data)
-    return rewrite_section(data, "monadpool", at + 4, struct.pack("<I", lasts[0] + 1))
+    """The image with the second run of a row of two runs starting right
+    after the first ends."""
+    at, _, lasts = two_run_row(data)
+    return rewrite_section(data, "multirun", at + 4, struct.pack("<I", lasts[0] + 1))
 
 
 def lex_store(data: bytes) -> tuple[str, list[int]]:
@@ -201,11 +273,11 @@ def lex_target_past_the_rows(data: bytes) -> bytes:
 
 
 def monad_set_of(data: bytes, node: int, donor: int) -> bytes:
-    """The image with the NODES monad set index of ``node``'s row set to
-    that of ``donor``'s."""
+    """The image with the NODES first and last monad of ``node``'s row set
+    to those of ``donor``'s."""
     corpus = Corpus.from_bytes(data)
-    at = 8 + 4 * (2 * len(corpus) + corpus._row(node))
-    return rewrite_section(data, "nodes", at, struct.pack("<I", int(corpus._monad_idx[corpus._row(donor)])))
+    donor = corpus._row(donor)
+    return node_monads(data, corpus._row(node), int(corpus._first[donor]), int(corpus._last[donor]))
 
 
 def wide_word(data: bytes) -> bytes:
@@ -275,7 +347,7 @@ MALFORMED = [
     ("slots", 0, struct.pack("<I", 10**6)),
     ("otypes", 0, struct.pack("<I", 10**6)),
     ("metadata", 0, b"["),
-    ("monadpool", 0, struct.pack("<I", 10**6)),
+    ("multirun", 0, struct.pack("<I", 10**6)),
     ("edges", 0, struct.pack("<I", 10**6)),
     ("edgelabels", 0, struct.pack("<I", 10**6)),
     ("featindex", 0, struct.pack("<I", 10**6)),
@@ -283,8 +355,10 @@ MALFORMED = [
 
 @functools.cache
 def fuzz_images() -> tuple[bytes, ...]:
-    """TOY4, and random corpora with two-run sets and edges."""
-    return tuple(compile_to_bytes(c)[0] for c in (toy4(), *(random_corpus(random.Random(s)) for s in (0, 6, 10))))
+    """TOY4, TOY4 with two rows of several runs, and random corpora with
+    such rows and edges."""
+    toy = compile_to_bytes(toy4())[0]
+    return (toy, with_multirun_rows(toy), *(compile_to_bytes(random_corpus(random.Random(s)))[0] for s in (0, 6, 10)))
 
 
 # (section, rewrite): sections that decode but contradict the image.
@@ -296,11 +370,20 @@ CONTRADICTORY = [
     ("nodes", twice_owned_monad),
     ("nodes", wide_word_leaving_a_gap),
     ("nodes", word_made_a_phrase),
-    ("monadpool", run_past_the_text),
-    ("monadpool", set_offsets_from_one),
-    ("monadpool", set_offsets_decreasing),
-    ("monadpool", set_offsets_past_the_runs),
-    ("monadpool", run_first_past_last),
+    ("nodes", node_first_past_last),
+    ("nodes", node_first_below_one),
+    ("nodes", node_last_past_the_text),
+    ("multirun", run_past_the_text),
+    ("multirun", run_offsets_from_one),
+    ("multirun", run_offsets_decreasing),
+    ("multirun", run_offsets_past_the_runs),
+    ("multirun", multirun_row_of_one_run),
+    ("multirun", run_first_past_last),
+    ("multirun", multirun_rows_descending),
+    ("multirun", multirun_row_repeated),
+    ("multirun", multirun_row_past_the_nodes),
+    ("multirun", multirun_first_off_the_envelope),
+    ("multirun", multirun_last_off_the_envelope),
     ("otypes", string_offsets_decreasing),
     ("otypes", string_offsets_past_the_end),
     ("stats", stats_words_past_the_width),
@@ -421,7 +504,7 @@ class TestCorruption:
             Corpus.from_bytes(rewrite_section(toy4_bytes, name, at, new))
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", name)
 
-    @pytest.mark.parametrize("name", ["slots", "nodes", "stats"])
+    @pytest.mark.parametrize("name", ["slots", "nodes", "multirun", "stats"])
     def test_payload_shorter_than_its_head_is_an_image_error(self, toy4_bytes, name):
         with pytest.raises(ImageError) as exc:
             Corpus.from_bytes(replace_section(toy4_bytes, name, b"\0\0\0\0"))
@@ -515,14 +598,53 @@ class TestCorruption:
             (wide_word_leaving_a_gap, "a slot-type node does not own exactly one monad"),
             (twice_owned_monad, "slot-type nodes do not own the monads 1..4 once each"),
             (word_made_a_phrase, "slot-type nodes do not own the monads 1..4 once each"),
+            (node_first_past_last, "a node's first monad is past its last"),
+            (node_first_below_one, "a node's monads lie outside 1..4"),
+            (node_last_past_the_text, "a node's monads lie outside 1..4"),
         ],
-        ids=["tied", "words", "repeated-id", "wide", "wide-and-gap", "twice-owned", "three-slot-nodes"],
+        ids=[
+            "tied", "words", "repeated-id", "wide", "wide-and-gap", "twice-owned", "three-slot-nodes",
+            "first-past-last", "first-below-one", "last-past-the-text",
+        ],
     )
     def test_node_rows_in_canonical_order_with_unique_ids(self, toy4_bytes, rewrite, message):
         with pytest.raises(ImageError) as exc:
             Corpus.from_bytes(rewrite(toy4_bytes))
         assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "nodes")
         assert str(exc.value) == f"section nodes cannot be decoded: {message}"
+
+    # Every MULTIRUN case of CONTRADICTORY, on TOY4 with rows 2 and 3 of
+    # several runs (10 rows).
+    @pytest.mark.parametrize(
+        "rewrite,message",
+        [
+            (run_past_the_text, "a monad run lies outside 1..4"),
+            (run_offsets_from_one, "the run offsets do not ascend from 0 to the run count 4, two runs a row or more"),
+            (run_offsets_decreasing, "the run offsets do not ascend from 0 to the run count 4, two runs a row or more"),
+            (run_offsets_past_the_runs, "the run offsets do not ascend from 0 to the run count 4, two runs a row or more"),
+            (multirun_row_of_one_run, "the run offsets do not ascend from 0 to the run count 4, two runs a row or more"),
+            (run_first_past_last, "a run's first monad is past its last"),
+            (multirun_rows_descending, "the rows do not ascend strictly below the node count 10"),
+            (multirun_row_repeated, "the rows do not ascend strictly below the node count 10"),
+            (multirun_row_past_the_nodes, "the rows do not ascend strictly below the node count 10"),
+            (multirun_first_off_the_envelope, "a row's runs do not start at its first monad and end at its last"),
+            (multirun_last_off_the_envelope, "a row's runs do not start at its first monad and end at its last"),
+        ],
+        ids=[
+            "run-past-the-text", "offsets-from-one", "offsets-decreasing", "offsets-past-the-runs", "one-run",
+            "first-past-last", "rows-descending", "row-repeated", "row-past-the-nodes", "first-off", "last-off",
+        ],
+    )
+    def test_multirun_rows_ascend_with_runs_inside_their_envelope(self, toy4_bytes, rewrite, message):
+        with pytest.raises(ImageError) as exc:
+            Corpus.from_bytes(rewrite(toy4_bytes))
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "multirun")
+        assert str(exc.value) == f"section multirun cannot be decoded: {message}"
+
+    def test_fuzzed_images_hold_rows_of_several_runs(self):
+        """So that ``test_rewritten_bytes_fail_cleanly`` rewrites MULTIRUN
+        entries, not only its head."""
+        assert all(len(Corpus.from_bytes(raw)._multi_rows) for raw in fuzz_images()[1:])
 
     def test_feature_target_the_image_lacks(self, toy4_bytes, tmp_path, capsys):
         name, _ = lex_store(toy4_bytes)
@@ -562,9 +684,9 @@ class TestCorruption:
         bad.write_bytes(rewrite(compile_to_bytes(random_corpus(random.Random(0)))[0]))
         with pytest.raises(ImageError) as exc:
             Corpus.from_file(bad)
-        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "monadpool")
+        assert (exc.value.code, exc.value.section) == ("BAD_SECTION", "multirun")
         assert main([args[0], str(bad), *args[1:]]) == 2
-        assert "section monadpool" in capsys.readouterr().err
+        assert "section multirun" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rewrite", [edge_label_past_the_table, edge_from_no_node, repeated_edge_id])
     def test_contradictory_edges(self, tmp_path, capsys, rewrite):
@@ -668,15 +790,19 @@ class TestFileWriting:
             compile_to_bytes(big)
 
 
-class TestMonadPool:
+class TestMultirun:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_pool_holds_each_distinct_set_once_in_run_tuple_order(self, seed):
+    def test_multirun_holds_exactly_the_rows_of_several_runs_ascending(self, seed):
         logical = random_corpus(random.Random(seed), max_words=60)
         corpus = Corpus.from_bytes(compile_to_bytes(logical)[0])
-        offsets, firsts, lasts = (a.tolist() for a in (corpus._set_offsets, corpus._run_first, corpus._run_last))
-        pool = [tuple(zip(firsts[a:b], lasts[a:b])) for a, b in zip(offsets, offsets[1:])]
-        assert pool == sorted({n.monads.runs for n in logical.nodes})
+        runs = [next(n.monads.runs for n in logical.nodes if n.id == i) for i in corpus._ids.tolist()]
+        assert corpus._first.tolist() == [r[0][0] for r in runs]
+        assert corpus._last.tolist() == [r[-1][1] for r in runs]
+        rows = [row for row, r in enumerate(runs) if len(r) > 1]
+        assert corpus._multi_rows.tolist() == rows
+        offsets, firsts, lasts = (a.tolist() for a in (corpus._multi_offsets, corpus._run_first, corpus._run_last))
+        assert [tuple(zip(firsts[a:b], lasts[a:b])) for a, b in zip(offsets, offsets[1:])] == [runs[i] for i in rows]
 
 
 def _toy4_with(nodes=(), edges=(), features=None):
@@ -709,8 +835,9 @@ class TestRoundTrip:
         assert rebuilt == corpus
         assert compile_to_bytes(rebuilt)[0] == data
 
-    def test_toy4_reconstructs_exactly(self, toy4_corpus, toy4_logical):
+    def test_toy4_reconstructs_exactly(self, toy4_corpus, toy4_logical, toy4_bytes):
         assert toy4_corpus.as_logical_corpus() == toy4_logical
+        assert compile_to_bytes(toy4_corpus.as_logical_corpus())[0] == toy4_bytes
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -21,6 +21,9 @@ The two relations every join ends in, ``Corpus._embeds`` and ``_meets``,
 are checked against frozenset subset and intersection on every pair of
 rows, and ``up``, ``passage_of`` and the passage join on corpora whose
 first verse spans the whole text, or its first half, ahead of short ones.
+Every node's ``monads`` and ``text_of``, read from its envelope or its
+MULTIRUN runs, are checked against its monad set, and the image must
+rebuild its logical corpus exactly.
 Hand-built queries that reuse one ``Block`` object for equal blocks
 evaluate, stream, explain and brute-force as their parsed text does.
 """
@@ -360,6 +363,7 @@ def test_multirun_reconstruction_recompiles_to_the_same_bytes(logical):
     rebuilt = Corpus.from_bytes(data).as_logical_corpus()
     assert rebuilt == logical
     assert compile_to_bytes(rebuilt)[0] == data
+    check_monads(Corpus.from_bytes(data), logical)
 
 
 @settings(max_examples=80, deadline=None)
@@ -472,6 +476,26 @@ def test_passage_join_on_rows_matches_id_reference(case, passage_otype):
         verses, *hits = reference.passages_meeting_by_ids(corpus, outer)
         assert result.verses == tuple(verses.tolist()), text
         assert all(map(np.array_equal, result._hits, hits)), text
+
+
+def check_monads(corpus: Corpus, logical: LogicalCorpus) -> None:
+    """``Corpus.monads`` and ``text_of`` of every node against its monad
+    set: a row's envelope, or its runs in MULTIRUN."""
+    for node in logical.nodes:
+        assert corpus.monads(node.id) == node.monads, node.id
+        assert corpus.text_of(node.id) == reference.text_of(logical.text, logical.slots, reference.monad_set(node))
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_rows_rebuild_and_browse_as_scans(case):
+    # Each case but toy4 has rows of several runs (rows_corpus asserts it).
+    logical, corpus = row_case(case), rows_corpus(case)
+    rebuilt = corpus.as_logical_corpus()
+    assert rebuilt == logical
+    assert compile_to_bytes(rebuilt)[0] == compile_to_bytes(logical)[0]
+    check_monads(corpus, logical)
+    scan = Scan(logical)
+    scan.check_nodes(scan.order, random.Random(case))
 
 
 def with_nodes(logical: LogicalCorpus, *nodes: Node) -> LogicalCorpus:
