@@ -140,10 +140,9 @@ def multirun_rewrite(data: bytes, column: str, at: int, *values: int) -> bytes:
 
 
 def run_past_the_text(data: bytes) -> bytes:
-    """The image with the last run of MULTIRUN ending 5 monads past the
-    text."""
-    _, r = multirun_layout(with_multirun_rows(data))
-    return multirun_rewrite(data, "lasts", r - 1, Corpus.from_bytes(data).width + 5)
+    """MULTIRUN with its last run (3..3) ending at monad 9, 5 monads past
+    the text."""
+    return multirun_rewrite(data, "lasts", 3, 9)
 
 
 def run_offsets_from_one(data: bytes) -> bytes:
@@ -157,9 +156,8 @@ def run_offsets_decreasing(data: bytes) -> bytes:
 
 
 def run_offsets_past_the_runs(data: bytes) -> bytes:
-    """MULTIRUN with its last run offset one past the run count."""
-    _, r = multirun_layout(with_multirun_rows(data))
-    return multirun_rewrite(data, "offsets", 2, r + 1)
+    """MULTIRUN with run offsets [0, 2, 5], one past the run count."""
+    return multirun_rewrite(data, "offsets", 2, 5)
 
 
 def multirun_row_of_one_run(data: bytes) -> bytes:
@@ -183,9 +181,9 @@ def multirun_row_repeated(data: bytes) -> bytes:
 
 
 def multirun_row_past_the_nodes(data: bytes) -> bytes:
-    """MULTIRUN with its last row the node count, one past the last row;
-    the rows still ascend."""
-    return multirun_rewrite(data, "rows", 1, len(Corpus.from_bytes(with_multirun_rows(data))))
+    """MULTIRUN with rows [2, 10]: 10 is the node count, one past the last
+    row; the rows still ascend."""
+    return multirun_rewrite(data, "rows", 1, 10)
 
 
 def multirun_first_off_the_envelope(data: bytes) -> bytes:
